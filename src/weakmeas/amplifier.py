@@ -4,7 +4,10 @@ A scenario family maps one real parameter (a pre-selection angle, a
 coupling, ...) to a full measurement scenario. This module evaluates an
 amplification objective across the family -- with either the exact
 evolution or the closed-form predictor as the engine -- and locates the
-parameter maximizing it by golden-section search. The canonical family is
+parameter maximizing it by golden-section search. The exact engine is
+closed-form for Gaussian pointers (pairwise branch overlaps, no grid) and
+runs the grid oracle `evolve_postselect` for grid pointers, so ``grid_n``
+affects grid-pointer families only. The canonical family is
 the Stern-Gerlach arrangement `sg_family`, whose measured-value curve has
 the known analytic optimum `sg_optimum`.
 
@@ -33,10 +36,10 @@ from .errors import (
     ValidityWarning,
     ZeroPostSelectionProbability,
 )
-from .oracle import evolve_postselect
-from .pointer import gaussian, p_power, moment
+from .oracle import _check_grid_n, _gaussian_exact, evolve_postselect
+from .pointer import GaussianPointer, gaussian, p_power, moment
 from .predictor import predict_general, predict_orthogonal
-from .qops import SIGMA_Z, overlap, projector_onto, pure_state
+from .qops import SIGMA_Z, new_observable, overlap, projector_onto, pure_state
 from .scenario import Scenario, make_scenario
 from .weak_values import ORTH_THRESHOLD, selection_trace, weak_interaction_margin
 
@@ -83,11 +86,14 @@ class OptimumReport:
     bracket: tuple[float, float]
 
 
-def _check_choices(objective: str, engine: str) -> None:
+def _check_choices(objective: str, engine: str, grid_n: int | None) -> None:
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    if engine == "exact":
+        # Checked up front: Gaussian families never reach the grid oracle.
+        _check_grid_n(grid_n)
 
 
 def _objective_value(objective: str, delta_q: float, delta_p: float, g: float) -> float | None:
@@ -110,9 +116,12 @@ def _evaluate(
     """(outcome, success probability) for one scenario, or (None, 0)."""
     try:
         if engine == "exact":
-            rec = evolve_postselect(sc, grid_n=grid_n)
-            outcome = _objective_value(objective, rec.delta_q, rec.delta_p, sc.g)
-            return outcome, rec.success_prob
+            if isinstance(sc.pointer, GaussianPointer):
+                success, delta_q, delta_p = _gaussian_exact(sc)
+            else:
+                rec = evolve_postselect(sc, grid_n=grid_n)
+                success, delta_q, delta_p = rec.success_prob, rec.delta_q, rec.delta_p
+            return _objective_value(objective, delta_q, delta_p, sc.g), success
         ov = overlap(sc.post, sc.pre)
         if ov > orth_threshold:
             pred = predict_general(
@@ -149,8 +158,13 @@ def sweep(
     """Evaluate the objective across ``params``, a strictly increasing
     sequence of floats. Points where the objective is undefined (e.g. the
     post-selection never succeeds) are recorded with a null outcome rather
-    than dropped."""
-    _check_choices(objective, engine)
+    than dropped.
+
+    The exact engine is closed-form for Gaussian pointers and uses the grid
+    oracle for grid pointers; ``grid_n`` sizes that grid and has no effect
+    on Gaussian-pointer families.
+    """
+    _check_choices(objective, engine, grid_n)
     values = [float(p) for p in params]
     if not values:
         raise EmptyGrid("parameter sweep needs at least one grid point")
@@ -192,9 +206,11 @@ def find_optimum(
     Assumes the objective is unimodal across ``bracket``; when the located
     value falls below an endpoint value, NotUnimodal is raised. Undefined
     points count as minus infinity. The parameter is localized to ``tol``
-    (floating-point curvature of the objective permitting).
+    (floating-point curvature of the objective permitting). As in `sweep`,
+    the exact engine is closed-form for Gaussian pointers and ``grid_n``
+    affects grid-pointer families only.
     """
-    _check_choices(objective, engine)
+    _check_choices(objective, engine, grid_n)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or not (lo < hi):
         raise InvalidBracket(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
@@ -256,6 +272,7 @@ def sg_family(lmbda: float, delta_q: float = 1.0) -> Callable[[float], Scenario]
     if not (0.0 < lmbda < 1.0):
         raise LambdaOutOfRange(f"lambda must lie in (0, 1), got {lmbda}")
     pointer = gaussian(delta_q)
+    obs = new_observable(SIGMA_Z)
     post = projector_onto(np.array([1.0, 1.0]) / math.sqrt(2.0))
 
     def family(alpha: float) -> Scenario:
@@ -263,7 +280,7 @@ def sg_family(lmbda: float, delta_q: float = 1.0) -> Callable[[float], Scenario]
             raise ValueError(f"alpha must lie in [0, pi], got {alpha}")
         half = 0.25 * math.pi - 0.5 * alpha
         pre = pure_state(np.array([math.cos(half), math.sin(half)]))
-        return make_scenario(SIGMA_Z, pre, post, lmbda * delta_q, pointer)
+        return make_scenario(obs, pre, post, lmbda * delta_q, pointer)
 
     return family
 

@@ -7,7 +7,10 @@ is evaluated here exactly through the spectral decomposition of A: each
 eigenvector component contributes the initial wavefunction rigidly
 translated by g times its eigenvalue. No perturbative assumption enters, so
 `evolve_postselect` serves as the ground truth the closed-form predictors
-are checked against.
+are checked against. For the Gaussian pointer the same superposition of
+translated Gaussians has closed-form statistics (Duck, Stevenson &
+Sudarshan, Phys. Rev. D 40, 2112 (1989)); `_gaussian_exact` evaluates them
+from pairwise branch overlaps without a grid.
 
 `series_device_state` instead truncates the Dyson expansion of the same
 quantity at a chosen order, with every term expressed through generalized
@@ -45,7 +48,7 @@ from .pointer import (
     translate,
     variance_q,
 )
-from .qops import overlap
+from .qops import _frozen, overlap
 from .scenario import MAX_SERIES_ORDER, Scenario
 from .weak_values import (
     G2_THRESHOLD,
@@ -220,12 +223,6 @@ def _finish_record(
     p_mean, p_var = _density_stats(p_coords, pd, grid.dp)
     q0 = moment(sc.pointer, q_power(1))
     p0 = moment(sc.pointer, p_power(1))
-
-    def _frozen(arr: np.ndarray) -> np.ndarray:
-        out = np.array(arr)
-        out.setflags(write=False)
-        return out
-
     return MeasurementRecord(
         method=method,
         success_prob=min(n_total, 1.0),
@@ -240,6 +237,55 @@ def _finish_record(
     )
 
 
+def _require_success(n_total: float, prob_floor: float) -> None:
+    # Written so that a NaN probability fails the check as well.
+    if not n_total > prob_floor:
+        raise ZeroPostSelectionProbability(
+            f"post-selection succeeds with probability {n_total:.3e} "
+            f"(floor {prob_floor:.1e}); no conditional pointer state exists"
+        )
+
+
+def _gaussian_exact(
+    sc: Scenario, prob_floor: float = PROB_FLOOR
+) -> tuple[float, float, float]:
+    """Exact (success_prob, delta_q, delta_p) for a Gaussian pointer, no grid.
+
+    Branch i of the post-selected pointer is the Gaussian translated by
+    u_i = g a_i. With T_ij = <a_j|P|a_i><a_i|rho|a_j>, x_ij = u_i - u_j,
+    s_ij = (u_i + u_j)/2 and O_ij = T_ij exp(-x_ij^2 dp^2/2), the pairwise
+    overlaps give N = sum O, <q> = sum O s / N and
+    <p> = sum O (-i x dp^2) / N, at O(d^2) cost. Raises
+    ZeroPostSelectionProbability like `evolve_postselect`.
+
+    Near-orthogonal selections make N a small remainder of O(1) terms, so
+    the sums are split at exp = 1 + expm1. The exp = 1 part comes from the
+    amplitudes b0 = <f_m|psi_k> and b1 = <f_m|g A|psi_k>, summed before
+    they are squared (as the grid oracle sums branch amplitudes before
+    squaring); only the O(g^2) expm1 part is summed over pairs.
+    """
+    evecs = sc.observable.eigenvectors
+    fcoef = sc.post.basis.conj().T @ evecs  # <f_m|a_i>
+    weights = np.array([w for w, _ in sc.pre.eigenmixture])
+    amps = evecs.conj().T @ np.column_stack([psi for _, psi in sc.pre.eigenmixture])
+    # Row (m, k) holds sqrt(w_k) <f_m|a_i><a_i|psi_k>; T = c^T c*.
+    c = fcoef[:, None, :] * (amps.T * np.sqrt(weights)[:, None])
+    c = c.reshape(-1, evecs.shape[1])
+    t = c.T @ c.conj()
+    u = sc.g * sc.observable.eigenvalues
+    x = u[:, None] - u[None, :]
+    s = 0.5 * (u[:, None] + u[None, :])
+    var_p = sc.pointer.var_p
+    o1 = t * np.expm1(-0.5 * var_p * x**2)
+    b0 = np.sum(c, axis=1)
+    b1_b0 = np.sum((c @ u) * b0.conj())
+    n_total = float(np.sum(np.abs(b0) ** 2) + np.real(np.sum(o1)))
+    _require_success(n_total, prob_floor)
+    delta_q = float(np.real(b1_b0) + np.real(np.sum(o1 * s))) / n_total
+    delta_p = float(var_p * (2.0 * np.imag(b1_b0) + np.sum(x * np.imag(o1)))) / n_total
+    return min(n_total, 1.0), delta_q, delta_p
+
+
 def evolve_postselect(
     sc: Scenario, grid_n: int | None = None, *, prob_floor: float = PROB_FLOOR
 ) -> MeasurementRecord:
@@ -250,11 +296,7 @@ def evolve_postselect(
     GridTooSmall when the outgoing densities reach the box edges.
     """
     grid, n_total, qd, pd = _exact_components(sc, grid_n, want_densities=True)
-    if n_total <= prob_floor:
-        raise ZeroPostSelectionProbability(
-            f"post-selection succeeds with probability {n_total:.3e} "
-            f"(floor {prob_floor:.1e}); no conditional pointer state exists"
-        )
+    _require_success(n_total, prob_floor)
     return _finish_record(
         sc, grid, n_total, qd / n_total, pd / n_total, method="exact-spectral"
     )

@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     UnsupportedOrder,
 )
+from .qops import _frozen
 
 __all__ = [
     "DEFAULT_GRID_N",
@@ -55,12 +56,6 @@ __all__ = [
 
 DEFAULT_GRID_N = 4096
 MAX_GRID_MOMENT_ORDER = 8
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,8 @@ def _as_square(raw, what: str) -> np.ndarray:
     m = np.asarray(raw, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"{what} must be a nonempty square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} has non-finite entries")
     return m
 
 def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:

@@ -25,6 +25,7 @@ serialize/parse cycle reproduce every complex entry bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,8 @@ class ScenarioOptions:
 class Scenario:
     """One pre/post-selected weak-measurement arrangement.
 
-    ``g`` is the effective coupling to the unit-spectral-norm observable.
+    ``g`` is the effective coupling to the unit-spectral-norm observable;
+    it must be finite.
     """
 
     observable: Observable
@@ -93,6 +95,8 @@ class Scenario:
                 f"dimensions differ: observable {self.observable.dim}, "
                 f"state {self.pre.dim}, projector {self.post.dim}"
             )
+        if not math.isfinite(self.g):
+            raise ValueError(f"coupling g must be finite, got {self.g!r}")
 
 
 def make_scenario(observable, pre, post, g: float, pointer: PointerState) -> Scenario:
@@ -128,7 +132,13 @@ _OPTION_KEYS = {"grid_n", "series_order", "orth_threshold"}
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def validate_grid_n(n, path: str = "grid_n") -> int:
@@ -230,7 +240,7 @@ def parse_scenario(obj, path: str = "scenario") -> tuple[Scenario, ScenarioOptio
         sc = Scenario(
             observable=obs, pre=pre, post=post, g=g_raw * obs.scale, pointer=pointer
         )
-    except WeakMeasurementError as exc:
+    except (WeakMeasurementError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return sc, options
 

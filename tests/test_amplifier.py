@@ -13,7 +13,11 @@ import pytest
 
 from weakmeas import (
     SGParams,
+    amplifier,
+    evolve_postselect,
     find_optimum,
+    gaussian,
+    make_scenario,
     sg_family,
     sg_optimum,
     stern_gerlach_outcome,
@@ -27,7 +31,21 @@ from weakmeas.errors import (
     NotUnimodal,
 )
 
-from support import commuting_orthogonal
+from weakmeas.qops import SIGMA_Z
+
+from support import commuting_orthogonal, skewed_pointer
+
+
+def _sg_like_family(g, pointer):
+    """sg_family's selections at any coupling and pointer: sigma_z, +x
+    post-selection, pre-selection an angle alpha away."""
+    post = np.array([1.0, 1.0]) / math.sqrt(2.0)
+
+    def family(alpha):
+        half = 0.25 * math.pi - 0.5 * alpha
+        return make_scenario(SIGMA_Z, [math.cos(half), math.sin(half)], post, g, pointer)
+
+    return family
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -113,6 +131,42 @@ def test_sweep_rejects_bad_grids_and_choices():
         sweep(family, [1.0], "delta_r", "exact")
     with pytest.raises(ValueError, match="engine"):
         sweep(family, [1.0], "delta_q", "quick")
+    with pytest.raises(ValueError, match="grid_n"):
+        sweep(family, [1.0], "delta_q", "exact", grid_n=100)
+
+
+def test_exact_sweep_at_strong_coupling_separates_branches():
+    # At g/delta_q = 200 the two translated Gaussians no longer overlap:
+    # N = sum_i T_ii = 1/2 and delta_q = g (rho_11 - rho_22) = g sin(alpha).
+    # A grid sized to the coupling cannot resolve the pointer here.
+    g = 200.0
+    records = sweep(_sg_like_family(g, gaussian(1.0)), [1.0, 2.0], "delta_q", "exact")
+    for rec in records:
+        assert rec.success_prob == pytest.approx(0.5, abs=1e-12)
+        assert rec.outcome == pytest.approx(g * math.sin(rec.parameter), rel=1e-12)
+    assert records[0].outcome == pytest.approx(168.29419696157930, rel=1e-12)
+    assert records[1].outcome == pytest.approx(181.85948536513635, rel=1e-12)
+
+
+def test_exact_sweep_over_grid_pointer_uses_grid_oracle(monkeypatch):
+    family = _sg_like_family(0.3, skewed_pointer(1.0))
+    alphas = [0.5, 1.5, 2.5]
+    seen = []
+
+    def spy(sc, grid_n=None, **kwargs):
+        seen.append(grid_n)
+        return evolve_postselect(sc, grid_n, **kwargs)
+
+    monkeypatch.setattr(amplifier, "evolve_postselect", spy)
+    records = sweep(family, alphas, "delta_q", "exact", grid_n=16384)
+    assert seen == [16384] * len(alphas)
+    for rec in records:
+        ref = evolve_postselect(family(rec.parameter), grid_n=16384)
+        assert rec.outcome == ref.delta_q
+        assert rec.success_prob == ref.success_prob
+    # Gaussian-pointer families never reach the grid oracle.
+    sweep(sg_family(0.2), alphas, "delta_q", "exact", grid_n=16384)
+    assert len(seen) == len(alphas)
 
 
 def test_sweep_csv_is_byte_deterministic():

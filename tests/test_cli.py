@@ -20,6 +20,7 @@ from weakmeas import (
     sg_optimum,
     stern_gerlach_outcome,
 )
+from weakmeas import cli
 from weakmeas.cli import main
 from weakmeas.qops import SIGMA_X, SIGMA_Z
 
@@ -140,6 +141,24 @@ def test_exact_zero_postselection_exit_two(tmp_path, capsys):
     assert code == 2
     payload = json.loads(out)
     assert payload["error"]["code"] == "zero-postselection"
+
+
+def test_exact_non_finite_g_exits_one(tmp_path, capsys):
+    # Python's json module reads NaN; the parser must refuse it, or the
+    # payload would carry NaN, which is not JSON.
+    wire = scenario_to_wire(half_overlap_scenario(0.04))
+    wire["g"] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(wire))
+    code, out, err = _run(capsys, ["exact", str(path)])
+    assert code == 1
+    assert out == ""
+    assert ".g: expected a finite number" in err
+    code, out, _ = _run(capsys, ["figure2", "--wv", "0.2,0.1", "--g", "nan"])
+    assert code == 1
+    assert out == ""
+    with pytest.raises(ValueError):
+        cli._emit_json({"delta_q": math.nan}, None)
 
 
 # --- usage and parse failures ------------------------------------------------------

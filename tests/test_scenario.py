@@ -6,6 +6,7 @@ real JSON text, parse, and compare raw buffers.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -214,6 +215,21 @@ def test_parse_rejects_non_numeric_g():
         parse_scenario(wire)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+def test_parse_rejects_non_finite_g(bad):
+    wire = _base_wire()
+    wire["g"] = bad
+    with pytest.raises(ParseError, match=r"\.g: expected a finite number"):
+        parse_scenario(wire)
+
+
+def test_parse_rejects_non_finite_observable_entry():
+    wire = _base_wire()
+    wire["observable"][0][0] = [math.nan, 0.0]
+    with pytest.raises(ParseError, match="observable.*non-finite"):
+        parse_scenario(wire)
+
+
 def test_parse_rejects_unknown_pointer_type():
     wire = _base_wire()
     wire["pointer"] = {"type": "airy"}
@@ -272,6 +288,12 @@ def test_make_scenario_observable_passthrough():
     sc = make_scenario(obs, [1.0, 0.0], [0.6, 0.8], 0.1, gaussian(1.0))
     assert sc.observable is obs
     assert sc.g == 0.1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_make_scenario_rejects_non_finite_g(bad):
+    with pytest.raises(ValueError, match="finite"):
+        make_scenario(np.diag([1.0, -1.0]), [1.0, 0.0], [0.6, 0.8], bad, gaussian(1.0))
 
 
 def test_make_scenario_accepts_matrix_state_forms():
