@@ -5,231 +5,24 @@ measurements: exact post-selected pointer evolution, generalized and
 orthogonal weak values, perturbative shift formulas with validity
 diagnostics, truncated weak-value expansions of the conditional pointer
 state, and amplification sweeps with an optimum search.
+
+The package re-exports exactly the names in each submodule's ``__all__``.
 """
 
-from .errors import (
-    ConstructionFailure,
-    DegenerateDenominator,
-    DimensionMismatch,
-    EmptyGrid,
-    GridTooSmall,
-    HigherOrderOrthogonality,
-    InvalidBracket,
-    LambdaOutOfRange,
-    NonHermitian,
-    NonPositiveDenominator,
-    NonPositiveWidth,
-    NotApplicable,
-    NotOrthogonal,
-    NotUnimodal,
-    OrderTooLarge,
-    OrthogonalPPS,
-    ParseError,
-    PointerNotEven,
-    SeriesDiverging,
-    UnsupportedMixedOrthogonal,
-    UnsupportedOrder,
-    ValidityWarning,
-    WeakMeasurementError,
-    ZeroOperator,
-    ZeroPostSelectionProbability,
-)
-from .qops import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    Observable,
-    PostSelection,
-    SystemState,
-    commutes,
-    density_state,
-    new_observable,
-    overlap,
-    projector,
-    projector_onto,
-    pure_state,
-)
-from .pointer import (
-    ANTICOMM_QP,
-    P_BRACE_P,
-    PQ2P,
-    PQP,
-    Density,
-    GaussianPointer,
-    GridPointer,
-    MomentSpec,
-    PointerState,
-    QGrid,
-    default_grid,
-    densities,
-    gaussian,
-    gaussian_profile,
-    grid_state,
-    moment,
-    p_power,
-    q_power,
-    variance_p,
-    variance_q,
-)
-from .weak_values import (
-    G2_THRESHOLD,
-    MAX_WEAK_ORDER,
-    ORTH_THRESHOLD,
-    WeakValueReport,
-    aav_margin,
-    generalized_weak_value,
-    orthogonal_weak_value,
-    weak_interaction_margin,
-    weak_interaction_margin_argmax,
-    weak_value,
-)
-from .predictor import (
-    SGParams,
-    ShiftPrediction,
-    predict_aav,
-    predict_general,
-    predict_orthogonal,
-    predict_orthogonal_gaussian,
-    sg_optimum,
-    stern_gerlach_outcome,
-)
-from .scenario import (
-    MAX_SERIES_ORDER,
-    Scenario,
-    ScenarioOptions,
-    load_scenario,
-    make_scenario,
-    parse_scenario,
-    scenario_to_wire,
-    scenario_with_orthogonal_weak_value,
-    scenario_with_weak_value,
-)
-from .oracle import (
-    PROB_FLOOR,
-    MeasurementRecord,
-    evolve_postselect,
-    series_device_state,
-    success_probability,
-)
-from .amplifier import (
-    ENGINES,
-    OBJECTIVES,
-    OptimumReport,
-    SweepRecord,
-    find_optimum,
-    sg_family,
-    sweep,
-    sweep_to_csv,
-)
+from . import amplifier, errors, oracle, pointer, predictor, qops, scenario, weak_values
+from .amplifier import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .pointer import *  # noqa: F401,F403
+from .predictor import *  # noqa: F401,F403
+from .qops import *  # noqa: F401,F403
+from .scenario import *  # noqa: F401,F403
+from .weak_values import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "WeakMeasurementError",
-    "ValidityWarning",
-    "NonHermitian",
-    "ZeroOperator",
-    "DimensionMismatch",
-    "NonPositiveWidth",
-    "UnsupportedOrder",
-    "EmptyGrid",
-    "OrthogonalPPS",
-    "NotOrthogonal",
-    "HigherOrderOrthogonality",
-    "OrderTooLarge",
-    "NonPositiveDenominator",
-    "PointerNotEven",
-    "UnsupportedMixedOrthogonal",
-    "DegenerateDenominator",
-    "LambdaOutOfRange",
-    "ZeroPostSelectionProbability",
-    "GridTooSmall",
-    "SeriesDiverging",
-    "NotApplicable",
-    "InvalidBracket",
-    "NotUnimodal",
-    "ParseError",
-    "ConstructionFailure",
-    # operators and states
-    "Observable",
-    "SystemState",
-    "PostSelection",
-    "new_observable",
-    "pure_state",
-    "density_state",
-    "projector",
-    "projector_onto",
-    "overlap",
-    "commutes",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    # pointer
-    "QGrid",
-    "GaussianPointer",
-    "GridPointer",
-    "PointerState",
-    "Density",
-    "MomentSpec",
-    "gaussian",
-    "gaussian_profile",
-    "grid_state",
-    "default_grid",
-    "densities",
-    "moment",
-    "p_power",
-    "q_power",
-    "variance_q",
-    "variance_p",
-    "ANTICOMM_QP",
-    "PQP",
-    "PQ2P",
-    "P_BRACE_P",
-    # weak values
-    "WeakValueReport",
-    "weak_value",
-    "generalized_weak_value",
-    "orthogonal_weak_value",
-    "aav_margin",
-    "weak_interaction_margin",
-    "weak_interaction_margin_argmax",
-    "ORTH_THRESHOLD",
-    "G2_THRESHOLD",
-    "MAX_WEAK_ORDER",
-    # predictor
-    "ShiftPrediction",
-    "predict_aav",
-    "predict_general",
-    "predict_orthogonal",
-    "predict_orthogonal_gaussian",
-    "SGParams",
-    "stern_gerlach_outcome",
-    "sg_optimum",
-    # scenario
-    "Scenario",
-    "ScenarioOptions",
-    "make_scenario",
-    "parse_scenario",
-    "load_scenario",
-    "scenario_to_wire",
-    "scenario_with_weak_value",
-    "scenario_with_orthogonal_weak_value",
-    "MAX_SERIES_ORDER",
-    # oracle
-    "MeasurementRecord",
-    "evolve_postselect",
-    "success_probability",
-    "series_device_state",
-    "PROB_FLOOR",
-    # amplifier
-    "SweepRecord",
-    "OptimumReport",
-    "sweep",
-    "find_optimum",
-    "sg_family",
-    "sweep_to_csv",
-    "OBJECTIVES",
-    "ENGINES",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, qops, pointer, weak_values, predictor, scenario, oracle, amplifier)
+    for name in module.__all__
 ]

@@ -7,7 +7,10 @@ evolution or the closed-form predictor as the engine -- and locates the
 parameter maximizing it by golden-section search. The exact engine is
 closed-form for Gaussian pointers (pairwise branch overlaps, no grid) and
 runs the grid oracle `evolve_postselect` for grid pointers, so ``grid_n``
-affects grid-pointer families only. The canonical family is
+affects grid-pointer families only. The predicted engine is
+`predictor.predict` in its ``auto`` regime, which routes each point on the
+selection overlap and supplies the predicted success probability along
+with the shifts. The canonical family is
 the Stern-Gerlach arrangement `sg_family`, whose measured-value curve has
 the known analytic optimum `sg_optimum`.
 
@@ -36,12 +39,12 @@ from .errors import (
     ValidityWarning,
     ZeroPostSelectionProbability,
 )
-from .oracle import _check_grid_n, _gaussian_exact, evolve_postselect
-from .pointer import GaussianPointer, gaussian, p_power, moment
-from .predictor import predict_general, predict_orthogonal
-from .qops import SIGMA_Z, new_observable, overlap, projector_onto, pure_state
+from .oracle import _gaussian_exact, evolve_postselect
+from .pointer import GaussianPointer, gaussian, validate_grid_n
+from .predictor import predict
+from .qops import SIGMA_Z, new_observable, projector_onto, pure_state
 from .scenario import Scenario, make_scenario
-from .weak_values import ORTH_THRESHOLD, selection_trace, weak_interaction_margin
+from .weak_values import ORTH_THRESHOLD, weak_interaction_margin
 
 __all__ = [
     "OBJECTIVES",
@@ -93,7 +96,7 @@ def _check_choices(objective: str, engine: str, grid_n: int | None) -> None:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine == "exact":
         # Checked up front: Gaussian families never reach the grid oracle.
-        _check_grid_n(grid_n)
+        validate_grid_n(grid_n)
 
 
 def _objective_value(objective: str, delta_q: float, delta_p: float, g: float) -> float | None:
@@ -115,29 +118,15 @@ def _evaluate(
 ) -> tuple[float | None, float]:
     """(outcome, success probability) for one scenario, or (None, 0)."""
     try:
-        if engine == "exact":
-            if isinstance(sc.pointer, GaussianPointer):
-                success, delta_q, delta_p = _gaussian_exact(sc)
-            else:
-                rec = evolve_postselect(sc, grid_n=grid_n)
-                success, delta_q, delta_p = rec.success_prob, rec.delta_q, rec.delta_p
-            return _objective_value(objective, delta_q, delta_p, sc.g), success
-        ov = overlap(sc.post, sc.pre)
-        if ov > orth_threshold:
-            pred = predict_general(
-                sc.observable, sc.pre, sc.post, sc.g, sc.pointer,
-                orth_threshold=orth_threshold,
-            )
-            success = ov / pred.denominator_c
+        if engine == "predicted":
+            pred = predict(sc, orth_threshold=orth_threshold)
+            success, delta_q, delta_p = pred.success_prob, pred.delta_q, pred.delta_p
+        elif isinstance(sc.pointer, GaussianPointer):
+            success, delta_q, delta_p = _gaussian_exact(sc)
         else:
-            pred = predict_orthogonal(
-                sc.observable, sc.pre, sc.post, sc.g, sc.pointer,
-                orth_threshold=orth_threshold,
-            )
-            g2 = float(np.real(selection_trace(sc.observable, sc.pre, sc.post, 1, 1)))
-            success = sc.g**2 * g2 * moment(sc.pointer, p_power(2))
-        outcome = _objective_value(objective, pred.delta_q, pred.delta_p, sc.g)
-        return outcome, success
+            rec = evolve_postselect(sc, grid_n=grid_n)
+            success, delta_q, delta_p = rec.success_prob, rec.delta_q, rec.delta_p
+        return _objective_value(objective, delta_q, delta_p, sc.g), success
     except (
         ZeroPostSelectionProbability,
         NonPositiveDenominator,

@@ -29,22 +29,12 @@ import numpy as np
 
 from .errors import ParseError, WeakMeasurementError
 from .oracle import evolve_postselect, series_device_state
-from .pointer import GaussianPointer, gaussian_profile
-from .predictor import (
-    SGParams,
-    predict_aav,
-    predict_general,
-    predict_orthogonal,
-    predict_orthogonal_gaussian,
-    sg_optimum,
-    stern_gerlach_outcome,
-)
-from .qops import overlap
+from .pointer import GaussianPointer, gaussian_profile, validate_grid_n
+from .predictor import SGParams, predict, sg_optimum, stern_gerlach_outcome
 from .scenario import (
     load_scenario,
     scenario_with_orthogonal_weak_value,
     scenario_with_weak_value,
-    validate_grid_n,
     validate_series_order,
 )
 from .weak_values import ORTH_THRESHOLD, orthogonal_weak_value, weak_value
@@ -66,8 +56,8 @@ def _grid_n_arg(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     try:
-        return validate_grid_n(value, "value")
-    except ParseError as exc:
+        return validate_grid_n(value)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -117,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-n",
         type=_grid_n_arg,
         default=None,
-        help="working grid size (power of two >= 64)",
+        help="working grid size (power of two in [64, 2^22])",
     )
     common.add_argument(
         "--out", default=None, help="write the primary output to this file"
@@ -221,38 +211,14 @@ def _prediction_payload(pred) -> dict:
 def _cmd_predict(args) -> int:
     sc, options = load_scenario(args.scenario)
     orth = options.orth_threshold if options.orth_threshold is not None else ORTH_THRESHOLD
-    regime = args.regime
-    label = None
-    if regime == "auto":
-        if overlap(sc.post, sc.pre) > orth:
-            pred = predict_general(
-                sc.observable, sc.pre, sc.post, sc.g, sc.pointer, orth_threshold=orth
-            )
-            # Within linear response the second-order evaluation coincides
-            # with the first-order formula; label it so callers know.
-            if pred.margin_aav is not None and pred.margin_aav < 0.01:
-                label = "aav-compatible general"
-        else:
-            pred = predict_orthogonal(
-                sc.observable, sc.pre, sc.post, sc.g, sc.pointer, orth_threshold=orth
-            )
-    elif regime == "aav":
-        pred = predict_aav(sc.observable, sc.pre, sc.post, sc.g, sc.pointer, orth_threshold=orth)
-    elif regime == "general":
-        pred = predict_general(
-            sc.observable, sc.pre, sc.post, sc.g, sc.pointer, orth_threshold=orth
-        )
-    elif isinstance(sc.pointer, GaussianPointer):
-        pred = predict_orthogonal_gaussian(
-            sc.observable, sc.pre, sc.post, sc.g, sc.pointer.delta_q, orth_threshold=orth
-        )
-    else:
-        pred = predict_orthogonal(
-            sc.observable, sc.pre, sc.post, sc.g, sc.pointer, orth_threshold=orth
-        )
+    pred = predict(sc, args.regime, orth_threshold=orth)
     payload = _prediction_payload(pred)
-    if label is not None:
-        payload["regime"] = label
+    if args.regime == "orthogonal" and isinstance(sc.pointer, GaussianPointer):
+        payload["regime"] = "orthogonal-gaussian"
+    elif args.regime == "auto" and pred.margin_aav is not None and pred.margin_aav < 0.01:
+        # Within linear response the second-order evaluation coincides
+        # with the first-order formula; label it so callers know.
+        payload["regime"] = "aav-compatible general"
     _emit_json(payload, args.out)
     return 0
 

@@ -46,6 +46,7 @@ from .pointer import (
     q_power,
     to_momentum,
     translate,
+    validate_grid_n,
     variance_q,
 )
 from .qops import _frozen, overlap
@@ -102,15 +103,6 @@ def _next_pow2(n: int) -> int:
     return 1 << (max(n, 1) - 1).bit_length()
 
 
-def _check_grid_n(grid_n: int | None) -> None:
-    if grid_n is None:
-        return
-    if not isinstance(grid_n, int) or isinstance(grid_n, bool):
-        raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
-    if grid_n < 64 or grid_n & (grid_n - 1):
-        raise ValueError(f"grid_n must be a power of two >= 64, got {grid_n}")
-
-
 def _evolution_frame(
     sc: Scenario, grid_n: int | None
 ) -> tuple[QGrid, list[tuple[float, np.ndarray]]]:
@@ -121,7 +113,7 @@ def _evolution_frame(
     spectral translations cannot wrap; ``grid_n`` acts as a lower bound on
     the padded size and never shrinks user data.
     """
-    _check_grid_n(grid_n)
+    validate_grid_n(grid_n)
     pointer = sc.pointer
     if isinstance(pointer, GaussianPointer):
         grid = default_grid(pointer.delta_q, sc.g, grid_n)

@@ -21,11 +21,9 @@ from .errors import (
     ParseError,
     UnsupportedOrder,
 )
-from .qops import _frozen
+from .qops import _frozen, vector_from_wire
 
 __all__ = [
-    "DEFAULT_GRID_N",
-    "MAX_GRID_MOMENT_ORDER",
     "QGrid",
     "GaussianPointer",
     "GridPointer",
@@ -37,7 +35,6 @@ __all__ = [
     "PQP",
     "PQ2P",
     "P_BRACE_P",
-    "P3",
     "Density",
     "gaussian",
     "grid_state",
@@ -47,15 +44,26 @@ __all__ = [
     "densities",
     "gaussian_profile",
     "default_grid",
-    "to_momentum",
-    "apply_p",
-    "translate",
-    "pointer_to_wire",
-    "pointer_from_wire",
 ]
 
 DEFAULT_GRID_N = 4096
+MIN_GRID_N = 64
+MAX_GRID_N = 1 << 22
 MAX_GRID_MOMENT_ORDER = 8
+
+
+def validate_grid_n(n: int | None) -> int | None:
+    """Check a working-grid size: an integer power of two in
+    [MIN_GRID_N, MAX_GRID_N]. None (the default size) passes through."""
+    if n is None:
+        return None
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"grid_n must be an integer, got {n!r}")
+    if n < MIN_GRID_N or n > MAX_GRID_N or n & (n - 1):
+        raise ValueError(
+            f"grid_n must be a power of two in [{MIN_GRID_N}, {MAX_GRID_N}], got {n}"
+        )
+    return n
 
 
 @dataclass(frozen=True)
@@ -170,16 +178,19 @@ def default_grid(delta_q: float, g: float = 0.0, n: int | None = None) -> QGrid:
 def grid_state(q_min: float, dq: float, n: int, branches) -> GridPointer:
     """Build a grid pointer from `(weight, samples)` branches.
 
-    Validates: n is a power of two; weights are positive and sum to one
-    within 1e-12; each branch is normalized within 1e-10; the grid extends
-    at least eight standard deviations beyond each branch mean.
+    Validates: n is a power of two; q_min, dq, weights and samples are
+    finite; weights are positive and sum to one within 1e-12; each branch
+    is normalized within 1e-10; the grid extends at least eight standard
+    deviations beyond each branch mean.
     """
     if n <= 0:
         raise EmptyGrid("grid has no points")
     if n & (n - 1):
         raise ValueError(f"grid size must be a power of two, got {n}")
-    if not (dq > 0.0):
-        raise ValueError(f"grid spacing must be positive, got {dq!r}")
+    if not math.isfinite(q_min):
+        raise ValueError(f"grid origin q_min must be finite, got {q_min!r}")
+    if not (0.0 < dq < math.inf):
+        raise ValueError(f"grid spacing must be positive and finite, got {dq!r}")
     grid = QGrid(q_min=float(q_min), dq=float(dq), n=int(n))
     seq = list(branches)
     if not seq:
@@ -189,12 +200,14 @@ def grid_state(q_min: float, dq: float, n: int, branches) -> GridPointer:
     q = grid.coords()
     for idx, (w, samples) in enumerate(seq):
         w = float(w)
-        if w <= 0.0:
-            raise ValueError(f"branch {idx} weight must be positive, got {w!r}")
+        if not (0.0 < w < math.inf):
+            raise ValueError(f"branch {idx} weight must be positive and finite, got {w!r}")
         total += w
         phi = np.asarray(samples, dtype=complex).reshape(-1)
         if phi.size != n:
             raise ValueError(f"branch {idx} has {phi.size} samples, expected {n}")
+        if not np.all(np.isfinite(phi)):
+            raise ValueError(f"branch {idx} has non-finite samples")
         norm = float(np.sum(np.abs(phi) ** 2) * dq)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"branch {idx} norm is {norm!r}, expected 1 within 1e-10")
@@ -243,7 +256,6 @@ ANTICOMM_QP = MomentSpec("anticomm_qp")
 PQP = MomentSpec("pqp")
 PQ2P = MomentSpec("pq2p")
 P_BRACE_P = MomentSpec("p_brace_p")
-P3 = MomentSpec("p_power", 3)
 
 _KINDS = {"p_power", "q_power", "anticomm_qp", "pqp", "pq2p", "p_brace_p"}
 
@@ -390,7 +402,7 @@ def pointer_from_wire(data, path: str = "pointer") -> PointerState:
             raise ParseError(f"{path}.delta_q: missing")
         try:
             return gaussian(float(data["delta_q"]))
-        except (TypeError, ValueError, NonPositiveWidth) as exc:
+        except (TypeError, ValueError, OverflowError, NonPositiveWidth) as exc:
             raise ParseError(f"{path}.delta_q: {exc}") from exc
     if kind == "grid":
         for key in ("q_min", "dq", "n", "branches"):
@@ -405,25 +417,11 @@ def pointer_from_wire(data, path: str = "pointer") -> PointerState:
                 raise ParseError(
                     f"{path}.branches[{i}]: expected an object with weight and samples"
                 )
-            samples = entry["samples"]
-            if not isinstance(samples, list):
-                raise ParseError(f"{path}.branches[{i}].samples: expected an array")
-            phi = np.array(
-                [
-                    complex(c[0], c[1])
-                    if isinstance(c, (list, tuple)) and len(c) == 2
-                    else _bad_sample(path, i, j)
-                    for j, c in enumerate(samples)
-                ],
-                dtype=complex,
-            )
-            branches.append((float(entry["weight"]), phi))
+            samples = vector_from_wire(entry["samples"], f"{path}.branches[{i}].samples")
+            branches.append((entry["weight"], samples))
         try:
             return grid_state(float(data["q_min"]), float(data["dq"]), int(data["n"]), branches)
-        except (TypeError, ValueError, EmptyGrid, GridTooSmall) as exc:
+        except (TypeError, ValueError, OverflowError, EmptyGrid, GridTooSmall) as exc:
             raise ParseError(f"{path}: {exc}") from exc
     raise ParseError(f"{path}.type: expected 'gaussian' or 'grid', got {kind!r}")
 
-
-def _bad_sample(path: str, i: int, j: int):
-    raise ParseError(f"{path}.branches[{i}].samples[{j}]: expected a [real, imag] pair")

@@ -5,13 +5,18 @@ observable A and the pointer momentum p (hbar = 1 throughout). After
 post-selection the pointer's position and momentum means shift; this module
 evaluates those shifts in closed form:
 
+- `predict`: the single route from a scenario to a prediction. It routes on
+  the selection overlap tr(P rho): `predict_general` above the orthogonality
+  threshold, `predict_orthogonal` at or below it; a regime can also be
+  forced.
 - `predict_aav`: first order in g (linear response).
 - `predict_general`: second order with the resummed denominator, valid for
   mixed states and any small-but-finite coupling short of orthogonality.
-- `predict_orthogonal` / `predict_orthogonal_gaussian`: exactly orthogonal
-  selections, where the response is governed by the orthogonal weak value
-  and the pointer arrives in a distorted (for Gaussians, double-peaked)
-  profile.
+- `predict_orthogonal`: exactly orthogonal selections, where the response
+  is governed by the orthogonal weak value and the pointer arrives in a
+  distorted (for Gaussians, double-peaked) profile;
+  `predict_orthogonal_gaussian` is the same prediction for a Gaussian of a
+  given width.
 - `stern_gerlach_outcome` / `sg_optimum`: the closed-form measured-value
   amplification curve for a spin-1/2 Stern-Gerlach arrangement and its
   analytic optimum.
@@ -20,8 +25,9 @@ evaluates those shifts in closed form:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     DegenerateDenominator,
@@ -38,6 +44,7 @@ from .pointer import (
     P_BRACE_P,
     PQ2P,
     PQP,
+    GaussianPointer,
     PointerState,
     gaussian,
     moment,
@@ -46,6 +53,7 @@ from .pointer import (
     variance_p,
 )
 from .qops import Observable, PostSelection, SystemState, overlap
+from .scenario import Scenario
 from .weak_values import (
     G2_THRESHOLD,
     ORTH_THRESHOLD,
@@ -57,6 +65,7 @@ from .weak_values import (
 
 __all__ = [
     "ShiftPrediction",
+    "predict",
     "predict_aav",
     "predict_general",
     "predict_orthogonal",
@@ -76,16 +85,18 @@ class ShiftPrediction:
     """Predicted post-selected pointer statistics.
 
     ``delta_q`` / ``delta_p`` are shifts of the means relative to the initial
-    pointer. Output variances and the resummation factor ``denominator_c``
-    are populated only by the predictors that compute them. ``peaks_q`` /
-    ``peaks_p`` locate the two maxima of the double-peaked orthogonal
-    Gaussian profile. The margins record validity diagnostics at the
-    prediction point (``margin_aav`` only for rank-1 pure selections).
+    pointer. The post-selection probability ``success_prob``, the output
+    variances and the resummation factor ``denominator_c`` are populated
+    only by the predictors that compute them. ``peaks_q`` / ``peaks_p``
+    locate the two maxima of the double-peaked orthogonal Gaussian profile.
+    The margins record validity diagnostics at the prediction point
+    (``margin_aav`` only for rank-1 pure selections).
     """
 
     regime: str
     delta_q: float
     delta_p: float
+    success_prob: float | None = None
     var_q_out: float | None = None
     var_p_out: float | None = None
     denominator_c: float | None = None
@@ -97,19 +108,36 @@ class ShiftPrediction:
 
 def _warn_margin(margin: float) -> None:
     if margin >= MARGIN_STRONG:
-        warnings.warn(
+        message = (
             f"weak-interaction margin {margin:.3g} >= {MARGIN_STRONG}; the "
-            "perturbative prediction is unreliable here",
-            ValidityWarning,
-            stacklevel=3,
+            "perturbative prediction is unreliable here"
         )
     elif margin > MARGIN_WARN:
-        warnings.warn(
+        message = (
             f"weak-interaction margin {margin:.3g} > {MARGIN_WARN}; "
-            "higher-order corrections may be visible",
-            ValidityWarning,
-            stacklevel=3,
+            "higher-order corrections may be visible"
         )
+    else:
+        return
+    # Attribute the warning to the first caller outside this module, so it
+    # names the caller's line whether it came through `predict` or directly.
+    level, frame = 1, sys._getframe()
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, ValidityWarning, stacklevel=level)
+
+
+def _require_not_orthogonal(
+    post: PostSelection, pre: SystemState, orth_threshold: float
+) -> float:
+    """The selection overlap tr(P rho); OrthogonalPPS at or below the threshold."""
+    ov = overlap(post, pre)
+    if ov <= orth_threshold:
+        raise OrthogonalPPS(
+            f"selection overlap {ov:.3e} is below {orth_threshold:.1e}; "
+            "use the orthogonal predictor"
+        )
+    return ov
 
 
 def _maybe_aav_margin(
@@ -140,12 +168,7 @@ def predict_aav(
     linear-response margin is small; `predict_general` extends this to
     second order.
     """
-    ov = overlap(post, pre)
-    if ov <= orth_threshold:
-        raise OrthogonalPPS(
-            f"selection overlap {ov:.3e} is below {orth_threshold:.1e}; "
-            "use the orthogonal predictor"
-        )
+    _require_not_orthogonal(post, pre, orth_threshold)
     aw = generalized_weak_value(obs, pre, post, 1, 0, orth_threshold=orth_threshold).value
     anti = moment(pointer, ANTICOMM_QP)
     varp = variance_p(pointer)
@@ -180,15 +203,11 @@ def predict_general(
         delta_p = C [2 g Im A_w var p + g^2 (<p^3> - <p^2><p>) D]
 
     Valid for mixed pre-selections and projector post-selections of any
-    rank. Raises NonPositiveDenominator when the bracket in C is <= 0
-    (the expansion has broken down).
+    rank. The post-selection probability is tr(P rho) / C. Raises
+    NonPositiveDenominator when the bracket in C is <= 0 (the expansion has
+    broken down).
     """
-    ov = overlap(post, pre)
-    if ov <= orth_threshold:
-        raise OrthogonalPPS(
-            f"selection overlap {ov:.3e} is below {orth_threshold:.1e}; "
-            "use the orthogonal predictor"
-        )
+    ov = _require_not_orthogonal(post, pre, orth_threshold)
     aw = generalized_weak_value(obs, pre, post, 1, 0, orth_threshold=orth_threshold).value
     a2w = generalized_weak_value(obs, pre, post, 2, 0, orth_threshold=orth_threshold).value
     w11 = generalized_weak_value(obs, pre, post, 1, 1, orth_threshold=orth_threshold).value
@@ -224,6 +243,7 @@ def predict_general(
         regime="general",
         delta_q=delta_q,
         delta_p=delta_p,
+        success_prob=ov / c,
         denominator_c=c,
         margin_weak=margin,
         margin_aav=_maybe_aav_margin(obs, pre, post, g, pointer),
@@ -268,9 +288,14 @@ def predict_orthogonal(
         delta_p = 2 g Im A_ow <p^4>/<p^2>
         var'_q  = <p q^2 p>/<p^2>,   var'_p = <p^4>/<p^2>
 
-    (variances to zeroth order in g). The post-selected pointer is no
-    longer a small displacement of the input: even at g -> 0 its moments
-    are those of the p-filtered state.
+    (variances to zeroth order in g), and the post-selection probability is
+    g^2 tr(P A rho A) <p^2>. The post-selected pointer is no longer a small
+    displacement of the input: even at g -> 0 its moments are those of the
+    p-filtered state. For a Gaussian of width delta_q the outgoing profile
+    is double-peaked, with maxima at
+
+        q = g Re A_ow +/- sqrt(2) delta_q
+        p = g Im A_ow delta_p^2 +/- sqrt(2) delta_p.
     """
     ov = overlap(post, pre)
     if ov > orth_threshold:
@@ -280,14 +305,23 @@ def predict_orthogonal(
         )
     _require_rank_one_pure(pre, post)
     _require_even_pointer(pointer)
-    ow = orthogonal_weak_value(
+    report = orthogonal_weak_value(
         obs, pre, post, orth_threshold=orth_threshold, g2_threshold=g2_threshold
-    ).value
+    )
+    ow = report.value
 
     p2 = moment(pointer, p_power(2))
     p4 = moment(pointer, p_power(4))
     pbrace = moment(pointer, P_BRACE_P)
     pq2p = moment(pointer, PQ2P)
+
+    peaks_q = peaks_p = None
+    if isinstance(pointer, GaussianPointer):
+        root2 = math.sqrt(2.0)
+        q_center = g * ow.real
+        p_center = g * ow.imag * pointer.var_p
+        peaks_q = (q_center - root2 * pointer.delta_q, q_center + root2 * pointer.delta_q)
+        peaks_p = (p_center - root2 * pointer.delta_p, p_center + root2 * pointer.delta_p)
 
     margin = weak_interaction_margin(g, pointer)
     _warn_margin(margin)
@@ -295,8 +329,11 @@ def predict_orthogonal(
         regime="orthogonal",
         delta_q=g * ow.real + g * ow.imag * pbrace / p2,
         delta_p=2.0 * g * ow.imag * p4 / p2,
+        success_prob=g**2 * report.denominator.real * p2,
         var_q_out=pq2p / p2,
         var_p_out=p4 / p2,
+        peaks_q=peaks_q,
+        peaks_p=peaks_p,
         margin_weak=margin,
         margin_aav=None,
     )
@@ -312,50 +349,48 @@ def predict_orthogonal_gaussian(
     orth_threshold: float = ORTH_THRESHOLD,
     g2_threshold: float = G2_THRESHOLD,
 ) -> ShiftPrediction:
-    """Orthogonal-selection statistics specialized to a Gaussian pointer.
+    """`predict_orthogonal` for a Gaussian pointer of width ``delta_q``.
 
-    For a Gaussian of width delta_q (var = delta_q^2, var p = 1/(4 delta_q^2))
-    the general orthogonal formulas reduce to
+    For a Gaussian (var q = delta_q^2, var p = 1/(4 delta_q^2)) the
+    orthogonal formulas reduce to
 
         delta_q = g Re A_ow            delta_p = 6 g Im A_ow var p
         var'_q  = 3 var q              var'_p  = 3 var p
 
-    and the outgoing profile is double-peaked, with maxima at
-
-        q = g Re A_ow +/- sqrt(2) delta_q
-        p = g Im A_ow delta_p^2 +/- sqrt(2) delta_p.
+    and ``peaks_q`` / ``peaks_p`` locate the two maxima of the
+    double-peaked outgoing profile.
     """
-    pointer = gaussian(delta_q)
-    ov = overlap(post, pre)
-    if ov > orth_threshold:
-        raise NotOrthogonal(
-            f"selection overlap {ov:.3e} exceeds {orth_threshold:.1e}; "
-            "use the non-orthogonal predictors"
+    pred = predict_orthogonal(
+        obs, pre, post, g, gaussian(delta_q),
+        orth_threshold=orth_threshold, g2_threshold=g2_threshold,
+    )
+    return replace(pred, regime="orthogonal-gaussian")
+
+
+def predict(
+    sc: Scenario, regime: str = "auto", *, orth_threshold: float = ORTH_THRESHOLD
+) -> ShiftPrediction:
+    """Closed-form prediction for a scenario.
+
+    ``regime`` is ``auto``, ``aav``, ``general`` or ``orthogonal``. ``auto``
+    routes on the selection overlap tr(P rho): `predict_general` above
+    ``orth_threshold``, `predict_orthogonal` at or below it. The other
+    values force that predictor, which raises its own regime error when the
+    scenario lies outside it.
+    """
+    if regime == "auto":
+        regime = "general" if overlap(sc.post, sc.pre) > orth_threshold else "orthogonal"
+    # Built per call, so rebound module functions (such as tracing wrappers)
+    # are the ones called.
+    predictors = {
+        "aav": predict_aav, "general": predict_general, "orthogonal": predict_orthogonal
+    }
+    if regime not in predictors:
+        raise ValueError(
+            f"regime must be 'auto' or one of {tuple(predictors)}, got {regime!r}"
         )
-    _require_rank_one_pure(pre, post)
-    ow = orthogonal_weak_value(
-        obs, pre, post, orth_threshold=orth_threshold, g2_threshold=g2_threshold
-    ).value
-
-    varq = pointer.var_q
-    varp = pointer.var_p
-    delta_p = pointer.delta_p
-    root2 = math.sqrt(2.0)
-    q_center = g * ow.real
-    p_center = g * ow.imag * varp
-
-    margin = weak_interaction_margin(g, pointer)
-    _warn_margin(margin)
-    return ShiftPrediction(
-        regime="orthogonal-gaussian",
-        delta_q=g * ow.real,
-        delta_p=6.0 * g * ow.imag * varp,
-        var_q_out=3.0 * varq,
-        var_p_out=3.0 * varp,
-        peaks_q=(q_center - root2 * delta_q, q_center + root2 * delta_q),
-        peaks_p=(p_center - root2 * delta_p, p_center + root2 * delta_p),
-        margin_weak=margin,
-        margin_aav=None,
+    return predictors[regime](
+        sc.observable, sc.pre, sc.post, sc.g, sc.pointer, orth_threshold=orth_threshold
     )
 
 

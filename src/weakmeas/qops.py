@@ -9,6 +9,7 @@ their arrays are defensive copies with the writeable flag cleared.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +17,6 @@ import numpy as np
 from .errors import DimensionMismatch, NonHermitian, ParseError, ZeroOperator
 
 __all__ = [
-    "HERMITICITY_TOL",
-    "IDEMPOTENCY_TOL",
-    "STATE_TOL",
     "Observable",
     "SystemState",
     "PostSelection",
@@ -29,9 +27,6 @@ __all__ = [
     "projector_onto",
     "overlap",
     "commutes",
-    "matrix_to_wire",
-    "matrix_from_wire",
-    "vector_from_wire",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
@@ -49,13 +44,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries")
+    return arr
+
+
 def _as_square(raw, what: str) -> np.ndarray:
     m = np.asarray(raw, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"{what} must be a nonempty square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{what} has non-finite entries")
-    return m
+    return _require_finite(m, what)
 
 def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
     dev = float(np.max(np.abs(m - m.conj().T)))
@@ -163,7 +162,7 @@ def new_observable(raw) -> Observable:
 
 def pure_state(vec) -> SystemState:
     """System state |v><v| from a (not necessarily normalized) vector."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
+    v = _require_finite(np.asarray(vec, dtype=complex).reshape(-1), "state vector")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ZeroOperator("state vector is zero")
@@ -229,6 +228,7 @@ def projector_onto(*vectors) -> PostSelection:
     if not vectors:
         raise ZeroOperator("projector needs at least one vector")
     cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    _require_finite(cols, "projector vector")
     q, r = np.linalg.qr(cols)
     keep = np.abs(np.diag(r)) > 1e-12
     if not keep.any():
@@ -287,7 +287,13 @@ def _entry_from_wire(cell, path: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
     ):
         raise ParseError(f"{path}: expected a [real, imag] number pair, got {cell!r}")
-    return complex(float(cell[0]), float(cell[1]))
+    try:
+        z = complex(float(cell[0]), float(cell[1]))
+    except OverflowError:  # an integer beyond the double range
+        z = complex(cmath.inf)
+    if not cmath.isfinite(z):
+        raise ParseError(f"{path}: non-finite entry {cell!r}")
+    return z
 
 
 def vector_from_wire(data, path: str = "vector") -> np.ndarray:

@@ -31,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionFailure, DimensionMismatch, ParseError, WeakMeasurementError
-from .pointer import PointerState, gaussian, pointer_from_wire, pointer_to_wire
+from .pointer import (
+    PointerState,
+    gaussian,
+    pointer_from_wire,
+    pointer_to_wire,
+    validate_grid_n,
+)
 from .qops import (
     Observable,
     PostSelection,
@@ -56,11 +62,10 @@ __all__ = [
     "scenario_to_wire",
     "scenario_with_weak_value",
     "scenario_with_orthogonal_weak_value",
+    "MAX_SERIES_ORDER",
 ]
 
 MAX_SERIES_ORDER = 16
-MIN_GRID_N = 64
-MAX_GRID_N = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -141,17 +146,6 @@ def _require_number(value, path: str) -> float:
     return number
 
 
-def validate_grid_n(n, path: str = "grid_n") -> int:
-    """Check a grid-size option: an integer power of two in a sane range."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ParseError(f"{path}: expected an integer, got {n!r}")
-    if n < MIN_GRID_N or n > MAX_GRID_N or (n & (n - 1)) != 0:
-        raise ParseError(
-            f"{path}: expected a power of two in [{MIN_GRID_N}, {MAX_GRID_N}], got {n}"
-        )
-    return n
-
-
 def validate_series_order(order, path: str = "series_order") -> int:
     if isinstance(order, bool) or not isinstance(order, int):
         raise ParseError(f"{path}: expected an integer, got {order!r}")
@@ -166,9 +160,10 @@ def _parse_options(data, path: str) -> ScenarioOptions:
     unknown = set(data) - _OPTION_KEYS
     if unknown:
         raise ParseError(f"{path}: unknown key {sorted(unknown)[0]!r}")
-    grid_n = data.get("grid_n")
-    if grid_n is not None:
-        grid_n = validate_grid_n(grid_n, f"{path}.grid_n")
+    try:
+        grid_n = validate_grid_n(data.get("grid_n"))
+    except ValueError as exc:
+        raise ParseError(f"{path}.grid_n: {exc}") from exc
     series_order = data.get("series_order")
     if series_order is not None:
         series_order = validate_series_order(series_order, f"{path}.series_order")

@@ -133,6 +133,8 @@ def test_sweep_rejects_bad_grids_and_choices():
         sweep(family, [1.0], "delta_q", "quick")
     with pytest.raises(ValueError, match="grid_n"):
         sweep(family, [1.0], "delta_q", "exact", grid_n=100)
+    with pytest.raises(ValueError, match="grid_n"):
+        sweep(family, [1.0], "delta_q", "exact", grid_n=1 << 23)
 
 
 def test_exact_sweep_at_strong_coupling_separates_branches():

@@ -17,6 +17,7 @@ from weakmeas import (
     gaussian,
     make_scenario,
     scenario_to_wire,
+    scenario_with_orthogonal_weak_value,
     sg_optimum,
     stern_gerlach_outcome,
 )
@@ -80,6 +81,23 @@ def test_predict_forced_regimes(tmp_path, capsys):
     assert payload["peaks"]["q"] == pytest.approx(
         [-math.sqrt(2.0), math.sqrt(2.0)], abs=1e-12
     )
+
+
+def test_predict_auto_and_forced_orthogonal_agree(tmp_path, capsys):
+    # Both routes reach the same orthogonal predictor, so only the label
+    # differs, and both report the Gaussian double-peak positions.
+    path = _write_scenario(tmp_path, scenario_with_orthogonal_weak_value(0.2 + 0.1j, 0.02, 1.5))
+    payloads = {}
+    for regime in ("auto", "orthogonal"):
+        code, out, _ = _run(capsys, ["predict", path, "--regime", regime])
+        assert code == 0
+        payloads[regime] = json.loads(out)
+    auto, forced = payloads["auto"], payloads["orthogonal"]
+    assert (auto["regime"], forced["regime"]) == ("orthogonal", "orthogonal-gaussian")
+    for key in ("delta_q", "delta_p", "var_q_out", "var_p_out"):
+        assert auto[key] == pytest.approx(forced[key], rel=1e-12, abs=1e-15)
+    for axis in ("q", "p"):
+        assert auto["peaks"][axis] == pytest.approx(forced["peaks"][axis], rel=1e-12)
 
 
 def test_predict_writes_out_file(tmp_path, capsys):
@@ -159,6 +177,20 @@ def test_exact_non_finite_g_exits_one(tmp_path, capsys):
     assert out == ""
     with pytest.raises(ValueError):
         cli._emit_json({"delta_q": math.nan}, None)
+
+
+@pytest.mark.parametrize("command", ["exact", "predict"])
+def test_non_finite_pre_state_exits_one(tmp_path, capsys, command):
+    # Python's json module reads NaN; the parser must refuse it and name the
+    # entry before a NaN state reaches the engines.
+    wire = scenario_to_wire(half_overlap_scenario(0.04))
+    wire["pre_state"] = [[math.nan, 0.0], [1.0, 0.0]]
+    path = tmp_path / "nan_state.json"
+    path.write_text(json.dumps(wire))
+    code, out, err = _run(capsys, [command, str(path)])
+    assert code == 1
+    assert out == ""
+    assert ".pre_state[0]: non-finite entry" in err
 
 
 # --- usage and parse failures ------------------------------------------------------

@@ -1,0 +1,72 @@
+"""The package's public surface and the names the benchmark tracer binds to.
+
+`weakmeas.__all__` is derived from the submodules' ``__all__`` lists, so a
+name dropped from (or added to) a submodule changes the public API; the
+pinned set below makes that a deliberate edit. The benchmark tracer rebinds
+functions by module and name, so a consolidation that renames or removes one
+would silently break a traced run; the second test catches that here.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import weakmeas
+
+PUBLIC = {
+    "__version__",
+    # errors
+    "WeakMeasurementError", "ValidityWarning", "NonHermitian", "ZeroOperator",
+    "DimensionMismatch", "NonPositiveWidth", "UnsupportedOrder", "EmptyGrid",
+    "OrthogonalPPS", "NotOrthogonal", "HigherOrderOrthogonality", "OrderTooLarge",
+    "NonPositiveDenominator", "PointerNotEven", "UnsupportedMixedOrthogonal",
+    "DegenerateDenominator", "LambdaOutOfRange", "ZeroPostSelectionProbability",
+    "GridTooSmall", "SeriesDiverging", "NotApplicable", "InvalidBracket",
+    "NotUnimodal", "ParseError", "ConstructionFailure",
+    # operators and states
+    "Observable", "SystemState", "PostSelection", "new_observable", "pure_state",
+    "density_state", "projector", "projector_onto", "overlap", "commutes",
+    "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
+    # pointer
+    "QGrid", "GaussianPointer", "GridPointer", "PointerState", "Density",
+    "MomentSpec", "gaussian", "gaussian_profile", "grid_state", "default_grid",
+    "densities", "moment", "p_power", "q_power", "variance_q", "variance_p",
+    "ANTICOMM_QP", "PQP", "PQ2P", "P_BRACE_P",
+    # weak values
+    "WeakValueReport", "weak_value", "generalized_weak_value",
+    "orthogonal_weak_value", "aav_margin", "weak_interaction_margin",
+    "weak_interaction_margin_argmax", "ORTH_THRESHOLD", "G2_THRESHOLD",
+    "MAX_WEAK_ORDER",
+    # predictor
+    "ShiftPrediction", "predict", "predict_aav", "predict_general",
+    "predict_orthogonal", "predict_orthogonal_gaussian", "SGParams",
+    "stern_gerlach_outcome", "sg_optimum",
+    # scenario
+    "Scenario", "ScenarioOptions", "make_scenario", "parse_scenario",
+    "load_scenario", "scenario_to_wire", "scenario_with_weak_value",
+    "scenario_with_orthogonal_weak_value", "MAX_SERIES_ORDER",
+    # oracle
+    "MeasurementRecord", "evolve_postselect", "success_probability",
+    "series_device_state", "PROB_FLOOR",
+    # amplifier
+    "SweepRecord", "OptimumReport", "sweep", "find_optimum", "sg_family",
+    "sweep_to_csv", "OBJECTIVES", "ENGINES",
+}
+
+
+def test_public_names_are_pinned_resolve_and_do_not_repeat():
+    assert set(weakmeas.__all__) == PUBLIC
+    assert len(weakmeas.__all__) == len(PUBLIC)
+    for name in weakmeas.__all__:
+        assert hasattr(weakmeas, name), name
+
+
+def test_every_traced_benchmark_function_exists():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.LAYER_FUNCTIONS.items():
+        module = importlib.import_module(f"weakmeas.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"weakmeas.{layer}.{name}"

@@ -118,6 +118,17 @@ def test_grid_state_validates_input():
         narrow = gaussian_profile(narrow_q, 1.0)
         narrow = narrow / math.sqrt(float(np.sum(np.abs(narrow) ** 2) * (8.0 / n)))
         grid_state(-4.0, 8.0 / n, n, [(1.0, narrow)])  # < 8 sigma of coverage
+    # Every comparison with NaN is false, so each number needs its own check.
+    bad = phi.copy()
+    bad[n // 2] = math.nan
+    with pytest.raises(ValueError, match="non-finite samples"):
+        grid_state(-16.0, dq, n, [(1.0, bad)])
+    with pytest.raises(ValueError, match="q_min must be finite"):
+        grid_state(math.nan, dq, n, [(1.0, phi)])
+    with pytest.raises(ValueError, match="spacing"):
+        grid_state(-16.0, math.inf, n, [(1.0, phi)])
+    with pytest.raises(ValueError, match="weight"):
+        grid_state(-16.0, dq, n, [(math.nan, phi)])
 
 
 # --- moments --------------------------------------------------------------------
@@ -228,3 +239,12 @@ def test_pointer_wire_parse_errors_name_the_key():
         pointer_from_wire({"type": "gaussian", "delta_q": -1.0})
     with pytest.raises(ParseError, match="pointer"):
         pointer_from_wire(["not", "an", "object"])
+    # Grid samples go through the same entry parser as state vectors, and a
+    # malformed weight is a parse error rather than a crash.
+    grid = {"type": "grid", "q_min": -16.0, "dq": 0.5, "n": 64}
+    bad_samples = [["a", "b"]] * 64, [[0.0, 0.0]] * 63 + [[math.nan, 0.0]]
+    for samples, match in zip(bad_samples, (r"samples\[0\]", r"samples\[63\]: non-finite")):
+        with pytest.raises(ParseError, match=match):
+            pointer_from_wire({**grid, "branches": [{"weight": 1.0, "samples": samples}]})
+    with pytest.raises(ParseError, match="pointer"):
+        pointer_from_wire({**grid, "branches": [{"weight": [1.0], "samples": [[0.0, 0.0]] * 64}]})

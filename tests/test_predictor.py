@@ -15,7 +15,9 @@ from weakmeas import (
     make_scenario,
     moment,
     new_observable,
+    overlap,
     p_power,
+    predict,
     predict_aav,
     predict_general,
     predict_orthogonal,
@@ -27,6 +29,7 @@ from weakmeas import (
     stern_gerlach_outcome,
     weak_value,
 )
+from weakmeas.oracle import _gaussian_exact
 from weakmeas.amplifier import sg_family
 from weakmeas.errors import (
     LambdaOutOfRange,
@@ -151,6 +154,8 @@ def test_orthogonal_general_and_gaussian_forms_agree():
         assert a.delta_p == pytest.approx(b.delta_p, rel=1e-12, abs=1e-15)
         assert a.var_q_out == pytest.approx(b.var_q_out, rel=1e-12)
         assert a.var_p_out == pytest.approx(b.var_p_out, rel=1e-12)
+        assert a.peaks_q == pytest.approx(b.peaks_q, rel=1e-12)
+        assert a.peaks_p == pytest.approx(b.peaks_p, rel=1e-12)
 
 
 def test_orthogonal_gaussian_peaks():
@@ -166,6 +171,65 @@ def test_orthogonal_gaussian_peaks():
                                          abs=1e-10)
     assert pred.peaks_p == pytest.approx((pc - root2 * delta_p, pc + root2 * delta_p),
                                          abs=1e-10)
+
+
+# --- the single route ----------------------------------------------------------
+
+
+def test_predict_routes_on_the_overlap_threshold():
+    # Above the threshold predict is predict_general, at or below it
+    # predict_orthogonal, bit for bit (repr distinguishes every float).
+    sc = half_overlap_scenario(0.02)
+    ov = overlap(sc.post, sc.pre)
+    args = (sc.observable, sc.pre, sc.post, sc.g, sc.pointer)
+    below = math.nextafter(ov, 0.0)
+    for threshold, expected in (
+        (1e-12, predict_general(*args)),
+        (below, predict_general(*args, orth_threshold=below)),
+        (ov, predict_orthogonal(*args, orth_threshold=ov)),
+    ):
+        assert repr(_quiet(predict, sc, orth_threshold=threshold)) == repr(expected)
+    orth = scenario_with_orthogonal_weak_value(0.2 + 0.1j, 0.02, 1.5)
+    expected = predict_orthogonal(orth.observable, orth.pre, orth.post, orth.g, orth.pointer)
+    assert repr(predict(orth)) == repr(expected)
+    assert repr(predict(orth, "orthogonal")) == repr(expected)
+    assert repr(predict(sc, "aav")) == repr(predict_aav(*args))
+
+
+def test_predict_refuses_unknown_and_mismatched_regimes():
+    sc = half_overlap_scenario(0.02)
+    for regime in ("orthogonal-gaussian", "AUTO", ""):
+        with pytest.raises(ValueError, match="regime"):
+            predict(sc, regime)
+    with pytest.raises(NotOrthogonal):
+        predict(sc, "orthogonal")
+    with pytest.raises(OrthogonalPPS):
+        predict(orthogonal_sigma_x(0.02), "general")
+
+
+def test_validity_warnings_name_the_callers_line():
+    # Warnings skip the predictor's own frames, however many the route takes.
+    orth = scenario_with_orthogonal_weak_value(0.2 + 0.1j, 0.5, 1.0)
+    for call in (
+        lambda: predict(half_overlap_scenario(0.5)),
+        lambda: predict_orthogonal_gaussian(orth.observable, orth.pre, orth.post, orth.g, 1.0),
+    ):
+        with pytest.warns(ValidityWarning) as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
+
+
+def test_predicted_success_probability_tracks_the_exact_one():
+    # tr(P rho)/C is exact to second order, so its relative error falls like
+    # g^4; the orthogonal g^2 tr(P A rho A) <p^2> is leading order (g^2).
+    for g in (0.04, 0.02):
+        general = half_overlap_scenario(g)
+        pred = _quiet(predict, general)
+        assert pred.success_prob == pytest.approx(_gaussian_exact(general)[0], rel=g**4)
+        orth = scenario_with_orthogonal_weak_value(0.2 + 0.1j, g, 1.0)
+        pred = predict(orth)
+        assert pred.success_prob == pytest.approx(_gaussian_exact(orth)[0], rel=g**2)
+    assert predict_aav(*qubit_pps_half_overlap(), 0.02, gaussian(1.0)).success_prob is None
 
 
 def test_orthogonal_error_paths():

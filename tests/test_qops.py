@@ -124,6 +124,20 @@ def test_density_state_rejects_bad_input():
         density_state([[0.5, 0.5], [0.0, 0.5]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_vectors_reject_non_finite_entries(bad):
+    # Every comparison with NaN is false, so without an explicit check a NaN
+    # entry slips past the zero-norm and span guards.
+    with pytest.raises(ValueError, match="state vector has non-finite"):
+        pure_state([bad, 1.0])
+    with pytest.raises(ValueError, match="projector vector has non-finite"):
+        projector_onto([bad, 1.0])
+    with pytest.raises(ParseError, match=r"v\[0\]: non-finite"):
+        vector_from_wire([[bad, 0.0], [1.0, 0.0]], "v")
+    with pytest.raises(ParseError, match=r"v\[1\]: non-finite"):
+        vector_from_wire([[1.0, 0.0], [0.0, 10**400]], "v")
+
+
 # --- projectors --------------------------------------------------------------
 
 
