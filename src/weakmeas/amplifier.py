@@ -14,10 +14,10 @@ with the shifts. The canonical family is
 the Stern-Gerlach arrangement `sg_family`, whose measured-value curve has
 the known analytic optimum `sg_optimum`.
 
-Points where the objective is undefined (post-selection never succeeds, or
-the perturbative denominator turns nonpositive) are recorded with a blank
-outcome instead of aborting the sweep; validity warnings are suppressed
-here because every record carries its own weak-interaction margin.
+Points where the objective is undefined (post-selection never succeeds,
+or the predictor does not apply) are recorded with a blank outcome instead
+of aborting the sweep; validity warnings are suppressed here because every
+record carries its own weak-interaction margin.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .errors import (
     LambdaOutOfRange,
     NonPositiveDenominator,
     NotUnimodal,
+    PointerNotEven,
+    UnsupportedMixedOrthogonal,
     ValidityWarning,
     ZeroPostSelectionProbability,
 )
@@ -44,7 +46,7 @@ from .pointer import GaussianPointer, gaussian, validate_grid_n
 from .predictor import predict
 from .qops import SIGMA_Z, new_observable, projector_onto, pure_state
 from .scenario import Scenario, make_scenario
-from .weak_values import ORTH_THRESHOLD, weak_interaction_margin
+from .weak_values import weak_interaction_margin
 
 __all__ = [
     "OBJECTIVES",
@@ -114,12 +116,11 @@ def _evaluate(
     objective: str,
     engine: str,
     grid_n: int | None,
-    orth_threshold: float,
 ) -> tuple[float | None, float]:
     """(outcome, success probability) for one scenario, or (None, 0)."""
     try:
         if engine == "predicted":
-            pred = predict(sc, orth_threshold=orth_threshold)
+            pred = predict(sc)
             success, delta_q, delta_p = pred.success_prob, pred.delta_q, pred.delta_p
         elif isinstance(sc.pointer, GaussianPointer):
             success, delta_q, delta_p = _gaussian_exact(sc)
@@ -131,6 +132,8 @@ def _evaluate(
         ZeroPostSelectionProbability,
         NonPositiveDenominator,
         HigherOrderOrthogonality,
+        UnsupportedMixedOrthogonal,
+        PointerNotEven,
     ):
         return None, 0.0
 
@@ -142,7 +145,6 @@ def sweep(
     engine: str = "exact",
     *,
     grid_n: int | None = None,
-    orth_threshold: float = ORTH_THRESHOLD,
 ) -> list[SweepRecord]:
     """Evaluate the objective across ``params``, a strictly increasing
     sequence of floats. Points where the objective is undefined (e.g. the
@@ -167,7 +169,7 @@ def sweep(
         warnings.simplefilter("ignore", ValidityWarning)
         for param in values:
             sc = family(param)
-            outcome, success = _evaluate(sc, objective, engine, grid_n, orth_threshold)
+            outcome, success = _evaluate(sc, objective, engine, grid_n)
             records.append(
                 SweepRecord(
                     parameter=param,
@@ -186,7 +188,6 @@ def find_optimum(
     engine: str = "exact",
     *,
     grid_n: int | None = None,
-    orth_threshold: float = ORTH_THRESHOLD,
     tol: float = GOLDEN_TOL,
     max_iter: int = MAX_GOLDEN_ITER,
 ) -> OptimumReport:
@@ -208,7 +209,7 @@ def find_optimum(
         warnings.simplefilter("ignore", ValidityWarning)
 
         def f(x: float) -> float:
-            outcome, _ = _evaluate(family(x), objective, engine, grid_n, orth_threshold)
+            outcome, _ = _evaluate(family(x), objective, engine, grid_n)
             return -math.inf if outcome is None else outcome
 
         f_lo, f_hi = f(lo), f(hi)

@@ -210,8 +210,7 @@ def _prediction_payload(pred) -> dict:
 
 def _cmd_predict(args) -> int:
     sc, options = load_scenario(args.scenario)
-    orth = options.orth_threshold if options.orth_threshold is not None else ORTH_THRESHOLD
-    pred = predict(sc, args.regime, orth_threshold=orth)
+    pred = predict(sc, args.regime, orth_threshold=options.orth_threshold or ORTH_THRESHOLD)
     payload = _prediction_payload(pred)
     if args.regime == "orthogonal" and isinstance(sc.pointer, GaussianPointer):
         payload["regime"] = "orthogonal-gaussian"
@@ -254,7 +253,8 @@ def _cmd_exact(args) -> int:
         args.series_order if args.series_order is not None else options.series_order
     )
     if series_order is not None:
-        srec = series_device_state(sc, series_order, grid_n=grid_n)
+        orth = options.orth_threshold or ORTH_THRESHOLD  # a file value lies in (0, 1)
+        srec = series_device_state(sc, series_order, grid_n=grid_n, orth_threshold=orth)
         payload["series"] = {
             "order": srec.series_order,
             "success_prob": srec.success_prob,

@@ -7,16 +7,18 @@ is evaluated here exactly through the spectral decomposition of A: each
 eigenvector component contributes the initial wavefunction rigidly
 translated by g times its eigenvalue. No perturbative assumption enters, so
 `evolve_postselect` serves as the ground truth the closed-form predictors
-are checked against. For the Gaussian pointer the same superposition of
-translated Gaussians has closed-form statistics (Duck, Stevenson &
-Sudarshan, Phys. Rev. D 40, 2112 (1989)); `_gaussian_exact` evaluates them
-from pairwise branch overlaps without a grid.
+are checked against. Both exact engines share one amplitude table c
+(`_selection_amplitudes`): the grid oracle sums each row of c over the
+translated branches, and for the Gaussian pointer `_gaussian_exact` takes
+the closed-form statistics (Duck, Stevenson & Sudarshan, Phys. Rev. D 40,
+2112 (1989)) from the pairwise branch overlaps T = c^T c*, without a grid.
 
 `series_device_state` instead truncates the Dyson expansion of the same
 quantity at a chosen order, with every term expressed through generalized
 (or, for orthogonal selections, orthogonal) weak values, making the
 successive-approximation structure of the predictor formulas directly
-observable.
+observable. Both regimes run one expansion; powers of the momentum grid
+are running products, never stored per power.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .pointer import (
     moment,
     p_power,
     q_power,
-    to_momentum,
     translate,
     validate_grid_n,
     variance_q,
@@ -135,10 +136,15 @@ def _evolution_frame(
     return grid, branches
 
 
-def _shifted(sc: Scenario, grid: QGrid, phi: np.ndarray, shift: float) -> np.ndarray:
-    if isinstance(sc.pointer, GaussianPointer):
-        return gaussian_profile(grid.coords(), sc.pointer.delta_q, shift)
-    return translate(grid, phi, shift)
+def _selection_amplitudes(sc: Scenario) -> np.ndarray:
+    """c[(m, k), i] = sqrt(w_k) <f_m|a_i><a_i|psi_k>, over post-selection
+    vectors f_m, mixture components (w_k, psi_k) and eigenvectors a_i."""
+    evecs = sc.observable.eigenvectors
+    fcoef = sc.post.basis.conj().T @ evecs  # <f_m|a_i>
+    weights = np.array([w for w, _ in sc.pre.eigenmixture])
+    amps = evecs.conj().T @ np.column_stack([psi for _, psi in sc.pre.eigenmixture])
+    c = fcoef[:, None, :] * (amps.T * np.sqrt(weights)[:, None])
+    return c.reshape(-1, evecs.shape[1])
 
 
 def _exact_components(
@@ -150,23 +156,24 @@ def _exact_components(
     momentum numerator is in FFT ordering.
     """
     grid, branches = _evolution_frame(sc, grid_n)
-    evals = sc.observable.eigenvalues
-    evecs = sc.observable.eigenvectors
-    fcoef = sc.post.basis.conj().T @ evecs  # <f_m|a_i>
+    shifts = sc.g * sc.observable.eigenvalues
+    c = _selection_amplitudes(sc)
+    q = grid.coords()
+    p_scale = grid.dq**2 / (2.0 * math.pi)
+    shifted = np.empty((shifts.size, grid.n), dtype=complex)
     qd = np.zeros(grid.n)
     pd = np.zeros(grid.n)
     for v_j, phi in branches:
-        shifted = [_shifted(sc, grid, phi, sc.g * float(a)) for a in evals]
-        for w_k, psi in sc.pre.eigenmixture:
-            amp = evecs.conj().T @ psi  # <a_i|psi_k>
-            for m in range(sc.post.rank):
-                comp = np.zeros(grid.n, dtype=complex)
-                for i in range(sc.observable.dim):
-                    comp += fcoef[m, i] * amp[i] * shifted[i]
-                weight = w_k * v_j
-                qd += weight * np.abs(comp) ** 2
-                if want_densities:
-                    pd += weight * np.abs(to_momentum(grid, comp)) ** 2
+        for i, shift in enumerate(shifts):
+            if isinstance(sc.pointer, GaussianPointer):
+                shifted[i] = gaussian_profile(q, sc.pointer.delta_q, float(shift))
+            else:
+                shifted[i] = translate(grid, phi, float(shift))
+        for row in c:
+            comp = row @ shifted
+            qd += v_j * np.abs(comp) ** 2
+            if want_densities:
+                pd += (v_j * p_scale) * np.abs(np.fft.fft(comp)) ** 2
     n_total = float(np.sum(qd) * grid.dq)
     return grid, n_total, qd, pd
 
@@ -256,13 +263,7 @@ def _gaussian_exact(
     they are squared (as the grid oracle sums branch amplitudes before
     squaring); only the O(g^2) expm1 part is summed over pairs.
     """
-    evecs = sc.observable.eigenvectors
-    fcoef = sc.post.basis.conj().T @ evecs  # <f_m|a_i>
-    weights = np.array([w for w, _ in sc.pre.eigenmixture])
-    amps = evecs.conj().T @ np.column_stack([psi for _, psi in sc.pre.eigenmixture])
-    # Row (m, k) holds sqrt(w_k) <f_m|a_i><a_i|psi_k>; T = c^T c*.
-    c = fcoef[:, None, :] * (amps.T * np.sqrt(weights)[:, None])
-    c = c.reshape(-1, evecs.shape[1])
+    c = _selection_amplitudes(sc)
     t = c.T @ c.conj()
     u = sc.g * sc.observable.eigenvalues
     x = u[:, None] - u[None, :]
@@ -306,7 +307,7 @@ def _branch_p_table(
     grid: QGrid, branches: list[tuple[float, np.ndarray]], max_power: int
 ) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
     """Per-branch samples of p^a phi for a = 0..max_power, plus the mixed
-    momentum density M0 (FFT ordering) and grid p-moments of the pointer."""
+    momentum density M0 (FFT ordering) and the grid momenta."""
     pk = grid.momenta()
     tables = []
     m0 = np.zeros(grid.n)
@@ -318,13 +319,22 @@ def _branch_p_table(
         # pointer content, so drop them; using the same masked spectrum for
         # the moments m0 keeps the Parseval normalization identities exact.
         spectrum[np.abs(spectrum) < SPECTRAL_FLOOR * np.max(np.abs(spectrum))] = 0.0
+        m0 += w * np.abs((grid.dq / math.sqrt(2.0 * math.pi)) * spectrum) ** 2
         powers = [phi]
-        for a in range(1, max_power + 1):
-            powers.append(np.fft.ifft(pk**a * spectrum))
+        for _ in range(max_power):
+            spectrum *= pk
+            powers.append(np.fft.ifft(spectrum))
         tables.append(powers)
-        tilde = (grid.dq / math.sqrt(2.0 * math.pi)) * spectrum
-        m0 += w * np.abs(tilde) ** 2
     return tables, m0, pk
+
+
+def _p_moments(m0: np.ndarray, pk: np.ndarray, dp: float, max_power: int) -> list[float]:
+    """<p^a> of the density m0 for a = 0..max_power, by running products."""
+    moments, weighted = [], m0.copy()
+    for _ in range(max_power + 1):
+        moments.append(float(np.sum(weighted) * dp))
+        weighted *= pk
+    return moments
 
 
 def series_device_state(
@@ -333,7 +343,6 @@ def series_device_state(
     grid_n: int | None = None,
     *,
     orth_threshold: float = ORTH_THRESHOLD,
-    g2_threshold: float = G2_THRESHOLD,
 ) -> MeasurementRecord:
     """Pointer record from the weak-value expansion truncated at ``order``.
 
@@ -364,48 +373,39 @@ def series_device_state(
             stacklevel=2,
         )
 
-    ov = overlap(sc.post, sc.pre)
-    orthogonal = ov <= orth_threshold
     grid, branches = _evolution_frame(sc, grid_n)
-    tables, m0, pk = _branch_p_table(grid, branches, order + (1 if orthogonal else 0))
-    pmom = [float(np.sum(pk**n * m0) * grid.dp) for n in range(order + 3)]
-
     obs, pre, post, g = sc.observable, sc.pre, sc.post, sc.g
-
-    if orthogonal:
-        g2 = float(np.real(selection_trace(obs, pre, post, 1, 1)))
-        if abs(g2) <= g2_threshold:
+    # Orthogonal selections put one momentum operator on each side (side = 1)
+    # and condition on g^2 tr(P A rho A) <p^2> instead of tr(P rho).
+    ov = overlap(post, pre)
+    if ov > orth_threshold:
+        side, denom, lead = 0, ov, ov
+    else:
+        denom = float(np.real(selection_trace(obs, pre, post, 1, 1)))
+        if abs(denom) <= G2_THRESHOLD:
             raise NotApplicable(
                 "selections are orthogonal and tr(P A rho A) vanishes as "
                 "well; the response starts beyond second order and the "
                 "truncated expansion has no leading term"
             )
+        side, lead = 1, g * g * denom
 
-        def wvalue(m: int, l: int) -> complex:
-            num = selection_trace(obs, pre, post, m + 1, l + 1)
-            return num / ((m + 1) * (l + 1) * g2)
+    def wvalue(m: int, l: int) -> complex:
+        num = selection_trace(obs, pre, post, m + side, l + side)
+        return num / (((m + 1) * (l + 1)) ** side * denom)
 
-        def pmom_for(n: int) -> float:
-            return pmom[n + 2] / pmom[2]
-
-        side = 1
-    else:
-
-        def wvalue(m: int, l: int) -> complex:
-            return selection_trace(obs, pre, post, m, l) / ov
-
-        def pmom_for(n: int) -> float:
-            return pmom[n]
-
-        side = 0
+    tables, m0, pk = _branch_p_table(grid, branches, order + side)
+    pmom = _p_moments(m0, pk, grid.dp, order + 2 * side)
+    p_side = pmom[2] if side else 1.0
 
     qd = np.zeros(grid.n)
     for (w, _), powers in zip(branches, tables):
         qd += w * np.abs(powers[side]) ** 2
 
     z_rel = 1.0
-    p_poly = np.zeros(order + 1)
-    p_poly[0] = 1.0
+    # Momentum-density polynomial in p, with the factor p^(2 side).
+    p_poly = np.zeros(order + 2 * side + 1)
+    p_poly[2 * side] = 1.0
     base_sup = float(np.max(qd))
     sups: list[float] = []
     for n in range(1, order + 1):
@@ -421,8 +421,8 @@ def series_device_state(
             arr += wv * cross
         term = np.real(coeff * arr)
         qd = qd + term
-        z_rel += float(np.real(coeff * s_n * pmom_for(n)))
-        p_poly[n] = float(np.real(coeff * s_n))
+        z_rel += float(np.real(coeff * s_n * (pmom[n + 2 * side] / p_side)))
+        p_poly[n + 2 * side] = float(np.real(coeff * s_n))
         sups.append(float(np.max(np.abs(term))))
         # Growth below SERIES_NOISE_FLOOR relative to the density peak is
         # roundoff flutter of the spectral power tables (converged tails sit
@@ -440,18 +440,12 @@ def series_device_state(
             )
 
     poly_vals = np.zeros(grid.n)
-    for n in range(order + 1):
-        if p_poly[n] != 0.0:
-            poly_vals += p_poly[n] * pk**n
-
-    if orthogonal:
-        norm = z_rel * pmom[2]
-        n_total = g * g * g2 * pmom[2] * z_rel
-        pd = m0 * pk**2 * poly_vals
-    else:
-        norm = z_rel
-        n_total = ov * z_rel
-        pd = m0 * poly_vals
+    for coeff_n in p_poly[::-1]:  # Horner's rule
+        poly_vals *= pk
+        poly_vals += coeff_n
+    pd = m0 * poly_vals
+    norm = z_rel * p_side
+    n_total = lead * p_side * z_rel
     if norm <= 0.0:
         raise SeriesDiverging(
             f"truncated normalization {norm:.3e} is nonpositive; the "

@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     UnsupportedOrder,
 )
-from .qops import _frozen, vector_from_wire
+from .qops import _frozen, _require_number, vector_from_wire
 
 __all__ = [
     "QGrid",
@@ -400,14 +400,20 @@ def pointer_from_wire(data, path: str = "pointer") -> PointerState:
     if kind == "gaussian":
         if "delta_q" not in data:
             raise ParseError(f"{path}.delta_q: missing")
+        delta_q = _require_number(data["delta_q"], f"{path}.delta_q")
         try:
-            return gaussian(float(data["delta_q"]))
-        except (TypeError, ValueError, OverflowError, NonPositiveWidth) as exc:
+            return gaussian(delta_q)
+        except NonPositiveWidth as exc:
             raise ParseError(f"{path}.delta_q: {exc}") from exc
     if kind == "grid":
         for key in ("q_min", "dq", "n", "branches"):
             if key not in data:
                 raise ParseError(f"{path}.{key}: missing")
+        q_min = _require_number(data["q_min"], f"{path}.q_min")
+        dq = _require_number(data["dq"], f"{path}.dq")
+        n = data["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ParseError(f"{path}.n: expected an integer, got {n!r}")
         raw_branches = data["branches"]
         if not isinstance(raw_branches, list) or not raw_branches:
             raise ParseError(f"{path}.branches: expected a nonempty array")
@@ -417,11 +423,12 @@ def pointer_from_wire(data, path: str = "pointer") -> PointerState:
                 raise ParseError(
                     f"{path}.branches[{i}]: expected an object with weight and samples"
                 )
+            weight = _require_number(entry["weight"], f"{path}.branches[{i}].weight")
             samples = vector_from_wire(entry["samples"], f"{path}.branches[{i}].samples")
-            branches.append((entry["weight"], samples))
+            branches.append((weight, samples))
         try:
-            return grid_state(float(data["q_min"]), float(data["dq"]), int(data["n"]), branches)
-        except (TypeError, ValueError, OverflowError, EmptyGrid, GridTooSmall) as exc:
+            return grid_state(q_min, dq, n, branches)
+        except (ValueError, EmptyGrid, GridTooSmall) as exc:
             raise ParseError(f"{path}: {exc}") from exc
     raise ParseError(f"{path}.type: expected 'gaussian' or 'grid', got {kind!r}")
 

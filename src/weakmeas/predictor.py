@@ -55,7 +55,6 @@ from .pointer import (
 from .qops import Observable, PostSelection, SystemState, overlap
 from .scenario import Scenario
 from .weak_values import (
-    G2_THRESHOLD,
     ORTH_THRESHOLD,
     aav_margin,
     generalized_weak_value,
@@ -278,7 +277,6 @@ def predict_orthogonal(
     pointer: PointerState,
     *,
     orth_threshold: float = ORTH_THRESHOLD,
-    g2_threshold: float = G2_THRESHOLD,
 ) -> ShiftPrediction:
     """Leading-order pointer statistics for orthogonal selections.
 
@@ -305,9 +303,7 @@ def predict_orthogonal(
         )
     _require_rank_one_pure(pre, post)
     _require_even_pointer(pointer)
-    report = orthogonal_weak_value(
-        obs, pre, post, orth_threshold=orth_threshold, g2_threshold=g2_threshold
-    )
+    report = orthogonal_weak_value(obs, pre, post, orth_threshold=orth_threshold)
     ow = report.value
 
     p2 = moment(pointer, p_power(2))
@@ -347,7 +343,6 @@ def predict_orthogonal_gaussian(
     delta_q: float,
     *,
     orth_threshold: float = ORTH_THRESHOLD,
-    g2_threshold: float = G2_THRESHOLD,
 ) -> ShiftPrediction:
     """`predict_orthogonal` for a Gaussian pointer of width ``delta_q``.
 
@@ -361,8 +356,7 @@ def predict_orthogonal_gaussian(
     double-peaked outgoing profile.
     """
     pred = predict_orthogonal(
-        obs, pre, post, g, gaussian(delta_q),
-        orth_threshold=orth_threshold, g2_threshold=g2_threshold,
+        obs, pre, post, g, gaussian(delta_q), orth_threshold=orth_threshold
     )
     return replace(pred, regime="orthogonal-gaussian")
 

@@ -10,6 +10,7 @@ their arrays are defensive copies with the writeable flag cleared.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,6 +279,19 @@ def matrix_to_wire(m) -> list:
     if arr.ndim == 1:
         return [[float(z.real), float(z.imag)] for z in arr]
     return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+
+
+def _require_number(value, path: str) -> float:
+    """A finite real wire number, else a ParseError naming ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _entry_from_wire(cell, path: str) -> complex:

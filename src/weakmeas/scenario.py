@@ -42,6 +42,7 @@ from .qops import (
     Observable,
     PostSelection,
     SystemState,
+    _require_number,
     density_state,
     matrix_from_wire,
     matrix_to_wire,
@@ -132,18 +133,6 @@ def make_scenario(observable, pre, post, g: float, pointer: PointerState) -> Sce
 
 _TOP_KEYS = {"observable", "pre_state", "post_projector", "g", "pointer", "options"}
 _OPTION_KEYS = {"grid_n", "series_order", "orth_threshold"}
-
-
-def _require_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{path}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the double range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ParseError(f"{path}: expected a finite number, got {value!r}")
-    return number
 
 
 def validate_series_order(order, path: str = "series_order") -> int:

@@ -129,7 +129,6 @@ def orthogonal_weak_value(
     l: int = 0,
     *,
     orth_threshold: float = ORTH_THRESHOLD,
-    g2_threshold: float = G2_THRESHOLD,
 ) -> WeakValueReport:
     """Orthogonal-selection weak value.
 
@@ -147,7 +146,7 @@ def orthogonal_weak_value(
             "use the standard weak value"
         )
     denom = float(np.real(selection_trace(obs, pre, post, 1, 1)))
-    if abs(denom) <= g2_threshold:
+    if abs(denom) <= G2_THRESHOLD:
         raise HigherOrderOrthogonality(
             "tr(P A rho A) vanishes as well; the pointer response starts at "
             "higher order and no orthogonal weak value exists"

@@ -17,7 +17,10 @@ from weakmeas import (
     evolve_postselect,
     find_optimum,
     gaussian,
+    gaussian_profile,
+    grid_state,
     make_scenario,
+    new_observable,
     sg_family,
     sg_optimum,
     stern_gerlach_outcome,
@@ -117,6 +120,35 @@ def test_sweep_records_undefined_outcomes_as_null():
         records = sweep(family, [0.1, 0.2], "delta_q", engine)
         assert [r.outcome for r in records] == [None, None]
         assert [r.success_prob for r in records] == [0.0, 0.0]
+
+
+def test_predicted_sweep_leaves_uncovered_orthogonal_points_blank():
+    # At t = 0 the selections are orthogonal with a mixed pre-selection
+    # (UnsupportedMixedOrthogonal), or pure with a boosted pointer whose
+    # <p> does not vanish (PointerNotEven); both lie outside the orthogonal
+    # predictor, while the exact engine records both points.
+    obs = new_observable(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
+    q = -10.0 + (20.0 / 1024) * np.arange(1024)
+    boosted = grid_state(
+        -10.0, 20.0 / 1024, 1024, [(1.0, gaussian_profile(q, 1.0) * np.exp(0.5j * q))]
+    )
+
+    def mixed(t):
+        rho = np.diag([t, (1.0 - t) / 2.0, (1.0 - t) / 2.0])
+        return make_scenario(obs, rho, [1.0, 0.0, 0.0], 0.05, gaussian(1.0))
+
+    def moving(t):
+        return make_scenario(obs, [t, 1.0, 0.3], [1.0, 0.0, 0.0], 0.05, boosted)
+
+    for family in (mixed, moving):
+        predicted = sweep(family, [0.0, 0.5], "delta_q", "predicted")
+        exact = sweep(family, [0.0, 0.5], "delta_q", "exact")
+        assert (predicted[0].outcome, predicted[0].success_prob) == (None, 0.0)
+        assert exact[0].outcome is not None and exact[0].success_prob > 0.0
+        assert predicted[1].outcome == pytest.approx(exact[1].outcome, abs=1e-3)
+    assert sweep(mixed, [0.0], "delta_q", "exact")[0].success_prob == pytest.approx(
+        1.56e-4, rel=1e-2
+    )
 
 
 def test_sweep_rejects_bad_grids_and_choices():

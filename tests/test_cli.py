@@ -14,10 +14,14 @@ import pytest
 
 from weakmeas import (
     SGParams,
+    ScenarioOptions,
     gaussian,
+    load_scenario,
     make_scenario,
+    new_observable,
     scenario_to_wire,
     scenario_with_orthogonal_weak_value,
+    series_device_state,
     sg_optimum,
     stern_gerlach_outcome,
 )
@@ -144,6 +148,27 @@ def test_exact_payload_with_series_and_densities(tmp_path, capsys):
     lines = dens_file.read_text().splitlines()
     assert lines[0] == "coord,q_density,p_coord,p_density"
     assert len(lines) == 4097
+
+
+def test_exact_series_honors_file_orth_threshold(tmp_path, capsys):
+    # tr(P rho) = 8.3e-12 lies above the default threshold (1e-12) but
+    # below the file's 1e-9, so `predict` routes orthogonal; the series
+    # must take the orthogonal expansion as well.
+    obs = new_observable(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
+    sc = make_scenario(obs, [3e-6, 1.0, 0.3], [1.0, 0.0, 0.0], 0.05, gaussian(1.0))
+    wire = scenario_to_wire(sc, ScenarioOptions(orth_threshold=1e-9))
+    path = tmp_path / "near_orth.json"
+    path.write_text(json.dumps(wire))
+    code, out, _ = _run(capsys, ["predict", str(path)])
+    assert code == 0
+    assert json.loads(out)["regime"] == "orthogonal"
+    code, out, _ = _run(capsys, ["exact", str(path), "--series-order", "4"])
+    assert code == 0
+    series = json.loads(out)["series"]
+    expected = series_device_state(load_scenario(str(path))[0], 4, orth_threshold=1e-9)
+    assert series["delta_q"] == expected.delta_q
+    assert series["success_prob"] == expected.success_prob
+    assert series["delta_q"] == pytest.approx(0.0053057, abs=1e-7)
 
 
 def test_exact_honors_grid_n_flag(tmp_path, capsys):

@@ -38,7 +38,12 @@ from weakmeas.errors import (
     ValidityWarning,
     ZeroPostSelectionProbability,
 )
-from weakmeas.oracle import PROB_FLOOR, _gaussian_exact, _require_success
+from weakmeas.oracle import (
+    PROB_FLOOR,
+    _gaussian_exact,
+    _require_success,
+    _selection_amplitudes,
+)
 from weakmeas.pointer import PQ2P, moment, p_power
 
 from support import (
@@ -47,6 +52,7 @@ from support import (
     orthogonal_idempotent,
     orthogonal_sigma_x,
     random_density,
+    random_projector,
     random_scenario,
     rng,
     skewed_pointer,
@@ -392,6 +398,47 @@ def test_gaussian_closed_form_matches_grid_oracle(
     assert abs(n_total - rec.success_prob) <= 1e-12
     assert abs(delta_q_cf - rec.delta_q) <= 1e-12
     assert abs(delta_p_cf - rec.delta_p) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "pre_kind, rank, spectrum",
+    [
+        ("pure", 1, "generic"),
+        ("mixed", 1, "generic"),
+        ("rank-2 mixture", 2, "generic"),
+        ("pure", 2, "degenerate"),
+        ("mixed", 3, "degenerate"),
+    ],
+)
+def test_selection_amplitudes_rebuild_the_selection_matrix(pre_kind, rank, spectrum):
+    # Both exact engines read the selections through these amplitudes, so
+    # the cross-check between them cannot catch an error here; pin them
+    # against T = (V^+ P V)^T o (V^+ rho V) built from the matrices.
+    gen = rng(11 + rank)
+    dim = 4
+    u = _unitary(gen, dim)
+    if spectrum == "degenerate":
+        evals = np.array([0.8, 0.8, -0.5, 0.1])
+    else:
+        evals = gen.uniform(-1.0, 1.0, dim)
+    obs = new_observable((u * evals) @ u.conj().T)
+    if pre_kind == "pure":
+        pre = pure_state(gen.standard_normal(dim) + 1j * gen.standard_normal(dim))
+    elif pre_kind == "mixed":
+        pre = random_density(gen, dim)
+    else:
+        span = _unitary(gen, dim)[:, :2]
+        pre = density_state(span @ np.diag([0.7, 0.3]) @ span.conj().T)
+    post = random_projector(gen, dim, rank)
+    sc = make_scenario(obs, pre, post, 0.1, gaussian(1.0))
+
+    c = _selection_amplitudes(sc)
+    v = obs.eigenvectors
+    t = (v.conj().T @ post.matrix @ v).T * (v.conj().T @ pre.matrix @ v)
+    assert c.shape == (rank * len(pre.eigenmixture), dim)
+    assert np.max(np.abs(c.T @ c.conj() - t)) <= 1e-14
+    overlap = float(np.real(np.trace(post.matrix @ pre.matrix)))
+    assert float(np.sum(np.abs(np.sum(c, axis=1)) ** 2)) == pytest.approx(overlap, abs=1e-14)
 
 
 def test_gaussian_closed_form_refuses_zero_probability():

@@ -248,3 +248,27 @@ def test_pointer_wire_parse_errors_name_the_key():
             pointer_from_wire({**grid, "branches": [{"weight": 1.0, "samples": samples}]})
     with pytest.raises(ParseError, match="pointer"):
         pointer_from_wire({**grid, "branches": [{"weight": [1.0], "samples": [[0.0, 0.0]] * 64}]})
+    # Every pointer number goes through the strict wire validator: strings
+    # and bools are not numbers, and n must be an integer (64.9 used to be
+    # truncated to 64). Each input is valid except for the named key.
+    valid = pointer_to_wire(_grid_gaussian(1.0, n=64, half_span=10.0))
+    pointer_from_wire(valid)
+    bad_fields = [
+        ("q_min", "-10", r"pointer\.q_min: expected a number"),
+        ("dq", "0.3125", r"pointer\.dq: expected a number"),
+        ("dq", True, r"pointer\.dq: expected a number"),
+        ("n", 64.9, r"pointer\.n: expected an integer"),
+        ("n", 64.0, r"pointer\.n: expected an integer"),
+        ("n", True, r"pointer\.n: expected an integer"),
+        ("n", "64", r"pointer\.n: expected an integer"),
+    ]
+    for key, value, match in bad_fields:
+        with pytest.raises(ParseError, match=match):
+            pointer_from_wire({**valid, key: value})
+    branch = valid["branches"][0]
+    for weight in (True, "1", 10**400):
+        with pytest.raises(ParseError, match=r"pointer\.branches\[0\]\.weight"):
+            pointer_from_wire({**valid, "branches": [{**branch, "weight": weight}]})
+    for delta_q in ("2", True, math.inf):
+        with pytest.raises(ParseError, match=r"pointer\.delta_q: expected a"):
+            pointer_from_wire({"type": "gaussian", "delta_q": delta_q})
