@@ -7,12 +7,22 @@ evolution or the closed-form predictor as the engine -- and locates the
 parameter maximizing it by golden-section search. The exact engine is
 closed-form for Gaussian pointers (pairwise branch overlaps, no grid) and
 runs the grid oracle `evolve_postselect` for grid pointers, so ``grid_n``
-affects grid-pointer families only. The predicted engine is
-`predictor.predict` in its ``auto`` regime, which routes each point on the
-selection overlap and supplies the predicted success probability along
-with the shifts. The canonical family is
-the Stern-Gerlach arrangement `sg_family`, whose measured-value curve has
-the known analytic optimum `sg_optimum`.
+affects grid-pointer families only. The predicted engine is the resummed
+second-order formula of `predictor.predict_general`, which supplies the
+predicted success probability along with the shifts; orthogonal selections
+go to `predictor.predict` point by point. The canonical family is the
+Stern-Gerlach arrangement `sg_family`, whose measured-value curve has the
+known analytic optimum `sg_optimum`.
+
+Points whose scenarios share the observable object, the pointer object and
+g are evaluated in one array pass of the engine's kernel
+(`oracle._gaussian_exact_stacked`, `predictor._predict_general_stacked`),
+and the per-group constants -- pointer moments, weak-interaction margin,
+spectral frame -- are computed once. A family author should therefore build
+the observable and the pointer once, outside the closure, as `sg_family`
+does; a family that builds them per point still works, one point per
+kernel call. The golden-section search evaluates one point at a time
+through the same kernels and keeps the per-group constants between steps.
 
 Points where the objective is undefined (post-selection never succeeds,
 or the predictor does not apply) are recorded with a blank outcome instead
@@ -41,9 +51,14 @@ from .errors import (
     ValidityWarning,
     ZeroPostSelectionProbability,
 )
-from .oracle import _gaussian_exact, evolve_postselect
+from .oracle import (
+    _gaussian_exact_stacked,
+    _gaussian_frame,
+    _stacked_selection_amplitudes,
+    evolve_postselect,
+)
 from .pointer import GaussianPointer, gaussian, validate_grid_n
-from .predictor import predict
+from .predictor import _general_frame, _predict_general_stacked, predict
 from .qops import SIGMA_Z, new_observable, projector_onto, pure_state
 from .scenario import Scenario, make_scenario
 from .weak_values import weak_interaction_margin
@@ -101,14 +116,110 @@ def _check_choices(objective: str, engine: str, grid_n: int | None) -> None:
         validate_grid_n(grid_n)
 
 
-def _objective_value(objective: str, delta_q: float, delta_p: float, g: float) -> float | None:
-    if objective == "delta_q":
-        return delta_q
-    if objective == "delta_p":
-        return delta_p
-    if g == 0.0:
-        return None
-    return delta_q / g
+_UNDEFINED = (
+    ZeroPostSelectionProbability,
+    NonPositiveDenominator,
+    HigherOrderOrthogonality,
+    UnsupportedMixedOrthogonal,
+    PointerNotEven,
+)
+
+
+def _per_point(sc: Scenario, engine: str, grid_n: int | None) -> tuple[float, float, float]:
+    """(success_prob, delta_q, delta_p) of one scenario through the per-point
+    engine (the grid oracle, or `predict` for orthogonal selections), NaN
+    shifts and zero probability where the objective is undefined."""
+    try:
+        if engine == "predicted":
+            rec = predict(sc)
+        else:
+            rec = evolve_postselect(sc, grid_n=grid_n)
+    except _UNDEFINED:
+        return 0.0, math.nan, math.nan
+    return rec.success_prob, rec.delta_q, rec.delta_p
+
+
+def _group_key(sc: Scenario) -> tuple:
+    """Scenarios with equal keys share the observable object, the pointer
+    object and g (sign of zero included), and so one kernel frame."""
+    return id(sc.observable), id(sc.pointer), sc.g, math.copysign(1.0, sc.g)
+
+
+class _Evaluator:
+    """Evaluates scenarios with one engine and objective, one kernel call per
+    group of scenarios with one `_group_key`. The group constants (pointer
+    moments, margin, spectral frame) are kept for the last group seen, so a
+    sequential search builds them once.
+    """
+
+    def __init__(self, objective: str, engine: str, grid_n: int | None) -> None:
+        self.objective, self.engine, self.grid_n = objective, engine, grid_n
+        self._key: tuple | None = None
+        self._held: tuple = ()
+        self._frame: tuple = ()
+
+    def _group_frame(self, sc: Scenario) -> tuple:
+        """(weak margin, kernel frame or None) for the scenario's group."""
+        key = _group_key(sc)
+        if key != self._key:
+            # Holding the objects keeps their ids from being reused by
+            # later ones while the key is cached.
+            self._key, self._held = key, (sc.observable, sc.pointer)
+            if self.engine == "predicted":
+                kernel = _general_frame(sc.observable, sc.pointer)
+            elif isinstance(sc.pointer, GaussianPointer):
+                kernel = _gaussian_frame(sc.observable, sc.g, sc.pointer)
+            else:
+                kernel = None
+            self._frame = (weak_interaction_margin(sc.g, sc.pointer), kernel)
+        return self._frame
+
+    def group(self, scenarios: list[Scenario]) -> list[tuple[float | None, float, float]]:
+        """(outcome, success_prob, weak_margin) for scenarios of one group."""
+        margin, kernel = self._group_frame(scenarios[0])
+        if kernel is None:
+            success, delta_q, delta_p = (
+                np.array(col)
+                for col in zip(*(_per_point(sc, self.engine, self.grid_n) for sc in scenarios))
+            )
+        elif self.engine == "exact":
+            success, delta_q, delta_p = _exact_group(scenarios, kernel)
+        else:
+            success, delta_q, delta_p = _predicted_group(scenarios, kernel)
+        g = scenarios[0].g
+        if self.objective == "delta_p":
+            outcomes = delta_p
+        elif self.objective == "delta_q":
+            outcomes = delta_q
+        elif g != 0.0:
+            outcomes = delta_q / g
+        else:
+            outcomes = np.full(len(scenarios), np.nan)
+        return [
+            (None if math.isnan(out) else out, prob, margin)
+            for out, prob in zip(outcomes.tolist(), success.tolist())
+        ]
+
+
+def _exact_group(scenarios: list[Scenario], frame: tuple) -> tuple[np.ndarray, ...]:
+    n_total, delta_q, delta_p = _gaussian_exact_stacked(
+        _stacked_selection_amplitudes(scenarios), frame
+    )
+    success = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
+    return success, delta_q, delta_p
+
+
+def _predicted_group(scenarios: list[Scenario], frame: tuple) -> tuple[np.ndarray, ...]:
+    general, success, delta_q, delta_p = _predict_general_stacked(
+        frame,
+        scenarios[0].g,
+        np.stack([sc.post.matrix for sc in scenarios]),
+        np.stack([sc.pre.matrix for sc in scenarios]),
+    )
+    success = np.where(np.isnan(success), 0.0, success)
+    for b in np.flatnonzero(~general):
+        success[b], delta_q[b], delta_p[b] = _per_point(scenarios[b], "predicted", None)
+    return success, delta_q, delta_p
 
 
 def _evaluate(
@@ -117,25 +228,10 @@ def _evaluate(
     engine: str,
     grid_n: int | None,
 ) -> tuple[float | None, float]:
-    """(outcome, success probability) for one scenario, or (None, 0)."""
-    try:
-        if engine == "predicted":
-            pred = predict(sc)
-            success, delta_q, delta_p = pred.success_prob, pred.delta_q, pred.delta_p
-        elif isinstance(sc.pointer, GaussianPointer):
-            success, delta_q, delta_p = _gaussian_exact(sc)
-        else:
-            rec = evolve_postselect(sc, grid_n=grid_n)
-            success, delta_q, delta_p = rec.success_prob, rec.delta_q, rec.delta_p
-        return _objective_value(objective, delta_q, delta_p, sc.g), success
-    except (
-        ZeroPostSelectionProbability,
-        NonPositiveDenominator,
-        HigherOrderOrthogonality,
-        UnsupportedMixedOrthogonal,
-        PointerNotEven,
-    ):
-        return None, 0.0
+    """(outcome, success probability) for one scenario, or (None, 0): a
+    sweep of one point, through the same kernels."""
+    outcome, success, _ = _Evaluator(objective, engine, grid_n).group([sc])[0]
+    return outcome, success
 
 
 def sweep(
@@ -151,9 +247,15 @@ def sweep(
     post-selection never succeeds) are recorded with a null outcome rather
     than dropped.
 
-    The exact engine is closed-form for Gaussian pointers and uses the grid
-    oracle for grid pointers; ``grid_n`` sizes that grid and has no effect
-    on Gaussian-pointer families.
+    Points whose scenarios share the observable object, the pointer object
+    and g are evaluated together, in one array pass of the engine's kernel;
+    so a family should build its observable and pointer once, outside the
+    closure, as `sg_family` does. Points that share nothing are groups of
+    one through the same kernel. The exact engine is closed-form for
+    Gaussian pointers and runs the grid oracle point by point for grid
+    pointers; ``grid_n`` sizes that grid and has no effect on
+    Gaussian-pointer families. The predicted engine evaluates orthogonal
+    selections point by point with `predict`.
     """
     _check_choices(objective, engine, grid_n)
     values = [float(p) for p in params]
@@ -164,21 +266,21 @@ def sweep(
             raise ValueError(
                 f"sweep grid must be strictly increasing, got {prev} before {cur}"
             )
-    records = []
+    evaluator = _Evaluator(objective, engine, grid_n)
+    results: list = [None] * len(values)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        for param in values:
-            sc = family(param)
-            outcome, success = _evaluate(sc, objective, engine, grid_n)
-            records.append(
-                SweepRecord(
-                    parameter=param,
-                    outcome=outcome,
-                    success_prob=success,
-                    weak_margin=weak_interaction_margin(sc.g, sc.pointer),
-                )
-            )
-    return records
+        scenarios = [family(param) for param in values]
+        groups: dict[tuple, list[int]] = {}
+        for i, sc in enumerate(scenarios):
+            groups.setdefault(_group_key(sc), []).append(i)
+        for members in groups.values():
+            for i, res in zip(members, evaluator.group([scenarios[i] for i in members])):
+                results[i] = res
+    return [
+        SweepRecord(parameter=param, outcome=outcome, success_prob=success, weak_margin=margin)
+        for param, (outcome, success, margin) in zip(values, results)
+    ]
 
 
 def find_optimum(
@@ -208,8 +310,10 @@ def find_optimum(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
 
+        evaluator = _Evaluator(objective, engine, grid_n)
+
         def f(x: float) -> float:
-            outcome, _ = _evaluate(family(x), objective, engine, grid_n)
+            outcome, _, _ = evaluator.group([family(x)])[0]
             return -math.inf if outcome is None else outcome
 
         f_lo, f_hi = f(lo), f(hi)

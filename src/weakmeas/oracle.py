@@ -12,6 +12,9 @@ are checked against. Both exact engines share one amplitude table c
 translated branches, and for the Gaussian pointer `_gaussian_exact` takes
 the closed-form statistics (Duck, Stevenson & Sudarshan, Phys. Rev. D 40,
 2112 (1989)) from the pairwise branch overlaps T = c^T c*, without a grid.
+That closed form is one array kernel, `_gaussian_exact_stacked`, over a
+stack of amplitude tables for points sharing the observable, g and the
+pointer; `_gaussian_exact` is its batch of one.
 
 `series_device_state` instead truncates the Dyson expansion of the same
 quantity at a chosen order, with every term expressed through generalized
@@ -50,7 +53,7 @@ from .pointer import (
     validate_grid_n,
     variance_q,
 )
-from .qops import _frozen, overlap
+from .qops import Observable, _frozen, overlap
 from .scenario import MAX_SERIES_ORDER, Scenario
 from .weak_values import (
     G2_THRESHOLD,
@@ -139,12 +142,30 @@ def _evolution_frame(
 def _selection_amplitudes(sc: Scenario) -> np.ndarray:
     """c[(m, k), i] = sqrt(w_k) <f_m|a_i><a_i|psi_k>, over post-selection
     vectors f_m, mixture components (w_k, psi_k) and eigenvectors a_i."""
-    evecs = sc.observable.eigenvectors
-    fcoef = sc.post.basis.conj().T @ evecs  # <f_m|a_i>
-    weights = np.array([w for w, _ in sc.pre.eigenmixture])
-    amps = evecs.conj().T @ np.column_stack([psi for _, psi in sc.pre.eigenmixture])
-    c = fcoef[:, None, :] * (amps.T * np.sqrt(weights)[:, None])
-    return c.reshape(-1, evecs.shape[1])
+    return _stacked_selection_amplitudes([sc])[0]
+
+
+def _stacked_selection_amplitudes(scenarios: list[Scenario]) -> np.ndarray:
+    """The (B, R, d) stack of `_selection_amplitudes` for scenarios sharing
+    the observable. Points with fewer post-selection vectors or mixture
+    components than the widest one get zero rows, which add nothing to any
+    sum over rows."""
+    evecs = scenarios[0].observable.eigenvectors
+    dim = evecs.shape[0]
+    n_post = max(sc.post.basis.shape[1] for sc in scenarios)
+    n_mix = max(len(sc.pre.eigenmixture) for sc in scenarios)
+    bases = np.zeros((len(scenarios), dim, n_post), dtype=complex)
+    psis = np.zeros((len(scenarios), dim, n_mix), dtype=complex)
+    weights = np.zeros((len(scenarios), n_mix))
+    for b, sc in enumerate(scenarios):
+        bases[b, :, : sc.post.basis.shape[1]] = sc.post.basis
+        for k, (w, psi) in enumerate(sc.pre.eigenmixture):
+            psis[b, :, k] = psi
+            weights[b, k] = w
+    fcoef = np.swapaxes(bases, 1, 2).conj() @ evecs  # <f_m|a_i>
+    amps = evecs.conj().T @ psis  # <a_i|psi_k>
+    c = fcoef[:, :, None, :] * (np.swapaxes(amps, 1, 2) * np.sqrt(weights)[:, :, None])[:, None]
+    return c.reshape(len(scenarios), n_post * n_mix, dim)
 
 
 def _exact_components(
@@ -245,6 +266,42 @@ def _require_success(n_total: float, prob_floor: float) -> None:
         )
 
 
+def _gaussian_frame(
+    obs: Observable, g: float, pointer: GaussianPointer
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The parts of `_gaussian_exact` fixed by the observable, g and the
+    pointer: (u, x, s, expm1(-x^2 dp^2/2), dp^2) with u_i = g a_i,
+    x_ij = u_i - u_j and s_ij = (u_i + u_j)/2."""
+    u = g * obs.eigenvalues
+    x = u[:, None] - u[None, :]
+    s = 0.5 * (u[:, None] + u[None, :])
+    var_p = pointer.var_p
+    return u, x, s, np.expm1(-0.5 * var_p * x**2), var_p
+
+
+def _gaussian_exact_stacked(
+    c: np.ndarray, frame: tuple, prob_floor: float = PROB_FLOOR
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_gaussian_exact` for B points that share one `_gaussian_frame`.
+
+    ``c`` is the (B, R, d) stack of the points' `_selection_amplitudes`
+    tables, zero-padded in R. Returns the arrays (N, delta_q, delta_p); N is
+    unclipped, and the shifts are NaN wherever N is not above
+    ``prob_floor`` (NaN included), without a floating-point warning.
+    """
+    u, x, s, decay, var_p = frame
+    o1 = (np.swapaxes(c, 1, 2) @ c.conj()) * decay
+    b0 = c.sum(axis=2)
+    b1_b0 = ((c @ u) * b0.conj()).sum(axis=1)
+    n_total = (np.abs(b0) ** 2).sum(axis=1) + o1.sum(axis=(1, 2)).real
+    # Dividing by NaN where N is not above the floor blanks those shifts
+    # without a warning.
+    n_safe = np.where(n_total > prob_floor, n_total, np.nan)
+    delta_q = (b1_b0.real + (o1 * s).sum(axis=(1, 2)).real) / n_safe
+    delta_p = var_p * (2.0 * b1_b0.imag + (x * o1.imag).sum(axis=(1, 2))) / n_safe
+    return n_total, delta_q, delta_p
+
+
 def _gaussian_exact(
     sc: Scenario, prob_floor: float = PROB_FLOOR
 ) -> tuple[float, float, float]:
@@ -255,7 +312,8 @@ def _gaussian_exact(
     s_ij = (u_i + u_j)/2 and O_ij = T_ij exp(-x_ij^2 dp^2/2), the pairwise
     overlaps give N = sum O, <q> = sum O s / N and
     <p> = sum O (-i x dp^2) / N, at O(d^2) cost. Raises
-    ZeroPostSelectionProbability like `evolve_postselect`.
+    ZeroPostSelectionProbability like `evolve_postselect`. This is the
+    batch of one of `_gaussian_exact_stacked`.
 
     Near-orthogonal selections make N a small remainder of O(1) terms, so
     the sums are split at exp = 1 + expm1. The exp = 1 part comes from the
@@ -263,20 +321,12 @@ def _gaussian_exact(
     they are squared (as the grid oracle sums branch amplitudes before
     squaring); only the O(g^2) expm1 part is summed over pairs.
     """
-    c = _selection_amplitudes(sc)
-    t = c.T @ c.conj()
-    u = sc.g * sc.observable.eigenvalues
-    x = u[:, None] - u[None, :]
-    s = 0.5 * (u[:, None] + u[None, :])
-    var_p = sc.pointer.var_p
-    o1 = t * np.expm1(-0.5 * var_p * x**2)
-    b0 = np.sum(c, axis=1)
-    b1_b0 = np.sum((c @ u) * b0.conj())
-    n_total = float(np.sum(np.abs(b0) ** 2) + np.real(np.sum(o1)))
-    _require_success(n_total, prob_floor)
-    delta_q = float(np.real(b1_b0) + np.real(np.sum(o1 * s))) / n_total
-    delta_p = float(var_p * (2.0 * np.imag(b1_b0) + np.sum(x * np.imag(o1)))) / n_total
-    return min(n_total, 1.0), delta_q, delta_p
+    frame = _gaussian_frame(sc.observable, sc.g, sc.pointer)
+    n_total, delta_q, delta_p = _gaussian_exact_stacked(
+        _stacked_selection_amplitudes([sc]), frame, prob_floor
+    )
+    _require_success(float(n_total[0]), prob_floor)
+    return min(float(n_total[0]), 1.0), float(delta_q[0]), float(delta_p[0])
 
 
 def evolve_postselect(

@@ -175,18 +175,26 @@ def default_grid(delta_q: float, g: float = 0.0, n: int | None = None) -> QGrid:
     return QGrid(q_min=-half, dq=2.0 * half / n, n=n)
 
 
-def grid_state(q_min: float, dq: float, n: int, branches) -> GridPointer:
-    """Build a grid pointer from `(weight, samples)` branches.
-
-    Validates: n is a power of two; q_min, dq, weights and samples are
-    finite; weights are positive and sum to one within 1e-12; each branch
-    is normalized within 1e-10; the grid extends at least eight standard
-    deviations beyond each branch mean.
-    """
+def _check_grid_size(n: int) -> None:
+    """A grid pointer's sample count: a power of two in [1, MAX_GRID_N]."""
     if n <= 0:
         raise EmptyGrid("grid has no points")
     if n & (n - 1):
         raise ValueError(f"grid size must be a power of two, got {n}")
+    if n > MAX_GRID_N:
+        raise ValueError(f"grid size must be at most {MAX_GRID_N}, got {n}")
+
+
+def grid_state(q_min: float, dq: float, n: int, branches) -> GridPointer:
+    """Build a grid pointer from `(weight, samples)` branches.
+
+    Validates: n is a power of two no larger than MAX_GRID_N; q_min, dq,
+    weights and samples are finite; each branch has n samples (checked
+    before anything of size n is allocated); weights are positive and sum
+    to one within 1e-12; each branch is normalized within 1e-10; the grid
+    extends at least eight standard deviations beyond each branch mean.
+    """
+    _check_grid_size(n)
     if not math.isfinite(q_min):
         raise ValueError(f"grid origin q_min must be finite, got {q_min!r}")
     if not (0.0 < dq < math.inf):
@@ -195,17 +203,20 @@ def grid_state(q_min: float, dq: float, n: int, branches) -> GridPointer:
     seq = list(branches)
     if not seq:
         raise EmptyGrid("pointer needs at least one branch")
-    total = 0.0
-    out = []
-    q = grid.coords()
+    parsed = []
     for idx, (w, samples) in enumerate(seq):
         w = float(w)
         if not (0.0 < w < math.inf):
             raise ValueError(f"branch {idx} weight must be positive and finite, got {w!r}")
-        total += w
         phi = np.asarray(samples, dtype=complex).reshape(-1)
         if phi.size != n:
             raise ValueError(f"branch {idx} has {phi.size} samples, expected {n}")
+        parsed.append((w, phi))
+    total = 0.0
+    out = []
+    q = grid.coords()
+    for idx, (w, phi) in enumerate(parsed):
+        total += w
         if not np.all(np.isfinite(phi)):
             raise ValueError(f"branch {idx} has non-finite samples")
         norm = float(np.sum(np.abs(phi) ** 2) * dq)
@@ -414,6 +425,10 @@ def pointer_from_wire(data, path: str = "pointer") -> PointerState:
         n = data["n"]
         if isinstance(n, bool) or not isinstance(n, int):
             raise ParseError(f"{path}.n: expected an integer, got {n!r}")
+        try:
+            _check_grid_size(n)
+        except (ValueError, EmptyGrid) as exc:
+            raise ParseError(f"{path}.n: {exc}") from exc
         raw_branches = data["branches"]
         if not isinstance(raw_branches, list) or not raw_branches:
             raise ParseError(f"{path}.branches: expected a nonempty array")

@@ -29,6 +29,8 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import (
     DegenerateDenominator,
     LambdaOutOfRange,
@@ -182,6 +184,87 @@ def predict_aav(
     )
 
 
+def _general_moments(pointer: PointerState) -> tuple[float, ...]:
+    """(<q>, <p>, <p^2>, <p^3>, <p q p>, <{q,p}>), the pointer moments of
+    the second-order shifts."""
+    specs = (q_power(1), p_power(1), p_power(2), p_power(3), PQP, ANTICOMM_QP)
+    return tuple(moment(pointer, spec) for spec in specs)
+
+
+def _resummed_bracket(g, aw_im, d_coef, moments):
+    """1 + 2 g <p> Im A_w + g^2 <p^2> D, the inverse of the resummation
+    factor C; floats or arrays."""
+    _, p1, p2, _, _, _ = moments
+    return 1.0 + 2.0 * g * p1 * aw_im + g * g * p2 * d_coef
+
+
+def _resummed_shifts(c, g, aw_re, aw_im, a2w_im, d_coef, moments):
+    """(delta_q, delta_p) of `predict_general` from C, the weak values and
+    the pointer moments; floats or arrays."""
+    q1, p1, p2, p3, pqp, anti = moments
+    varp = p2 - p1 * p1
+    delta_q = c * (
+        g * aw_re
+        + g * aw_im * (anti - 2.0 * q1 * p1)
+        + g * g * (pqp - p2 * q1) * d_coef
+        + g * g * p1 * a2w_im
+    )
+    delta_p = c * (2.0 * g * aw_im * varp + g * g * (p3 - p2 * p1) * d_coef)
+    return delta_q, delta_p
+
+
+def _general_frame(
+    obs: Observable, pointer: PointerState
+) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+    """The parts of `_predict_general_stacked` fixed by the observable and
+    the pointer: the eigenvectors V of A, the weights a_i^m a_j^l of the four
+    selection traces in the eigenframe, and `_general_moments`."""
+    a = obs.eigenvalues
+    ones = np.ones((a.size, a.size))
+    weights = np.stack([ones, a[:, None] * ones, (a * a)[:, None] * ones, np.outer(a, a)])
+    return obs.eigenvectors, weights, _general_moments(pointer)
+
+
+def _predict_general_stacked(
+    frame: tuple,
+    g: float,
+    post_mats: np.ndarray,
+    pre_mats: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`predict_general`'s (success_prob, delta_q, delta_p) for B selections
+    sharing the observable, the pointer (through ``frame``, from
+    `_general_frame`) and g.
+
+    ``post_mats`` and ``pre_mats`` are the (B, d, d) stacks of P and rho.
+    With T_ij = (V^+ P V)_ji (V^+ rho V)_ij, the traces tr(P A^m rho A^l)
+    are sum T_ij a_i^m a_j^l: tr(P rho), tr(P A rho), tr(P A^2 rho) and
+    tr(P A rho A) for all points come from one einsum. Returns
+    (general, success_prob, delta_q, delta_p): ``general`` marks the points
+    whose selection overlap exceeds ORTH_THRESHOLD, as `predict` routes;
+    the other three are NaN where a point is not general or its bracket is
+    <= 0 (where `predict_general` raises). No floating-point warning is
+    raised.
+    """
+    v, weights, moments = frame
+    vh = v.conj().T
+    t = np.swapaxes(vh @ post_mats @ v, 1, 2) * (vh @ pre_mats @ v)
+    traces = np.einsum("bij,kij->kb", t, weights)
+    ov = np.clip(traces[0].real, 0.0, 1.0)
+    general = ov > ORTH_THRESHOLD
+    # NaN in place of the overlap (and of a bracket <= 0) carries through
+    # to NaN results without a warning.
+    ov_safe = np.where(general, ov, np.nan)
+    # Real and imaginary parts are divided separately: complex division by
+    # a real number multiplies by its reciprocal, which rounds differently.
+    aw_re, aw_im = traces[1].real / ov_safe, traces[1].imag / ov_safe
+    a2w_re, a2w_im = traces[2].real / ov_safe, traces[2].imag / ov_safe
+    d_coef = traces[3].real / ov_safe - a2w_re
+    bracket = _resummed_bracket(g, aw_im, d_coef, moments)
+    c = 1.0 / np.where(bracket > 0.0, bracket, np.nan)
+    delta_q, delta_p = _resummed_shifts(c, g, aw_re, aw_im, a2w_im, d_coef, moments)
+    return general, ov / c, delta_q, delta_p
+
+
 def predict_general(
     obs: Observable,
     pre: SystemState,
@@ -211,30 +294,15 @@ def predict_general(
     a2w = generalized_weak_value(obs, pre, post, 2, 0, orth_threshold=orth_threshold).value
     w11 = generalized_weak_value(obs, pre, post, 1, 1, orth_threshold=orth_threshold).value
     d_coef = w11.real - a2w.real
-
-    q1 = moment(pointer, q_power(1))
-    p1 = moment(pointer, p_power(1))
-    p2 = moment(pointer, p_power(2))
-    p3 = moment(pointer, p_power(3))
-    pqp = moment(pointer, PQP)
-    anti = moment(pointer, ANTICOMM_QP)
-    varp = p2 - p1 * p1
-
-    bracket = 1.0 + 2.0 * g * p1 * aw.imag + g * g * p2 * d_coef
+    moments = _general_moments(pointer)
+    bracket = _resummed_bracket(g, aw.imag, d_coef, moments)
     if bracket <= 0.0:
         raise NonPositiveDenominator(
             f"resummed denominator bracket {bracket:.3e} <= 0; the "
             "second-order expansion is invalid for this coupling"
         )
     c = 1.0 / bracket
-
-    delta_q = c * (
-        g * aw.real
-        + g * aw.imag * (anti - 2.0 * q1 * p1)
-        + g * g * (pqp - p2 * q1) * d_coef
-        + g * g * p1 * a2w.imag
-    )
-    delta_p = c * (2.0 * g * aw.imag * varp + g * g * (p3 - p2 * p1) * d_coef)
+    delta_q, delta_p = _resummed_shifts(c, g, aw.real, aw.imag, a2w.imag, d_coef, moments)
 
     margin = weak_interaction_margin(g, pointer)
     _warn_margin(margin)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from weakmeas import (
 from weakmeas.errors import EmptyGrid, GridTooSmall, UnsupportedOrder
 from weakmeas.pointer import (
     ANTICOMM_QP,
+    MAX_GRID_N,
     P_BRACE_P,
     PQ2P,
     PQP,
@@ -272,3 +274,34 @@ def test_pointer_wire_parse_errors_name_the_key():
     for delta_q in ("2", True, math.inf):
         with pytest.raises(ParseError, match=r"pointer\.delta_q: expected a"):
             pointer_from_wire({"type": "gaussian", "delta_q": delta_q})
+
+
+def test_grid_pointer_size_is_refused_before_allocating():
+    # A sample count that disagrees with n, or an n above MAX_GRID_N, is
+    # refused before any array of n points exists: a 64-sample wire pointer
+    # claiming n = 2^22 used to allocate 67 MB of coordinates first.
+    from weakmeas.errors import ParseError
+
+    valid = pointer_to_wire(_grid_gaussian(1.0, n=64, half_span=10.0))
+    cases = [
+        (MAX_GRID_N, r"pointer: branch 0 has 64 samples, expected 4194304"),
+        (2 * MAX_GRID_N, r"pointer\.n: grid size must be at most 4194304"),
+        (1 << 40, r"pointer\.n: grid size must be at most 4194304"),
+        (96, r"pointer\.n: grid size must be a power of two"),
+        (0, r"pointer\.n: grid has no points"),
+    ]
+    for n, match in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=match):
+                pointer_from_wire({**valid, "n": n})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (n, peak)
+    with pytest.raises(ValueError, match="at most"):
+        grid_state(-10.0, 20.0 / 64, 2 * MAX_GRID_N, [(1.0, np.ones(64))])
+    # The smallest grid accepted before the cap still parses.
+    one = {"type": "grid", "q_min": 0.0, "dq": 1.0, "n": 1,
+           "branches": [{"weight": 1.0, "samples": [[1.0, 0.0]]}]}
+    assert pointer_from_wire(one).n == 1
