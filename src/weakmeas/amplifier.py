@@ -15,7 +15,8 @@ Stern-Gerlach arrangement `sg_family`, whose measured-value curve has the
 known analytic optimum `sg_optimum`.
 
 Points whose scenarios share the observable object, the pointer object and
-g are evaluated in one array pass of the engine's kernel
+g are evaluated in one array pass: one stack of the selection kernel
+(`qops._selection_kernel`) feeds the engine's kernel
 (`oracle._gaussian_exact_stacked`, `predictor._predict_general_stacked`),
 and the per-group constants -- pointer moments, weak-interaction margin,
 spectral frame -- are computed once. A family author should therefore build
@@ -54,14 +55,14 @@ from .errors import (
 from .oracle import (
     _gaussian_exact_stacked,
     _gaussian_frame,
-    _stacked_selection_amplitudes,
+    _scenario_selections,
     evolve_postselect,
 )
 from .pointer import GaussianPointer, gaussian, validate_grid_n
-from .predictor import _general_frame, _predict_general_stacked, predict
+from .predictor import _general_moments, _predict_general_stacked, predict
 from .qops import SIGMA_Z, new_observable, projector_onto, pure_state
 from .scenario import Scenario, make_scenario
-from .weak_values import weak_interaction_margin
+from .weak_values import ORTH_THRESHOLD, weak_interaction_margin
 
 __all__ = [
     "OBJECTIVES",
@@ -166,7 +167,7 @@ class _Evaluator:
             # later ones while the key is cached.
             self._key, self._held = key, (sc.observable, sc.pointer)
             if self.engine == "predicted":
-                kernel = _general_frame(sc.observable, sc.pointer)
+                kernel = _general_moments(sc.pointer)
             elif isinstance(sc.pointer, GaussianPointer):
                 kernel = _gaussian_frame(sc.observable, sc.g, sc.pointer)
             else:
@@ -177,16 +178,25 @@ class _Evaluator:
     def group(self, scenarios: list[Scenario]) -> list[tuple[float | None, float, float]]:
         """(outcome, success_prob, weak_margin) for scenarios of one group."""
         margin, kernel = self._group_frame(scenarios[0])
+        g = scenarios[0].g
         if kernel is None:
             success, delta_q, delta_p = (
                 np.array(col)
                 for col in zip(*(_per_point(sc, self.engine, self.grid_n) for sc in scenarios))
             )
-        elif self.engine == "exact":
-            success, delta_q, delta_p = _exact_group(scenarios, kernel)
         else:
-            success, delta_q, delta_p = _predicted_group(scenarios, kernel)
-        g = scenarios[0].g
+            # One selection stack feeds either engine's kernel.
+            c, b = _scenario_selections(scenarios, 2)
+            if self.engine == "exact":
+                n_total, delta_q, delta_p = _gaussian_exact_stacked(c, b, kernel)
+                success = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
+            else:
+                ov, _, success, delta_q, delta_p = _predict_general_stacked(kernel, g, b)
+                success = np.where(np.isnan(success), 0.0, success)
+                # Orthogonal points go to `predict`, which routes on the same ov.
+                for i in np.flatnonzero(ov <= ORTH_THRESHOLD):
+                    point = _per_point(scenarios[i], "predicted", None)
+                    success[i], delta_q[i], delta_p[i] = point
         if self.objective == "delta_p":
             outcomes = delta_p
         elif self.objective == "delta_q":
@@ -199,27 +209,6 @@ class _Evaluator:
             (None if math.isnan(out) else out, prob, margin)
             for out, prob in zip(outcomes.tolist(), success.tolist())
         ]
-
-
-def _exact_group(scenarios: list[Scenario], frame: tuple) -> tuple[np.ndarray, ...]:
-    n_total, delta_q, delta_p = _gaussian_exact_stacked(
-        _stacked_selection_amplitudes(scenarios), frame
-    )
-    success = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
-    return success, delta_q, delta_p
-
-
-def _predicted_group(scenarios: list[Scenario], frame: tuple) -> tuple[np.ndarray, ...]:
-    general, success, delta_q, delta_p = _predict_general_stacked(
-        frame,
-        scenarios[0].g,
-        np.stack([sc.post.matrix for sc in scenarios]),
-        np.stack([sc.pre.matrix for sc in scenarios]),
-    )
-    success = np.where(np.isnan(success), 0.0, success)
-    for b in np.flatnonzero(~general):
-        success[b], delta_q[b], delta_p[b] = _per_point(scenarios[b], "predicted", None)
-    return success, delta_q, delta_p
 
 
 def _evaluate(

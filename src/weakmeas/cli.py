@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,26 +51,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _grid_n_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    try:
-        return validate_grid_n(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _int_arg(validate):
+    """An argparse type: an integer that ``validate`` accepts."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        try:
+            return validate(value)
+        except (ValueError, ParseError) as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return parse
 
 
-def _series_order_arg(text: str) -> int:
+def _finite_float_arg(text: str) -> float:
+    """One finite number; argparse names the flag in the error."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    try:
-        return validate_series_order(value, "value")
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _complex_arg(text: str) -> complex:
@@ -78,17 +84,11 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(
             f"expected RE,IM (two comma-separated numbers), got {text!r}"
         )
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers in RE,IM, got {text!r}")
+    return complex(_finite_float_arg(parts[0]), _finite_float_arg(parts[1]))
 
 
 def _lambdas_arg(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    values = [_finite_float_arg(part) for part in text.split(",") if part.strip() != ""]
     if not values:
         raise argparse.ArgumentTypeError("expected at least one lambda value")
     return values
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument(
         "--grid-n",
-        type=_grid_n_arg,
+        type=_int_arg(validate_grid_n),
         default=None,
         help="working grid size (power of two in [64, 2^22])",
     )
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("scenario", help="scenario JSON file")
     p_exact.add_argument(
         "--series-order",
-        type=_series_order_arg,
+        type=_int_arg(lambda n: validate_series_order(n, "value")),
         default=None,
         help="also evaluate the truncated expansion at this order",
     )
@@ -171,9 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument(
         "--wv", type=_complex_arg, required=True, help="target weak value as RE,IM"
     )
-    p_fig.add_argument("--g", type=float, required=True, help="coupling strength")
+    p_fig.add_argument("--g", type=_finite_float_arg, required=True, help="coupling strength")
     p_fig.add_argument(
-        "--delta_q", type=float, default=1.0, help="Gaussian pointer width (default 1)"
+        "--delta_q",
+        type=_finite_float_arg,
+        default=1.0,
+        help="Gaussian pointer width (default 1)",
     )
     p_fig.set_defaults(func=_cmd_figure2)
 

@@ -7,21 +7,23 @@ is evaluated here exactly through the spectral decomposition of A: each
 eigenvector component contributes the initial wavefunction rigidly
 translated by g times its eigenvalue. No perturbative assumption enters, so
 `evolve_postselect` serves as the ground truth the closed-form predictors
-are checked against. Both exact engines share one amplitude table c
-(`_selection_amplitudes`): the grid oracle sums each row of c over the
-translated branches, and for the Gaussian pointer `_gaussian_exact` takes
-the closed-form statistics (Duck, Stevenson & Sudarshan, Phys. Rev. D 40,
-2112 (1989)) from the pairwise branch overlaps T = c^T c*, without a grid.
-That closed form is one array kernel, `_gaussian_exact_stacked`, over a
-stack of amplitude tables for points sharing the observable, g and the
-pointer; `_gaussian_exact` is its batch of one.
+are checked against. Both exact engines read the one selection kernel
+(`qops._selection_kernel`): the grid oracle sums each row of its amplitude
+table c over the translated branches, and for the Gaussian pointer
+`_gaussian_exact` takes the closed-form statistics (Duck, Stevenson &
+Sudarshan, Phys. Rev. D 40, 2112 (1989)) from the kernel's moment
+amplitudes b_0, b_1 and the pairwise branch overlaps T = c^T c*, without a
+grid. That closed form is one array kernel, `_gaussian_exact_stacked`, over
+a stack of points sharing the observable, g and the pointer;
+`_gaussian_exact` is its batch of one.
 
 `series_device_state` instead truncates the Dyson expansion of the same
 quantity at a chosen order, with every term expressed through generalized
-(or, for orthogonal selections, orthogonal) weak values, making the
-successive-approximation structure of the predictor formulas directly
-observable. Both regimes run one expansion; powers of the momentum grid
-are running products, never stored per power.
+(or, for orthogonal selections, orthogonal) weak values read from one
+trace table of the kernel, making the successive-approximation structure
+of the predictor formulas directly observable. Both regimes run one
+expansion; powers of the momentum grid are running products, never stored
+per power.
 """
 
 from __future__ import annotations
@@ -53,12 +55,12 @@ from .pointer import (
     validate_grid_n,
     variance_q,
 )
-from .qops import Observable, _frozen, overlap
+from .qops import Observable, _frozen, _selection_kernel, _selection_traces
 from .scenario import MAX_SERIES_ORDER, Scenario
 from .weak_values import (
     G2_THRESHOLD,
     ORTH_THRESHOLD,
-    selection_trace,
+    _selection_table,
     weak_interaction_margin,
 )
 
@@ -139,33 +141,16 @@ def _evolution_frame(
     return grid, branches
 
 
+def _scenario_selections(scenarios: list[Scenario], n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The selection kernel (c, b) for scenarios sharing the observable."""
+    posts, pres = [sc.post for sc in scenarios], [sc.pre for sc in scenarios]
+    return _selection_kernel(posts, pres, scenarios[0].observable, n_max)
+
+
 def _selection_amplitudes(sc: Scenario) -> np.ndarray:
     """c[(m, k), i] = sqrt(w_k) <f_m|a_i><a_i|psi_k>, over post-selection
     vectors f_m, mixture components (w_k, psi_k) and eigenvectors a_i."""
-    return _stacked_selection_amplitudes([sc])[0]
-
-
-def _stacked_selection_amplitudes(scenarios: list[Scenario]) -> np.ndarray:
-    """The (B, R, d) stack of `_selection_amplitudes` for scenarios sharing
-    the observable. Points with fewer post-selection vectors or mixture
-    components than the widest one get zero rows, which add nothing to any
-    sum over rows."""
-    evecs = scenarios[0].observable.eigenvectors
-    dim = evecs.shape[0]
-    n_post = max(sc.post.basis.shape[1] for sc in scenarios)
-    n_mix = max(len(sc.pre.eigenmixture) for sc in scenarios)
-    bases = np.zeros((len(scenarios), dim, n_post), dtype=complex)
-    psis = np.zeros((len(scenarios), dim, n_mix), dtype=complex)
-    weights = np.zeros((len(scenarios), n_mix))
-    for b, sc in enumerate(scenarios):
-        bases[b, :, : sc.post.basis.shape[1]] = sc.post.basis
-        for k, (w, psi) in enumerate(sc.pre.eigenmixture):
-            psis[b, :, k] = psi
-            weights[b, k] = w
-    fcoef = np.swapaxes(bases, 1, 2).conj() @ evecs  # <f_m|a_i>
-    amps = evecs.conj().T @ psis  # <a_i|psi_k>
-    c = fcoef[:, :, None, :] * (np.swapaxes(amps, 1, 2) * np.sqrt(weights)[:, :, None])[:, None]
-    return c.reshape(len(scenarios), n_post * n_mix, dim)
+    return _scenario_selections([sc], 0)[0][0]
 
 
 def _exact_components(
@@ -268,32 +253,32 @@ def _require_success(n_total: float, prob_floor: float) -> None:
 
 def _gaussian_frame(
     obs: Observable, g: float, pointer: GaussianPointer
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
     """The parts of `_gaussian_exact` fixed by the observable, g and the
-    pointer: (u, x, s, expm1(-x^2 dp^2/2), dp^2) with u_i = g a_i,
+    pointer: (g, x, s, expm1(-x^2 dp^2/2), dp^2) with u_i = g a_i,
     x_ij = u_i - u_j and s_ij = (u_i + u_j)/2."""
     u = g * obs.eigenvalues
     x = u[:, None] - u[None, :]
     s = 0.5 * (u[:, None] + u[None, :])
     var_p = pointer.var_p
-    return u, x, s, np.expm1(-0.5 * var_p * x**2), var_p
+    return g, x, s, np.expm1(-0.5 * var_p * x**2), var_p
 
 
 def _gaussian_exact_stacked(
-    c: np.ndarray, frame: tuple, prob_floor: float = PROB_FLOOR
+    c: np.ndarray, b: np.ndarray, frame: tuple, prob_floor: float = PROB_FLOOR
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_gaussian_exact` for B points that share one `_gaussian_frame`.
 
-    ``c`` is the (B, R, d) stack of the points' `_selection_amplitudes`
-    tables, zero-padded in R. Returns the arrays (N, delta_q, delta_p); N is
-    unclipped, and the shifts are NaN wherever N is not above
-    ``prob_floor`` (NaN included), without a floating-point warning.
+    ``c`` and ``b`` are the points' selection kernel (amplitude table and
+    moment amplitudes b_0, b_1). Returns the arrays (N, delta_q, delta_p);
+    the shifts are NaN wherever N is not above ``prob_floor`` (NaN
+    included), without a floating-point warning.
     """
-    u, x, s, decay, var_p = frame
+    g, x, s, decay, var_p = frame
     o1 = (np.swapaxes(c, 1, 2) @ c.conj()) * decay
-    b0 = c.sum(axis=2)
-    b1_b0 = ((c @ u) * b0.conj()).sum(axis=1)
-    n_total = (np.abs(b0) ** 2).sum(axis=1) + o1.sum(axis=(1, 2)).real
+    t = _selection_traces(b[:2])  # |b_0|^2 and b_1 b_0^*, summed over rows
+    b1_b0 = g * t[1, 0]
+    n_total = t[0, 0].real + o1.sum(axis=(1, 2)).real
     # Dividing by NaN where N is not above the floor blanks those shifts
     # without a warning.
     n_safe = np.where(n_total > prob_floor, n_total, np.nan)
@@ -317,13 +302,14 @@ def _gaussian_exact(
 
     Near-orthogonal selections make N a small remainder of O(1) terms, so
     the sums are split at exp = 1 + expm1. The exp = 1 part comes from the
-    amplitudes b0 = <f_m|psi_k> and b1 = <f_m|g A|psi_k>, summed before
-    they are squared (as the grid oracle sums branch amplitudes before
-    squaring); only the O(g^2) expm1 part is summed over pairs.
+    kernel's moment amplitudes b0 = <f_m|psi_k> and b1 = <f_m|A|psi_k>,
+    summed before they are squared (as the grid oracle sums branch
+    amplitudes before squaring); only the O(g^2) expm1 part is summed over
+    pairs.
     """
     frame = _gaussian_frame(sc.observable, sc.g, sc.pointer)
     n_total, delta_q, delta_p = _gaussian_exact_stacked(
-        _stacked_selection_amplitudes([sc]), frame, prob_floor
+        *_scenario_selections([sc], 1), frame, prob_floor
     )
     _require_success(float(n_total[0]), prob_floor)
     return min(float(n_total[0]), 1.0), float(delta_q[0]), float(delta_p[0])
@@ -424,14 +410,15 @@ def series_device_state(
         )
 
     grid, branches = _evolution_frame(sc, grid_n)
-    obs, pre, post, g = sc.observable, sc.pre, sc.post, sc.g
+    g = sc.g
+    # One trace table t[m, l] = tr(P A^m rho A^l) serves every order.
     # Orthogonal selections put one momentum operator on each side (side = 1)
     # and condition on g^2 tr(P A rho A) <p^2> instead of tr(P rho).
-    ov = overlap(post, pre)
+    ov, t = _selection_table(sc.observable, sc.pre, sc.post, order + 1)
     if ov > orth_threshold:
         side, denom, lead = 0, ov, ov
     else:
-        denom = float(np.real(selection_trace(obs, pre, post, 1, 1)))
+        denom = float(t[1, 1].real)
         if abs(denom) <= G2_THRESHOLD:
             raise NotApplicable(
                 "selections are orthogonal and tr(P A rho A) vanishes as "
@@ -441,8 +428,7 @@ def series_device_state(
         side, lead = 1, g * g * denom
 
     def wvalue(m: int, l: int) -> complex:
-        num = selection_trace(obs, pre, post, m + side, l + side)
-        return num / (((m + 1) * (l + 1)) ** side * denom)
+        return complex(t[m + side, l + side]) / (((m + 1) * (l + 1)) ** side * denom)
 
     tables, m0, pk = _branch_p_table(grid, branches, order + side)
     pmom = _p_moments(m0, pk, grid.dp, order + 2 * side)

@@ -20,6 +20,10 @@ evaluates those shifts in closed form:
 - `stern_gerlach_outcome` / `sg_optimum`: the closed-form measured-value
   amplification curve for a spin-1/2 Stern-Gerlach arrangement and its
   analytic optimum.
+
+Every selection trace comes from the one selection kernel
+(`qops._selection_kernel`): `predict_aav` and `predict_general` are batches
+of one of `_predict_general_stacked`, which the amplifier runs over stacks.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from .errors import (
     DegenerateDenominator,
     LambdaOutOfRange,
     NonPositiveDenominator,
-    NotOrthogonal,
-    OrthogonalPPS,
     PointerNotEven,
     UnsupportedMixedOrthogonal,
     ValidityWarning,
@@ -52,14 +54,15 @@ from .pointer import (
     moment,
     p_power,
     q_power,
-    variance_p,
 )
 from .qops import Observable, PostSelection, SystemState, overlap
+from .qops import _selection_overlaps, _selection_traces
 from .scenario import Scenario
 from .weak_values import (
     ORTH_THRESHOLD,
+    _moment_amplitudes,
+    _require_regime,
     aav_margin,
-    generalized_weak_value,
     orthogonal_weak_value,
     weak_interaction_margin,
 )
@@ -128,19 +131,6 @@ def _warn_margin(margin: float) -> None:
     warnings.warn(message, ValidityWarning, stacklevel=level)
 
 
-def _require_not_orthogonal(
-    post: PostSelection, pre: SystemState, orth_threshold: float
-) -> float:
-    """The selection overlap tr(P rho); OrthogonalPPS at or below the threshold."""
-    ov = overlap(post, pre)
-    if ov <= orth_threshold:
-        raise OrthogonalPPS(
-            f"selection overlap {ov:.3e} is below {orth_threshold:.1e}; "
-            "use the orthogonal predictor"
-        )
-    return ov
-
-
 def _maybe_aav_margin(
     obs: Observable,
     pre: SystemState,
@@ -169,16 +159,13 @@ def predict_aav(
     linear-response margin is small; `predict_general` extends this to
     second order.
     """
-    _require_not_orthogonal(post, pre, orth_threshold)
-    aw = generalized_weak_value(obs, pre, post, 1, 0, orth_threshold=orth_threshold).value
-    anti = moment(pointer, ANTICOMM_QP)
-    varp = variance_p(pointer)
+    _, _, delta_q, delta_p = _predict_one(obs, pre, post, g, pointer, orth_threshold, True)
     margin = weak_interaction_margin(g, pointer)
     _warn_margin(margin)
     return ShiftPrediction(
         regime="aav",
-        delta_q=g * aw.real + g * aw.imag * anti,
-        delta_p=2.0 * g * aw.imag * varp,
+        delta_q=delta_q,
+        delta_p=delta_p,
         margin_weak=margin,
         margin_aav=_maybe_aav_margin(obs, pre, post, g, pointer),
     )
@@ -191,78 +178,61 @@ def _general_moments(pointer: PointerState) -> tuple[float, ...]:
     return tuple(moment(pointer, spec) for spec in specs)
 
 
-def _resummed_bracket(g, aw_im, d_coef, moments):
-    """1 + 2 g <p> Im A_w + g^2 <p^2> D, the inverse of the resummation
-    factor C; floats or arrays."""
-    _, p1, p2, _, _, _ = moments
-    return 1.0 + 2.0 * g * p1 * aw_im + g * g * p2 * d_coef
-
-
-def _resummed_shifts(c, g, aw_re, aw_im, a2w_im, d_coef, moments):
-    """(delta_q, delta_p) of `predict_general` from C, the weak values and
-    the pointer moments; floats or arrays."""
-    q1, p1, p2, p3, pqp, anti = moments
-    varp = p2 - p1 * p1
-    delta_q = c * (
-        g * aw_re
-        + g * aw_im * (anti - 2.0 * q1 * p1)
-        + g * g * (pqp - p2 * q1) * d_coef
-        + g * g * p1 * a2w_im
-    )
-    delta_p = c * (2.0 * g * aw_im * varp + g * g * (p3 - p2 * p1) * d_coef)
-    return delta_q, delta_p
-
-
-def _general_frame(
-    obs: Observable, pointer: PointerState
-) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
-    """The parts of `_predict_general_stacked` fixed by the observable and
-    the pointer: the eigenvectors V of A, the weights a_i^m a_j^l of the four
-    selection traces in the eigenframe, and `_general_moments`."""
-    a = obs.eigenvalues
-    ones = np.ones((a.size, a.size))
-    weights = np.stack([ones, a[:, None] * ones, (a * a)[:, None] * ones, np.outer(a, a)])
-    return obs.eigenvectors, weights, _general_moments(pointer)
-
-
 def _predict_general_stacked(
-    frame: tuple,
+    moments: tuple[float, ...],
     g: float,
-    post_mats: np.ndarray,
-    pre_mats: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`predict_general`'s (success_prob, delta_q, delta_p) for B selections
-    sharing the observable, the pointer (through ``frame``, from
-    `_general_frame`) and g.
+    b: np.ndarray,
+    orth_threshold: float = ORTH_THRESHOLD,
+    first_order: bool = False,
+) -> tuple[np.ndarray, ...]:
+    """`predict_general` for B selections sharing the pointer (through
+    ``moments``, from `_general_moments`) and g.
 
-    ``post_mats`` and ``pre_mats`` are the (B, d, d) stacks of P and rho.
-    With T_ij = (V^+ P V)_ji (V^+ rho V)_ij, the traces tr(P A^m rho A^l)
-    are sum T_ij a_i^m a_j^l: tr(P rho), tr(P A rho), tr(P A^2 rho) and
-    tr(P A rho A) for all points come from one einsum. Returns
-    (general, success_prob, delta_q, delta_p): ``general`` marks the points
-    whose selection overlap exceeds ORTH_THRESHOLD, as `predict` routes;
-    the other three are NaN where a point is not general or its bracket is
-    <= 0 (where `predict_general` raises). No floating-point warning is
-    raised.
+    ``b`` holds the points' moment amplitudes b_0..b_2 from the selection
+    kernel, giving tr(P rho), tr(P A rho), tr(P A^2 rho) and tr(P A rho A).
+    Returns (ov, bracket, success_prob, delta_q, delta_p): ov = tr(P rho)
+    is the float `predict` routes on and bracket = 1/C. The other three
+    are NaN where ov is not above ``orth_threshold`` or the bracket is <= 0
+    (where `predict_general` raises), without a floating-point warning.
+    With ``first_order`` the shifts are `predict_aav`'s linear ones.
     """
-    v, weights, moments = frame
-    vh = v.conj().T
-    t = np.swapaxes(vh @ post_mats @ v, 1, 2) * (vh @ pre_mats @ v)
-    traces = np.einsum("bij,kij->kb", t, weights)
-    ov = np.clip(traces[0].real, 0.0, 1.0)
-    general = ov > ORTH_THRESHOLD
+    q1, p1, p2, p3, pqp, anti = moments
+    ov = _selection_overlaps(b)
+    t = _selection_traces(b)
     # NaN in place of the overlap (and of a bracket <= 0) carries through
     # to NaN results without a warning.
-    ov_safe = np.where(general, ov, np.nan)
+    ov_safe = np.where(ov > orth_threshold, ov, np.nan)
     # Real and imaginary parts are divided separately: complex division by
     # a real number multiplies by its reciprocal, which rounds differently.
-    aw_re, aw_im = traces[1].real / ov_safe, traces[1].imag / ov_safe
-    a2w_re, a2w_im = traces[2].real / ov_safe, traces[2].imag / ov_safe
-    d_coef = traces[3].real / ov_safe - a2w_re
-    bracket = _resummed_bracket(g, aw_im, d_coef, moments)
+    aw_re, aw_im = t[1, 0].real / ov_safe, t[1, 0].imag / ov_safe
+    a2w_re, a2w_im = t[2, 0].real / ov_safe, t[2, 0].imag / ov_safe
+    d_coef = t[1, 1].real / ov_safe - a2w_re
+    bracket = 1.0 + 2.0 * g * p1 * aw_im + g * g * p2 * d_coef
     c = 1.0 / np.where(bracket > 0.0, bracket, np.nan)
-    delta_q, delta_p = _resummed_shifts(c, g, aw_re, aw_im, a2w_im, d_coef, moments)
-    return general, ov / c, delta_q, delta_p
+    varp = p2 - p1 * p1
+    if first_order:
+        delta_q, delta_p = g * aw_re + g * aw_im * anti, 2.0 * g * aw_im * varp
+    else:
+        delta_q = c * (
+            g * aw_re
+            + g * aw_im * (anti - 2.0 * q1 * p1)
+            + g * g * (pqp - p2 * q1) * d_coef
+            + g * g * p1 * a2w_im
+        )
+        delta_p = c * (2.0 * g * aw_im * varp + g * g * (p3 - p2 * p1) * d_coef)
+    return ov, bracket, ov / c, delta_q, delta_p
+
+
+def _predict_one(obs, pre, post, g, pointer, orth_threshold, first_order):
+    """`_predict_general_stacked`'s batch of one, as floats, after the
+    regime check."""
+    b = _moment_amplitudes(obs, pre, post, 2)
+    values = _predict_general_stacked(
+        _general_moments(pointer), g, b, orth_threshold, first_order
+    )
+    ov, bracket, success, delta_q, delta_p = (float(v[0]) for v in values)
+    _require_regime(ov, orth_threshold, orthogonal=False)
+    return bracket, success, delta_q, delta_p
 
 
 def predict_general(
@@ -289,20 +259,14 @@ def predict_general(
     NonPositiveDenominator when the bracket in C is <= 0 (the expansion has
     broken down).
     """
-    ov = _require_not_orthogonal(post, pre, orth_threshold)
-    aw = generalized_weak_value(obs, pre, post, 1, 0, orth_threshold=orth_threshold).value
-    a2w = generalized_weak_value(obs, pre, post, 2, 0, orth_threshold=orth_threshold).value
-    w11 = generalized_weak_value(obs, pre, post, 1, 1, orth_threshold=orth_threshold).value
-    d_coef = w11.real - a2w.real
-    moments = _general_moments(pointer)
-    bracket = _resummed_bracket(g, aw.imag, d_coef, moments)
+    bracket, success, delta_q, delta_p = _predict_one(
+        obs, pre, post, g, pointer, orth_threshold, False
+    )
     if bracket <= 0.0:
         raise NonPositiveDenominator(
             f"resummed denominator bracket {bracket:.3e} <= 0; the "
             "second-order expansion is invalid for this coupling"
         )
-    c = 1.0 / bracket
-    delta_q, delta_p = _resummed_shifts(c, g, aw.real, aw.imag, a2w.imag, d_coef, moments)
 
     margin = weak_interaction_margin(g, pointer)
     _warn_margin(margin)
@@ -310,19 +274,11 @@ def predict_general(
         regime="general",
         delta_q=delta_q,
         delta_p=delta_p,
-        success_prob=ov / c,
-        denominator_c=c,
+        success_prob=success,
+        denominator_c=1.0 / bracket,
         margin_weak=margin,
         margin_aav=_maybe_aav_margin(obs, pre, post, g, pointer),
     )
-
-
-def _require_rank_one_pure(pre: SystemState, post: PostSelection) -> None:
-    if not pre.is_pure or not post.is_rank_one:
-        raise UnsupportedMixedOrthogonal(
-            "orthogonal-selection predictions are implemented for a pure "
-            "pre-selection and a rank-1 post-selection only"
-        )
 
 
 def _require_even_pointer(pointer: PointerState, tol: float = 1e-10) -> None:
@@ -363,13 +319,12 @@ def predict_orthogonal(
         q = g Re A_ow +/- sqrt(2) delta_q
         p = g Im A_ow delta_p^2 +/- sqrt(2) delta_p.
     """
-    ov = overlap(post, pre)
-    if ov > orth_threshold:
-        raise NotOrthogonal(
-            f"selection overlap {ov:.3e} exceeds {orth_threshold:.1e}; "
-            "use the non-orthogonal predictors"
+    _require_regime(overlap(post, pre), orth_threshold, orthogonal=True)
+    if not pre.is_pure or not post.is_rank_one:
+        raise UnsupportedMixedOrthogonal(
+            "orthogonal-selection predictions are implemented for a pure "
+            "pre-selection and a rank-1 post-selection only"
         )
-    _require_rank_one_pure(pre, post)
     _require_even_pointer(pointer)
     report = orthogonal_weak_value(obs, pre, post, orth_threshold=orth_threshold)
     ow = report.value

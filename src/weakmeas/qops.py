@@ -5,6 +5,10 @@ coupling constant carries the physical magnitude; system states and
 post-selection projectors are validated against the usual Hermiticity,
 positivity and idempotency requirements. All wrapper types are immutable:
 their arrays are defensive copies with the writeable flag cleared.
+
+Every selection trace tr(P A^m rho A^l), weak value and overlap tr(P rho)
+of the package is read from one kernel, `_selection_kernel`; `overlap` is
+its batch of one.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ __all__ = [
     "projector",
     "projector_onto",
     "overlap",
-    "commutes",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
@@ -244,28 +247,72 @@ def projector_onto(*vectors) -> PostSelection:
     )
 
 
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in index order. Unlike numpy's (pairwise,
+    layout-dependent) reductions, each entry's rounding depends only on its
+    own terms, so a point reads the same bits alone as in any stack."""
+    total, *rest = terms
+    for term in rest:
+        total = total + term
+    return total
+
+
+def _selection_kernel(posts: list, pres: list, obs: Observable | None = None, n_max: int = 0):
+    """The selection kernel for B points sharing the observable.
+
+    Point p contributes one row r = (m, k) per post-selection vector f_m and
+    mixture component (w_k, psi_k). Returns (c, b) with
+    c[p, r, i] = sqrt(w_k) <f_m|a_i><a_i|psi_k> over the eigenvectors a_i of
+    ``obs`` (None without it) and the moment amplitudes
+    b[n, p, r] = sqrt(w_k) <f_m|A^n|psi_k>, n <= n_max: b_0 straight from
+    <f_m|psi_k>, b_n = sum_i c a_i^n. Then tr(P A^m rho A^l) = sum_r b_m b_l^*
+    and tr(P rho) = sum_r |b_0|^2. Narrower points get zero rows.
+    """
+    n_pts, dim = len(posts), posts[0].dim
+    n_post = max(post.basis.shape[1] for post in posts)
+    n_mix = max(len(pre.eigenmixture) for pre in pres)
+    frame = 0 if obs is None else dim
+    # Bras [f_m | a_i] and kets [sqrt(w_k) psi_k | a_i], basis index first.
+    bras = np.zeros((dim, n_pts, n_post + frame), dtype=complex)
+    kets = np.zeros((dim, n_pts, n_mix + frame), dtype=complex)
+    for p, (post, pre) in enumerate(zip(posts, pres)):
+        bras[:, p, : post.basis.shape[1]] = post.basis
+        for k, (w, vec) in enumerate(pre.eigenmixture):
+            kets[:, p, k] = math.sqrt(w) * vec
+    if frame:
+        bras[:, :, n_post:] = kets[:, :, n_mix:] = obs.eigenvectors[:, None, :]
+    inner = _ordered_sum(bras.conj()[:, :, :, None] * kets[:, :, None, :])
+    b0 = inner[None, :, :n_post, :n_mix].reshape(1, n_pts, -1)
+    if obs is None:
+        return None, b0
+    fa, ap = inner[:, :n_post, n_mix:], inner[:, n_post:, :n_mix]  # <f_m|a_i>, <a_i|psi_k>
+    c = (fa[:, :, None, :] * ap.transpose(0, 2, 1)[:, None]).reshape(n_pts, -1, dim)
+    powers = np.power.outer(obs.eigenvalues, np.arange(1.0, n_max + 1))
+    bn = _ordered_sum(c.transpose(2, 0, 1)[:, None] * powers[:, :, None, None])
+    return c, np.concatenate([b0, bn])
+
+
+def _selection_overlaps(b: np.ndarray) -> np.ndarray:
+    """tr(P rho) per point of a kernel stack, capped at 1: the one float
+    every regime check compares with the orthogonality threshold."""
+    b0 = b[0]
+    return np.minimum(_ordered_sum((b0.real**2 + b0.imag**2).T), 1.0)
+
+
+def _selection_traces(b: np.ndarray) -> np.ndarray:
+    """t[m, l, p] = tr(P A^m rho A^l) from a kernel stack's amplitudes."""
+    rows = b.transpose(2, 0, 1)
+    return _ordered_sum(rows[:, :, None] * rows.conj()[:, None])
+
+
 def overlap(post: PostSelection, pre: SystemState) -> float:
     """Post-selection success probability at zero coupling, tr(P rho),
-    clipped into [0, 1]."""
+    clipped into [0, 1]: the selection kernel's batch of one."""
     if post.dim != pre.dim:
         raise DimensionMismatch(
             f"projector dimension {post.dim} != state dimension {pre.dim}"
         )
-    val = float(np.real(np.trace(post.matrix @ pre.matrix)))
-    return min(max(val, 0.0), 1.0)
-
-
-def commutes(obs: Observable, x, tol: float) -> bool:
-    """True when max |[A, X]| entry stays within tol."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    xm = _as_square(x, "operator")
-    if xm.shape[0] != obs.dim:
-        raise DimensionMismatch(
-            f"operator dimension {xm.shape[0]} != observable dimension {obs.dim}"
-        )
-    comm = obs.matrix @ xm - xm @ obs.matrix
-    return bool(np.max(np.abs(comm)) <= tol)
+    return float(_selection_overlaps(_selection_kernel([post], [pre])[1])[0])
 
 
 # --- wire format -----------------------------------------------------------

@@ -279,6 +279,24 @@ def _target_frame() -> tuple[Observable, np.ndarray]:
     return obs, psi / np.linalg.norm(psi)
 
 
+def _target_scenario(obs, psi, phi, g, delta_q, target, weak) -> Scenario:
+    """The target-frame scenario post-selecting ``phi``, checked to realize
+    ``target`` through the weak value function ``weak``."""
+    sc = Scenario(
+        observable=obs,
+        pre=pure_state(psi),
+        post=projector_onto(phi),
+        g=float(g),
+        pointer=gaussian(delta_q),
+    )
+    achieved = weak(sc.observable, sc.pre, sc.post).value
+    if abs(achieved - target) > _TARGET_TOL * max(1.0, abs(target)):
+        raise ConstructionFailure(
+            f"constructed weak value {achieved} misses target {target}"
+        )
+    return sc
+
+
 def scenario_with_weak_value(
     target: complex, g: float, delta_q: float = 1.0
 ) -> Scenario:
@@ -300,20 +318,7 @@ def scenario_with_weak_value(
         raise ConstructionFailure(
             f"no post-selection with usable overlap realizes weak value {target}"
         )
-    phi = phi / norm
-    sc = Scenario(
-        observable=obs,
-        pre=pure_state(psi),
-        post=projector_onto(phi),
-        g=float(g),
-        pointer=gaussian(delta_q),
-    )
-    achieved = weak_value(sc.observable, sc.pre, sc.post).value
-    if abs(achieved - target) > _TARGET_TOL * max(1.0, abs(target)):
-        raise ConstructionFailure(
-            f"constructed weak value {achieved} misses target {target}"
-        )
-    return sc
+    return _target_scenario(obs, psi, phi / norm, g, delta_q, target, weak_value)
 
 
 def scenario_with_orthogonal_weak_value(
@@ -343,16 +348,4 @@ def scenario_with_orthogonal_weak_value(
             f"leading response <phi|A|psi> vanishes for target {target}; no "
             "first-order orthogonal scenario exists in this frame"
         )
-    sc = Scenario(
-        observable=obs,
-        pre=pure_state(psi),
-        post=projector_onto(phi),
-        g=float(g),
-        pointer=gaussian(delta_q),
-    )
-    achieved = orthogonal_weak_value(sc.observable, sc.pre, sc.post).value
-    if abs(achieved - target) > _TARGET_TOL * max(1.0, abs(target)):
-        raise ConstructionFailure(
-            f"constructed orthogonal weak value {achieved} misses target {target}"
-        )
-    return sc
+    return _target_scenario(obs, psi, phi, g, delta_q, target, orthogonal_weak_value)

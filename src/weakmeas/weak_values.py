@@ -2,10 +2,12 @@
 
 Covers the standard weak value tr(P A rho)/tr(P rho), its two-sided
 generalization tr(P A^m rho A^l)/tr(P rho), and the orthogonal-selection
-variant in which the leading response is carried by tr(P A rho A). The two
-margin diagnostics quantify how far a scenario sits from the linear-response
-and weak-interaction regimes; predictions should only be trusted while they
-stay well below one.
+variant in which the leading response is carried by tr(P A rho A). All
+three, and `selection_trace`, read their traces from the one selection
+kernel (`qops._selection_kernel`), through one order check and one
+threshold check. The two margin diagnostics quantify how far a scenario
+sits from the linear-response and weak-interaction regimes; predictions
+should only be trusted while they stay well below one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .errors import (
     OrthogonalPPS,
 )
 from .pointer import PointerState, moment, p_power, variance_p
-from .qops import Observable, PostSelection, SystemState, overlap
+from .qops import Observable, PostSelection, SystemState
+from .qops import _selection_kernel, _selection_overlaps, _selection_traces
 
 __all__ = [
     "ORTH_THRESHOLD",
@@ -64,12 +67,77 @@ def _check_dims(obs: Observable, pre: SystemState, post: PostSelection) -> None:
         )
 
 
+def _moment_amplitudes(
+    obs: Observable, pre: SystemState, post: PostSelection, n_max: int
+) -> np.ndarray:
+    """The selection kernel's moment amplitudes b_0..b_n_max for one point."""
+    _check_dims(obs, pre, post)
+    return _selection_kernel([post], [pre], obs, n_max)[1]
+
+
+def _selection_table(
+    obs: Observable, pre: SystemState, post: PostSelection, n_max: int
+) -> tuple[float, np.ndarray]:
+    """(tr(P rho), t) for one point, t[m, l] = tr(P A^m rho A^l) for
+    m, l <= n_max."""
+    b = _moment_amplitudes(obs, pre, post, n_max)
+    return float(_selection_overlaps(b)[0]), _selection_traces(b)[:, :, 0]
+
+
+def _require_regime(ov: float, orth_threshold: float, orthogonal: bool) -> None:
+    """The one threshold check on the selection overlap tr(P rho)."""
+    if orthogonal and ov > orth_threshold:
+        raise NotOrthogonal(
+            f"selection overlap {ov:.3e} exceeds {orth_threshold:.1e}; the "
+            "selections are not orthogonal (use the standard weak values and "
+            "the non-orthogonal predictors)"
+        )
+    if not orthogonal and ov <= orth_threshold:
+        raise OrthogonalPPS(
+            f"selection overlap {ov:.3e} is below {orth_threshold:.1e}; the "
+            "selections are orthogonal (use the orthogonal weak value and "
+            "predictor)"
+        )
+
+
+def _weak_report(
+    obs: Observable,
+    pre: SystemState,
+    post: PostSelection,
+    m: int,
+    l: int,
+    orth_threshold: float,
+    kind: str,
+) -> WeakValueReport:
+    """The three weak values: one order check, one kernel read, one
+    threshold check. The orthogonal kind shifts both orders by one and
+    conditions on tr(P A rho A) instead of tr(P rho)."""
+    if m < 0 or l < 0:
+        raise ValueError("orders must be nonnegative")
+    if m > MAX_WEAK_ORDER or l > MAX_WEAK_ORDER:
+        raise OrderTooLarge(f"orders up to {MAX_WEAK_ORDER} supported, got ({m}, {l})")
+    side = int(kind == "orthogonal")
+    ov, t = _selection_table(obs, pre, post, max(m, l) + side)
+    _require_regime(ov, orth_threshold, orthogonal=bool(side))
+    denom = float(t[1, 1].real) if side else ov
+    if side and abs(denom) <= G2_THRESHOLD:
+        raise HigherOrderOrthogonality(
+            "tr(P A rho A) vanishes as well; the pointer response starts at "
+            "higher order and no orthogonal weak value exists"
+        )
+    value = complex(t[m + side, l + side]) / (((m + 1) * (l + 1)) ** side * denom)
+    orders = None if kind == "standard" else (m, l)
+    return WeakValueReport(value=value, kind=kind, orders=orders, denominator=complex(denom))
+
+
 def selection_trace(
     obs: Observable, pre: SystemState, post: PostSelection, m: int, l: int
 ) -> complex:
-    """tr(P A^m rho A^l) through the spectral decomposition (no order cap)."""
-    _check_dims(obs, pre, post)
-    return complex(np.trace(post.matrix @ obs.power(m) @ pre.matrix @ obs.power(l)))
+    """tr(P A^m rho A^l) from the selection kernel (no order cap)."""
+    if m < 0 or l < 0:
+        raise ValueError("orders must be nonnegative")
+    b = _moment_amplitudes(obs, pre, post, max(m, l))
+    return complex(_selection_traces(b[[m, l]])[0, 1, 0])
 
 
 def weak_value(
@@ -84,16 +152,7 @@ def weak_value(
     Raises OrthogonalPPS when the selections are orthogonal within
     ``orth_threshold``; use `orthogonal_weak_value` there instead.
     """
-    denom = overlap(post, pre)
-    if denom <= orth_threshold:
-        raise OrthogonalPPS(
-            f"selection overlap {denom:.3e} is below {orth_threshold:.1e}; "
-            "the standard weak value is undefined"
-        )
-    num = selection_trace(obs, pre, post, 1, 0)
-    return WeakValueReport(
-        value=num / denom, kind="standard", orders=None, denominator=complex(denom)
-    )
+    return _weak_report(obs, pre, post, 1, 0, orth_threshold, "standard")
 
 
 def generalized_weak_value(
@@ -106,19 +165,7 @@ def generalized_weak_value(
     orth_threshold: float = ORTH_THRESHOLD,
 ) -> WeakValueReport:
     """Two-sided weak value tr(P A^m rho A^l)/tr(P rho)."""
-    if m < 0 or l < 0:
-        raise ValueError("orders must be nonnegative")
-    if m > MAX_WEAK_ORDER or l > MAX_WEAK_ORDER:
-        raise OrderTooLarge(f"orders up to {MAX_WEAK_ORDER} supported, got ({m}, {l})")
-    denom = overlap(post, pre)
-    if denom <= orth_threshold:
-        raise OrthogonalPPS(
-            f"selection overlap {denom:.3e} is below {orth_threshold:.1e}"
-        )
-    num = selection_trace(obs, pre, post, m, l)
-    return WeakValueReport(
-        value=num / denom, kind="generalized", orders=(m, l), denominator=complex(denom)
-    )
+    return _weak_report(obs, pre, post, m, l, orth_threshold, "generalized")
 
 
 def orthogonal_weak_value(
@@ -135,29 +182,7 @@ def orthogonal_weak_value(
     Defined as tr(P A^(m+1) rho A^(l+1)) / ((m+1)(l+1) tr(P A rho A));
     requires orthogonal selections and a nonvanishing tr(P A rho A).
     """
-    if m < 0 or l < 0:
-        raise ValueError("orders must be nonnegative")
-    if m > MAX_WEAK_ORDER or l > MAX_WEAK_ORDER:
-        raise OrderTooLarge(f"orders up to {MAX_WEAK_ORDER} supported, got ({m}, {l})")
-    ov = overlap(post, pre)
-    if ov > orth_threshold:
-        raise NotOrthogonal(
-            f"selection overlap {ov:.3e} exceeds {orth_threshold:.1e}; "
-            "use the standard weak value"
-        )
-    denom = float(np.real(selection_trace(obs, pre, post, 1, 1)))
-    if abs(denom) <= G2_THRESHOLD:
-        raise HigherOrderOrthogonality(
-            "tr(P A rho A) vanishes as well; the pointer response starts at "
-            "higher order and no orthogonal weak value exists"
-        )
-    num = selection_trace(obs, pre, post, m + 1, l + 1)
-    return WeakValueReport(
-        value=num / ((m + 1) * (l + 1) * denom),
-        kind="orthogonal",
-        orders=(m, l),
-        denominator=complex(denom),
-    )
+    return _weak_report(obs, pre, post, m, l, orth_threshold, "orthogonal")
 
 
 def aav_margin(
@@ -180,17 +205,11 @@ def aav_margin(
     _check_dims(obs, pre, post)
     if not pre.is_pure or not post.is_rank_one:
         raise ValueError("the linear-response margin is defined for rank-1 pure selections")
-    fi = complex(np.vdot(post.vector, pre.vector))
-    if abs(fi) == 0.0:
+    amps = np.abs(_moment_amplitudes(obs, pre, post, n_max)[:, 0, 0]).tolist()
+    if amps[0] == 0.0:
         return math.inf
     gdp = abs(g) * math.sqrt(variance_p(pointer))
-    best = 0.0
-    vec = pre.vector
-    for n in range(1, n_max + 1):
-        vec = obs.matrix @ vec
-        amp = abs(complex(np.vdot(post.vector, vec)))
-        best = max(best, gdp * amp ** (1.0 / n) / abs(fi))
-    return best
+    return max(gdp * amps[n] ** (1.0 / n) / amps[0] for n in range(1, n_max + 1))
 
 
 def weak_interaction_margin(

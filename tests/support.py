@@ -75,6 +75,36 @@ def random_scenario(gen, dim=None, *, g_dp_max=0.05, mixed=None, min_overlap=1e-
     return make_scenario(obs, pre, post, g, gaussian(delta_q))
 
 
+# --- standard-basis references -------------------------------------------------
+
+
+def standard_trace(obs, pre, post, m: int, l: int) -> complex:
+    """tr(P A^m rho A^l) by matrix products in the standard basis: the
+    reference the selection kernel is tested against."""
+    a = obs.matrix
+    return complex(
+        np.trace(
+            post.matrix
+            @ np.linalg.matrix_power(a, m)
+            @ pre.matrix
+            @ np.linalg.matrix_power(a, l)
+        )
+    )
+
+
+def standard_amplitudes(obs, pre, post, n: int) -> np.ndarray:
+    """sqrt(w_k) <f_m|A^n|psi_k> by matrix products in the standard basis,
+    rows (m, k) in the selection kernel's order."""
+    an = np.linalg.matrix_power(obs.matrix, n)
+    return np.array(
+        [
+            np.sqrt(w) * np.vdot(f, an @ psi)
+            for f in post.basis.T
+            for w, psi in pre.eigenmixture
+        ]
+    )
+
+
 # --- pinned arrangements -----------------------------------------------------
 
 

@@ -255,6 +255,27 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["figure2", "--wv", "nan,0", "--g", "0.1"], "--wv"),
+        (["figure2", "--wv", "inf,0", "--g", "0.1"], "--wv"),
+        (["figure2", "--wv", "0.2,-inf", "--g", "0.1"], "--wv"),
+        (["figure2", "--wv", "0.2,0.1", "--g", "nan"], "--g"),
+        (["figure2", "--wv", "0.2,0.1", "--g", "0.1", "--delta_q", "inf"], "--delta_q"),
+        (["sterngerlach", "--lambdas", "nan"], "--lambdas"),
+        (["sterngerlach", "--lambdas", "0.1,inf"], "--lambdas"),
+    ],
+)
+def test_non_finite_numbers_are_refused_at_parse_time(capsys, argv, flag):
+    # A NaN or infinite flag value never reaches the engines: argparse
+    # refuses it with exit code 1 and names the flag.
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}: expected a finite number" in err
+
+
 # --- sterngerlach -------------------------------------------------------------------
 
 

@@ -25,7 +25,7 @@ PUBLIC = {
     "NotUnimodal", "ParseError", "ConstructionFailure",
     # operators and states
     "Observable", "SystemState", "PostSelection", "new_observable", "pure_state",
-    "density_state", "projector", "projector_onto", "overlap", "commutes",
+    "density_state", "projector", "projector_onto", "overlap",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     # pointer
     "QGrid", "GaussianPointer", "GridPointer", "PointerState", "Density",

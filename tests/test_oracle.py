@@ -45,6 +45,8 @@ from weakmeas.oracle import (
     _selection_amplitudes,
 )
 from weakmeas.pointer import PQ2P, moment, p_power
+from weakmeas.qops import _selection_kernel, _selection_traces
+from weakmeas.scenario import MAX_SERIES_ORDER
 
 from support import (
     commuting_orthogonal,
@@ -56,6 +58,8 @@ from support import (
     random_scenario,
     rng,
     skewed_pointer,
+    standard_amplitudes,
+    standard_trace,
 )
 
 
@@ -344,8 +348,8 @@ def _unitary(gen, dim):
     return np.linalg.qr(raw)[0]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(
+# Hypothesis draws for `_drawn_scenario`, shared by the property tests.
+SCENARIO_DRAWS = dict(
     seed=st.integers(0, 2**32 - 1),
     dim=st.integers(2, 5),
     spectrum=st.sampled_from(["generic", "degenerate", "projector"]),
@@ -354,9 +358,12 @@ def _unitary(gen, dim):
     g=st.floats(0.01, 0.3),
     delta_q=st.floats(0.5, 2.0),
 )
-def test_gaussian_closed_form_matches_grid_oracle(
-    seed, dim, spectrum, mixed, selection, g, delta_q
-):
+
+
+def _drawn_scenario(seed, dim, spectrum, mixed, selection, g, delta_q):
+    """A scenario across the valid regime: generic, degenerate or projector
+    spectra; pure or mixed pre-selections; post-selections of any rank
+    below dim, generic, near-orthogonal or orthogonal to the pre-selection."""
     gen = rng(seed)
     u = _unitary(gen, dim)
     if spectrum == "generic":
@@ -384,8 +391,15 @@ def test_gaussian_closed_form_matches_grid_oracle(
     elif selection == "near-orthogonal":
         post_vecs[:, 0] += gen.uniform(0.01, 0.1) * frame[:, 0]
     post = projector_onto(*post_vecs.T)
-    sc = make_scenario(obs, pre, post, g, gaussian(delta_q))
+    return make_scenario(obs, pre, post, g, gaussian(delta_q))
 
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(**SCENARIO_DRAWS)
+def test_gaussian_closed_form_matches_grid_oracle(
+    seed, dim, spectrum, mixed, selection, g, delta_q
+):
+    sc = _drawn_scenario(seed, dim, spectrum, mixed, selection, g, delta_q)
     try:
         rec = evolve_postselect(sc)
     except ZeroPostSelectionProbability:
@@ -439,6 +453,27 @@ def test_selection_amplitudes_rebuild_the_selection_matrix(pre_kind, rank, spect
     assert np.max(np.abs(c.T @ c.conj() - t)) <= 1e-14
     overlap = float(np.real(np.trace(post.matrix @ pre.matrix)))
     assert float(np.sum(np.abs(np.sum(c, axis=1)) ** 2)) == pytest.approx(overlap, abs=1e-14)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**SCENARIO_DRAWS)
+def test_selection_kernel_matches_the_standard_basis(
+    seed, dim, spectrum, mixed, selection, g, delta_q
+):
+    # Every selection trace and weak value is read from the kernel's moment
+    # amplitudes, so pin them, and every trace the series can ask for,
+    # against matrix products in the standard basis.
+    sc = _drawn_scenario(seed, dim, spectrum, mixed, selection, g, delta_q)
+    obs, pre, post = sc.observable, sc.pre, sc.post
+    n_max = MAX_SERIES_ORDER + 1
+    _, b = _selection_kernel([post], [pre], obs, n_max)
+    t = _selection_traces(b)[:, :, 0]
+    for n in range(n_max + 1):
+        ref = standard_amplitudes(obs, pre, post, n)
+        assert np.max(np.abs(b[n, 0] - ref)) <= 1e-13, n
+    for m in range(n_max + 1):
+        for l in range(n_max + 1):
+            assert abs(t[m, l] - standard_trace(obs, pre, post, m, l)) <= 1e-13, (m, l)
 
 
 def test_gaussian_closed_form_refuses_zero_probability():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from weakmeas import (
-    commutes,
     density_state,
     new_observable,
     overlap,
@@ -19,12 +18,21 @@ from weakmeas.qops import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _selection_kernel,
+    _selection_overlaps,
     matrix_from_wire,
     matrix_to_wire,
     vector_from_wire,
 )
 
-from support import random_density, random_hermitian, random_projector, random_pure, rng
+from support import (
+    random_density,
+    random_hermitian,
+    random_observable,
+    random_projector,
+    random_pure,
+    rng,
+)
 
 
 # --- observables -------------------------------------------------------------
@@ -174,7 +182,7 @@ def test_projector_matrix_is_exactly_hermitian():
         assert np.array_equal(p.matrix, p.matrix.conj().T)
 
 
-# --- overlap and commutation -------------------------------------------------
+# --- overlap -------------------------------------------------
 
 
 def test_overlap_values_and_clipping():
@@ -187,14 +195,20 @@ def test_overlap_values_and_clipping():
         overlap(projector_onto([1.0, 0.0, 0.0]), pre)
 
 
-def test_commutes():
-    obs = new_observable(SIGMA_Z)
-    assert commutes(obs, np.diag([0.3, 0.7]), 1e-12)
-    assert not commutes(obs, SIGMA_X, 1e-12)
-    with pytest.raises(ValueError):
-        commutes(obs, SIGMA_X, 0.0)
-    with pytest.raises(DimensionMismatch):
-        commutes(obs, np.eye(3), 1e-12)
+def test_stacked_overlaps_equal_overlap_bit_for_bit():
+    # Every regime check compares tr(P rho) with the threshold; a point must
+    # read the same float alone (with no observable) as in a zero-padded
+    # stack of mixed ranks and mixtures.
+    gen = rng(29)
+    for _ in range(30):
+        dim = int(gen.integers(2, 9))
+        posts, pres = [], []
+        for _ in range(int(gen.integers(1, 6))):
+            pres.append(random_density(gen, dim) if gen.integers(2) else random_pure(gen, dim))
+            posts.append(random_projector(gen, dim, int(gen.integers(1, dim))))
+        _, b = _selection_kernel(posts, pres, random_observable(gen, dim), 2)
+        expected = [overlap(post, pre) for post, pre in zip(posts, pres)]
+        assert _selection_overlaps(b).tolist() == expected
 
 
 # --- wire format -------------------------------------------------------------

@@ -35,13 +35,12 @@ from support import (
     random_selections,
     rng,
     skewed_pointer,
+    standard_trace,
 )
 
 
 def _direct_ratio(obs, pre, post, m, l):
-    num = np.trace(post.matrix @ obs.power(m) @ pre.matrix @ obs.power(l))
-    den = np.trace(post.matrix @ pre.matrix)
-    return complex(num) / complex(den).real
+    return standard_trace(obs, pre, post, m, l) / standard_trace(obs, pre, post, 0, 0).real
 
 
 # --- standard weak value -------------------------------------------------------
