@@ -7,19 +7,20 @@ evolution or the closed-form predictor as the engine -- and locates the
 parameter maximizing it by golden-section search. The exact engine is
 closed-form for Gaussian pointers (pairwise branch overlaps, no grid) and
 runs the grid oracle `evolve_postselect` for grid pointers, so ``grid_n``
-affects grid-pointer families only. The predicted engine is the resummed
-second-order formula of `predictor.predict_general`, which supplies the
-predicted success probability along with the shifts; orthogonal selections
-go to `predictor.predict` point by point. The canonical family is the
+affects grid-pointer families only. The predicted engine is `predict`'s
+stacked kernel: the resummed second-order formula of
+`predictor.predict_general` above the orthogonality threshold and the
+orthogonal formula of `predictor.predict_orthogonal` at or below it, each
+with its predicted success probability. The canonical family is the
 Stern-Gerlach arrangement `sg_family`, whose measured-value curve has the
 known analytic optimum `sg_optimum`.
 
 Points whose scenarios share the observable object, the pointer object and
 g are evaluated in one array pass: one stack of the selection kernel
 (`qops._selection_kernel`) feeds the engine's kernel
-(`oracle._gaussian_exact_stacked`, `predictor._predict_general_stacked`),
-and the per-group constants -- pointer moments, weak-interaction margin,
-spectral frame -- are computed once. A family author should therefore build
+(`oracle._gaussian_exact_stacked`, `predictor._predict_stacked`), and the
+per-group constants -- pointer moments, weak-interaction margin, spectral
+frame -- are computed once. A family author should therefore build
 the observable and the pointer once, outside the closure, as `sg_family`
 does; a family that builds them per point still works, one point per
 kernel call. The golden-section search evaluates one point at a time
@@ -42,13 +43,9 @@ import numpy as np
 
 from .errors import (
     EmptyGrid,
-    HigherOrderOrthogonality,
     InvalidBracket,
     LambdaOutOfRange,
-    NonPositiveDenominator,
     NotUnimodal,
-    PointerNotEven,
-    UnsupportedMixedOrthogonal,
     ValidityWarning,
     ZeroPostSelectionProbability,
 )
@@ -59,10 +56,10 @@ from .oracle import (
     evolve_postselect,
 )
 from .pointer import GaussianPointer, gaussian, validate_grid_n
-from .predictor import _general_moments, _predict_general_stacked, predict
+from .predictor import _PointerMoments, _predict_stacked
 from .qops import SIGMA_Z, new_observable, projector_onto, pure_state
 from .scenario import Scenario, make_scenario
-from .weak_values import ORTH_THRESHOLD, weak_interaction_margin
+from .weak_values import weak_interaction_margin
 
 __all__ = [
     "OBJECTIVES",
@@ -117,25 +114,13 @@ def _check_choices(objective: str, engine: str, grid_n: int | None) -> None:
         validate_grid_n(grid_n)
 
 
-_UNDEFINED = (
-    ZeroPostSelectionProbability,
-    NonPositiveDenominator,
-    HigherOrderOrthogonality,
-    UnsupportedMixedOrthogonal,
-    PointerNotEven,
-)
-
-
-def _per_point(sc: Scenario, engine: str, grid_n: int | None) -> tuple[float, float, float]:
-    """(success_prob, delta_q, delta_p) of one scenario through the per-point
-    engine (the grid oracle, or `predict` for orthogonal selections), NaN
-    shifts and zero probability where the objective is undefined."""
+def _per_point(sc: Scenario, grid_n: int | None) -> tuple[float, float, float]:
+    """(success_prob, delta_q, delta_p) of one grid-pointer scenario through
+    the grid oracle, NaN shifts and zero probability where post-selection
+    never succeeds."""
     try:
-        if engine == "predicted":
-            rec = predict(sc)
-        else:
-            rec = evolve_postselect(sc, grid_n=grid_n)
-    except _UNDEFINED:
+        rec = evolve_postselect(sc, grid_n=grid_n)
+    except ZeroPostSelectionProbability:
         return 0.0, math.nan, math.nan
     return rec.success_prob, rec.delta_q, rec.delta_p
 
@@ -167,7 +152,7 @@ class _Evaluator:
             # later ones while the key is cached.
             self._key, self._held = key, (sc.observable, sc.pointer)
             if self.engine == "predicted":
-                kernel = _general_moments(sc.pointer)
+                kernel = _PointerMoments(sc.pointer)
             elif isinstance(sc.pointer, GaussianPointer):
                 kernel = _gaussian_frame(sc.observable, sc.g, sc.pointer)
             else:
@@ -182,7 +167,7 @@ class _Evaluator:
         if kernel is None:
             success, delta_q, delta_p = (
                 np.array(col)
-                for col in zip(*(_per_point(sc, self.engine, self.grid_n) for sc in scenarios))
+                for col in zip(*(_per_point(sc, self.grid_n) for sc in scenarios))
             )
         else:
             # One selection stack feeds either engine's kernel.
@@ -191,12 +176,9 @@ class _Evaluator:
                 n_total, delta_q, delta_p = _gaussian_exact_stacked(c, b, kernel)
                 success = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
             else:
-                ov, _, success, delta_q, delta_p = _predict_general_stacked(kernel, g, b)
-                success = np.where(np.isnan(success), 0.0, success)
-                # Orthogonal points go to `predict`, which routes on the same ov.
-                for i in np.flatnonzero(ov <= ORTH_THRESHOLD):
-                    point = _per_point(scenarios[i], "predicted", None)
-                    success[i], delta_q[i], delta_p[i] = point
+                fields = _predict_stacked(kernel, g, b)
+                success = np.where(np.isnan(fields.success), 0.0, fields.success)
+                delta_q, delta_p = fields.delta_q, fields.delta_p
         if self.objective == "delta_p":
             outcomes = delta_p
         elif self.objective == "delta_q":
@@ -243,8 +225,8 @@ def sweep(
     one through the same kernel. The exact engine is closed-form for
     Gaussian pointers and runs the grid oracle point by point for grid
     pointers; ``grid_n`` sizes that grid and has no effect on
-    Gaussian-pointer families. The predicted engine evaluates orthogonal
-    selections point by point with `predict`.
+    Gaussian-pointer families. The predicted engine routes each point like
+    `predict`, orthogonal selections included, in the same array pass.
     """
     _check_choices(objective, engine, grid_n)
     values = [float(p) for p in params]

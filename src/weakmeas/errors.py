@@ -21,7 +21,6 @@ __all__ = [
     "OrderTooLarge",
     "NonPositiveDenominator",
     "PointerNotEven",
-    "UnsupportedMixedOrthogonal",
     "DegenerateDenominator",
     "LambdaOutOfRange",
     "ZeroPostSelectionProbability",
@@ -115,13 +114,6 @@ class PointerNotEven(WeakMeasurementError):
     """Orthogonal-regime formulas assume an even pointer wavefunction."""
 
     code = "pointer-not-even"
-
-
-class UnsupportedMixedOrthogonal(WeakMeasurementError):
-    """Orthogonal-regime predictions are restricted to rank-1 pure
-    selections."""
-
-    code = "unsupported-mixed-orthogonal"
 
 
 class DegenerateDenominator(WeakMeasurementError):

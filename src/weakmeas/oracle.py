@@ -43,6 +43,7 @@ from .errors import (
     ZeroPostSelectionProbability,
 )
 from .pointer import (
+    MAX_GRID_N,
     Density,
     GaussianPointer,
     QGrid,
@@ -117,20 +118,26 @@ def _evolution_frame(
     Gaussian pointers get a symmetric grid wide enough for the pointer and
     every eigenvalue translation. Grid pointers are zero-padded so the
     spectral translations cannot wrap; ``grid_n`` acts as a lower bound on
-    the padded size and never shrinks user data.
+    the padded size and never shrinks user data. Before anything of size n
+    is allocated, `_require_frame` checks the grid can be built.
     """
     validate_grid_n(grid_n)
     pointer = sc.pointer
     if isinstance(pointer, GaussianPointer):
         grid = default_grid(pointer.delta_q, sc.g, grid_n)
+        _require_frame(sc.g, grid.dq, grid.n)
         return grid, [(1.0, gaussian_profile(grid.coords(), pointer.delta_q))]
     base = pointer.grid
     amax = float(np.max(np.abs(sc.observable.eigenvalues)))
     sigma = math.sqrt(max(variance_q(pointer), 0.0))
-    pad = abs(sc.g) * amax + 8.0 * sigma
-    n_new = _next_pow2(base.n + 2 * math.ceil(pad / base.dq))
+    pad_cells = (abs(sc.g) * amax + 8.0 * sigma) / base.dq
+    # A padding beyond the cap stays a float (it may be inf) for the guard.
+    n_new = base.n + 2.0 * pad_cells
+    if n_new <= MAX_GRID_N:
+        n_new = _next_pow2(base.n + 2 * math.ceil(pad_cells))
     if grid_n is not None:
         n_new = max(n_new, grid_n)
+    _require_frame(sc.g, base.dq, n_new)
     offset = (n_new - base.n) // 2
     grid = QGrid(q_min=base.q_min - offset * base.dq, dq=base.dq, n=n_new)
     branches = []
@@ -139,6 +146,17 @@ def _evolution_frame(
         embedded[offset : offset + base.n] = phi
         branches.append((w, embedded))
     return grid, branches
+
+
+def _require_frame(g: float, dq: float, n: float) -> None:
+    """The one frame guard: a working grid of at most MAX_GRID_N points
+    whose dq * dq is finite (the momentum density's scale)."""
+    if not (n <= MAX_GRID_N and math.isfinite(dq * dq)):
+        raise GridTooSmall(
+            f"g = {g:.3e} needs a working grid of n = {n:.6g} points spanning "
+            f"{n * dq:.3e} (dq = {dq:.3e}); the grid holds at most {MAX_GRID_N} "
+            "points with a finite dq^2"
+        )
 
 
 def _scenario_selections(scenarios: list[Scenario], n_max: int) -> tuple[np.ndarray, np.ndarray]:

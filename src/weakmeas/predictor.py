@@ -6,24 +6,30 @@ post-selection the pointer's position and momentum means shift; this module
 evaluates those shifts in closed form:
 
 - `predict`: the single route from a scenario to a prediction. It routes on
-  the selection overlap tr(P rho): `predict_general` above the orthogonality
-  threshold, `predict_orthogonal` at or below it; a regime can also be
-  forced.
+  the selection overlap tr(P rho): the general formulas above the
+  orthogonality threshold, the orthogonal ones at or below it; a regime can
+  also be forced.
 - `predict_aav`: first order in g (linear response).
 - `predict_general`: second order with the resummed denominator, valid for
   mixed states and any small-but-finite coupling short of orthogonality.
-- `predict_orthogonal`: exactly orthogonal selections, where the response
-  is governed by the orthogonal weak value and the pointer arrives in a
-  distorted (for Gaussians, double-peaked) profile;
+- `predict_orthogonal`: exactly orthogonal selections -- pure or mixed
+  pre-selections, post-selections of any rank, even pointers -- where the
+  response is governed by the orthogonal weak value and the pointer arrives
+  in a distorted (for Gaussians, double-peaked) profile;
   `predict_orthogonal_gaussian` is the same prediction for a Gaussian of a
   given width.
 - `stern_gerlach_outcome` / `sg_optimum`: the closed-form measured-value
   amplification curve for a spin-1/2 Stern-Gerlach arrangement and its
   analytic optimum.
 
-Every selection trace comes from the one selection kernel
-(`qops._selection_kernel`): `predict_aav` and `predict_general` are batches
-of one of `_predict_general_stacked`, which the amplifier runs over stacks.
+Every closed-form prediction is one stacked kernel, `_predict_stacked`,
+over the moment amplitudes of the selection kernel (`qops._selection_kernel`):
+it routes each point and computes both regimes' fields, NaN where a point is
+undefined. The amplifier runs it over stacks; `predict` and the four forced
+predictors are its batch of one, `_predict_point`, which reads the selection
+kernel once per call and raises every typed error. The forced predictors
+use the default threshold ORTH_THRESHOLD; another threshold is set through
+`predict` (or a scenario file's ``orth_threshold`` option).
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +47,8 @@ from .errors import (
     DegenerateDenominator,
     LambdaOutOfRange,
     NonPositiveDenominator,
+    NotApplicable,
     PointerNotEven,
-    UnsupportedMixedOrthogonal,
     ValidityWarning,
 )
 from .pointer import (
@@ -55,15 +63,16 @@ from .pointer import (
     p_power,
     q_power,
 )
-from .qops import Observable, PostSelection, SystemState, overlap
+from .qops import Observable, PostSelection, SystemState
 from .qops import _selection_overlaps, _selection_traces
 from .scenario import Scenario
 from .weak_values import (
+    G2_THRESHOLD,
     ORTH_THRESHOLD,
+    _aav_margin,
     _moment_amplitudes,
+    _require_leading,
     _require_regime,
-    aav_margin,
-    orthogonal_weak_value,
     weak_interaction_margin,
 )
 
@@ -82,6 +91,8 @@ __all__ = [
 # Weak-interaction margins above which predictions are flagged / distrusted.
 MARGIN_WARN = 0.1
 MARGIN_STRONG = 0.3
+# Odd momentum moments below this count as zero (an even pointer).
+EVEN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,77 +142,85 @@ def _warn_margin(margin: float) -> None:
     warnings.warn(message, ValidityWarning, stacklevel=level)
 
 
-def _maybe_aav_margin(
-    obs: Observable,
-    pre: SystemState,
-    post: PostSelection,
-    g: float,
-    pointer: PointerState,
-) -> float | None:
-    if pre.is_pure and post.is_rank_one:
-        return aav_margin(obs, pre, post, g, pointer)
-    return None
+class _PointerMoments:
+    """The pointer moments of the prediction kernel, read once per pointer.
 
-
-def predict_aav(
-    obs: Observable,
-    pre: SystemState,
-    post: PostSelection,
-    g: float,
-    pointer: PointerState,
-    *,
-    orth_threshold: float = ORTH_THRESHOLD,
-) -> ShiftPrediction:
-    """First-order (linear-response) pointer shifts.
-
-    delta_q = g Re A_w + g Im A_w <{q, p}>,  delta_p = 2 g Im A_w var p,
-    with A_w the (generalized) weak value. Accurate only while the
-    linear-response margin is small; `predict_general` extends this to
-    second order.
+    ``general`` holds (<q>, <p>, <p^2>, <p^3>, <p q p>, <{q,p}>), the
+    moments of the second-order shifts. ``odd`` is (n, <p^n>) for the first
+    of n = 1, 3 whose moment exceeds EVEN_TOL, or None for the even pointer
+    the orthogonal formulas assume. ``orthogonal`` (<p^4>, <p{q,p}p>,
+    <p q^2 p>) is read on first use, so a stack without orthogonal points
+    never computes it.
     """
-    _, _, delta_q, delta_p = _predict_one(obs, pre, post, g, pointer, orth_threshold, True)
-    margin = weak_interaction_margin(g, pointer)
-    _warn_margin(margin)
-    return ShiftPrediction(
-        regime="aav",
-        delta_q=delta_q,
-        delta_p=delta_p,
-        margin_weak=margin,
-        margin_aav=_maybe_aav_margin(obs, pre, post, g, pointer),
-    )
+
+    def __init__(self, pointer: PointerState) -> None:
+        self.pointer = pointer
+        specs = (q_power(1), p_power(1), p_power(2), p_power(3), PQP, ANTICOMM_QP)
+        self.general = tuple(moment(pointer, spec) for spec in specs)
+        odd = ((1, self.general[1]), (3, self.general[3]))
+        self.odd = next(((n, v) for n, v in odd if abs(v) > EVEN_TOL), None)
+
+    @cached_property
+    def orthogonal(self) -> tuple[float, float, float]:
+        specs = (p_power(4), P_BRACE_P, PQ2P)
+        return tuple(moment(self.pointer, spec) for spec in specs)
 
 
-def _general_moments(pointer: PointerState) -> tuple[float, ...]:
-    """(<q>, <p>, <p^2>, <p^3>, <p q p>, <{q,p}>), the pointer moments of
-    the second-order shifts."""
-    specs = (q_power(1), p_power(1), p_power(2), p_power(3), PQP, ANTICOMM_QP)
-    return tuple(moment(pointer, spec) for spec in specs)
+class _Fields(NamedTuple):
+    """Per-point fields of `_predict_stacked`.
+
+    ``orth`` marks the points at or below the threshold. ``bracket`` (1/C)
+    is NaN on them; ``lead`` (tr(P A rho A)), ``ow_re`` / ``ow_im`` (A_ow)
+    and the output variances are NaN on the others, and None when no point
+    is orthogonal. ``success``, ``delta_q`` and ``delta_p`` follow each
+    point's own route.
+    """
+
+    orth: np.ndarray
+    ov: np.ndarray
+    bracket: np.ndarray
+    success: np.ndarray
+    delta_q: np.ndarray
+    delta_p: np.ndarray
+    lead: np.ndarray | None
+    ow_re: np.ndarray | None
+    ow_im: np.ndarray | None
+    var_q: np.ndarray | None
+    var_p: np.ndarray | None
 
 
-def _predict_general_stacked(
-    moments: tuple[float, ...],
+def _predict_stacked(
+    moments: _PointerMoments,
     g: float,
     b: np.ndarray,
     orth_threshold: float = ORTH_THRESHOLD,
     first_order: bool = False,
-) -> tuple[np.ndarray, ...]:
-    """`predict_general` for B selections sharing the pointer (through
-    ``moments``, from `_general_moments`) and g.
+) -> _Fields:
+    """Every closed-form prediction for B selections sharing the pointer
+    (through ``moments``) and g.
 
     ``b`` holds the points' moment amplitudes b_0..b_2 from the selection
-    kernel, giving tr(P rho), tr(P A rho), tr(P A^2 rho) and tr(P A rho A).
-    Returns (ov, bracket, success_prob, delta_q, delta_p): ov = tr(P rho)
-    is the float `predict` routes on and bracket = 1/C. The other three
-    are NaN where ov is not above ``orth_threshold`` or the bracket is <= 0
-    (where `predict_general` raises), without a floating-point warning.
-    With ``first_order`` the shifts are `predict_aav`'s linear ones.
+    kernel, whose traces t[m, l] = tr(P A^m rho A^l) give every field. Each
+    point is routed on its overlap ov = tr(P rho):
+
+    - above ``orth_threshold``: bracket = 1/C, success = ov C and the
+      resummed shifts of `predict_general` (the linear shifts of
+      `predict_aav` with ``first_order``);
+    - at or below it: success = g^2 tr(P A rho A) <p^2>, the shifts from
+      A_ow = t[2, 1] / (2 t[1, 1]) and the output variances of
+      `predict_orthogonal`, evaluated only on the points routed there.
+
+    Undefined points -- a bracket <= 0 or NaN, t[1, 1] <= G2_THRESHOLD, a
+    pointer that is not even -- come out as NaN, without a floating-point
+    warning.
     """
-    q1, p1, p2, p3, pqp, anti = moments
+    q1, p1, p2, p3, pqp, anti = moments.general
     ov = _selection_overlaps(b)
     t = _selection_traces(b)
+    orth = ov <= orth_threshold
     # NaN in place of the overlap (and of a bracket <= 0) carries through
     # to NaN results without a warning.
-    ov_safe = np.where(ov > orth_threshold, ov, np.nan)
+    ov_safe = np.where(orth, np.nan, ov)
     # Real and imaginary parts are divided separately: complex division by
     # a real number multiplies by its reciprocal, which rounds differently.
     aw_re, aw_im = t[1, 0].real / ov_safe, t[1, 0].imag / ov_safe
@@ -220,29 +239,108 @@ def _predict_general_stacked(
             + g * g * p1 * a2w_im
         )
         delta_p = c * (2.0 * g * aw_im * varp + g * g * (p3 - p2 * p1) * d_coef)
-    return ov, bracket, ov / c, delta_q, delta_p
+    success = ov / c
+    orth_fields = [None] * 5
+    if orth.any():
+        pts = np.flatnonzero(orth)
+        p4, pbrace, pq2p = moments.orthogonal
+        lead = t[1, 1, pts].real
+        # An odd pointer or a vanishing tr(P A rho A) leaves A_ow undefined.
+        usable = lead > G2_THRESHOLD if moments.odd is None else np.zeros(pts.size, bool)
+        den = np.where(usable, lead, np.nan)
+        ow_re, ow_im = t[2, 1, pts].real / (2.0 * den), t[2, 1, pts].imag / (2.0 * den)
+        with np.errstate(over="ignore"):
+            # libm's pow, as the scalar formula g**2 had; g * g differs in
+            # the last bit for about one g in a thousand.
+            g2 = np.float64(g) ** 2
+        success[pts] = g2 * den * p2
+        delta_q[pts] = g * ow_re + g * ow_im * pbrace / p2
+        delta_p[pts] = 2.0 * g * ow_im * p4 / p2
+        variances = (np.where(usable, pq2p / p2, np.nan), np.where(usable, p4 / p2, np.nan))
+        parts = (lead, ow_re, ow_im, *variances)
+        orth_fields = [np.full(ov.shape, np.nan) for _ in parts]
+        for full, part in zip(orth_fields, parts):
+            full[pts] = part
+    return _Fields(orth, ov, bracket, success, delta_q, delta_p, *orth_fields)
 
 
-def _predict_one(obs, pre, post, g, pointer, orth_threshold, first_order):
-    """`_predict_general_stacked`'s batch of one, as floats, after the
-    regime check."""
-    b = _moment_amplitudes(obs, pre, post, 2)
-    values = _predict_general_stacked(
-        _general_moments(pointer), g, b, orth_threshold, first_order
-    )
-    ov, bracket, success, delta_q, delta_p = (float(v[0]) for v in values)
-    _require_regime(ov, orth_threshold, orthogonal=False)
-    return bracket, success, delta_q, delta_p
+def _predict_point(
+    obs: Observable, pre: SystemState, post: PostSelection, g: float, pointer: PointerState,
+    regime: str, orth_threshold: float = ORTH_THRESHOLD,
+) -> ShiftPrediction:
+    """`_predict_stacked`'s batch of one, behind every public predictor.
+
+    One selection-kernel read (b_0..b_4) serves the route, the fields and
+    the linear-response margin. ``regime`` is ``auto`` (route on tr(P rho))
+    or a forced one. Every typed error is raised here, from the kernel's
+    masks, before a prediction is returned.
+    """
+    b = _moment_amplitudes(obs, pre, post, 4)
+    moments = _PointerMoments(pointer)
+    f = _predict_stacked(moments, g, b[:3], orth_threshold, regime == "aav")
+    if regime == "auto":
+        regime = "orthogonal" if f.orth[0] else "general"
+    _require_regime(float(f.ov[0]), orth_threshold, orthogonal=regime == "orthogonal")
+    fields = {"delta_q": float(f.delta_q[0]), "delta_p": float(f.delta_p[0])}
+    if regime == "orthogonal":
+        if moments.odd is not None:
+            n, val = moments.odd
+            raise PointerNotEven(
+                f"<p^{n}> = {val:.3e} does not vanish (tolerance {EVEN_TOL:.1e}); "
+                "the orthogonal predictor requires an even pointer state"
+            )
+        _require_leading(float(f.lead[0]))
+        fields.update(
+            success_prob=float(f.success[0]),
+            var_q_out=float(f.var_q[0]),
+            var_p_out=float(f.var_p[0]),
+        )
+        if isinstance(pointer, GaussianPointer):
+            root2 = math.sqrt(2.0)
+            q_center = g * float(f.ow_re[0])
+            p_center = g * float(f.ow_im[0]) * pointer.var_p
+            fields["peaks_q"] = (q_center - root2 * pointer.delta_q,
+                                 q_center + root2 * pointer.delta_q)
+            fields["peaks_p"] = (p_center - root2 * pointer.delta_p,
+                                 p_center + root2 * pointer.delta_p)
+    else:
+        if regime == "general":
+            bracket = float(f.bracket[0])
+            if not 0.0 < bracket < math.inf:
+                raise NonPositiveDenominator(
+                    f"resummed denominator bracket {bracket:.3e} is not a positive "
+                    "finite number; the second-order expansion is invalid for this "
+                    "coupling"
+                )
+            fields.update(success_prob=float(f.success[0]), denominator_c=1.0 / bracket)
+        if pre.is_pure and post.is_rank_one:
+            fields["margin_aav"] = _aav_margin(b, g, pointer)
+    for name, value in fields.items():
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise NotApplicable(
+                f"the {regime} prediction's {name} is {value!r} at g = {g!r}; the "
+                "closed-form expansion does not apply at this coupling"
+            )
+    margin = weak_interaction_margin(g, pointer)
+    _warn_margin(margin)
+    return ShiftPrediction(regime=regime, margin_weak=margin, **fields)
+
+
+def predict_aav(
+    obs: Observable, pre: SystemState, post: PostSelection, g: float, pointer: PointerState
+) -> ShiftPrediction:
+    """First-order (linear-response) pointer shifts.
+
+    delta_q = g Re A_w + g Im A_w <{q, p}>,  delta_p = 2 g Im A_w var p,
+    with A_w the (generalized) weak value. Accurate only while the
+    linear-response margin is small; `predict_general` extends this to
+    second order.
+    """
+    return _predict_point(obs, pre, post, g, pointer, "aav")
 
 
 def predict_general(
-    obs: Observable,
-    pre: SystemState,
-    post: PostSelection,
-    g: float,
-    pointer: PointerState,
-    *,
-    orth_threshold: float = ORTH_THRESHOLD,
+    obs: Observable, pre: SystemState, post: PostSelection, g: float, pointer: PointerState
 ) -> ShiftPrediction:
     """Second-order pointer shifts with the resummed denominator.
 
@@ -256,116 +354,39 @@ def predict_general(
 
     Valid for mixed pre-selections and projector post-selections of any
     rank. The post-selection probability is tr(P rho) / C. Raises
-    NonPositiveDenominator when the bracket in C is <= 0 (the expansion has
-    broken down).
+    NonPositiveDenominator when the bracket in C is not a positive finite
+    number (the expansion has broken down).
     """
-    bracket, success, delta_q, delta_p = _predict_one(
-        obs, pre, post, g, pointer, orth_threshold, False
-    )
-    if bracket <= 0.0:
-        raise NonPositiveDenominator(
-            f"resummed denominator bracket {bracket:.3e} <= 0; the "
-            "second-order expansion is invalid for this coupling"
-        )
-
-    margin = weak_interaction_margin(g, pointer)
-    _warn_margin(margin)
-    return ShiftPrediction(
-        regime="general",
-        delta_q=delta_q,
-        delta_p=delta_p,
-        success_prob=success,
-        denominator_c=1.0 / bracket,
-        margin_weak=margin,
-        margin_aav=_maybe_aav_margin(obs, pre, post, g, pointer),
-    )
-
-
-def _require_even_pointer(pointer: PointerState, tol: float = 1e-10) -> None:
-    # The orthogonal formulas assume a pointer whose odd p-moments vanish
-    # (even wavefunction). The first two odd moments are checked directly.
-    for n in (1, 3):
-        val = moment(pointer, p_power(n))
-        if abs(val) > tol:
-            raise PointerNotEven(
-                f"<p^{n}> = {val:.3e} does not vanish (tolerance {tol:.1e}); "
-                "the orthogonal predictor requires an even pointer state"
-            )
+    return _predict_point(obs, pre, post, g, pointer, "general")
 
 
 def predict_orthogonal(
-    obs: Observable,
-    pre: SystemState,
-    post: PostSelection,
-    g: float,
-    pointer: PointerState,
-    *,
-    orth_threshold: float = ORTH_THRESHOLD,
+    obs: Observable, pre: SystemState, post: PostSelection, g: float, pointer: PointerState
 ) -> ShiftPrediction:
     """Leading-order pointer statistics for orthogonal selections.
 
-    With A_ow the orthogonal weak value and an even pointer state,
+    With A_ow = tr(P A^2 rho A) / (2 tr(P A rho A)) the orthogonal weak
+    value and an even pointer state,
 
         delta_q = g Re A_ow + g Im A_ow <p{q,p}p>/<p^2>
         delta_p = 2 g Im A_ow <p^4>/<p^2>
         var'_q  = <p q^2 p>/<p^2>,   var'_p = <p^4>/<p^2>
 
     (variances to zeroth order in g), and the post-selection probability is
-    g^2 tr(P A rho A) <p^2>. The post-selected pointer is no longer a small
-    displacement of the input: even at g -> 0 its moments are those of the
-    p-filtered state. For a Gaussian of width delta_q the outgoing profile
-    is double-peaked, with maxima at
+    g^2 tr(P A rho A) <p^2>. The trace formula covers mixed pre-selections
+    and post-selections of any rank. The post-selected pointer is no longer
+    a small displacement of the input: even at g -> 0 its moments are those
+    of the p-filtered state. For a Gaussian of width delta_q the outgoing
+    profile is double-peaked, with maxima at
 
         q = g Re A_ow +/- sqrt(2) delta_q
         p = g Im A_ow delta_p^2 +/- sqrt(2) delta_p.
     """
-    _require_regime(overlap(post, pre), orth_threshold, orthogonal=True)
-    if not pre.is_pure or not post.is_rank_one:
-        raise UnsupportedMixedOrthogonal(
-            "orthogonal-selection predictions are implemented for a pure "
-            "pre-selection and a rank-1 post-selection only"
-        )
-    _require_even_pointer(pointer)
-    report = orthogonal_weak_value(obs, pre, post, orth_threshold=orth_threshold)
-    ow = report.value
-
-    p2 = moment(pointer, p_power(2))
-    p4 = moment(pointer, p_power(4))
-    pbrace = moment(pointer, P_BRACE_P)
-    pq2p = moment(pointer, PQ2P)
-
-    peaks_q = peaks_p = None
-    if isinstance(pointer, GaussianPointer):
-        root2 = math.sqrt(2.0)
-        q_center = g * ow.real
-        p_center = g * ow.imag * pointer.var_p
-        peaks_q = (q_center - root2 * pointer.delta_q, q_center + root2 * pointer.delta_q)
-        peaks_p = (p_center - root2 * pointer.delta_p, p_center + root2 * pointer.delta_p)
-
-    margin = weak_interaction_margin(g, pointer)
-    _warn_margin(margin)
-    return ShiftPrediction(
-        regime="orthogonal",
-        delta_q=g * ow.real + g * ow.imag * pbrace / p2,
-        delta_p=2.0 * g * ow.imag * p4 / p2,
-        success_prob=g**2 * report.denominator.real * p2,
-        var_q_out=pq2p / p2,
-        var_p_out=p4 / p2,
-        peaks_q=peaks_q,
-        peaks_p=peaks_p,
-        margin_weak=margin,
-        margin_aav=None,
-    )
+    return _predict_point(obs, pre, post, g, pointer, "orthogonal")
 
 
 def predict_orthogonal_gaussian(
-    obs: Observable,
-    pre: SystemState,
-    post: PostSelection,
-    g: float,
-    delta_q: float,
-    *,
-    orth_threshold: float = ORTH_THRESHOLD,
+    obs: Observable, pre: SystemState, post: PostSelection, g: float, delta_q: float
 ) -> ShiftPrediction:
     """`predict_orthogonal` for a Gaussian pointer of width ``delta_q``.
 
@@ -378,10 +399,11 @@ def predict_orthogonal_gaussian(
     and ``peaks_q`` / ``peaks_p`` locate the two maxima of the
     double-peaked outgoing profile.
     """
-    pred = predict_orthogonal(
-        obs, pre, post, g, gaussian(delta_q), orth_threshold=orth_threshold
-    )
+    pred = _predict_point(obs, pre, post, g, gaussian(delta_q), "orthogonal")
     return replace(pred, regime="orthogonal-gaussian")
+
+
+_REGIMES = ("aav", "general", "orthogonal")
 
 
 def predict(
@@ -390,24 +412,15 @@ def predict(
     """Closed-form prediction for a scenario.
 
     ``regime`` is ``auto``, ``aav``, ``general`` or ``orthogonal``. ``auto``
-    routes on the selection overlap tr(P rho): `predict_general` above
-    ``orth_threshold``, `predict_orthogonal` at or below it. The other
-    values force that predictor, which raises its own regime error when the
-    scenario lies outside it.
+    routes on the selection overlap tr(P rho): the general formulas above
+    ``orth_threshold``, the orthogonal ones at or below it. The other values
+    force that regime, and raise its regime error when the scenario lies
+    outside it. Every regime reads the selection kernel once.
     """
-    if regime == "auto":
-        regime = "general" if overlap(sc.post, sc.pre) > orth_threshold else "orthogonal"
-    # Built per call, so rebound module functions (such as tracing wrappers)
-    # are the ones called.
-    predictors = {
-        "aav": predict_aav, "general": predict_general, "orthogonal": predict_orthogonal
-    }
-    if regime not in predictors:
-        raise ValueError(
-            f"regime must be 'auto' or one of {tuple(predictors)}, got {regime!r}"
-        )
-    return predictors[regime](
-        sc.observable, sc.pre, sc.post, sc.g, sc.pointer, orth_threshold=orth_threshold
+    if regime != "auto" and regime not in _REGIMES:
+        raise ValueError(f"regime must be 'auto' or one of {_REGIMES}, got {regime!r}")
+    return _predict_point(
+        sc.observable, sc.pre, sc.post, sc.g, sc.pointer, regime, orth_threshold
     )
 
 

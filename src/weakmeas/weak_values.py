@@ -5,9 +5,11 @@ generalization tr(P A^m rho A^l)/tr(P rho), and the orthogonal-selection
 variant in which the leading response is carried by tr(P A rho A). All
 three, and `selection_trace`, read their traces from the one selection
 kernel (`qops._selection_kernel`), through one order check and one
-threshold check. The two margin diagnostics quantify how far a scenario
-sits from the linear-response and weak-interaction regimes; predictions
-should only be trusted while they stay well below one.
+threshold check against ORTH_THRESHOLD (the predictors and the series take
+other thresholds through `_require_regime`). The two margin diagnostics
+quantify how far a scenario sits from the linear-response and
+weak-interaction regimes; predictions should only be trusted while they
+stay well below one.
 """
 
 from __future__ import annotations
@@ -100,14 +102,17 @@ def _require_regime(ov: float, orth_threshold: float, orthogonal: bool) -> None:
         )
 
 
+def _require_leading(lead: float) -> None:
+    """The orthogonal regime needs a nonvanishing tr(P A rho A)."""
+    if not lead > G2_THRESHOLD:
+        raise HigherOrderOrthogonality(
+            "tr(P A rho A) vanishes as well; the pointer response starts at "
+            "higher order and no orthogonal weak value exists"
+        )
+
+
 def _weak_report(
-    obs: Observable,
-    pre: SystemState,
-    post: PostSelection,
-    m: int,
-    l: int,
-    orth_threshold: float,
-    kind: str,
+    obs: Observable, pre: SystemState, post: PostSelection, m: int, l: int, kind: str
 ) -> WeakValueReport:
     """The three weak values: one order check, one kernel read, one
     threshold check. The orthogonal kind shifts both orders by one and
@@ -118,13 +123,10 @@ def _weak_report(
         raise OrderTooLarge(f"orders up to {MAX_WEAK_ORDER} supported, got ({m}, {l})")
     side = int(kind == "orthogonal")
     ov, t = _selection_table(obs, pre, post, max(m, l) + side)
-    _require_regime(ov, orth_threshold, orthogonal=bool(side))
+    _require_regime(ov, ORTH_THRESHOLD, orthogonal=bool(side))
     denom = float(t[1, 1].real) if side else ov
-    if side and abs(denom) <= G2_THRESHOLD:
-        raise HigherOrderOrthogonality(
-            "tr(P A rho A) vanishes as well; the pointer response starts at "
-            "higher order and no orthogonal weak value exists"
-        )
+    if side:
+        _require_leading(denom)
     value = complex(t[m + side, l + side]) / (((m + 1) * (l + 1)) ** side * denom)
     orders = None if kind == "standard" else (m, l)
     return WeakValueReport(value=value, kind=kind, orders=orders, denominator=complex(denom))
@@ -140,49 +142,31 @@ def selection_trace(
     return complex(_selection_traces(b[[m, l]])[0, 1, 0])
 
 
-def weak_value(
-    obs: Observable,
-    pre: SystemState,
-    post: PostSelection,
-    *,
-    orth_threshold: float = ORTH_THRESHOLD,
-) -> WeakValueReport:
+def weak_value(obs: Observable, pre: SystemState, post: PostSelection) -> WeakValueReport:
     """Standard weak value tr(P A rho)/tr(P rho).
 
     Raises OrthogonalPPS when the selections are orthogonal within
-    ``orth_threshold``; use `orthogonal_weak_value` there instead.
+    ORTH_THRESHOLD; use `orthogonal_weak_value` there instead.
     """
-    return _weak_report(obs, pre, post, 1, 0, orth_threshold, "standard")
+    return _weak_report(obs, pre, post, 1, 0, "standard")
 
 
 def generalized_weak_value(
-    obs: Observable,
-    pre: SystemState,
-    post: PostSelection,
-    m: int,
-    l: int,
-    *,
-    orth_threshold: float = ORTH_THRESHOLD,
+    obs: Observable, pre: SystemState, post: PostSelection, m: int, l: int
 ) -> WeakValueReport:
     """Two-sided weak value tr(P A^m rho A^l)/tr(P rho)."""
-    return _weak_report(obs, pre, post, m, l, orth_threshold, "generalized")
+    return _weak_report(obs, pre, post, m, l, "generalized")
 
 
 def orthogonal_weak_value(
-    obs: Observable,
-    pre: SystemState,
-    post: PostSelection,
-    m: int = 1,
-    l: int = 0,
-    *,
-    orth_threshold: float = ORTH_THRESHOLD,
+    obs: Observable, pre: SystemState, post: PostSelection, m: int = 1, l: int = 0
 ) -> WeakValueReport:
     """Orthogonal-selection weak value.
 
     Defined as tr(P A^(m+1) rho A^(l+1)) / ((m+1)(l+1) tr(P A rho A));
     requires orthogonal selections and a nonvanishing tr(P A rho A).
     """
-    return _weak_report(obs, pre, post, m, l, orth_threshold, "orthogonal")
+    return _weak_report(obs, pre, post, m, l, "orthogonal")
 
 
 def aav_margin(
@@ -205,11 +189,17 @@ def aav_margin(
     _check_dims(obs, pre, post)
     if not pre.is_pure or not post.is_rank_one:
         raise ValueError("the linear-response margin is defined for rank-1 pure selections")
-    amps = np.abs(_moment_amplitudes(obs, pre, post, n_max)[:, 0, 0]).tolist()
+    return _aav_margin(_moment_amplitudes(obs, pre, post, n_max), g, pointer)
+
+
+def _aav_margin(b: np.ndarray, g: float, pointer: PointerState) -> float:
+    """`aav_margin` from one rank-1 pure point's moment amplitudes
+    b_0..b_n_max (n_max >= 1)."""
+    amps = np.abs(b[:, 0, 0]).tolist()
     if amps[0] == 0.0:
         return math.inf
     gdp = abs(g) * math.sqrt(variance_p(pointer))
-    return max(gdp * amps[n] ** (1.0 / n) / amps[0] for n in range(1, n_max + 1))
+    return max(gdp * amps[n] ** (1.0 / n) / amps[0] for n in range(1, len(amps)))
 
 
 def weak_interaction_margin(

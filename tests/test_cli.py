@@ -125,6 +125,15 @@ def test_predict_regime_mismatch_is_a_physics_error(tmp_path, capsys):
     assert "error" in payload and payload["error"]["message"]
 
 
+def test_predict_nan_bracket_is_a_physics_error(tmp_path, capsys):
+    # At g = 1e308 the resummed bracket is NaN: a typed error with exit
+    # code 2, not a NaN payload that the JSON writer refuses.
+    path = _write_scenario(tmp_path, half_overlap_scenario(1e308))
+    code, out, _ = _run(capsys, ["predict", path])
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "non-positive-denominator"
+
+
 # --- exact -----------------------------------------------------------------------
 
 

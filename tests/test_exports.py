@@ -2,13 +2,16 @@
 
 `weakmeas.__all__` is derived from the submodules' ``__all__`` lists, so a
 name dropped from (or added to) a submodule changes the public API; the
-pinned set below makes that a deliberate edit. The benchmark tracer rebinds
+pinned set below makes that a deliberate edit, and so do the pinned knobs:
+the functions that take ``orth_threshold`` and the total number of settable
+parameters. The benchmark tracer rebinds
 functions by module and name, so a consolidation that renames or removes one
 would silently break a traced run; the second test catches that here.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import weakmeas
@@ -19,10 +22,10 @@ PUBLIC = {
     "WeakMeasurementError", "ValidityWarning", "NonHermitian", "ZeroOperator",
     "DimensionMismatch", "NonPositiveWidth", "UnsupportedOrder", "EmptyGrid",
     "OrthogonalPPS", "NotOrthogonal", "HigherOrderOrthogonality", "OrderTooLarge",
-    "NonPositiveDenominator", "PointerNotEven", "UnsupportedMixedOrthogonal",
-    "DegenerateDenominator", "LambdaOutOfRange", "ZeroPostSelectionProbability",
-    "GridTooSmall", "SeriesDiverging", "NotApplicable", "InvalidBracket",
-    "NotUnimodal", "ParseError", "ConstructionFailure",
+    "NonPositiveDenominator", "PointerNotEven", "DegenerateDenominator",
+    "LambdaOutOfRange", "ZeroPostSelectionProbability", "GridTooSmall",
+    "SeriesDiverging", "NotApplicable", "InvalidBracket", "NotUnimodal",
+    "ParseError", "ConstructionFailure",
     # operators and states
     "Observable", "SystemState", "PostSelection", "new_observable", "pure_state",
     "density_state", "projector", "projector_onto", "overlap",
@@ -59,6 +62,26 @@ def test_public_names_are_pinned_resolve_and_do_not_repeat():
     assert len(weakmeas.__all__) == len(PUBLIC)
     for name in weakmeas.__all__:
         assert hasattr(weakmeas, name), name
+
+
+# The threshold reaches the package only through `predict` and the series,
+# which the CLI passes a scenario file's ``orth_threshold`` option.
+THRESHOLD_TAKERS = {"predict", "series_device_state"}
+SETTABLE_PARAMETERS = 117
+
+
+def test_settable_parameters_are_pinned():
+    functions = [
+        getattr(weakmeas, name)
+        for name in weakmeas.__all__
+        if inspect.isfunction(getattr(weakmeas, name))
+    ]
+    takers = {
+        fn.__name__ for fn in functions if "orth_threshold" in inspect.signature(fn).parameters
+    }
+    assert takers == THRESHOLD_TAKERS
+    total = sum(len(inspect.signature(fn).parameters) for fn in functions)
+    assert total == SETTABLE_PARAMETERS
 
 
 def test_every_traced_benchmark_function_exists():

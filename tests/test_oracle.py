@@ -6,7 +6,10 @@ directions: closed-form special cases, symmetry arguments, convergence
 orders of the predictor formulas, and internal consistency of the series.
 """
 
+import json
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakmeas import (
+    cli,
     density_state,
     evolve_postselect,
     gaussian,
@@ -26,6 +30,7 @@ from weakmeas import (
     projector,
     projector_onto,
     pure_state,
+    scenario_to_wire,
     series_device_state,
     success_probability,
     variance_q,
@@ -519,3 +524,48 @@ def test_slowly_decaying_momentum_is_refused():
     sc = half_overlap_scenario(0.01, box)
     with pytest.raises(GridTooSmall):
         evolve_postselect(sc)
+
+
+def _exact_cli_code(sc, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_to_wire(sc)))
+    code = cli.main(["exact", str(path)])
+    return code, json.loads(capsys.readouterr().out)["error"]["code"]
+
+
+@pytest.mark.parametrize("engine", ["evolve", "probability", "series", "cli"])
+@pytest.mark.parametrize(
+    "g, pointer",
+    [
+        # dq * dq overflows (a bare OverflowError before the guard) ...
+        (1e200, None),
+        # ... or the span itself does (a NaN probability before the guard).
+        (1e308, None),
+        # The padded grid would need 2^23 points: 256 samples, dq = 20/256,
+        # padded by g on each side.
+        (2e5, "grid"),
+    ],
+)
+def test_frame_guard_refuses_unbuildable_grids(engine, g, pointer, tmp_path, capsys):
+    ptr = skewed_pointer(1.0, n=256) if pointer == "grid" else gaussian(1.0)
+    sc = half_overlap_scenario(g, ptr)
+    calls = {
+        "evolve": lambda: evolve_postselect(sc),
+        "probability": lambda: success_probability(sc),
+        "series": lambda: series_device_state(sc, 2),
+        "cli": lambda: _exact_cli_code(sc, tmp_path, capsys),
+    }
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            if engine == "cli":
+                assert calls[engine]() == (2, "grid-too-small")
+            else:
+                with pytest.raises(GridTooSmall, match=re.escape(f"g = {g:.3e} needs")):
+                    calls[engine]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Refused before anything of size n is allocated.
+    assert peak < 1 << 20

@@ -10,6 +10,7 @@ import pytest
 from weakmeas import (
     SGParams,
     density_state,
+    evolve_postselect,
     gaussian,
     grid_state,
     make_scenario,
@@ -29,15 +30,16 @@ from weakmeas import (
     stern_gerlach_outcome,
     weak_value,
 )
+from weakmeas import oracle, predictor, qops, weak_values
 from weakmeas.oracle import _gaussian_exact
 from weakmeas.amplifier import sg_family
 from weakmeas.errors import (
     LambdaOutOfRange,
     NonPositiveDenominator,
+    NotApplicable,
     NotOrthogonal,
     OrthogonalPPS,
     PointerNotEven,
-    UnsupportedMixedOrthogonal,
     ValidityWarning,
 )
 from weakmeas.pointer import ANTICOMM_QP, gaussian_profile, variance_p
@@ -47,6 +49,8 @@ from support import (
     orthogonal_idempotent,
     orthogonal_sigma_x,
     qubit_pps_half_overlap,
+    random_hermitian,
+    rng,
     skewed_pointer,
 )
 
@@ -185,8 +189,8 @@ def test_predict_routes_on_the_overlap_threshold():
     below = math.nextafter(ov, 0.0)
     for threshold, expected in (
         (1e-12, predict_general(*args)),
-        (below, predict_general(*args, orth_threshold=below)),
-        (ov, predict_orthogonal(*args, orth_threshold=ov)),
+        (below, predict(sc, "general", orth_threshold=below)),
+        (ov, predict(sc, "orthogonal", orth_threshold=ov)),
     ):
         assert repr(_quiet(predict, sc, orth_threshold=threshold)) == repr(expected)
     orth = scenario_with_orthogonal_weak_value(0.2 + 0.1j, 0.02, 1.5)
@@ -232,17 +236,90 @@ def test_predicted_success_probability_tracks_the_exact_one():
     assert predict_aav(*qubit_pps_half_overlap(), 0.02, gaussian(1.0)).success_prob is None
 
 
+def _orthogonal_family(seed, dim, mixed, rank):
+    """Selections with tr(P rho) = 0: P spans e_0..e_{rank-1} and rho lives
+    in the complement, as one vector or a 0.7/0.3 mixture of two."""
+    gen = rng(seed)
+    obs = new_observable(random_hermitian(gen, dim))
+    basis = np.eye(dim)
+    outside = basis[rank:]
+    vecs = [
+        outside.T @ (gen.standard_normal(dim - rank) + 1j * gen.standard_normal(dim - rank))
+        for _ in range(2)
+    ]
+    if mixed:
+        rho = sum(w * np.outer(v, v.conj()) / np.vdot(v, v).real for w, v in zip((0.7, 0.3), vecs))
+        pre = density_state(rho)
+    else:
+        pre = pure_state(vecs[0])
+    post = projector_onto(*basis[:rank])
+    return lambda g: make_scenario(obs, pre, post, g, gaussian(1.0))
+
+
+@pytest.mark.parametrize(
+    "seed, dim, mixed, rank", [(3, 3, True, 1), (4, 4, True, 2), (5, 4, False, 2)]
+)
+def test_orthogonal_trace_formula_error_orders_for_mixed_and_rank_two(seed, dim, mixed, rank):
+    # The trace formula needs no rank-1 pure selection: against the exact
+    # oracle its shifts miss at third order and its success probability and
+    # variances at second, as for the pure rank-1 case.
+    family = _orthogonal_family(seed, dim, mixed, rank)
+    errs = []
+    for g in (0.08, 0.04, 0.02, 0.01):
+        sc = family(g)
+        pred = predict(sc)
+        exact = evolve_postselect(sc, grid_n=16384)
+        assert pred.regime == "orthogonal"
+        errs.append(
+            (
+                abs(pred.delta_q - exact.delta_q),
+                abs(pred.delta_p - exact.delta_p),
+                abs(pred.success_prob / exact.success_prob - 1.0),
+                abs(pred.var_q_out - exact.var_q_out),
+                abs(pred.var_p_out - exact.var_p_out),
+            )
+        )
+    for coarse, fine in zip(errs, errs[1:]):
+        ratios = [a / b for a, b in zip(coarse, fine)]
+        assert all(6.0 <= r <= 10.0 for r in ratios[:2]), ratios
+        assert all(3.2 <= r <= 4.8 for r in ratios[2:]), ratios
+
+
+@pytest.mark.parametrize("orthogonal", [False, True])
+def test_predict_reads_the_selection_kernel_once(monkeypatch, orthogonal):
+    calls = []
+    kernel = qops._selection_kernel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    for module in (qops, weak_values, oracle, predictor):
+        if hasattr(module, "_selection_kernel"):
+            monkeypatch.setattr(module, "_selection_kernel", counted)
+    sc = orthogonal_sigma_x(0.02) if orthogonal else half_overlap_scenario(0.02)
+    for regime in ("auto", "orthogonal" if orthogonal else "general"):
+        calls.clear()
+        predict(sc, regime)
+        assert len(calls) == 1, regime
+
+
+def test_predict_refuses_non_finite_fields():
+    # At g = 1e308 the bracket is NaN; at g = 1e200 the orthogonal success
+    # probability and the linear delta_p overflow. Each is a typed error,
+    # never a prediction carrying NaN or inf.
+    with pytest.raises(NonPositiveDenominator, match="bracket nan"):
+        _quiet(predict, half_overlap_scenario(1e308))
+    with pytest.raises(NotApplicable, match="success_prob is inf"):
+        _quiet(predict, orthogonal_sigma_x(1e200))
+    with pytest.raises(NotApplicable, match="delta_p is -inf"):
+        _quiet(predict, half_overlap_scenario(1e308), "aav")
+
+
 def test_orthogonal_error_paths():
     obs, pre, post = qubit_pps_half_overlap()
     with pytest.raises(NotOrthogonal):
         predict_orthogonal(obs, pre, post, 0.01, gaussian(1.0))
-
-    # mixed pre-selection, orthogonal to the projector
-    a = new_observable(np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex))
-    mixed = density_state(np.diag([0.5, 0.5, 0.0]))
-    post3 = projector_onto([0.0, 0.0, 1.0])
-    with pytest.raises(UnsupportedMixedOrthogonal):
-        predict_orthogonal(a, mixed, post3, 0.01, gaussian(1.0))
 
     # pointer with nonzero odd momentum moments
     n, half = 2048, 12.0
