@@ -10,7 +10,7 @@ with the convention dq * dp = 2*pi/n. Everything runs with hbar = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,10 +134,15 @@ class GaussianPointer:
 
 @dataclass(frozen=True)
 class GridPointer:
-    """Sampled pointer state: convex mixture of pure branches on one grid."""
+    """Sampled pointer state: convex mixture of pure branches on one grid.
+
+    ``moment`` keeps each quadrature it computes in ``_moments``, keyed by
+    `MomentSpec`, so a pointer pays for each moment once.
+    """
 
     grid: QGrid
     branches: tuple[tuple[float, np.ndarray], ...]
+    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def q_min(self) -> float:
@@ -315,7 +320,8 @@ def _branch_moment(grid: QGrid, phi: np.ndarray, spec: MomentSpec) -> float:
 
 def moment(state: PointerState, spec: MomentSpec) -> float:
     """Evaluate a pointer moment: closed form for the Gaussian, spectral
-    quadrature for grid states (orders above MAX_GRID_MOMENT_ORDER refused)."""
+    quadrature for grid states (orders above MAX_GRID_MOMENT_ORDER refused),
+    computed once per grid pointer and spec."""
     if spec.kind not in _KINDS:
         raise ValueError(f"unknown moment kind {spec.kind!r}")
     if isinstance(state, GaussianPointer):
@@ -324,9 +330,12 @@ def moment(state: PointerState, spec: MomentSpec) -> float:
         raise UnsupportedOrder(
             f"grid moments support order <= {MAX_GRID_MOMENT_ORDER}, got {spec.order}"
         )
-    return sum(
-        w * _branch_moment(state.grid, phi, spec) for w, phi in state.branches
-    )
+    memo = state._moments
+    if spec not in memo:
+        memo[spec] = sum(
+            w * _branch_moment(state.grid, phi, spec) for w, phi in state.branches
+        )
+    return memo[spec]
 
 
 def variance_q(state: PointerState) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,12 +40,18 @@ HERMITICITY_TOL = 1e-10
 IDEMPOTENCY_TOL = 1e-10
 STATE_TOL = 1e-12
 _MIXTURE_FLOOR = 1e-14
+_RANK_TOL = 1e-12
+_NORMAL_FLOOR = float(np.finfo(float).tiny)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr)
-    out.setflags(write=False)
-    return out
+    return _freeze(np.array(arr))
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Clear the writeable flag of an array nothing else references."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -95,12 +101,24 @@ class SystemState:
     """Density matrix with its spectral mixture.
 
     ``eigenmixture`` lists ``(weight, vector)`` pairs for eigenvalues above
-    the numerical floor, weights descending.
+    the numerical floor, weights descending. A mixed state stores its
+    density matrix; a pure state builds ``matrix`` from its vector only when
+    it is read, since every kernel reads the mixture.
     """
 
     dim: int
-    matrix: np.ndarray
     eigenmixture: tuple[tuple[float, np.ndarray], ...]
+    _matrix: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is not None:
+            return self._matrix
+        v = self.vector
+        outer = np.outer(v, v.conj())
+        # The symmetrized form is bitwise Hermitian, so the wire format
+        # round-trips exactly (the raw outer product need not be).
+        return _freeze((outer + outer.conj().T) / 2.0)
 
     @property
     def is_pure(self) -> bool:
@@ -166,19 +184,34 @@ def new_observable(raw) -> Observable:
 
 def pure_state(vec) -> SystemState:
     """System state |v><v| from a (not necessarily normalized) vector."""
-    v = _require_finite(np.asarray(vec, dtype=complex).reshape(-1), "state vector")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    v = np.asarray(vec, dtype=complex).ravel()
+    # One float both normalizes and vouches for finiteness. A squared norm
+    # that is zero, subnormal or not finite (entries beyond about 1e+154 or
+    # below about 1e-154, a NaN or an infinity) sends the vector to the
+    # rescaled path.
+    sq = _squared_norm(v)
+    if not _NORMAL_FLOOR <= sq < math.inf:
+        v = _rescaled(v)
+        sq = _squared_norm(v)
+    return SystemState(dim=v.size, eigenmixture=((1.0, _freeze(v / math.sqrt(sq))),))
+
+
+@np.errstate(over="ignore")
+def _squared_norm(v: np.ndarray) -> float:
+    """sum |v_i|^2 by np.linalg.norm's own formula for complex input; inf,
+    with no warning, when it overflows."""
+    re, im = v.real, v.imag
+    return float(re.dot(re) + im.dot(im))
+
+
+def _rescaled(v: np.ndarray) -> np.ndarray:
+    """A finite nonzero vector divided by its largest real or imaginary
+    part, so that its squared norm lies in [1, 2 v.size]."""
+    _require_finite(v, "state vector")
+    peak = max(np.max(np.abs(v.real), initial=0.0), np.max(np.abs(v.imag), initial=0.0))
+    if peak == 0.0:
         raise ZeroOperator("state vector is zero")
-    v = v / norm
-    outer = np.outer(v, v.conj())
-    # Store the symmetrized form: it is bitwise Hermitian, so the wire
-    # format round-trips exactly (the raw outer product need not be).
-    return SystemState(
-        dim=v.size,
-        matrix=_frozen((outer + outer.conj().T) / 2.0),
-        eigenmixture=((1.0, _frozen(v)),),
-    )
+    return v / peak
 
 
 def density_state(raw) -> SystemState:
@@ -202,7 +235,7 @@ def density_state(raw) -> SystemState:
         for i in order
         if evals[i] > _MIXTURE_FLOOR
     )
-    return SystemState(dim=m.shape[0], matrix=_frozen(m), eigenmixture=mixture)
+    return SystemState(dim=m.shape[0], eigenmixture=mixture, _matrix=_frozen(m))
 
 
 def projector(raw) -> PostSelection:
@@ -228,13 +261,18 @@ def projector(raw) -> PostSelection:
 
 
 def projector_onto(*vectors) -> PostSelection:
-    """Projector onto the span of the given vectors (orthonormalized)."""
+    """Projector onto the span of the given vectors (orthonormalized).
+
+    A QR column counts toward the span when its |r_ii| exceeds 1e-12 of the
+    largest, so the rank does not depend on the vectors' overall scale.
+    """
     if not vectors:
         raise ZeroOperator("projector needs at least one vector")
     cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
     _require_finite(cols, "projector vector")
     q, r = np.linalg.qr(cols)
-    keep = np.abs(np.diag(r)) > 1e-12
+    diag = np.abs(np.diag(r))
+    keep = diag > _RANK_TOL * diag.max()
     if not keep.any():
         raise ZeroOperator("projector vectors span nothing")
     basis = q[:, keep]

@@ -18,6 +18,7 @@ from weakmeas import (
     ENGINES,
     OBJECTIVES,
     SGParams,
+    SystemState,
     amplifier,
     density_state,
     evolve_postselect,
@@ -30,6 +31,7 @@ from weakmeas import (
     predict,
     projector_onto,
     pure_state,
+    scenario_to_wire,
     sg_family,
     sg_optimum,
     stern_gerlach_outcome,
@@ -436,6 +438,26 @@ def test_sweep_and_optimum_raise_no_numpy_warnings():
                 sweep(lambda t: commuting_orthogonal(0.0), [0.1], objective, engine)
             find_optimum(sg_family(0.2), (math.pi / 2.0, math.pi), "measured", engine)
             find_optimum(zero, (0.0, 0.2), "delta_q", engine)
+
+
+def test_sweeps_and_optima_never_build_a_density_matrix(monkeypatch):
+    # Every kernel reads a state's eigenmixture; a pure state's matrix is
+    # built only when read, and in an amplifier run nothing reads it.
+    reads = []
+    matrix = SystemState.matrix
+
+    def counted(state):
+        reads.append(state)
+        return matrix.fget(state)
+
+    monkeypatch.setattr(SystemState, "matrix", property(counted))
+    family = sg_family(0.2)
+    for engine in ENGINES:
+        sweep(family, np.linspace(math.pi / 2.0, math.pi, 50), "measured", engine)
+        find_optimum(family, (math.pi / 2.0, math.pi), "measured", engine)
+    assert reads == []
+    scenario_to_wire(family(1.0))  # the wire format does read it
+    assert len(reads) == 1
 
 
 def _per_point_records(family, alphas, objective, engine):

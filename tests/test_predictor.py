@@ -30,7 +30,7 @@ from weakmeas import (
     stern_gerlach_outcome,
     weak_value,
 )
-from weakmeas import oracle, predictor, qops, weak_values
+from weakmeas import oracle, pointer, predictor, qops, weak_values
 from weakmeas.oracle import _gaussian_exact
 from weakmeas.amplifier import sg_family
 from weakmeas.errors import (
@@ -302,6 +302,29 @@ def test_predict_reads_the_selection_kernel_once(monkeypatch, orthogonal):
         calls.clear()
         predict(sc, regime)
         assert len(calls) == 1, regime
+
+
+def test_grid_pointer_moments_are_computed_once(monkeypatch):
+    # A predict and an exact run on one grid pointer read overlapping sets
+    # of moments; each FFT quadrature runs once per branch and spec.
+    calls = []
+    branch_moment = pointer._branch_moment
+
+    def counted(grid, phi, spec):
+        calls.append((id(phi), spec))
+        return branch_moment(grid, phi, spec)
+
+    monkeypatch.setattr(pointer, "_branch_moment", counted)
+    q = -12.0 + (24.0 / 4096) * np.arange(4096)
+    branches = [(w, gaussian_profile(q, width)) for w, width in ((0.4, 0.8), (0.6, 1.2))]
+    branches = [(w, phi / math.sqrt(np.sum(phi**2) * 24.0 / 4096)) for w, phi in branches]
+    sc = half_overlap_scenario(0.02, grid_state(-12.0, 24.0 / 4096, 4096, branches))
+    first = predict(sc)
+    evolve_postselect(sc)
+    assert calls and len(calls) == len(set(calls))
+    assert {phi for phi, _ in calls} == {id(phi) for _, phi in sc.pointer.branches}
+    # Memoized moments are the same floats: a repeat predicts the same bits.
+    assert predict(sc) == first
 
 
 def test_predict_refuses_non_finite_fields():

@@ -1,6 +1,8 @@
 """Operator-algebra construction, validation and wire-format checks."""
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +113,61 @@ def test_pure_state_matrix_is_exactly_hermitian():
         assert np.array_equal(st.matrix, st.matrix.conj().T)
 
 
+def _eager_pure_state(raw):
+    """The pure state as it was built before `matrix` became lazy: the
+    normalized vector and the symmetrized outer product."""
+    v = np.asarray(raw, dtype=complex).reshape(-1)
+    v = v / float(np.linalg.norm(v))
+    outer = np.outer(v, v.conj())
+    return v, (outer + outer.conj().T) / 2.0
+
+
+def test_pure_state_matches_the_eager_formula_bit_for_bit():
+    gen = rng(30)
+    for dim in range(1, 9):
+        for _ in range(25):
+            raw = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+            raw = raw * 10.0 ** gen.uniform(-3.0, 3.0)
+            for vec in (raw, raw.real, raw[::-1]):  # complex, real, strided
+                st = pure_state(vec)
+                v, m = _eager_pure_state(vec)
+                assert st.vector.tobytes() == v.tobytes()
+                assert st.matrix.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("make", [random_pure, random_density])
+def test_state_arrays_are_read_only_and_exactly_hermitian(make):
+    st = make(rng(31), 4)
+    m = st.matrix
+    assert not m.flags.writeable
+    assert all(not v.flags.writeable for _, v in st.eigenmixture)
+    with pytest.raises(ValueError):
+        m[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.matrix = np.eye(4)
+    # Compare values, not bits: conjugation may flip signed zeros.
+    assert np.array_equal(m, m.conj().T)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e200])
+def test_pure_state_is_scale_invariant(scale):
+    # Squared norms beyond the double range (1e200) or below its normal
+    # range (1e-170, 1e-160) go through the rescaled path, with no warning.
+    gen = rng(32)
+    for dim in (1, 2, 5):
+        v = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = pure_state(scale * v)
+        ref = pure_state(v)
+        np.testing.assert_allclose(st.vector, ref.vector, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(st.matrix, ref.matrix, rtol=0.0, atol=1e-15)
+    with pytest.raises(ZeroOperator):
+        pure_state(np.zeros(3))
+    with pytest.raises(ValueError, match="state vector has non-finite"):
+        pure_state([scale, np.inf])
+
+
 def test_density_state_eigenmixture_reconstructs():
     gen = rng(15)
     st = random_density(gen, 4)
@@ -172,6 +229,36 @@ def test_projector_onto_spans_and_orthonormalizes():
     assert projector_onto(v1, 2.0 * v1).rank == 1
     with pytest.raises(ZeroOperator):
         projector_onto(np.zeros(3))
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-170, 1e150])
+def test_projector_onto_rank_is_scale_invariant(scale):
+    gen = rng(33)
+    v1 = gen.standard_normal(4) + 1j * gen.standard_normal(4)
+    v2 = gen.standard_normal(4) + 1j * gen.standard_normal(4)
+    for vectors in ([np.array([1.0, 0.0])], [v1], [v1, v2]):
+        ref = projector_onto(*vectors)
+        p = projector_onto(*(scale * v for v in vectors))
+        assert p.rank == ref.rank == len(vectors)
+        np.testing.assert_allclose(p.matrix, ref.matrix, rtol=0.0, atol=1e-15)
+    # A dependent vector still adds nothing to the span, at any scale.
+    assert projector_onto(scale * v1, scale * v2, scale * (v1 - 2.0 * v2)).rank == 2
+
+
+def test_projector_onto_bases_match_the_qr_columns_bit_for_bit():
+    # Well-conditioned sets keep every QR column, as under the absolute
+    # threshold the rank test used before.
+    gen = rng(34)
+    for _ in range(20):
+        dim = int(gen.integers(2, 7))
+        rank = int(gen.integers(1, dim + 1))
+        cols = gen.standard_normal((dim, rank)) + 1j * gen.standard_normal((dim, rank))
+        p = projector_onto(*cols.T)
+        q, r = np.linalg.qr(cols)
+        basis = q[:, np.abs(np.diag(r)) > 1e-12]
+        mat = basis @ basis.conj().T
+        assert p.basis.tobytes() == basis.tobytes()
+        assert p.matrix.tobytes() == ((mat + mat.conj().T) / 2.0).tobytes()
 
 
 def test_projector_matrix_is_exactly_hermitian():
