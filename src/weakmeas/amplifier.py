@@ -44,7 +44,6 @@ import numpy as np
 from .errors import (
     EmptyGrid,
     InvalidBracket,
-    LambdaOutOfRange,
     NotUnimodal,
     ValidityWarning,
     ZeroPostSelectionProbability,
@@ -56,7 +55,7 @@ from .oracle import (
     evolve_postselect,
 )
 from .pointer import GaussianPointer, gaussian, validate_grid_n
-from .predictor import _PointerMoments, _predict_stacked
+from .predictor import _check_alpha, _check_lambda, _PointerMoments, _predict_stacked
 from .qops import SIGMA_Z, new_observable, projector_onto, pure_state
 from .scenario import Scenario, make_scenario
 from .weak_values import weak_interaction_margin
@@ -261,15 +260,14 @@ def find_optimum(
     engine: str = "exact",
     *,
     grid_n: int | None = None,
-    tol: float = GOLDEN_TOL,
-    max_iter: int = MAX_GOLDEN_ITER,
 ) -> OptimumReport:
     """Golden-section maximization of the objective over the bracket.
 
     Assumes the objective is unimodal across ``bracket``; when the located
     value falls below an endpoint value, NotUnimodal is raised. Undefined
-    points count as minus infinity. The parameter is localized to ``tol``
-    (floating-point curvature of the objective permitting). As in `sweep`,
+    points count as minus infinity. The parameter is localized to
+    GOLDEN_TOL in at most MAX_GOLDEN_ITER steps (floating-point curvature
+    of the objective permitting). As in `sweep`,
     the exact engine is closed-form for Gaussian pointers and ``grid_n``
     affects grid-pointer families only.
     """
@@ -293,7 +291,7 @@ def find_optimum(
         d = a + _INVPHI * (b - a)
         fc, fd = f(c), f(d)
         iterations = 0
-        while (b - a) > tol and iterations < max_iter:
+        while (b - a) > GOLDEN_TOL and iterations < MAX_GOLDEN_ITER:
             if fc < fd:
                 a, c, fc = c, d, fd
                 d = a + _INVPHI * (b - a)
@@ -324,28 +322,26 @@ def find_optimum(
     )
 
 
-def sg_family(lmbda: float, delta_q: float = 1.0) -> Callable[[float], Scenario]:
+def sg_family(lmbda: float) -> Callable[[float], Scenario]:
     """Stern-Gerlach scenario family parameterized by the angle alpha.
 
     The spin observable is sigma_z; the pre-selection points an angle alpha
     away (in the x-z plane) from the +x post-selection; the pointer is a
-    Gaussian of width ``delta_q`` and the coupling is g = lambda * delta_q,
-    so lambda is the beam displacement in units of the pointer width. The
-    measured spin value delta_q/g follows the closed-form amplification
-    curve of `stern_gerlach_outcome`.
+    unit-width Gaussian and the coupling is g = lambda, so lambda is the
+    beam displacement in units of the pointer width. The measured spin
+    value delta_q/g depends on lambda alone and follows the closed-form
+    amplification curve of `stern_gerlach_outcome`.
     """
-    if not (0.0 < lmbda < 1.0):
-        raise LambdaOutOfRange(f"lambda must lie in (0, 1), got {lmbda}")
-    pointer = gaussian(delta_q)
+    _check_lambda(lmbda)
+    pointer = gaussian(1.0)
     obs = new_observable(SIGMA_Z)
     post = projector_onto(np.array([1.0, 1.0]) / math.sqrt(2.0))
 
     def family(alpha: float) -> Scenario:
-        if not (0.0 <= alpha <= math.pi):
-            raise ValueError(f"alpha must lie in [0, pi], got {alpha}")
+        _check_alpha(alpha)
         half = 0.25 * math.pi - 0.5 * alpha
         pre = pure_state(np.array([math.cos(half), math.sin(half)]))
-        return make_scenario(obs, pre, post, lmbda * delta_q, pointer)
+        return make_scenario(obs, pre, post, lmbda, pointer)
 
     return family
 

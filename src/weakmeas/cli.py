@@ -61,7 +61,7 @@ def _int_arg(validate):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         try:
             return validate(value)
-        except (ValueError, ParseError) as exc:
+        except (ValueError, WeakMeasurementError) as exc:
             raise argparse.ArgumentTypeError(str(exc))
 
     return parse
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("scenario", help="scenario JSON file")
     p_exact.add_argument(
         "--series-order",
-        type=_int_arg(lambda n: validate_series_order(n, "value")),
+        type=_int_arg(validate_series_order),
         default=None,
         help="also evaluate the truncated expansion at this order",
     )
@@ -211,9 +211,16 @@ def _prediction_payload(pred) -> dict:
     }
 
 
+def _load(path: str) -> tuple:
+    """(scenario, options, orthogonality threshold) of a scenario file; the
+    threshold is the file's, else ORTH_THRESHOLD."""
+    sc, options = load_scenario(path)
+    return sc, options, options.orth_threshold or ORTH_THRESHOLD
+
+
 def _cmd_predict(args) -> int:
-    sc, options = load_scenario(args.scenario)
-    pred = predict(sc, args.regime, orth_threshold=options.orth_threshold or ORTH_THRESHOLD)
+    sc, _, orth = _load(args.scenario)
+    pred = predict(sc, args.regime, orth_threshold=orth)
     payload = _prediction_payload(pred)
     if args.regime == "orthogonal" and isinstance(sc.pointer, GaussianPointer):
         payload["regime"] = "orthogonal-gaussian"
@@ -239,34 +246,25 @@ def _densities_csv(rec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _record_payload(rec) -> dict:
+    """The statistics of a record; JSON keys are sorted on output."""
+    fields = ("success_prob", "delta_q", "delta_p", "var_q_out", "var_p_out")
+    return {name: getattr(rec, name) for name in fields}
+
+
 def _cmd_exact(args) -> int:
-    sc, options = load_scenario(args.scenario)
+    sc, options, orth = _load(args.scenario)
     grid_n = args.grid_n if args.grid_n is not None else options.grid_n
     rec = evolve_postselect(sc, grid_n=grid_n)
-    payload = {
-        "method": rec.method,
-        "success_prob": rec.success_prob,
-        "delta_q": rec.delta_q,
-        "delta_p": rec.delta_p,
-        "var_q_out": rec.var_q_out,
-        "var_p_out": rec.var_p_out,
-        "grid_points": int(rec.q_density.coords.size),
-    }
+    payload = _record_payload(rec)
+    payload.update(method=rec.method, grid_points=int(rec.q_density.coords.size))
     series_order = (
         args.series_order if args.series_order is not None else options.series_order
     )
     if series_order is not None:
-        orth = options.orth_threshold or ORTH_THRESHOLD  # a file value lies in (0, 1)
         srec = series_device_state(sc, series_order, grid_n=grid_n, orth_threshold=orth)
-        payload["series"] = {
-            "order": srec.series_order,
-            "success_prob": srec.success_prob,
-            "delta_q": srec.delta_q,
-            "delta_p": srec.delta_p,
-            "var_q_out": srec.var_q_out,
-            "var_p_out": srec.var_p_out,
-            "tail_estimate": srec.tail_estimate,
-        }
+        payload["series"] = _record_payload(srec)
+        payload["series"].update(order=srec.series_order, tail_estimate=srec.tail_estimate)
     if args.densities is not None:
         _emit(_densities_csv(rec), args.densities)
     _emit_json(payload, args.out)

@@ -22,8 +22,10 @@ quantity at a chosen order, with every term expressed through generalized
 (or, for orthogonal selections, orthogonal) weak values read from one
 trace table of the kernel, making the successive-approximation structure
 of the predictor formulas directly observable. Both regimes run one
-expansion; powers of the momentum grid are running products, never stored
-per power.
+expansion; the side, the threshold check and the conditioning denominator
+come from `weak_values._route`, as for `predict`, and each coefficient is
+one `weak_values._weak_ratio`. Powers of the momentum grid are running
+products, never stored per power.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ import numpy as np
 
 from .errors import (
     GridTooSmall,
-    NotApplicable,
-    OrderTooLarge,
     SeriesDiverging,
     ValidityWarning,
     ZeroPostSelectionProbability,
@@ -57,11 +57,12 @@ from .pointer import (
     variance_q,
 )
 from .qops import Observable, _frozen, _selection_kernel, _selection_traces
-from .scenario import MAX_SERIES_ORDER, Scenario
+from .scenario import Scenario, validate_series_order
 from .weak_values import (
-    G2_THRESHOLD,
     ORTH_THRESHOLD,
-    _selection_table,
+    _moment_amplitudes,
+    _route,
+    _weak_ratio,
     weak_interaction_margin,
 )
 
@@ -283,14 +284,14 @@ def _gaussian_frame(
 
 
 def _gaussian_exact_stacked(
-    c: np.ndarray, b: np.ndarray, frame: tuple, prob_floor: float = PROB_FLOOR
+    c: np.ndarray, b: np.ndarray, frame: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_gaussian_exact` for B points that share one `_gaussian_frame`.
 
     ``c`` and ``b`` are the points' selection kernel (amplitude table and
     moment amplitudes b_0, b_1). Returns the arrays (N, delta_q, delta_p);
-    the shifts are NaN wherever N is not above ``prob_floor`` (NaN
-    included), without a floating-point warning.
+    the shifts are NaN wherever N is not above PROB_FLOOR (NaN included),
+    without a floating-point warning.
     """
     g, x, s, decay, var_p = frame
     o1 = (np.swapaxes(c, 1, 2) @ c.conj()) * decay
@@ -299,15 +300,13 @@ def _gaussian_exact_stacked(
     n_total = t[0, 0].real + o1.sum(axis=(1, 2)).real
     # Dividing by NaN where N is not above the floor blanks those shifts
     # without a warning.
-    n_safe = np.where(n_total > prob_floor, n_total, np.nan)
+    n_safe = np.where(n_total > PROB_FLOOR, n_total, np.nan)
     delta_q = (b1_b0.real + (o1 * s).sum(axis=(1, 2)).real) / n_safe
     delta_p = var_p * (2.0 * b1_b0.imag + (x * o1.imag).sum(axis=(1, 2))) / n_safe
     return n_total, delta_q, delta_p
 
 
-def _gaussian_exact(
-    sc: Scenario, prob_floor: float = PROB_FLOOR
-) -> tuple[float, float, float]:
+def _gaussian_exact(sc: Scenario) -> tuple[float, float, float]:
     """Exact (success_prob, delta_q, delta_p) for a Gaussian pointer, no grid.
 
     Branch i of the post-selected pointer is the Gaussian translated by
@@ -326,24 +325,20 @@ def _gaussian_exact(
     pairs.
     """
     frame = _gaussian_frame(sc.observable, sc.g, sc.pointer)
-    n_total, delta_q, delta_p = _gaussian_exact_stacked(
-        *_scenario_selections([sc], 1), frame, prob_floor
-    )
-    _require_success(float(n_total[0]), prob_floor)
+    n_total, delta_q, delta_p = _gaussian_exact_stacked(*_scenario_selections([sc], 1), frame)
+    _require_success(float(n_total[0]), PROB_FLOOR)
     return min(float(n_total[0]), 1.0), float(delta_q[0]), float(delta_p[0])
 
 
-def evolve_postselect(
-    sc: Scenario, grid_n: int | None = None, *, prob_floor: float = PROB_FLOOR
-) -> MeasurementRecord:
+def evolve_postselect(sc: Scenario, grid_n: int | None = None) -> MeasurementRecord:
     """Exact post-selected pointer record via spectral translation.
 
-    Raises ZeroPostSelectionProbability when the success probability falls
-    below ``prob_floor`` (the conditional state is then undefined), and
+    Raises ZeroPostSelectionProbability when the success probability is not
+    above PROB_FLOOR (the conditional state is then undefined), and
     GridTooSmall when the outgoing densities reach the box edges.
     """
     grid, n_total, qd, pd = _exact_components(sc, grid_n, want_densities=True)
-    _require_success(n_total, prob_floor)
+    _require_success(n_total, PROB_FLOOR)
     return _finish_record(
         sc, grid, n_total, qd / n_total, pd / n_total, method="exact-spectral"
     )
@@ -392,11 +387,7 @@ def _p_moments(m0: np.ndarray, pk: np.ndarray, dp: float, max_power: int) -> lis
 
 
 def series_device_state(
-    sc: Scenario,
-    order: int,
-    grid_n: int | None = None,
-    *,
-    orth_threshold: float = ORTH_THRESHOLD,
+    sc: Scenario, order: int, grid_n: int | None = None, *, orth_threshold: float = ORTH_THRESHOLD
 ) -> MeasurementRecord:
     """Pointer record from the weak-value expansion truncated at ``order``.
 
@@ -407,17 +398,14 @@ def series_device_state(
     operator on each side. Truncated densities integrate to one exactly at
     every order.
 
-    Raises NotApplicable when the selections are orthogonal and the leading
-    response tr(P A rho A) vanishes too, and SeriesDiverging when the
-    per-order density terms stop decreasing (or the truncated normalization
-    turns nonpositive) -- the expansion is then meaningless at this coupling.
+    The regime is routed like `predict` (`weak_values._route`):
+    ``orth_threshold`` must lie in (0, 1), and orthogonal selections whose
+    leading response tr(P A rho A) vanishes too raise
+    HigherOrderOrthogonality. Raises SeriesDiverging when the per-order
+    density terms stop decreasing (or the truncated normalization turns
+    nonpositive) -- the expansion is then meaningless at this coupling.
     """
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
-    if order > MAX_SERIES_ORDER:
-        raise OrderTooLarge(
-            f"series orders up to {MAX_SERIES_ORDER} supported, got {order}"
-        )
+    order = validate_series_order(order)
     margin = weak_interaction_margin(sc.g, sc.pointer)
     if margin >= SERIES_MARGIN_WARN:
         warnings.warn(
@@ -432,21 +420,9 @@ def series_device_state(
     # One trace table t[m, l] = tr(P A^m rho A^l) serves every order.
     # Orthogonal selections put one momentum operator on each side (side = 1)
     # and condition on g^2 tr(P A rho A) <p^2> instead of tr(P rho).
-    ov, t = _selection_table(sc.observable, sc.pre, sc.post, order + 1)
-    if ov > orth_threshold:
-        side, denom, lead = 0, ov, ov
-    else:
-        denom = float(t[1, 1].real)
-        if abs(denom) <= G2_THRESHOLD:
-            raise NotApplicable(
-                "selections are orthogonal and tr(P A rho A) vanishes as "
-                "well; the response starts beyond second order and the "
-                "truncated expansion has no leading term"
-            )
-        side, lead = 1, g * g * denom
-
-    def wvalue(m: int, l: int) -> complex:
-        return complex(t[m + side, l + side]) / (((m + 1) * (l + 1)) ** side * denom)
+    b = _moment_amplitudes(sc.observable, sc.pre, sc.post, order + 1)
+    _, t, side, denom = _route(b, orth_threshold)
+    lead = g * g * denom if side else denom
 
     tables, m0, pk = _branch_p_table(grid, branches, order + side)
     pmom = _p_moments(m0, pk, grid.dp, order + 2 * side)
@@ -467,7 +443,7 @@ def series_device_state(
         s_n = 0.0 + 0.0j
         arr = np.zeros(grid.n, dtype=complex)
         for k in range(n + 1):
-            wv = (-1) ** k * math.comb(n, k) * wvalue(n - k, k)
+            wv = (-1) ** k * math.comb(n, k) * _weak_ratio(t, n - k, k, side, denom)
             s_n += wv
             cross = np.zeros(grid.n, dtype=complex)
             for (w, _), powers in zip(branches, tables):
@@ -507,12 +483,6 @@ def series_device_state(
         )
     tail = (sups[-1] / norm) if sups else 0.0
     return _finish_record(
-        sc,
-        grid,
-        n_total,
-        qd / norm,
-        pd / norm,
-        method="truncated-series",
-        series_order=order,
-        tail_estimate=tail,
+        sc, grid, n_total, qd / norm, pd / norm,
+        method="truncated-series", series_order=order, tail_estimate=tail,
     )

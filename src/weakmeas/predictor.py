@@ -5,10 +5,10 @@ observable A and the pointer momentum p (hbar = 1 throughout). After
 post-selection the pointer's position and momentum means shift; this module
 evaluates those shifts in closed form:
 
-- `predict`: the single route from a scenario to a prediction. It routes on
-  the selection overlap tr(P rho): the general formulas above the
-  orthogonality threshold, the orthogonal ones at or below it; a regime can
-  also be forced.
+- `predict`: the single entry from a scenario to a prediction. It takes
+  its route from `weak_values._route`, as the weak values and the series
+  do: the general formulas above the orthogonality threshold (a number in
+  (0, 1)), the orthogonal ones at or below it; a regime can also be forced.
 - `predict_aav`: first order in g (linear response).
 - `predict_general`: second order with the resummed denominator, valid for
   mixed states and any small-but-finite coupling short of orthogonality.
@@ -24,12 +24,14 @@ evaluates those shifts in closed form:
 
 Every closed-form prediction is one stacked kernel, `_predict_stacked`,
 over the moment amplitudes of the selection kernel (`qops._selection_kernel`):
-it routes each point and computes both regimes' fields, NaN where a point is
-undefined. The amplifier runs it over stacks; `predict` and the four forced
-predictors are its batch of one, `_predict_point`, which reads the selection
-kernel once per call and raises every typed error. The forced predictors
-use the default threshold ORTH_THRESHOLD; another threshold is set through
-`predict` (or a scenario file's ``orth_threshold`` option).
+it masks each point's side as an array and computes both regimes' fields,
+NaN where a point is undefined. The amplifier runs it over stacks at
+ORTH_THRESHOLD; `predict` and the four forced predictors are its batch of
+one, `_predict_point`, which reads the selection kernel once per call,
+takes the side and the regime errors from `_route` and raises every other
+typed error. The forced predictors use the default threshold
+ORTH_THRESHOLD; another threshold is set through `predict` (or a scenario
+file's ``orth_threshold`` option).
 """
 
 from __future__ import annotations
@@ -68,11 +70,11 @@ from .qops import _selection_overlaps, _selection_traces
 from .scenario import Scenario
 from .weak_values import (
     G2_THRESHOLD,
+    MARGIN_ORDER,
     ORTH_THRESHOLD,
     _aav_margin,
     _moment_amplitudes,
-    _require_leading,
-    _require_regime,
+    _route,
     weak_interaction_margin,
 )
 
@@ -169,20 +171,16 @@ class _PointerMoments:
 class _Fields(NamedTuple):
     """Per-point fields of `_predict_stacked`.
 
-    ``orth`` marks the points at or below the threshold. ``bracket`` (1/C)
-    is NaN on them; ``lead`` (tr(P A rho A)), ``ow_re`` / ``ow_im`` (A_ow)
-    and the output variances are NaN on the others, and None when no point
-    is orthogonal. ``success``, ``delta_q`` and ``delta_p`` follow each
-    point's own route.
+    ``bracket`` (1/C) is NaN on the points at or below the threshold;
+    ``ow_re`` / ``ow_im`` (A_ow) and the output variances are NaN on the
+    others, and None when no point is orthogonal. ``success``, ``delta_q``
+    and ``delta_p`` follow each point's own route.
     """
 
-    orth: np.ndarray
-    ov: np.ndarray
     bracket: np.ndarray
     success: np.ndarray
     delta_q: np.ndarray
     delta_p: np.ndarray
-    lead: np.ndarray | None
     ow_re: np.ndarray | None
     ow_im: np.ndarray | None
     var_q: np.ndarray | None
@@ -240,7 +238,7 @@ def _predict_stacked(
         )
         delta_p = c * (2.0 * g * aw_im * varp + g * g * (p3 - p2 * p1) * d_coef)
     success = ov / c
-    orth_fields = [None] * 5
+    orth_fields = [None] * 4
     if orth.any():
         pts = np.flatnonzero(orth)
         p4, pbrace, pq2p = moments.orthogonal
@@ -257,11 +255,11 @@ def _predict_stacked(
         delta_q[pts] = g * ow_re + g * ow_im * pbrace / p2
         delta_p[pts] = 2.0 * g * ow_im * p4 / p2
         variances = (np.where(usable, pq2p / p2, np.nan), np.where(usable, p4 / p2, np.nan))
-        parts = (lead, ow_re, ow_im, *variances)
+        parts = (ow_re, ow_im, *variances)
         orth_fields = [np.full(ov.shape, np.nan) for _ in parts]
         for full, part in zip(orth_fields, parts):
             full[pts] = part
-    return _Fields(orth, ov, bracket, success, delta_q, delta_p, *orth_fields)
+    return _Fields(bracket, success, delta_q, delta_p, *orth_fields)
 
 
 def _predict_point(
@@ -271,16 +269,18 @@ def _predict_point(
     """`_predict_stacked`'s batch of one, behind every public predictor.
 
     One selection-kernel read (b_0..b_4) serves the route, the fields and
-    the linear-response margin. ``regime`` is ``auto`` (route on tr(P rho))
-    or a forced one. Every typed error is raised here, from the kernel's
-    masks, before a prediction is returned.
+    the linear-response margin. ``regime`` is ``auto`` or a forced one;
+    `weak_values._route` takes the side and raises the regime errors
+    (HigherOrderOrthogonality before PointerNotEven). Every typed error is
+    raised here before a prediction is returned.
     """
-    b = _moment_amplitudes(obs, pre, post, 4)
+    b = _moment_amplitudes(obs, pre, post, MARGIN_ORDER)
+    forced = None if regime == "auto" else regime == "orthogonal"
+    _, _, side, _ = _route(b[:2], orth_threshold, forced)
+    if regime == "auto":
+        regime = "orthogonal" if side else "general"
     moments = _PointerMoments(pointer)
     f = _predict_stacked(moments, g, b[:3], orth_threshold, regime == "aav")
-    if regime == "auto":
-        regime = "orthogonal" if f.orth[0] else "general"
-    _require_regime(float(f.ov[0]), orth_threshold, orthogonal=regime == "orthogonal")
     fields = {"delta_q": float(f.delta_q[0]), "delta_p": float(f.delta_p[0])}
     if regime == "orthogonal":
         if moments.odd is not None:
@@ -289,7 +289,6 @@ def _predict_point(
                 f"<p^{n}> = {val:.3e} does not vanish (tolerance {EVEN_TOL:.1e}); "
                 "the orthogonal predictor requires an even pointer state"
             )
-        _require_leading(float(f.lead[0]))
         fields.update(
             success_prob=float(f.success[0]),
             var_q_out=float(f.var_q[0]),
@@ -415,13 +414,26 @@ def predict(
     routes on the selection overlap tr(P rho): the general formulas above
     ``orth_threshold``, the orthogonal ones at or below it. The other values
     force that regime, and raise its regime error when the scenario lies
-    outside it. Every regime reads the selection kernel once.
+    outside it. ``orth_threshold`` must lie in (0, 1) (ValueError
+    otherwise). Every regime reads the selection kernel once.
     """
     if regime != "auto" and regime not in _REGIMES:
         raise ValueError(f"regime must be 'auto' or one of {_REGIMES}, got {regime!r}")
     return _predict_point(
         sc.observable, sc.pre, sc.post, sc.g, sc.pointer, regime, orth_threshold
     )
+
+
+def _check_alpha(alpha: float) -> None:
+    """The one check of a Stern-Gerlach angle: alpha in [0, pi]."""
+    if not (0.0 <= alpha <= math.pi):
+        raise ValueError(f"alpha must lie in [0, pi], got {alpha}")
+
+
+def _check_lambda(lmbda: float) -> None:
+    """The one check of a Stern-Gerlach coupling: lambda in (0, 1)."""
+    if not (0.0 < lmbda < 1.0):
+        raise LambdaOutOfRange(f"lambda must lie in (0, 1), got {lmbda}")
 
 
 @dataclass(frozen=True)
@@ -438,12 +450,8 @@ class SGParams:
     lmbda: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha <= math.pi):
-            raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
-        if not (0.0 < self.lmbda < 1.0):
-            raise LambdaOutOfRange(
-                f"lambda must lie in (0, 1), got {self.lmbda}"
-            )
+        _check_alpha(self.alpha)
+        _check_lambda(self.lmbda)
         if self.lmbda > 0.5:
             warnings.warn(
                 f"lambda = {self.lmbda} > 0.5; the closed-form outcome curve "
@@ -475,8 +483,7 @@ def sg_optimum(lmbda: float) -> tuple[float, float]:
     alpha_opt = arccos(lambda^2/2 - 1) and
     outcome_max = 1/sqrt(lambda^2 - lambda^4/4).
     """
-    if not (0.0 < lmbda < 1.0):
-        raise LambdaOutOfRange(f"lambda must lie in (0, 1), got {lmbda}")
+    _check_lambda(lmbda)
     alpha_opt = math.acos(0.5 * lmbda**2 - 1.0)
     outcome_max = 1.0 / math.sqrt(lmbda**2 - 0.25 * lmbda**4)
     return alpha_opt, outcome_max

@@ -60,16 +60,17 @@ def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _as_square(raw, what: str) -> np.ndarray:
+def _hermitian(raw, what: str, tol: float) -> np.ndarray:
+    """The one matrix check: a nonempty, square, finite matrix, Hermitian
+    within ``tol``, returned symmetrized."""
     m = np.asarray(raw, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"{what} must be a nonempty square matrix, got shape {m.shape}")
-    return _require_finite(m, what)
-
-def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
+    _require_finite(m, what)
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > tol:
         raise NonHermitian(f"{what} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+    return (m + m.conj().T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,7 @@ def new_observable(raw) -> Observable:
     symmetrized and divided by its spectral norm, which is returned as
     ``scale`` so couplings can be rescaled consistently.
     """
-    m = _as_square(raw, "observable")
-    _check_hermitian(m, HERMITICITY_TOL, "observable")
-    m = (m + m.conj().T) / 2.0
+    m = _hermitian(raw, "observable", HERMITICITY_TOL)
     evals, evecs = np.linalg.eigh(m)
     scale = float(np.max(np.abs(evals)))
     if scale == 0.0:
@@ -182,9 +181,19 @@ def new_observable(raw) -> Observable:
     )
 
 
+def _as_vector(raw, what: str, instead: str) -> np.ndarray:
+    """A 1-d complex array; anything else is refused, pointing to the
+    constructor ``instead`` that takes a matrix."""
+    v = np.asarray(raw, dtype=complex)
+    if v.ndim != 1:
+        raise ValueError(f"{what} must be a 1-d vector, got shape {v.shape}; use {instead}")
+    return v.ravel()  # contiguous, so the norm rounds alike for every layout
+
+
 def pure_state(vec) -> SystemState:
-    """System state |v><v| from a (not necessarily normalized) vector."""
-    v = np.asarray(vec, dtype=complex).ravel()
+    """System state |v><v| from a (not necessarily normalized) 1-d vector;
+    a density matrix goes through `density_state`."""
+    v = _as_vector(vec, "state vector", "density_state for a density matrix")
     # One float both normalizes and vouches for finiteness. A squared norm
     # that is zero, subnormal or not finite (entries beyond about 1e+154 or
     # below about 1e-154, a NaN or an infinity) sends the vector to the
@@ -220,9 +229,7 @@ def density_state(raw) -> SystemState:
     Requires Hermiticity and unit trace to ``STATE_TOL`` and eigenvalues
     >= -STATE_TOL; tiny negative weights are clipped to zero.
     """
-    m = _as_square(raw, "density matrix")
-    _check_hermitian(m, STATE_TOL, "density matrix")
-    m = (m + m.conj().T) / 2.0
+    m = _hermitian(raw, "density matrix", STATE_TOL)
     tr = float(np.real(np.trace(m)))
     if abs(tr - 1.0) > STATE_TOL:
         raise ValueError(f"density matrix trace is {tr!r}, expected 1 within {STATE_TOL:.1e}")
@@ -240,9 +247,7 @@ def density_state(raw) -> SystemState:
 
 def projector(raw) -> PostSelection:
     """Post-selection from a projector matrix (idempotent, Hermitian)."""
-    m = _as_square(raw, "projector")
-    _check_hermitian(m, HERMITICITY_TOL, "projector")
-    m = (m + m.conj().T) / 2.0
+    m = _hermitian(raw, "projector", HERMITICITY_TOL)
     dev = float(np.max(np.abs(m @ m - m)))
     if dev > IDEMPOTENCY_TOL:
         raise ValueError(f"projector is not idempotent (|P^2-P| = {dev:.3e})")
@@ -261,14 +266,17 @@ def projector(raw) -> PostSelection:
 
 
 def projector_onto(*vectors) -> PostSelection:
-    """Projector onto the span of the given vectors (orthonormalized).
+    """Projector onto the span of the given 1-d vectors (orthonormalized);
+    a projector matrix goes through `projector`.
 
     A QR column counts toward the span when its |r_ii| exceeds 1e-12 of the
     largest, so the rank does not depend on the vectors' overall scale.
     """
     if not vectors:
         raise ZeroOperator("projector needs at least one vector")
-    cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    cols = np.column_stack(
+        [_as_vector(v, "projector vector", "projector for a projector matrix") for v in vectors]
+    )
     _require_finite(cols, "projector vector")
     q, r = np.linalg.qr(cols)
     diag = np.abs(np.diag(r))
@@ -343,13 +351,18 @@ def _selection_traces(b: np.ndarray) -> np.ndarray:
     return _ordered_sum(rows[:, :, None] * rows.conj()[:, None])
 
 
+def _check_dims(post: PostSelection, pre: SystemState, obs: Observable | None = None) -> None:
+    """The one dimension check of a selection pair and the observable, if any."""
+    if pre.dim == post.dim and (obs is None or obs.dim == pre.dim):
+        return
+    observable = "" if obs is None else f"observable {obs.dim}, "
+    raise DimensionMismatch(f"dimensions differ: {observable}state {pre.dim}, projector {post.dim}")
+
+
 def overlap(post: PostSelection, pre: SystemState) -> float:
     """Post-selection success probability at zero coupling, tr(P rho),
     clipped into [0, 1]: the selection kernel's batch of one."""
-    if post.dim != pre.dim:
-        raise DimensionMismatch(
-            f"projector dimension {post.dim} != state dimension {pre.dim}"
-        )
+    _check_dims(post, pre)
     return float(_selection_overlaps(_selection_kernel([post], [pre])[1])[0])
 
 

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionFailure, DimensionMismatch, ParseError, WeakMeasurementError
+from .errors import ConstructionFailure, OrderTooLarge, ParseError, WeakMeasurementError
 from .pointer import (
     PointerState,
     gaussian,
@@ -42,6 +43,7 @@ from .qops import (
     Observable,
     PostSelection,
     SystemState,
+    _check_dims,
     _require_number,
     density_state,
     matrix_from_wire,
@@ -52,7 +54,7 @@ from .qops import (
     pure_state,
     vector_from_wire,
 )
-from .weak_values import orthogonal_weak_value, weak_value
+from .weak_values import _check_threshold, orthogonal_weak_value, weak_value
 
 __all__ = [
     "Scenario",
@@ -96,11 +98,7 @@ class Scenario:
     pointer: PointerState
 
     def __post_init__(self) -> None:
-        if not (self.observable.dim == self.pre.dim == self.post.dim):
-            raise DimensionMismatch(
-                f"dimensions differ: observable {self.observable.dim}, "
-                f"state {self.pre.dim}, projector {self.post.dim}"
-            )
+        _check_dims(self.post, self.pre, self.observable)
         if not math.isfinite(self.g):
             raise ValueError(f"coupling g must be finite, got {self.g!r}")
 
@@ -135,12 +133,14 @@ _TOP_KEYS = {"observable", "pre_state", "post_projector", "g", "pointer", "optio
 _OPTION_KEYS = {"grid_n", "series_order", "orth_threshold"}
 
 
-def validate_series_order(order, path: str = "series_order") -> int:
-    if isinstance(order, bool) or not isinstance(order, int):
-        raise ParseError(f"{path}: expected an integer, got {order!r}")
-    if not (0 <= order <= MAX_SERIES_ORDER):
-        raise ParseError(f"{path}: expected an order in [0, {MAX_SERIES_ORDER}], got {order}")
-    return order
+def validate_series_order(order) -> int:
+    """The one check of a series order: an integer (numpy integers included,
+    bools refused) in [0, MAX_SERIES_ORDER], else ValueError / OrderTooLarge."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
+        raise ValueError(f"series order must be a nonnegative integer, got {order!r}")
+    if order > MAX_SERIES_ORDER:
+        raise OrderTooLarge(f"series orders up to {MAX_SERIES_ORDER} supported, got {order}")
+    return int(order)
 
 
 def _parse_options(data, path: str) -> ScenarioOptions:
@@ -155,12 +155,16 @@ def _parse_options(data, path: str) -> ScenarioOptions:
         raise ParseError(f"{path}.grid_n: {exc}") from exc
     series_order = data.get("series_order")
     if series_order is not None:
-        series_order = validate_series_order(series_order, f"{path}.series_order")
+        try:
+            series_order = validate_series_order(series_order)
+        except (ValueError, OrderTooLarge) as exc:
+            raise ParseError(f"{path}.series_order: {exc}") from exc
     orth = data.get("orth_threshold")
     if orth is not None:
-        orth = _require_number(orth, f"{path}.orth_threshold")
-        if not (0.0 < orth < 1.0):
-            raise ParseError(f"{path}.orth_threshold: expected a value in (0, 1), got {orth}")
+        try:
+            orth = _check_threshold(orth)
+        except ValueError as exc:
+            raise ParseError(f"{path}.orth_threshold: {exc}") from exc
     return ScenarioOptions(grid_n=grid_n, series_order=series_order, orth_threshold=orth)
 
 
@@ -172,6 +176,19 @@ def _looks_like_matrix(data) -> bool:
         and bool(data[0])
         and isinstance(data[0][0], (list, tuple))
     )
+
+
+def _selection_from_wire(data, path: str, from_vector, from_matrix):
+    """A pre- or post-selection from its wire vector or matrix; a refusal
+    becomes a ParseError naming ``path``."""
+    try:
+        if _looks_like_matrix(data):
+            return from_matrix(matrix_from_wire(data, path))
+        return from_vector(vector_from_wire(data, path))
+    except ParseError:
+        raise
+    except (WeakMeasurementError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def parse_scenario(obj, path: str = "scenario") -> tuple[Scenario, ScenarioOptions]:
@@ -191,28 +208,10 @@ def parse_scenario(obj, path: str = "scenario") -> tuple[Scenario, ScenarioOptio
     except (WeakMeasurementError, ValueError) as exc:
         raise ParseError(f"{path}.observable: {exc}") from exc
 
-    pre_data = obj["pre_state"]
-    try:
-        if _looks_like_matrix(pre_data):
-            pre = density_state(matrix_from_wire(pre_data, f"{path}.pre_state"))
-        else:
-            pre = pure_state(vector_from_wire(pre_data, f"{path}.pre_state"))
-    except ParseError:
-        raise
-    except (WeakMeasurementError, ValueError) as exc:
-        raise ParseError(f"{path}.pre_state: {exc}") from exc
-
-    post_data = obj["post_projector"]
-    try:
-        if _looks_like_matrix(post_data):
-            post = projector(matrix_from_wire(post_data, f"{path}.post_projector"))
-        else:
-            post = projector_onto(vector_from_wire(post_data, f"{path}.post_projector"))
-    except ParseError:
-        raise
-    except (WeakMeasurementError, ValueError) as exc:
-        raise ParseError(f"{path}.post_projector: {exc}") from exc
-
+    pre = _selection_from_wire(obj["pre_state"], f"{path}.pre_state", pure_state, density_state)
+    post = _selection_from_wire(
+        obj["post_projector"], f"{path}.post_projector", projector_onto, projector
+    )
     g_raw = _require_number(obj["g"], f"{path}.g")
     pointer = pointer_from_wire(obj["pointer"], f"{path}.pointer")
     options = (

@@ -180,6 +180,29 @@ def test_exact_series_honors_file_orth_threshold(tmp_path, capsys):
     assert series["delta_q"] == pytest.approx(0.0053057, abs=1e-7)
 
 
+def test_series_and_predict_report_one_code_for_a_vanishing_first_order(tmp_path, capsys):
+    # Orthogonal selections with tr(P A rho A) = 0 whose post-selection
+    # still succeeds at second order (<2|A^2|0> = 1), so `exact` itself
+    # runs: the series and `predict` both report the route's error.
+    obs = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+    sc = make_scenario(obs, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.2, gaussian(1.0))
+    path = _write_scenario(tmp_path, sc)
+    assert _run(capsys, ["exact", path])[0] == 0
+    for argv in (["exact", path, "--series-order", "4"], ["predict", path]):
+        code, out, _ = _run(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "higher-order-orthogonality"
+
+
+def test_series_order_flag_beyond_the_cap_exits_one(tmp_path, capsys):
+    path = _write_scenario(tmp_path, half_overlap_scenario(0.04))
+    for order in ("17", "-1"):
+        code, out, err = _run(capsys, ["exact", path, "--series-order", order])
+        assert code == 1
+        assert out == ""
+        assert "argument --series-order" in err
+
+
 def test_exact_honors_grid_n_flag(tmp_path, capsys):
     path = _write_scenario(tmp_path, half_overlap_scenario(0.04))
     code, out, _ = _run(capsys, ["exact", path, "--grid-n", "8192"])

@@ -37,7 +37,7 @@ from weakmeas import (
 )
 from weakmeas.errors import (
     GridTooSmall,
-    NotApplicable,
+    HigherOrderOrthogonality,
     OrderTooLarge,
     SeriesDiverging,
     ValidityWarning,
@@ -321,8 +321,10 @@ def test_series_divergence_detected():
         _quiet_series(sc, 12)
 
 
-def test_series_not_applicable_beyond_second_order_orthogonality():
-    with pytest.raises(NotApplicable):
+def test_series_raises_higher_order_orthogonality_beyond_second_order():
+    # The same error `predict` and `orthogonal_weak_value` raise here: the
+    # series takes its route from the one route function.
+    with pytest.raises(HigherOrderOrthogonality):
         series_device_state(commuting_orthogonal(0.02), 4)
 
 
@@ -330,8 +332,15 @@ def test_series_order_validation():
     sc = half_overlap_scenario(0.05)
     with pytest.raises(OrderTooLarge):
         series_device_state(sc, 17)
-    with pytest.raises(ValueError):
-        series_device_state(sc, -1)
+    for bad in (-1, True, 2.0, 2.5, "2"):
+        with pytest.raises(ValueError, match="series order"):
+            series_device_state(sc, bad)
+    # A numpy integer is an order like any other.
+    rec, ref = series_device_state(sc, np.int64(4)), series_device_state(sc, 4)
+    assert type(rec.series_order) is int and rec.series_order == 4
+    assert (rec.delta_q, rec.delta_p, rec.success_prob) == (
+        ref.delta_q, ref.delta_p, ref.success_prob
+    )
 
 
 # --- random cross-checks --------------------------------------------------------------

@@ -3,6 +3,7 @@ orthogonal selections, and the Stern-Gerlach amplification curve."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from weakmeas import oracle, pointer, predictor, qops, weak_values
 from weakmeas.oracle import _gaussian_exact
 from weakmeas.amplifier import sg_family
 from weakmeas.errors import (
+    HigherOrderOrthogonality,
     LambdaOutOfRange,
     NonPositiveDenominator,
     NotApplicable,
@@ -45,6 +47,7 @@ from weakmeas.errors import (
 from weakmeas.pointer import ANTICOMM_QP, gaussian_profile, variance_p
 
 from support import (
+    commuting_orthogonal,
     half_overlap_scenario,
     orthogonal_idempotent,
     orthogonal_sigma_x,
@@ -354,6 +357,13 @@ def test_orthogonal_error_paths():
     sc = orthogonal_sigma_x(0.01)
     with pytest.raises(PointerNotEven):
         predict_orthogonal(sc.observable, sc.pre, sc.post, sc.g, tilted)
+    # Doubly invalid: the same odd pointer with selections whose
+    # tr(P A rho A) vanishes too. The route's HigherOrderOrthogonality
+    # comes first, before anything is read from the pointer.
+    sc = commuting_orthogonal(0.01)
+    for regime in ("auto", "orthogonal"):
+        with pytest.raises(HigherOrderOrthogonality):
+            predict(replace(sc, pointer=tilted), regime)
 
 
 # --- Stern-Gerlach closed forms ------------------------------------------------------

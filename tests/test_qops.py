@@ -203,6 +203,19 @@ def test_vectors_reject_non_finite_entries(bad):
         vector_from_wire([[1.0, 0.0], [0.0, 10**400]], "v")
 
 
+@pytest.mark.parametrize("raw", [np.eye(2) / 2.0, [[1.0, 0.0]], 1.0])
+def test_vector_constructors_refuse_anything_but_a_1d_vector(raw):
+    # A matrix used to be flattened: pure_state(eye(2)/2) came out as a
+    # 4-dimensional pure state and projector_onto(eye(2)) as a rank-1
+    # projector of dimension 4.
+    for build, instead in ((pure_state, "density_state"), (projector_onto, "projector")):
+        with pytest.raises(ValueError, match="1-d vector") as err:
+            build(raw)
+        assert f"got shape {np.shape(raw)}; use {instead} for a" in str(err.value)
+    with pytest.raises(ValueError, match="1-d vector"):
+        projector_onto([1.0, 0.0], raw)
+
+
 # --- projectors --------------------------------------------------------------
 
 

@@ -10,20 +10,25 @@ from weakmeas import (
     aav_margin,
     gaussian,
     generalized_weak_value,
+    make_scenario,
     new_observable,
     orthogonal_weak_value,
+    predict,
     projector_onto,
     pure_state,
+    series_device_state,
     weak_interaction_margin,
     weak_interaction_margin_argmax,
     weak_value,
 )
+from weakmeas import oracle, predictor, weak_values
 from weakmeas.errors import (
     HigherOrderOrthogonality,
     NotOrthogonal,
     OrderTooLarge,
     OrthogonalPPS,
 )
+from weakmeas.qops import SIGMA_X
 from weakmeas.weak_values import selection_trace
 
 from support import (
@@ -143,6 +148,29 @@ def test_generalized_order_limits():
         generalized_weak_value(obs, pre, post, -1, 0)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, -1, "1"])
+def test_weak_value_orders_are_nonnegative_integers(bad):
+    # A float order used to end in a bare IndexError and True counted as 1;
+    # the weak values and `selection_trace` share one order check.
+    obs, pre, post = qubit_pps_half_overlap()
+    with pytest.raises(ValueError, match="orders"):
+        generalized_weak_value(obs, pre, post, bad, 0)
+    sc = orthogonal_sigma_x(0.01)
+    with pytest.raises(ValueError, match="orders"):
+        orthogonal_weak_value(sc.observable, sc.pre, sc.post, 0, bad)
+    with pytest.raises(ValueError, match="orders"):
+        selection_trace(obs, pre, post, 0, bad)
+
+
+def test_numpy_integer_orders_behave_like_ints():
+    obs, pre, post = qubit_pps_half_overlap()
+    got = generalized_weak_value(obs, pre, post, np.int64(2), np.int64(1))
+    assert got == generalized_weak_value(obs, pre, post, 2, 1)
+    assert type(got.value) is complex and got.orders == (2, 1)
+    assert all(type(order) is int for order in got.orders)
+    assert selection_trace(obs, pre, post, np.int64(2), 1) == selection_trace(obs, pre, post, 2, 1)
+
+
 # --- orthogonal weak values -------------------------------------------------------
 
 
@@ -204,14 +232,12 @@ def test_weak_interaction_margin_scaling():
     m2 = weak_interaction_margin(0.02, pt)
     assert m2 == pytest.approx(2.0 * m1, rel=1e-12)  # linear in |g|
     assert weak_interaction_margin(0.0, pt) == 0.0
-    # for a Gaussian the fourth-moment term dominates the n_max = 4 default
+    # for a Gaussian the fourth-moment term dominates (n up to MARGIN_ORDER = 4)
     val, n = weak_interaction_margin_argmax(0.1, pt)
     assert n == 4
     assert val == pytest.approx(0.1 * (3.0 * 0.25**2) ** 0.25, rel=1e-12)
     # grid pointers work through quadrature moments
     assert weak_interaction_margin(0.1, skewed_pointer(1.0)) > 0.0
-    with pytest.raises(ValueError):
-        weak_interaction_margin_argmax(0.1, pt, n_max=1)
 
 
 def test_aav_margin_basics():
@@ -236,3 +262,64 @@ def test_aav_margin_basics():
             0.01,
             pt,
         )
+
+
+# --- the one regime route ------------------------------------------------------------
+
+
+def _near_orthogonal_qubit(g: float = 0.05):
+    """sigma_x, pre ~ (1, 0.3), post |1>: tr(P rho) = 0.083, well above any
+    default threshold, and tr(P A rho A) = 0.917."""
+    return make_scenario(SIGMA_X, [1.0, 0.3], [0.0, 1.0], g, gaussian(1.0))
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, 1.0, 2.0, True, "0.5"])
+@pytest.mark.parametrize("build", [orthogonal_sigma_x, _near_orthogonal_qubit])
+def test_threshold_outside_unit_interval_is_refused_on_every_path(threshold, build):
+    # Before the one route, NaN sent the series orthogonal and `predict`
+    # general, -1 ended in a ZeroDivisionError (series) or a NaN bracket
+    # (predict), and 2 routed every scenario orthogonal.
+    sc = build(0.02)
+    with pytest.raises(ValueError, match="orth_threshold"):
+        predict(sc, orth_threshold=threshold)
+    with pytest.raises(ValueError, match="orth_threshold"):
+        series_device_state(sc, 4, orth_threshold=threshold)
+
+
+def test_every_caller_takes_its_route_from_one_function(monkeypatch):
+    calls = []
+    route = weak_values._route
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return route(*args, **kwargs)
+
+    for module in (weak_values, predictor, oracle):
+        monkeypatch.setattr(module, "_route", counted)
+    orth, general = orthogonal_sigma_x(0.02), _near_orthogonal_qubit()
+    runs = [
+        lambda: predict(orth),
+        lambda: predict(general),
+        lambda: predict(general, orth_threshold=0.5),
+        lambda: series_device_state(orth, 3),
+        lambda: series_device_state(general, 3, orth_threshold=0.5),
+        lambda: weak_value(general.observable, general.pre, general.post),
+        lambda: generalized_weak_value(general.observable, general.pre, general.post, 2, 1),
+        lambda: orthogonal_weak_value(orth.observable, orth.pre, orth.post),
+    ]
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_vanishing_first_order_response_is_one_error_everywhere():
+    # tr(P rho) = tr(P A rho A) = 0: the orthogonal weak value, `predict`
+    # and the series raise the same error.
+    sc = commuting_orthogonal(0.02)
+    with pytest.raises(HigherOrderOrthogonality):
+        orthogonal_weak_value(sc.observable, sc.pre, sc.post)
+    with pytest.raises(HigherOrderOrthogonality):
+        predict(sc)
+    with pytest.raises(HigherOrderOrthogonality):
+        series_device_state(sc, 4)
