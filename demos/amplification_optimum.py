@@ -5,8 +5,13 @@ How far can post-selection amplify a beam displacement?
 A spin-1/2 beam picks up a transverse displacement g when it crosses the
 field gradient; post-selecting the spin at angle alpha from the analyzer
 multiplies that displacement.  This script sweeps the angle, locates the
-best one by golden-section search, and checks the ceiling: the measured
-displacement never exceeds the pointer width, so lambda * max -> 1.
+best one by golden-section search, and checks it against the exact
+ceiling.  For a spin-1/2 with coupling g = lambda * delta_q, no choice of
+selections shifts the pointer by more than
+lambda * delta_q / sqrt(1 - exp(-lambda^2)), the exact qubit bound; in
+units of g the amplification is at most 1 / sqrt(1 - exp(-lambda^2)).
+So lambda * max = lambda / sqrt(1 - exp(-lambda^2)) lies above 1 and
+tends to 1 as the coupling weakens.
 """
 
 import math
@@ -32,15 +37,18 @@ print()
 #     exact engine lands nearby, a touch higher, since the closed form
 #     resums only part of the coupling dependence.
 print(f"{'lambda':>7} {'alpha* (closed)':>16} {'alpha* (exact)':>15} "
-      f"{'max (closed)':>13} {'max (exact)':>12} {'lam*max':>8}")
+      f"{'max (closed)':>13} {'max (exact)':>12} {'bound':>10} {'lam*max':>8}")
 for lam in (0.4, 0.2, 0.1, 0.05):
     alpha_c, value_c = sg_optimum(lam)
     report = find_optimum(sg_family(lam), (math.pi / 2.0, math.pi),
                           "measured", "exact")
+    bound = 1.0 / math.sqrt(-math.expm1(-lam * lam))
     print(f"{lam:>7.2f} {alpha_c:>16.6f} {report.parameter_opt:>15.6f} "
-          f"{value_c:>13.6f} {report.outcome_max:>12.6f} "
+          f"{value_c:>13.6f} {report.outcome_max:>12.6f} {bound:>10.6f} "
           f"{lam * report.outcome_max:>8.5f}")
 
-# (3) The last column approaches 1 from above as the coupling weakens:
-#     however aggressive the post-selection, the conditioned beam cannot
-#     be displaced by more than about one pointer width.
+# (3) The exact search reaches the bound 1/sqrt(1 - exp(-lambda^2)) to the
+#     printed digits, and the last column, lambda/sqrt(1 - exp(-lambda^2)),
+#     approaches 1 from above as the coupling weakens: however aggressive
+#     the post-selection, the conditioned beam is displaced by at most
+#     about one pointer width.

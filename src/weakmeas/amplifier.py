@@ -192,18 +192,6 @@ class _Evaluator:
         ]
 
 
-def _evaluate(
-    sc: Scenario,
-    objective: str,
-    engine: str,
-    grid_n: int | None,
-) -> tuple[float | None, float]:
-    """(outcome, success probability) for one scenario, or (None, 0): a
-    sweep of one point, through the same kernels."""
-    outcome, success, _ = _Evaluator(objective, engine, grid_n).group([sc])[0]
-    return outcome, success
-
-
 def sweep(
     family: Callable[[float], Scenario],
     params,

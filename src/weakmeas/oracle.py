@@ -25,7 +25,9 @@ of the predictor formulas directly observable. Both regimes run one
 expansion; the side, the threshold check and the conditioning denominator
 come from `weak_values._route`, as for `predict`, and each coefficient is
 one `weak_values._weak_ratio`. Powers of the momentum grid are running
-products, never stored per power.
+products, never stored per power. The series normalizes by its own
+truncated density, as the grid oracle does, and refuses a bad order, grid
+size or regime before it allocates the grid.
 """
 
 from __future__ import annotations
@@ -377,15 +379,6 @@ def _branch_p_table(
     return tables, m0, pk
 
 
-def _p_moments(m0: np.ndarray, pk: np.ndarray, dp: float, max_power: int) -> list[float]:
-    """<p^a> of the density m0 for a = 0..max_power, by running products."""
-    moments, weighted = [], m0.copy()
-    for _ in range(max_power + 1):
-        moments.append(float(np.sum(weighted) * dp))
-        weighted *= pk
-    return moments
-
-
 def series_device_state(
     sc: Scenario, order: int, grid_n: int | None = None, *, orth_threshold: float = ORTH_THRESHOLD
 ) -> MeasurementRecord:
@@ -395,15 +388,19 @@ def series_device_state(
     state whose n-th term couples the generalized weak values of total
     order n to p^(n-k) rho_d p^k; orthogonal selections use the analogous
     expansion built on orthogonal weak values, with one extra momentum
-    operator on each side. Truncated densities integrate to one exactly at
-    every order.
+    operator on each side. Like `evolve_postselect`, the record is
+    conditioned on its own trace: the truncated position density's integral
+    N_t divides both densities, and the success probability is the leading
+    denominator (tr(P rho), or g^2 tr(P A rho A)) times N_t.
 
-    The regime is routed like `predict` (`weak_values._route`):
-    ``orth_threshold`` must lie in (0, 1), and orthogonal selections whose
-    leading response tr(P A rho A) vanishes too raise
-    HigherOrderOrthogonality. Raises SeriesDiverging when the per-order
-    density terms stop decreasing (or the truncated normalization turns
-    nonpositive) -- the expansion is then meaningless at this coupling.
+    Every refusal comes before the working grid is allocated: the order,
+    then ``grid_n``, then the regime, routed like `predict`
+    (`weak_values._route`): ``orth_threshold`` must lie in (0, 1), and
+    orthogonal selections whose leading response tr(P A rho A) vanishes too
+    raise HigherOrderOrthogonality. Only then can the frame raise
+    GridTooSmall. Raises SeriesDiverging when the per-order density terms
+    stop decreasing (or the truncated normalization is not positive) -- the
+    expansion is then meaningless at this coupling.
     """
     order = validate_series_order(order)
     margin = weak_interaction_margin(sc.g, sc.pointer)
@@ -414,25 +411,22 @@ def series_device_state(
             ValidityWarning,
             stacklevel=2,
         )
-
-    grid, branches = _evolution_frame(sc, grid_n)
-    g = sc.g
+    validate_grid_n(grid_n)
     # One trace table t[m, l] = tr(P A^m rho A^l) serves every order.
     # Orthogonal selections put one momentum operator on each side (side = 1)
-    # and condition on g^2 tr(P A rho A) <p^2> instead of tr(P rho).
+    # and condition on g^2 tr(P A rho A) instead of tr(P rho). The route
+    # refuses before the frame allocates anything of the grid's size.
     b = _moment_amplitudes(sc.observable, sc.pre, sc.post, order + 1)
     _, t, side, denom = _route(b, orth_threshold)
+    g = sc.g
     lead = g * g * denom if side else denom
 
+    grid, branches = _evolution_frame(sc, grid_n)
     tables, m0, pk = _branch_p_table(grid, branches, order + side)
-    pmom = _p_moments(m0, pk, grid.dp, order + 2 * side)
-    p_side = pmom[2] if side else 1.0
-
     qd = np.zeros(grid.n)
     for (w, _), powers in zip(branches, tables):
         qd += w * np.abs(powers[side]) ** 2
 
-    z_rel = 1.0
     # Momentum-density polynomial in p, with the factor p^(2 side).
     p_poly = np.zeros(order + 2 * side + 1)
     p_poly[2 * side] = 1.0
@@ -451,7 +445,6 @@ def series_device_state(
             arr += wv * cross
         term = np.real(coeff * arr)
         qd = qd + term
-        z_rel += float(np.real(coeff * s_n * (pmom[n + 2 * side] / p_side)))
         p_poly[n + 2 * side] = float(np.real(coeff * s_n))
         sups.append(float(np.max(np.abs(term))))
         # Growth below SERIES_NOISE_FLOOR relative to the density peak is
@@ -469,20 +462,15 @@ def series_device_state(
                 "the coupling is too strong for the expansion"
             )
 
-    poly_vals = np.zeros(grid.n)
-    for coeff_n in p_poly[::-1]:  # Horner's rule
-        poly_vals *= pk
-        poly_vals += coeff_n
-    pd = m0 * poly_vals
-    norm = z_rel * p_side
-    n_total = lead * p_side * z_rel
-    if norm <= 0.0:
+    pd = m0 * np.polyval(p_poly[::-1], pk)
+    norm = float(np.sum(qd) * grid.dq)
+    if not norm > 0.0:
         raise SeriesDiverging(
-            f"truncated normalization {norm:.3e} is nonpositive; the "
+            f"truncated normalization {norm:.3e} is not positive; the "
             "expansion is meaningless at this coupling"
         )
     tail = (sups[-1] / norm) if sups else 0.0
     return _finish_record(
-        sc, grid, n_total, qd / norm, pd / norm,
+        sc, grid, lead * norm, qd / norm, pd / norm,
         method="truncated-series", series_order=order, tail_estimate=tail,
     )

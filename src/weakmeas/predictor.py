@@ -37,7 +37,6 @@ file's ``orth_threshold`` option).
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -136,12 +135,9 @@ def _warn_margin(margin: float) -> None:
         )
     else:
         return
-    # Attribute the warning to the first caller outside this module, so it
-    # names the caller's line whether it came through `predict` or directly.
-    level, frame = 1, sys._getframe()
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
-        level, frame = level + 1, frame.f_back
-    warnings.warn(message, ValidityWarning, stacklevel=level)
+    # Every public predictor calls `_predict_point`, which calls this, so
+    # the fourth frame up is the caller's line.
+    warnings.warn(message, ValidityWarning, stacklevel=4)
 
 
 class _PointerMoments:

@@ -73,11 +73,22 @@ MAX_SERIES_ORDER = 16
 
 @dataclass(frozen=True)
 class ScenarioOptions:
-    """Optional numerical controls carried alongside a scenario file."""
+    """Optional numerical controls carried alongside a scenario file.
+
+    Every option that is set is checked by its validator when the options
+    are built (ValueError, or OrderTooLarge for the series order), so
+    `scenario_to_wire` never writes options its parser refuses.
+    """
 
     grid_n: int | None = None
     series_order: int | None = None
     orth_threshold: float | None = None
+
+    def __post_init__(self) -> None:
+        for name, check in _OPTION_CHECKS.items():
+            value = getattr(self, name)
+            if value is not None:
+                check(value)
 
     def any_set(self) -> bool:
         return any(v is not None for v in (self.grid_n, self.series_order, self.orth_threshold))
@@ -130,7 +141,6 @@ def make_scenario(observable, pre, post, g: float, pointer: PointerState) -> Sce
 # --- wire format -----------------------------------------------------------
 
 _TOP_KEYS = {"observable", "pre_state", "post_projector", "g", "pointer", "options"}
-_OPTION_KEYS = {"grid_n", "series_order", "orth_threshold"}
 
 
 def validate_series_order(order) -> int:
@@ -143,29 +153,27 @@ def validate_series_order(order) -> int:
     return int(order)
 
 
+# Each option's one validator, in the order a file's options are checked.
+_OPTION_CHECKS = {
+    "grid_n": validate_grid_n,
+    "series_order": validate_series_order,
+    "orth_threshold": _check_threshold,
+}
+
+
 def _parse_options(data, path: str) -> ScenarioOptions:
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected an object")
-    unknown = set(data) - _OPTION_KEYS
+    unknown = set(data) - _OPTION_CHECKS.keys()
     if unknown:
         raise ParseError(f"{path}: unknown key {sorted(unknown)[0]!r}")
-    try:
-        grid_n = validate_grid_n(data.get("grid_n"))
-    except ValueError as exc:
-        raise ParseError(f"{path}.grid_n: {exc}") from exc
-    series_order = data.get("series_order")
-    if series_order is not None:
+    # Built one option at a time, so a refusal names its key.
+    for key in _OPTION_CHECKS:
         try:
-            series_order = validate_series_order(series_order)
+            ScenarioOptions(**{key: data.get(key)})
         except (ValueError, OrderTooLarge) as exc:
-            raise ParseError(f"{path}.series_order: {exc}") from exc
-    orth = data.get("orth_threshold")
-    if orth is not None:
-        try:
-            orth = _check_threshold(orth)
-        except ValueError as exc:
-            raise ParseError(f"{path}.orth_threshold: {exc}") from exc
-    return ScenarioOptions(grid_n=grid_n, series_order=series_order, orth_threshold=orth)
+            raise ParseError(f"{path}.{key}: {exc}") from exc
+    return ScenarioOptions(**data)
 
 
 def _looks_like_matrix(data) -> bool:

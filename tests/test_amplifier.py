@@ -331,8 +331,8 @@ def test_family_validation():
 # --- batched evaluation ------------------------------------------------------
 #
 # `sweep` evaluates the points that share the observable, the pointer and g
-# in one array pass; `_evaluate` runs one scenario through the same kernels
-# as a batch of one. The two must agree wherever they are defined, and must
+# in one array pass; a one-point sweep runs one scenario through the same
+# kernels as a batch of one. The two must agree wherever they are defined, and must
 # blank the same points.
 
 SHARING = ("shared", "fresh-observable", "varying-g", "fresh-pointer", "grid-pointer")
@@ -398,11 +398,11 @@ def test_batched_sweep_matches_per_point_evaluation(
             records = sweep(family, params, objective, engine)
             for rec in records:
                 sc = family(rec.parameter)
-                outcome, success = amplifier._evaluate(sc, objective, engine, None)
-                assert (rec.outcome is None) == (outcome is None), (engine, rec)
-                if outcome is not None:
-                    assert _close(rec.outcome, outcome), (engine, rec, outcome)
-                assert _close(rec.success_prob, success), (engine, rec, success)
+                one = sweep(lambda _: sc, [rec.parameter], objective, engine)[0]
+                assert (rec.outcome is None) == (one.outcome is None), (engine, rec)
+                if one.outcome is not None:
+                    assert _close(rec.outcome, one.outcome), (engine, rec, one)
+                assert _close(rec.success_prob, one.success_prob), (engine, rec, one)
                 assert rec.weak_margin == weak_interaction_margin(sc.g, sc.pointer)
 
 

@@ -343,6 +343,50 @@ def test_series_order_validation():
     )
 
 
+def test_series_normalizes_by_its_own_density():
+    # A grid pointer whose norm is 1 + 9e-11, inside grid_state's 1e-10
+    # tolerance. The exact oracle conditions on its own trace; so must the
+    # series, or its success probability inherits the pointer's norm error.
+    n, half = 4096, 10.0
+    dq = 2.0 * half / n
+    q = -half + dq * np.arange(n)
+    phi = np.exp(-q * q / 4.0)
+    phi = phi / math.sqrt(float(np.sum(phi * phi) * dq)) * math.sqrt(1.0 + 9e-11)
+    sc = make_scenario(
+        [[0, 1], [1, 0]], [1.0, 0.3], [0.6, 0.8], 0.02,
+        grid_state(-half, dq, n, [(1.0, phi)]),
+    )
+    exact, rec = evolve_postselect(sc), series_device_state(sc, 8)
+    assert rec.success_prob == pytest.approx(exact.success_prob, rel=1e-13, abs=0.0)
+
+
+def test_series_refuses_a_bad_threshold_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="orth_threshold"):
+            series_device_state(
+                half_overlap_scenario(0.02), 4, grid_n=1 << 22, orth_threshold=math.nan
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_series_regime_error_precedes_grid_too_small():
+    # The regime is routed before the frame is built, so a regime error wins
+    # over GridTooSmall (g = 1e200 cannot be gridded).
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        with pytest.raises(HigherOrderOrthogonality):
+            series_device_state(commuting_orthogonal(1e200), 2)
+
+
+def test_series_bad_grid_n_precedes_a_bad_threshold():
+    with pytest.raises(ValueError, match="grid_n"):
+        series_device_state(half_overlap_scenario(0.02), 4, grid_n=3, orth_threshold=math.nan)
+
+
 # --- random cross-checks --------------------------------------------------------------
 
 

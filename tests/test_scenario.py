@@ -29,7 +29,7 @@ from weakmeas import (
     scenario_with_weak_value,
     weak_value,
 )
-from weakmeas.errors import ConstructionFailure, DimensionMismatch, ParseError
+from weakmeas.errors import ConstructionFailure, DimensionMismatch, OrderTooLarge, ParseError
 from weakmeas.qops import matrix_to_wire
 
 from support import (
@@ -267,6 +267,25 @@ def test_parse_rejects_bad_options():
     wire["options"] = {"orth_threshold": 2.0}
     with pytest.raises(ParseError, match="orth_threshold"):
         parse_scenario(wire)
+
+
+@pytest.mark.parametrize(
+    "field, value, error, name",
+    [
+        ("grid_n", 3, ValueError, "grid_n"),
+        ("grid_n", 1 << 23, ValueError, "grid_n"),
+        ("grid_n", 128.0, ValueError, "grid_n"),
+        ("series_order", -1, ValueError, "series order"),
+        ("series_order", 17, OrderTooLarge, "series order"),
+        ("orth_threshold", 2.0, ValueError, "orth_threshold"),
+        ("orth_threshold", math.nan, ValueError, "orth_threshold"),
+    ],
+)
+def test_options_are_refused_when_built(field, value, error, name):
+    # Checked where they are built, so scenario_to_wire cannot write options
+    # that parse_scenario refuses.
+    with pytest.raises(error, match=name):
+        ScenarioOptions(**{field: value})
 
 
 def test_parse_rejects_dimension_mismatch():
