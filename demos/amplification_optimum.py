@@ -5,7 +5,8 @@ How far can post-selection amplify a beam displacement?
 A spin-1/2 beam picks up a transverse displacement g when it crosses the
 field gradient; post-selecting the spin at angle alpha from the analyzer
 multiplies that displacement.  This script sweeps the angle, locates the
-best one by golden-section search, and checks it against the exact
+best one by Brent's method (parabolic steps on the smooth maximum,
+about 19 evaluations per search), and checks it against the exact
 ceiling.  For a spin-1/2 with coupling g = lambda * delta_q, no choice of
 selections shifts the pointer by more than
 lambda * delta_q / sqrt(1 - exp(-lambda^2)), the exact qubit bound; in
@@ -31,7 +32,8 @@ for rec in sweep(sg_family(lam), alphas, "measured", "exact"):
           f"{rec.success_prob:>10.6f}")
 print()
 
-# (2) Golden-section search against the closed-form optimum
+# (2) Brent search, to an absolute tolerance of 1e-9 in alpha, against
+#     the closed-form optimum
 #     alpha* = arccos(lambda^2/2 - 1),  max = 1/sqrt(lambda^2 - lambda^4/4).
 #     The 'predicted' engine reproduces the closed form to rounding; the
 #     exact engine lands nearby, a touch higher, since the closed form

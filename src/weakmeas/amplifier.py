@@ -4,7 +4,7 @@ A scenario family maps one real parameter (a pre-selection angle, a
 coupling, ...) to a full measurement scenario. This module evaluates an
 amplification objective across the family -- with either the exact
 evolution or the closed-form predictor as the engine -- and locates the
-parameter maximizing it by golden-section search. The exact engine is
+parameter maximizing it by Brent's method. The exact engine is
 closed-form for Gaussian pointers (pairwise branch overlaps, no grid) and
 runs the grid oracle `evolve_postselect` for grid pointers, so ``grid_n``
 affects grid-pointer families only. The predicted engine is `predict`'s
@@ -23,8 +23,8 @@ per-group constants -- pointer moments, weak-interaction margin, spectral
 frame -- are computed once. A family author should therefore build
 the observable and the pointer once, outside the closure, as `sg_family`
 does; a family that builds them per point still works, one point per
-kernel call. The golden-section search evaluates one point at a time
-through the same kernels and keeps the per-group constants between steps.
+kernel call. The optimum search evaluates one point at a time through
+the same kernels and keeps the per-group constants between steps.
 
 Points where the objective is undefined (post-selection never succeeds,
 or the predictor does not apply) are recorded with a blank outcome instead
@@ -74,9 +74,9 @@ __all__ = [
 OBJECTIVES = ("delta_q", "delta_p", "measured")
 ENGINES = ("exact", "predicted")
 
-GOLDEN_TOL = 1e-9
-MAX_GOLDEN_ITER = 200
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+SEARCH_TOL = 1e-9
+MAX_SEARCH_ITER = 200
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,10 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class OptimumReport:
-    """Result of a golden-section optimum search."""
+    """Result of `find_optimum`'s Brent search. ``iterations`` counts the
+    search steps, one objective evaluation each; the three evaluations that
+    start the search (both endpoints and the first interior point) are not
+    counted."""
 
     parameter_opt: float
     outcome_max: float
@@ -249,13 +252,19 @@ def find_optimum(
     *,
     grid_n: int | None = None,
 ) -> OptimumReport:
-    """Golden-section maximization of the objective over the bracket.
+    """Maximize the objective over the bracket by Brent's method: parabolic
+    interpolation through the three best points, with a golden-section step
+    wherever the parabola is not trusted (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5).
 
     Assumes the objective is unimodal across ``bracket``; when the located
     value falls below an endpoint value, NotUnimodal is raised. Undefined
-    points count as minus infinity. The parameter is localized to
-    GOLDEN_TOL in at most MAX_GOLDEN_ITER steps (floating-point curvature
-    of the objective permitting). As in `sweep`,
+    points count as minus infinity; while one of the three points a
+    parabola would pass through is undefined, the step is a golden-section
+    step. The parameter is localized to SEARCH_TOL, an absolute tolerance
+    with no term relative to the parameter's size, in at most
+    MAX_SEARCH_ITER steps (floating-point curvature of the objective
+    permitting); every evaluated point lies in the bracket. As in `sweep`,
     the exact engine is closed-form for Gaussian pointers and ``grid_n``
     affects grid-pointer families only.
     """
@@ -274,37 +283,62 @@ def find_optimum(
             return -math.inf if outcome is None else outcome
 
         f_lo, f_hi = f(lo), f(hi)
+        # Brent's method, maximizing: x is the best point so far, w the
+        # second best and v the previous w; d is the last step and e the
+        # one before it.
         a, b = lo, hi
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc, fd = f(c), f(d)
+        x = w = v = a + _CGOLD * (b - a)
+        fx = fw = fv = f(x)
+        d = e = 0.0
         iterations = 0
-        while (b - a) > GOLDEN_TOL and iterations < MAX_GOLDEN_ITER:
-            if fc < fd:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = f(d)
-            else:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = f(c)
+        while iterations < MAX_SEARCH_ITER:
+            m = 0.5 * (a + b)
+            if abs(x - m) <= 2.0 * SEARCH_TOL - 0.5 * (b - a):
+                break
+            golden = True
+            # Never fit a parabola through an undefined (-inf) point.
+            if abs(e) > SEARCH_TOL and all(map(math.isfinite, (fx, fw, fv))):
+                r = (x - w) * (fx - fv)
+                q = (x - v) * (fx - fw)
+                p = (x - v) * q - (x - w) * r
+                q = 2.0 * (q - r)
+                p, q = (-p if q > 0.0 else p), abs(q)
+                # Take the vertex only if it lies inside (a, b) and the step
+                # is less than half the step before last.
+                if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                    golden = False
+                    e, d = d, p / q
+                    if min(x + d - a, b - x - d) < 2.0 * SEARCH_TOL:
+                        d = math.copysign(SEARCH_TOL, m - x)
+            if golden:
+                e = (a - x) if x >= m else (b - x)
+                d = _CGOLD * e
+            u = x + (d if abs(d) >= SEARCH_TOL else math.copysign(SEARCH_TOL, d))
+            fu = f(u)
             iterations += 1
-        x_opt = (a + b) / 2.0
-        f_opt = f(x_opt)
+            if fu >= fx:
+                a, b = (x, b) if u >= x else (a, x)
+                v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+            else:
+                a, b = (u, b) if u < x else (a, u)
+                if fu >= fw or w == x:
+                    v, w, fv, fw = w, u, fw, fu
+                elif fu >= fv or v == x or v == w:
+                    v, fv = u, fu
 
-    if not math.isfinite(f_opt):
+    if not math.isfinite(fx):
         raise ZeroPostSelectionProbability(
-            f"objective is undefined at the located parameter {x_opt!r}"
+            f"objective is undefined at the located parameter {x!r}"
         )
-    slack = 1e-12 * (1.0 + abs(f_opt))
-    if f_opt + slack < max(f_lo, f_hi):
+    slack = 1e-12 * (1.0 + abs(fx))
+    if fx + slack < max(f_lo, f_hi):
         raise NotUnimodal(
-            f"located value {f_opt!r} falls below an endpoint value "
+            f"located value {fx!r} falls below an endpoint value "
             f"({f_lo!r}, {f_hi!r}); the objective is not unimodal here"
         )
     return OptimumReport(
-        parameter_opt=x_opt,
-        outcome_max=f_opt,
+        parameter_opt=x,
+        outcome_max=fx,
         iterations=iterations,
         bracket=(lo, hi),
     )

@@ -13,6 +13,7 @@ __all__ = [
     "ZeroOperator",
     "DimensionMismatch",
     "NonPositiveWidth",
+    "WidthOutOfRange",
     "UnsupportedOrder",
     "EmptyGrid",
     "OrthogonalPPS",
@@ -63,6 +64,13 @@ class NonPositiveWidth(WeakMeasurementError):
     """Gaussian pointer width must be a positive real."""
 
     code = "non-positive-width"
+
+
+class WidthOutOfRange(WeakMeasurementError):
+    """Gaussian pointer width is so small or so large that a pointer moment
+    the package reads is not a finite float."""
+
+    code = "width-out-of-range"
 
 
 class UnsupportedOrder(WeakMeasurementError):

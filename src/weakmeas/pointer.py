@@ -10,6 +10,7 @@ with the convention dq * dp = 2*pi/n. Everything runs with hbar = 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
     NonPositiveWidth,
     ParseError,
     UnsupportedOrder,
+    WidthOutOfRange,
 )
 from .qops import _frozen, _require_number, vector_from_wire
 
@@ -50,6 +52,14 @@ DEFAULT_GRID_N = 4096
 MIN_GRID_N = 64
 MAX_GRID_N = 1 << 22
 MAX_GRID_MOMENT_ORDER = 8
+# Highest weak-value order, and so the highest pointer moment <p^n>, <q^n>
+# the package pairs with one.
+MAX_WEAK_ORDER = 12
+# A Gaussian's largest moments are the top even ones, (n-1)!! delta_q^n and
+# (n-1)!! (2 delta_q)^-n; these widths keep both finite up to MAX_WEAK_ORDER.
+_TOP_EVEN = MAX_WEAK_ORDER - MAX_WEAK_ORDER % 2
+MAX_WIDTH = (sys.float_info.max / math.prod(range(1, _TOP_EVEN, 2))) ** (1.0 / _TOP_EVEN)
+MIN_WIDTH = 0.5 / MAX_WIDTH
 
 
 def validate_grid_n(n: int | None) -> int | None:
@@ -161,8 +171,15 @@ PointerState = GaussianPointer | GridPointer
 
 
 def gaussian(delta_q: float) -> GaussianPointer:
+    """Gaussian pointer of width ``delta_q`` in [MIN_WIDTH, MAX_WIDTH], the
+    widths whose moments up to MAX_WEAK_ORDER are finite."""
     if not (delta_q > 0.0) or not math.isfinite(delta_q):
         raise NonPositiveWidth(f"delta_q must be a positive real, got {delta_q!r}")
+    if not MIN_WIDTH <= delta_q <= MAX_WIDTH:
+        raise WidthOutOfRange(
+            f"delta_q = {delta_q!r} is outside [{MIN_WIDTH!r}, {MAX_WIDTH!r}], the "
+            f"widths whose pointer moments up to order {MAX_WEAK_ORDER} are finite"
+        )
     return GaussianPointer(delta_q=float(delta_q))
 
 
@@ -423,7 +440,7 @@ def pointer_from_wire(data, path: str = "pointer") -> PointerState:
         delta_q = _require_number(data["delta_q"], f"{path}.delta_q")
         try:
             return gaussian(delta_q)
-        except NonPositiveWidth as exc:
+        except (NonPositiveWidth, WidthOutOfRange) as exc:
             raise ParseError(f"{path}.delta_q: {exc}") from exc
     if kind == "grid":
         for key in ("q_min", "dq", "n", "branches"):

@@ -26,7 +26,7 @@ from .errors import (
     OrderTooLarge,
     OrthogonalPPS,
 )
-from .pointer import PointerState, moment, p_power, variance_p
+from .pointer import MAX_WEAK_ORDER, PointerState, moment, p_power, variance_p
 from .qops import Observable, PostSelection, SystemState
 from .qops import _check_dims, _selection_kernel, _selection_overlaps, _selection_traces
 
@@ -45,7 +45,6 @@ __all__ = [
 
 ORTH_THRESHOLD = 1e-12
 G2_THRESHOLD = 1e-12
-MAX_WEAK_ORDER = 12
 # Highest moment order the two margin diagnostics take their maximum over.
 MARGIN_ORDER = 4
 

@@ -1,8 +1,8 @@
 """Parameter sweeps and amplification optimization.
 
 The closed-form amplification curve (measured spin value against the
-pre/post-selection angle) has a known analytic maximum, so the golden-section
-search and both evaluation engines can be validated end to end against it.
+pre/post-selection angle) has a known analytic maximum, so the Brent search
+and both evaluation engines can be validated end to end against it.
 """
 
 import io
@@ -298,6 +298,47 @@ def test_exact_sweep_never_exceeds_amplification_bound():
     assert all(r.outcome is not None and r.outcome <= bound for r in records)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_optimizer_needs_few_evaluations(engine):
+    # Parabolic steps converge superlinearly on the smooth maximum: at most
+    # 25 family calls per search, against 50 for golden section (two
+    # endpoints, two interior points, 45 steps and the located point).
+    for lam in (0.05, 0.1, 0.2, 0.4):
+        family, calls = sg_family(lam), []
+
+        def counted(alpha):
+            calls.append(alpha)
+            return family(alpha)
+
+        report = find_optimum(counted, (math.pi / 2.0, math.pi), "measured", engine)
+        assert len(calls) <= 25, (lam, len(calls))
+        assert len(calls) == report.iterations + 3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    lam=st.floats(0.05, 0.4),
+    lo_frac=st.floats(0.0, 1.0),
+    hi_frac=st.floats(0.0, 1.0),
+)
+def test_optimizer_locates_the_analytic_optimum_in_any_bracket(lam, lo_frac, hi_frac):
+    # Brackets [lo, hi] inside [0.3, pi] that contain alpha* (at least 0.01
+    # away from it); every evaluation stays inside the bracket.
+    alpha_star = math.acos(lam * lam / 2.0 - 1.0)
+    lo = 0.3 + lo_frac * (alpha_star - 0.01 - 0.3)
+    hi = alpha_star + 0.01 + hi_frac * (math.pi - alpha_star - 0.01)
+    family, seen = sg_family(lam), []
+
+    def recorded(alpha):
+        seen.append(alpha)
+        return family(alpha)
+
+    report = find_optimum(recorded, (lo, hi), "measured", "predicted")
+    assert all(lo <= alpha <= hi for alpha in seen)
+    assert abs(report.parameter_opt - alpha_star) <= 1e-8
+    assert abs(report.outcome_max / sg_optimum(lam)[1] - 1.0) <= 1e-8
+
+
 def test_optimizer_rejects_bad_bracket():
     family = sg_family(0.2)
     with pytest.raises(InvalidBracket):
@@ -310,7 +351,8 @@ def test_optimizer_rejects_bad_bracket():
 
 def test_optimizer_reports_non_unimodal_bracket():
     # On (0.2, 1.2) the amplification curve is strictly increasing, so the
-    # interior golden-section estimate always loses to the upper endpoint.
+    # interior point the Brent search locates always loses to the upper
+    # endpoint.
     with pytest.raises(NotUnimodal):
         find_optimum(sg_family(0.2), (0.2, 1.2), "measured", "predicted")
 

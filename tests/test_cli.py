@@ -250,6 +250,27 @@ def test_non_finite_pre_state_exits_one(tmp_path, capsys, command):
     assert ".pre_state[0]: non-finite entry" in err
 
 
+@pytest.mark.parametrize("width", [1e-150, 1e-200])
+def test_tiny_gaussian_width_exits_one_without_traceback(tmp_path, width):
+    # These widths used to escape as OverflowError (predict) and
+    # ZeroDivisionError (exact); the parser now refuses them by name.
+    wire = scenario_to_wire(half_overlap_scenario(0.04))
+    wire["pointer"] = {"type": "gaussian", "delta_q": width}
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(wire))
+    for command in ("predict", "exact"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "weakmeas.cli", command, str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert f".pointer.delta_q: delta_q = {width!r} is outside" in proc.stderr
+
+
 # --- usage and parse failures ------------------------------------------------------
 
 

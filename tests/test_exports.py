@@ -20,8 +20,8 @@ PUBLIC = {
     "__version__",
     # errors
     "WeakMeasurementError", "ValidityWarning", "NonHermitian", "ZeroOperator",
-    "DimensionMismatch", "NonPositiveWidth", "UnsupportedOrder", "EmptyGrid",
-    "OrthogonalPPS", "NotOrthogonal", "HigherOrderOrthogonality", "OrderTooLarge",
+    "DimensionMismatch", "NonPositiveWidth", "WidthOutOfRange", "UnsupportedOrder",
+    "EmptyGrid", "OrthogonalPPS", "NotOrthogonal", "HigherOrderOrthogonality", "OrderTooLarge",
     "NonPositiveDenominator", "PointerNotEven", "DegenerateDenominator",
     "LambdaOutOfRange", "ZeroPostSelectionProbability", "GridTooSmall",
     "SeriesDiverging", "NotApplicable", "InvalidBracket", "NotUnimodal",

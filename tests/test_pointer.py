@@ -19,10 +19,19 @@ from weakmeas import (
     variance_p,
     variance_q,
 )
-from weakmeas.errors import EmptyGrid, GridTooSmall, UnsupportedOrder
+from weakmeas.errors import (
+    EmptyGrid,
+    GridTooSmall,
+    NonPositiveWidth,
+    UnsupportedOrder,
+    WidthOutOfRange,
+)
 from weakmeas.pointer import (
     ANTICOMM_QP,
     MAX_GRID_N,
+    MAX_WEAK_ORDER,
+    MAX_WIDTH,
+    MIN_WIDTH,
     P_BRACE_P,
     PQ2P,
     PQP,
@@ -154,6 +163,31 @@ def test_gaussian_moment_closed_forms():
         assert moment(g, PQ2P) == pytest.approx(0.75, rel=1e-14)
 
 
+def test_gaussian_refuses_widths_whose_moments_overflow():
+    # At the range's ends every moment up to MAX_WEAK_ORDER is finite, the
+    # top ones <p^12> and <q^12> within 1e-13 of the largest float; a width
+    # past either end is refused.
+    specs = [p_power(n) for n in range(MAX_WEAK_ORDER + 1)] + [
+        q_power(n) for n in range(MAX_WEAK_ORDER + 1)
+    ] + [ANTICOMM_QP, PQP, PQ2P, P_BRACE_P]
+    for width in (MIN_WIDTH, MAX_WIDTH):
+        g = gaussian(width)
+        assert all(math.isfinite(moment(g, spec)) for spec in specs)
+        assert math.isfinite(variance_p(g)) and math.isfinite(variance_q(g))
+    outside = (
+        1e-200, 1e-150, 1e-30, math.nextafter(MIN_WIDTH, 0.0),
+        math.nextafter(MAX_WIDTH, math.inf), 1e200, 1e300,
+    )
+    for width in outside:
+        with pytest.raises(WidthOutOfRange) as info:
+            gaussian(width)
+        message = str(info.value)
+        assert f"delta_q = {width!r} is outside [{MIN_WIDTH!r}, {MAX_WIDTH!r}]" in message
+    for width in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(NonPositiveWidth):
+            gaussian(width)
+
+
 def test_grid_moments_agree_with_gaussian_closed_forms():
     for delta_q in (0.7, 1.0, 1.6):
         closed = gaussian(delta_q)
@@ -239,6 +273,8 @@ def test_pointer_wire_parse_errors_name_the_key():
         pointer_from_wire({"type": "triangular"})
     with pytest.raises(ParseError, match="delta_q"):
         pointer_from_wire({"type": "gaussian", "delta_q": -1.0})
+    with pytest.raises(ParseError, match=r"pointer\.delta_q: delta_q = 1e-200 is outside"):
+        pointer_from_wire({"type": "gaussian", "delta_q": 1e-200})
     with pytest.raises(ParseError, match="pointer"):
         pointer_from_wire(["not", "an", "object"])
     # Grid samples go through the same entry parser as state vectors, and a
