@@ -6,9 +6,10 @@ amplification objective across the family -- with either the exact
 evolution or the closed-form predictor as the engine -- and locates the
 parameter maximizing it by Brent's method. The exact engine is
 closed-form for Gaussian pointers (pairwise branch overlaps, no grid) and
-runs the grid oracle `evolve_postselect` for grid pointers, so ``grid_n``
-affects grid-pointer families only. The predicted engine is `predict`'s
-stacked kernel: the resummed second-order formula of
+runs the grid oracle `evolve_postselect` on its own working grid for grid
+pointers; no grid size is taken. The predicted engine is `predict`'s
+stacked kernel, routed like `predict` by `weak_values._route` at
+ORTH_THRESHOLD: the resummed second-order formula of
 `predictor.predict_general` above the orthogonality threshold and the
 orthogonal formula of `predictor.predict_orthogonal` at or below it, each
 with its predicted success probability. The canonical family is the
@@ -19,8 +20,9 @@ Points whose scenarios share the observable object, the pointer object and
 g are evaluated in one array pass: one stack of the selection kernel
 (`qops._selection_kernel`) feeds the engine's kernel
 (`oracle._gaussian_exact_stacked`, `predictor._predict_stacked`), and the
-per-group constants -- pointer moments, weak-interaction margin, spectral
-frame -- are computed once. A family author should therefore build
+per-group constants -- the weak-interaction margin and the spectral frame
+-- are computed once; the pointer moments are closed forms, or memoized
+on the grid pointer. A family author should therefore build
 the observable and the pointer once, outside the closure, as `sg_family`
 does; a family that builds them per point still works, one point per
 kernel call. The optimum search evaluates one point at a time through
@@ -54,11 +56,11 @@ from .oracle import (
     _scenario_selections,
     evolve_postselect,
 )
-from .pointer import GaussianPointer, gaussian, validate_grid_n
-from .predictor import _check_alpha, _check_lambda, _PointerMoments, _predict_stacked
+from .pointer import GaussianPointer, gaussian
+from .predictor import _check_alpha, _check_lambda, _predict_stacked
 from .qops import SIGMA_Z, new_observable, projector_onto, pure_state
 from .scenario import Scenario, make_scenario
-from .weak_values import weak_interaction_margin
+from .weak_values import ORTH_THRESHOLD, _route, weak_interaction_margin
 
 __all__ = [
     "OBJECTIVES",
@@ -106,22 +108,19 @@ class OptimumReport:
     bracket: tuple[float, float]
 
 
-def _check_choices(objective: str, engine: str, grid_n: int | None) -> None:
+def _check_choices(objective: str, engine: str) -> None:
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "exact":
-        # Checked up front: Gaussian families never reach the grid oracle.
-        validate_grid_n(grid_n)
 
 
-def _per_point(sc: Scenario, grid_n: int | None) -> tuple[float, float, float]:
+def _per_point(sc: Scenario) -> tuple[float, float, float]:
     """(success_prob, delta_q, delta_p) of one grid-pointer scenario through
     the grid oracle, NaN shifts and zero probability where post-selection
     never succeeds."""
     try:
-        rec = evolve_postselect(sc, grid_n=grid_n)
+        rec = evolve_postselect(sc)
     except ZeroPostSelectionProbability:
         return 0.0, math.nan, math.nan
     return rec.success_prob, rec.delta_q, rec.delta_p
@@ -135,52 +134,48 @@ def _group_key(sc: Scenario) -> tuple:
 
 class _Evaluator:
     """Evaluates scenarios with one engine and objective, one kernel call per
-    group of scenarios with one `_group_key`. The group constants (pointer
-    moments, margin, spectral frame) are kept for the last group seen, so a
-    sequential search builds them once.
+    group of scenarios with one `_group_key`. The group constants (margin,
+    spectral frame) are kept for the last group seen, so a sequential search
+    builds them once.
     """
 
-    def __init__(self, objective: str, engine: str, grid_n: int | None) -> None:
-        self.objective, self.engine, self.grid_n = objective, engine, grid_n
+    def __init__(self, objective: str, engine: str) -> None:
+        self.objective, self.engine = objective, engine
         self._key: tuple | None = None
         self._held: tuple = ()
         self._frame: tuple = ()
 
     def _group_frame(self, sc: Scenario) -> tuple:
-        """(weak margin, kernel frame or None) for the scenario's group."""
+        """(weak margin, Gaussian exact frame or None) of the scenario's group."""
         key = _group_key(sc)
         if key != self._key:
             # Holding the objects keeps their ids from being reused by
             # later ones while the key is cached.
             self._key, self._held = key, (sc.observable, sc.pointer)
-            if self.engine == "predicted":
-                kernel = _PointerMoments(sc.pointer)
-            elif isinstance(sc.pointer, GaussianPointer):
-                kernel = _gaussian_frame(sc.observable, sc.g, sc.pointer)
-            else:
-                kernel = None
-            self._frame = (weak_interaction_margin(sc.g, sc.pointer), kernel)
+            frame = None
+            if self.engine == "exact" and isinstance(sc.pointer, GaussianPointer):
+                frame = _gaussian_frame(sc.observable, sc.g, sc.pointer)
+            self._frame = (weak_interaction_margin(sc.g, sc.pointer), frame)
         return self._frame
 
     def group(self, scenarios: list[Scenario]) -> list[tuple[float | None, float, float]]:
         """(outcome, success_prob, weak_margin) for scenarios of one group."""
-        margin, kernel = self._group_frame(scenarios[0])
+        margin, frame = self._group_frame(scenarios[0])
         g = scenarios[0].g
-        if kernel is None:
-            success, delta_q, delta_p = (
-                np.array(col)
-                for col in zip(*(_per_point(sc, self.grid_n) for sc in scenarios))
+        if self.engine == "predicted":
+            _, b = _scenario_selections(scenarios, 2)
+            fields = _predict_stacked(scenarios[0].pointer, g, _route(b, ORTH_THRESHOLD))
+            success = np.where(np.isnan(fields.success), 0.0, fields.success)
+            delta_q, delta_p = fields.delta_q, fields.delta_p
+        elif frame is not None:
+            n_total, delta_q, delta_p = _gaussian_exact_stacked(
+                *_scenario_selections(scenarios, 1), frame
             )
+            success = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
         else:
-            # One selection stack feeds either engine's kernel.
-            c, b = _scenario_selections(scenarios, 2)
-            if self.engine == "exact":
-                n_total, delta_q, delta_p = _gaussian_exact_stacked(c, b, kernel)
-                success = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
-            else:
-                fields = _predict_stacked(kernel, g, b)
-                success = np.where(np.isnan(fields.success), 0.0, fields.success)
-                delta_q, delta_p = fields.delta_q, fields.delta_p
+            success, delta_q, delta_p = (
+                np.array(col) for col in zip(*(_per_point(sc) for sc in scenarios))
+            )
         if self.objective == "delta_p":
             outcomes = delta_p
         elif self.objective == "delta_q":
@@ -200,8 +195,6 @@ def sweep(
     params,
     objective: str = "delta_q",
     engine: str = "exact",
-    *,
-    grid_n: int | None = None,
 ) -> list[SweepRecord]:
     """Evaluate the objective across ``params``, a strictly increasing
     sequence of floats. Points where the objective is undefined (e.g. the
@@ -213,12 +206,11 @@ def sweep(
     so a family should build its observable and pointer once, outside the
     closure, as `sg_family` does. Points that share nothing are groups of
     one through the same kernel. The exact engine is closed-form for
-    Gaussian pointers and runs the grid oracle point by point for grid
-    pointers; ``grid_n`` sizes that grid and has no effect on
-    Gaussian-pointer families. The predicted engine routes each point like
-    `predict`, orthogonal selections included, in the same array pass.
+    Gaussian pointers and runs the grid oracle point by point, on its own
+    working grid, for grid pointers. The predicted engine routes each point
+    like `predict`, orthogonal selections included, in the same array pass.
     """
-    _check_choices(objective, engine, grid_n)
+    _check_choices(objective, engine)
     values = [float(p) for p in params]
     if not values:
         raise EmptyGrid("parameter sweep needs at least one grid point")
@@ -227,7 +219,7 @@ def sweep(
             raise ValueError(
                 f"sweep grid must be strictly increasing, got {prev} before {cur}"
             )
-    evaluator = _Evaluator(objective, engine, grid_n)
+    evaluator = _Evaluator(objective, engine)
     results: list = [None] * len(values)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
@@ -249,8 +241,6 @@ def find_optimum(
     bracket: tuple[float, float],
     objective: str = "delta_q",
     engine: str = "exact",
-    *,
-    grid_n: int | None = None,
 ) -> OptimumReport:
     """Maximize the objective over the bracket by Brent's method: parabolic
     interpolation through the three best points, with a golden-section step
@@ -265,10 +255,10 @@ def find_optimum(
     with no term relative to the parameter's size, in at most
     MAX_SEARCH_ITER steps (floating-point curvature of the objective
     permitting); every evaluated point lies in the bracket. As in `sweep`,
-    the exact engine is closed-form for Gaussian pointers and ``grid_n``
-    affects grid-pointer families only.
+    the exact engine is closed-form for Gaussian pointers and runs the grid
+    oracle for grid pointers.
     """
-    _check_choices(objective, engine, grid_n)
+    _check_choices(objective, engine)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or not (lo < hi):
         raise InvalidBracket(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
@@ -276,7 +266,7 @@ def find_optimum(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
 
-        evaluator = _Evaluator(objective, engine, grid_n)
+        evaluator = _Evaluator(objective, engine)
 
         def f(x: float) -> float:
             outcome, _, _ = evaluator.group([family(x)])[0]

@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .errors import ParseError, WeakMeasurementError
+from .errors import NonPositiveWidth, ParseError, WeakMeasurementError, WidthOutOfRange
 from .oracle import evolve_postselect, series_device_state
 from .pointer import GaussianPointer, gaussian_profile, validate_grid_n
 from .predictor import SGParams, predict, sg_optimum, stern_gerlach_outcome
@@ -295,18 +295,19 @@ def _cmd_sterngerlach(args) -> int:
 
 
 def _cmd_figure2(args) -> int:
-    if not (args.delta_q > 0.0):
-        raise ParseError(f"--delta_q: expected a positive width, got {args.delta_q}")
+    try:
+        dq_w = GaussianPointer(args.delta_q).delta_q
+    except (NonPositiveWidth, WidthOutOfRange) as exc:
+        raise ParseError(f"--delta_q: {exc}") from exc
     target = args.wv
-    sc_orth = scenario_with_orthogonal_weak_value(target, args.g, args.delta_q)
-    sc_non = scenario_with_weak_value(target, args.g, args.delta_q)
+    sc_orth = scenario_with_orthogonal_weak_value(target, args.g, dq_w)
+    sc_non = scenario_with_weak_value(target, args.g, dq_w)
     rec_orth = evolve_postselect(sc_orth, grid_n=args.grid_n)
     rec_non = evolve_postselect(sc_non, grid_n=args.grid_n)
 
     achieved_orth = orthogonal_weak_value(sc_orth.observable, sc_orth.pre, sc_orth.post).value
     achieved_non = weak_value(sc_non.observable, sc_non.pre, sc_non.post).value
 
-    dq_w = args.delta_q
     dp_w = 1.0 / (2.0 * dq_w)
     q = rec_orth.q_density.coords
     p = rec_orth.p_density.coords

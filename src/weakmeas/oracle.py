@@ -63,6 +63,7 @@ from .scenario import Scenario, validate_series_order
 from .weak_values import (
     ORTH_THRESHOLD,
     _moment_amplitudes,
+    _point_route,
     _route,
     _weak_ratio,
     weak_interaction_margin,
@@ -397,13 +398,22 @@ def series_device_state(
     then ``grid_n``, then the regime, routed like `predict`
     (`weak_values._route`): ``orth_threshold`` must lie in (0, 1), and
     orthogonal selections whose leading response tr(P A rho A) vanishes too
-    raise HigherOrderOrthogonality. Only then can the frame raise
+    raise HigherOrderOrthogonality. Then the validity warning reads the
+    pointer moments, and only then can the frame raise
     GridTooSmall. Raises SeriesDiverging when the per-order density terms
     stop decreasing (or the truncated normalization is not positive) -- the
     expansion is then meaningless at this coupling.
     """
     order = validate_series_order(order)
-    margin = weak_interaction_margin(sc.g, sc.pointer)
+    validate_grid_n(grid_n)
+    # One trace table t[m, l] = tr(P A^m rho A^l) serves every order.
+    # Orthogonal selections put one momentum operator on each side (side = 1)
+    # and condition on g^2 tr(P A rho A) instead of tr(P rho). The route
+    # refuses before any pointer moment or grid work.
+    b = _moment_amplitudes(sc.observable, sc.pre, sc.post, order + 1)
+    _, t, side, denom = _point_route(_route(b, orth_threshold), orth_threshold)
+    g = sc.g
+    margin = weak_interaction_margin(g, sc.pointer)
     if margin >= SERIES_MARGIN_WARN:
         warnings.warn(
             f"weak-interaction margin {margin:.3g} >= {SERIES_MARGIN_WARN}; "
@@ -411,14 +421,6 @@ def series_device_state(
             ValidityWarning,
             stacklevel=2,
         )
-    validate_grid_n(grid_n)
-    # One trace table t[m, l] = tr(P A^m rho A^l) serves every order.
-    # Orthogonal selections put one momentum operator on each side (side = 1)
-    # and condition on g^2 tr(P A rho A) instead of tr(P rho). The route
-    # refuses before the frame allocates anything of the grid's size.
-    b = _moment_amplitudes(sc.observable, sc.pre, sc.post, order + 1)
-    _, t, side, denom = _route(b, orth_threshold)
-    g = sc.g
     lead = g * g * denom if side else denom
 
     grid, branches = _evolution_frame(sc, grid_n)

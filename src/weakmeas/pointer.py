@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedOrder,
     WidthOutOfRange,
 )
-from .qops import _frozen, _require_number, vector_from_wire
+from .qops import _frozen, _is_integer, _require_number, vector_from_wire
 
 __all__ = [
     "QGrid",
@@ -67,13 +67,13 @@ def validate_grid_n(n: int | None) -> int | None:
     [MIN_GRID_N, MAX_GRID_N]. None (the default size) passes through."""
     if n is None:
         return None
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_integer(n):
         raise ValueError(f"grid_n must be an integer, got {n!r}")
     if n < MIN_GRID_N or n > MAX_GRID_N or n & (n - 1):
         raise ValueError(
             f"grid_n must be a power of two in [{MIN_GRID_N}, {MAX_GRID_N}], got {n}"
         )
-    return n
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,22 @@ def translate(grid: QGrid, samples: np.ndarray, shift: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianPointer:
-    """Zero-mean minimum-uncertainty real Gaussian of width delta_q."""
+    """Zero-mean minimum-uncertainty real Gaussian of width ``delta_q``,
+    kept as a float. The one width check: the widths in [MIN_WIDTH,
+    MAX_WIDTH] are those whose moments up to MAX_WEAK_ORDER are finite."""
 
     delta_q: float
+
+    def __post_init__(self) -> None:
+        delta_q = self.delta_q
+        if not (delta_q > 0.0) or not math.isfinite(delta_q):
+            raise NonPositiveWidth(f"delta_q must be a positive real, got {delta_q!r}")
+        if not MIN_WIDTH <= delta_q <= MAX_WIDTH:
+            raise WidthOutOfRange(
+                f"delta_q = {delta_q!r} is outside [{MIN_WIDTH!r}, {MAX_WIDTH!r}], the "
+                f"widths whose pointer moments up to order {MAX_WEAK_ORDER} are finite"
+            )
+        object.__setattr__(self, "delta_q", float(delta_q))
 
     @property
     def var_q(self) -> float:
@@ -171,16 +184,8 @@ PointerState = GaussianPointer | GridPointer
 
 
 def gaussian(delta_q: float) -> GaussianPointer:
-    """Gaussian pointer of width ``delta_q`` in [MIN_WIDTH, MAX_WIDTH], the
-    widths whose moments up to MAX_WEAK_ORDER are finite."""
-    if not (delta_q > 0.0) or not math.isfinite(delta_q):
-        raise NonPositiveWidth(f"delta_q must be a positive real, got {delta_q!r}")
-    if not MIN_WIDTH <= delta_q <= MAX_WIDTH:
-        raise WidthOutOfRange(
-            f"delta_q = {delta_q!r} is outside [{MIN_WIDTH!r}, {MAX_WIDTH!r}], the "
-            f"widths whose pointer moments up to order {MAX_WEAK_ORDER} are finite"
-        )
-    return GaussianPointer(delta_q=float(delta_q))
+    """Gaussian pointer of width ``delta_q``; `GaussianPointer` checks it."""
+    return GaussianPointer(delta_q)
 
 
 def gaussian_profile(q, delta_q: float, shift: float = 0.0) -> np.ndarray:
@@ -382,12 +387,12 @@ class Density:
         return float(np.sum(self.values) * self.spacing)
 
 
-def densities(state: PointerState, grid_n: int | None = None) -> tuple[Density, Density]:
-    """Position- and momentum-space probability densities of the pointer."""
+def densities(state: PointerState) -> tuple[Density, Density]:
+    """Position- and momentum-space probability densities of the pointer,
+    a Gaussian's sampled at DEFAULT_GRID_N points."""
     if isinstance(state, GaussianPointer):
-        n = int(grid_n or DEFAULT_GRID_N)
-        qg = default_grid(state.delta_q, n=n)
-        q = qg.coords()
+        n = DEFAULT_GRID_N
+        q = default_grid(state.delta_q, n=n).coords()
         qd = gaussian_profile(q, state.delta_q) ** 2
         half_p = 10.0 * state.delta_p
         p = -half_p + (2.0 * half_p / n) * np.arange(n)
@@ -449,7 +454,7 @@ def pointer_from_wire(data, path: str = "pointer") -> PointerState:
         q_min = _require_number(data["q_min"], f"{path}.q_min")
         dq = _require_number(data["dq"], f"{path}.dq")
         n = data["n"]
-        if isinstance(n, bool) or not isinstance(n, int):
+        if not _is_integer(n):
             raise ParseError(f"{path}.n: expected an integer, got {n!r}")
         try:
             _check_grid_size(n)

@@ -22,14 +22,16 @@ evaluates those shifts in closed form:
   amplification curve for a spin-1/2 Stern-Gerlach arrangement and its
   analytic optimum.
 
-Every closed-form prediction is one stacked kernel, `_predict_stacked`,
-over the moment amplitudes of the selection kernel (`qops._selection_kernel`):
-it masks each point's side as an array and computes both regimes' fields,
-NaN where a point is undefined. The amplifier runs it over stacks at
+Every closed-form prediction is one stacked kernel, `_predict_stacked`. It
+takes its route -- each point's side, overlap, traces and conditioning
+denominator -- from `weak_values._route` over the moment amplitudes of the
+selection kernel (`qops._selection_kernel`), reads the pointer moments
+through `pointer.moment` and computes both regimes' fields as arrays, NaN
+where a point is undefined. The amplifier runs it over stacks routed at
 ORTH_THRESHOLD; `predict` and the four forced predictors are its batch of
-one, `_predict_point`, which reads the selection kernel once per call,
-takes the side and the regime errors from `_route` and raises every other
-typed error. The forced predictors use the default threshold
+one, `_predict_point`, which reads the selection kernel and routes once per
+call, takes the regime errors from `weak_values._point_route` and raises
+every other typed error. The forced predictors use the default threshold
 ORTH_THRESHOLD; another threshold is set through `predict` (or a scenario
 file's ``orth_threshold`` option).
 """
@@ -39,7 +41,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -65,14 +66,13 @@ from .pointer import (
     q_power,
 )
 from .qops import Observable, PostSelection, SystemState
-from .qops import _selection_overlaps, _selection_traces
 from .scenario import Scenario
 from .weak_values import (
-    G2_THRESHOLD,
     MARGIN_ORDER,
     ORTH_THRESHOLD,
     _aav_margin,
     _moment_amplitudes,
+    _point_route,
     _route,
     weak_interaction_margin,
 )
@@ -140,28 +140,18 @@ def _warn_margin(margin: float) -> None:
     warnings.warn(message, ValidityWarning, stacklevel=4)
 
 
-class _PointerMoments:
-    """The pointer moments of the prediction kernel, read once per pointer.
+_GENERAL_MOMENTS = (q_power(1), p_power(1), p_power(2), p_power(3), PQP, ANTICOMM_QP)
+_ORTHOGONAL_MOMENTS = (p_power(4), P_BRACE_P, PQ2P)
 
-    ``general`` holds (<q>, <p>, <p^2>, <p^3>, <p q p>, <{q,p}>), the
-    moments of the second-order shifts. ``odd`` is (n, <p^n>) for the first
-    of n = 1, 3 whose moment exceeds EVEN_TOL, or None for the even pointer
-    the orthogonal formulas assume. ``orthogonal`` (<p^4>, <p{q,p}p>,
-    <p q^2 p>) is read on first use, so a stack without orthogonal points
-    never computes it.
-    """
 
-    def __init__(self, pointer: PointerState) -> None:
-        self.pointer = pointer
-        specs = (q_power(1), p_power(1), p_power(2), p_power(3), PQP, ANTICOMM_QP)
-        self.general = tuple(moment(pointer, spec) for spec in specs)
-        odd = ((1, self.general[1]), (3, self.general[3]))
-        self.odd = next(((n, v) for n, v in odd if abs(v) > EVEN_TOL), None)
-
-    @cached_property
-    def orthogonal(self) -> tuple[float, float, float]:
-        specs = (p_power(4), P_BRACE_P, PQ2P)
-        return tuple(moment(self.pointer, spec) for spec in specs)
+def _odd_moment(pointer: PointerState) -> tuple[int, float] | None:
+    """(n, <p^n>) for the first of n = 1, 3 whose moment exceeds EVEN_TOL,
+    or None for the even pointer the orthogonal formulas assume."""
+    for n in (1, 3):
+        value = moment(pointer, p_power(n))
+        if abs(value) > EVEN_TOL:
+            return n, value
+    return None
 
 
 class _Fields(NamedTuple):
@@ -184,34 +174,29 @@ class _Fields(NamedTuple):
 
 
 def _predict_stacked(
-    moments: _PointerMoments,
-    g: float,
-    b: np.ndarray,
-    orth_threshold: float = ORTH_THRESHOLD,
-    first_order: bool = False,
+    pointer: PointerState, g: float, route: tuple, first_order: bool = False
 ) -> _Fields:
     """Every closed-form prediction for B selections sharing the pointer
-    (through ``moments``) and g.
+    and g.
 
-    ``b`` holds the points' moment amplitudes b_0..b_2 from the selection
-    kernel, whose traces t[m, l] = tr(P A^m rho A^l) give every field. Each
-    point is routed on its overlap ov = tr(P rho):
+    ``route`` is `weak_values._route` of the points' moment amplitudes
+    b_0..b_2: the overlaps ov = tr(P rho), the traces
+    t[m, l] = tr(P A^m rho A^l) that give every field, each point's side
+    and its conditioning denominator. On side 0 (ov above the threshold):
+    bracket = 1/C, success = ov C and the resummed shifts of
+    `predict_general` (the linear shifts of `predict_aav` with
+    ``first_order``). On side 1: success = g^2 tr(P A rho A) <p^2>, the
+    shifts from A_ow = t[2, 1] / (2 t[1, 1]) and the output variances of
+    `predict_orthogonal`, evaluated only on the points routed there.
 
-    - above ``orth_threshold``: bracket = 1/C, success = ov C and the
-      resummed shifts of `predict_general` (the linear shifts of
-      `predict_aav` with ``first_order``);
-    - at or below it: success = g^2 tr(P A rho A) <p^2>, the shifts from
-      A_ow = t[2, 1] / (2 t[1, 1]) and the output variances of
-      `predict_orthogonal`, evaluated only on the points routed there.
-
-    Undefined points -- a bracket <= 0 or NaN, t[1, 1] <= G2_THRESHOLD, a
-    pointer that is not even -- come out as NaN, without a floating-point
-    warning.
+    The pointer moments are `moment` reads: closed forms for a Gaussian,
+    the pointer's memo for a grid; the orthogonal ones only when a point is
+    orthogonal. Undefined points -- a bracket <= 0 or NaN, a NaN
+    denominator, a pointer that is not even -- come out as NaN, without a
+    floating-point warning.
     """
-    q1, p1, p2, p3, pqp, anti = moments.general
-    ov = _selection_overlaps(b)
-    t = _selection_traces(b)
-    orth = ov <= orth_threshold
+    ov, t, orth, denom = route
+    q1, p1, p2, p3, pqp, anti = (moment(pointer, spec) for spec in _GENERAL_MOMENTS)
     # NaN in place of the overlap (and of a bracket <= 0) carries through
     # to NaN results without a warning.
     ov_safe = np.where(orth, np.nan, ov)
@@ -237,11 +222,10 @@ def _predict_stacked(
     orth_fields = [None] * 4
     if orth.any():
         pts = np.flatnonzero(orth)
-        p4, pbrace, pq2p = moments.orthogonal
-        lead = t[1, 1, pts].real
-        # An odd pointer or a vanishing tr(P A rho A) leaves A_ow undefined.
-        usable = lead > G2_THRESHOLD if moments.odd is None else np.zeros(pts.size, bool)
-        den = np.where(usable, lead, np.nan)
+        p4, pbrace, pq2p = (moment(pointer, spec) for spec in _ORTHOGONAL_MOMENTS)
+        # An odd pointer, like a NaN denominator, leaves A_ow undefined.
+        den = denom[pts] if _odd_moment(pointer) is None else np.full(pts.size, np.nan)
+        usable = ~np.isnan(den)
         ow_re, ow_im = t[2, 1, pts].real / (2.0 * den), t[2, 1, pts].imag / (2.0 * den)
         with np.errstate(over="ignore"):
             # libm's pow, as the scalar formula g**2 had; g * g differs in
@@ -266,21 +250,22 @@ def _predict_point(
 
     One selection-kernel read (b_0..b_4) serves the route, the fields and
     the linear-response margin. ``regime`` is ``auto`` or a forced one;
-    `weak_values._route` takes the side and raises the regime errors
-    (HigherOrderOrthogonality before PointerNotEven). Every typed error is
-    raised here before a prediction is returned.
+    `_route` takes the side and `_point_route` raises the regime errors
+    (HigherOrderOrthogonality before PointerNotEven) before any moment is
+    read. Every typed error is raised here before a prediction is returned.
     """
     b = _moment_amplitudes(obs, pre, post, MARGIN_ORDER)
+    route = _route(b[:3], orth_threshold)
     forced = None if regime == "auto" else regime == "orthogonal"
-    _, _, side, _ = _route(b[:2], orth_threshold, forced)
+    _, _, side, _ = _point_route(route, orth_threshold, forced)
     if regime == "auto":
         regime = "orthogonal" if side else "general"
-    moments = _PointerMoments(pointer)
-    f = _predict_stacked(moments, g, b[:3], orth_threshold, regime == "aav")
+    f = _predict_stacked(pointer, g, route, regime == "aav")
     fields = {"delta_q": float(f.delta_q[0]), "delta_p": float(f.delta_p[0])}
     if regime == "orthogonal":
-        if moments.odd is not None:
-            n, val = moments.odd
+        odd = _odd_moment(pointer)
+        if odd is not None:
+            n, val = odd
             raise PointerNotEven(
                 f"<p^{n}> = {val:.3e} does not vanish (tolerance {EVEN_TOL:.1e}); "
                 "the orthogonal predictor requires an even pointer state"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -377,6 +378,11 @@ def matrix_to_wire(m) -> list:
     if arr.ndim == 1:
         return [[float(z.real), float(z.imag)] for z in arr]
     return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+
+
+def _is_integer(value) -> bool:
+    """The one integer test: integral numbers, numpy's included, not bools."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _require_number(value, path: str) -> float:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,7 @@ from .qops import (
     PostSelection,
     SystemState,
     _check_dims,
+    _is_integer,
     _require_number,
     density_state,
     matrix_from_wire,
@@ -146,7 +146,7 @@ _TOP_KEYS = {"observable", "pre_state", "post_projector", "g", "pointer", "optio
 def validate_series_order(order) -> int:
     """The one check of a series order: an integer (numpy integers included,
     bools refused) in [0, MAX_SERIES_ORDER], else ValueError / OrderTooLarge."""
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
+    if not _is_integer(order) or order < 0:
         raise ValueError(f"series order must be a nonnegative integer, got {order!r}")
     if order > MAX_SERIES_ORDER:
         raise OrderTooLarge(f"series orders up to {MAX_SERIES_ORDER} supported, got {order}")

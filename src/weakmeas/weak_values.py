@@ -5,8 +5,10 @@ generalization tr(P A^m rho A^l)/tr(P rho), and the orthogonal-selection
 variant in which the leading response is carried by tr(P A rho A). All
 three, and `selection_trace`, read their traces from the one selection
 kernel (`qops._selection_kernel`) through one order check. `_route` is the
-package's one regime decision for a point, and `_weak_ratio` its weak
-value; the weak values, `predict` and the series all read both. The two
+package's one regime decision, per-point arrays for a stack of any size;
+the weak values, `predict`, the series and the amplifier's predicted
+engine all route through it. `_point_route` raises one point's regime
+errors from those arrays, and `_weak_ratio` is the one weak value. The two
 margin diagnostics quantify how far a scenario sits from the
 linear-response and weak-interaction regimes; predictions should only be
 trusted while they stay well below one.
@@ -27,8 +29,8 @@ from .errors import (
     OrthogonalPPS,
 )
 from .pointer import MAX_WEAK_ORDER, PointerState, moment, p_power, variance_p
-from .qops import Observable, PostSelection, SystemState
-from .qops import _check_dims, _selection_kernel, _selection_overlaps, _selection_traces
+from .qops import Observable, PostSelection, SystemState, _check_dims, _is_integer
+from .qops import _selection_kernel, _selection_overlaps, _selection_traces
 
 __all__ = [
     "ORTH_THRESHOLD",
@@ -79,40 +81,47 @@ def _check_threshold(orth_threshold) -> float:
     return float(orth_threshold)
 
 
-def _route(
-    b: np.ndarray, orth_threshold: float, orthogonal: bool | None = None
-) -> tuple[float, np.ndarray, int, float]:
-    """The regime route of one point from its moment amplitudes b_0..b_n:
-    (ov, t, side, denom) with ov = tr(P rho), t[m, l] = tr(P A^m rho A^l),
-    side 1 (orthogonal) when ov is at or below the threshold, and the
-    conditioning denominator ov, or tr(P A rho A) on side 1. A forced
-    ``orthogonal`` raises NotOrthogonal / OrthogonalPPS off its side; side 1
-    raises HigherOrderOrthogonality unless tr(P A rho A) > G2_THRESHOLD."""
+def _route(b: np.ndarray, orth_threshold) -> tuple:
+    """The one regime decision, for a stack of B points' moment amplitudes
+    b_0..b_n (n >= 1): per-point arrays (ov, t, side, denom) with
+    ov = tr(P rho), t[m, l] = tr(P A^m rho A^l), side True (orthogonal)
+    where ov is at or below the threshold, and the conditioning denominator
+    -- ov off side 1, tr(P A rho A) on it, NaN there unless tr(P A rho A)
+    > G2_THRESHOLD."""
     orth_threshold = _check_threshold(orth_threshold)
-    ov = float(_selection_overlaps(b)[0])
-    t = _selection_traces(b)[:, :, 0]
-    side = int(ov <= orth_threshold)
+    ov = _selection_overlaps(b)
+    t = _selection_traces(b)
+    side = ov <= orth_threshold
+    lead = t[1, 1].real
+    return ov, t, side, np.where(side, np.where(lead > G2_THRESHOLD, lead, np.nan), ov)
+
+
+def _point_route(
+    route: tuple, orth_threshold: float, orthogonal: bool | None = None
+) -> tuple[float, np.ndarray, int, float]:
+    """A one-point `_route` as (ov, t[:, :, 0], side, denom), raising the
+    point's regime errors: a forced ``orthogonal`` raises NotOrthogonal /
+    OrthogonalPPS off its side, and a NaN denom HigherOrderOrthogonality."""
+    ovs, t, sides, denoms = route
+    ov, side, denom = float(ovs[0]), int(sides[0]), float(denoms[0])
     if orthogonal and not side:
         raise NotOrthogonal(
-            f"selection overlap {ov:.3e} exceeds {orth_threshold:.1e}; the "
+            f"selection overlap {ov:.3e} exceeds {float(orth_threshold):.1e}; the "
             "selections are not orthogonal (use the standard weak values and "
             "the non-orthogonal predictors)"
         )
     if orthogonal is False and side:
         raise OrthogonalPPS(
-            f"selection overlap {ov:.3e} is below {orth_threshold:.1e}; the "
+            f"selection overlap {ov:.3e} is below {float(orth_threshold):.1e}; the "
             "selections are orthogonal (use the orthogonal weak value and "
             "predictor)"
         )
-    if not side:
-        return ov, t, side, ov
-    denom = float(t[1, 1].real)
-    if not denom > G2_THRESHOLD:
+    if math.isnan(denom):
         raise HigherOrderOrthogonality(
             "tr(P A rho A) vanishes as well; the pointer response starts at "
             "higher order and no orthogonal weak value exists"
         )
-    return ov, t, side, denom
+    return ov, t[:, :, 0], side, denom
 
 
 def _weak_ratio(t: np.ndarray, m: int, l: int, side: int, denom: float) -> complex:
@@ -125,7 +134,7 @@ def _check_orders(m, l, cap: float = math.inf) -> tuple[int, int]:
     """The one check of a pair of trace orders: nonnegative integers
     (numpy integers included, bools refused) up to ``cap``, as ints."""
     for order in (m, l):
-        if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
+        if not _is_integer(order) or order < 0:
             raise ValueError(f"orders must be nonnegative integers, got ({m!r}, {l!r})")
     if max(m, l) > cap:
         raise OrderTooLarge(f"orders up to {cap} supported, got ({m}, {l})")
@@ -139,9 +148,9 @@ def _weak_report(
     The orthogonal kind shifts both orders by one and conditions on
     tr(P A rho A) instead of tr(P rho)."""
     m, l = _check_orders(m, l, MAX_WEAK_ORDER)
-    orthogonal = kind == "orthogonal"
-    b = _moment_amplitudes(obs, pre, post, max(m, l) + orthogonal)
-    _, t, side, denom = _route(b, ORTH_THRESHOLD, orthogonal)
+    b = _moment_amplitudes(obs, pre, post, max(m, l) + 1)
+    route = _route(b, ORTH_THRESHOLD)
+    _, t, side, denom = _point_route(route, ORTH_THRESHOLD, kind == "orthogonal")
     value = _weak_ratio(t, m, l, side, denom)
     orders = None if kind == "standard" else (m, l)
     return WeakValueReport(value=value, kind=kind, orders=orders, denominator=complex(denom))

@@ -191,10 +191,6 @@ def test_sweep_rejects_bad_grids_and_choices():
         sweep(family, [1.0], "delta_r", "exact")
     with pytest.raises(ValueError, match="engine"):
         sweep(family, [1.0], "delta_q", "quick")
-    with pytest.raises(ValueError, match="grid_n"):
-        sweep(family, [1.0], "delta_q", "exact", grid_n=100)
-    with pytest.raises(ValueError, match="grid_n"):
-        sweep(family, [1.0], "delta_q", "exact", grid_n=1 << 23)
 
 
 def test_exact_sweep_at_strong_coupling_separates_branches():
@@ -215,19 +211,20 @@ def test_exact_sweep_over_grid_pointer_uses_grid_oracle(monkeypatch):
     alphas = [0.5, 1.5, 2.5]
     seen = []
 
-    def spy(sc, grid_n=None, **kwargs):
-        seen.append(grid_n)
-        return evolve_postselect(sc, grid_n, **kwargs)
+    def spy(sc, *args, **kwargs):
+        seen.append((args, kwargs))
+        return evolve_postselect(sc, *args, **kwargs)
 
     monkeypatch.setattr(amplifier, "evolve_postselect", spy)
-    records = sweep(family, alphas, "delta_q", "exact", grid_n=16384)
-    assert seen == [16384] * len(alphas)
+    records = sweep(family, alphas, "delta_q", "exact")
+    # The oracle runs on its own working grid: no grid size is passed.
+    assert seen == [((), {})] * len(alphas)
     for rec in records:
-        ref = evolve_postselect(family(rec.parameter), grid_n=16384)
+        ref = evolve_postselect(family(rec.parameter))
         assert rec.outcome == ref.delta_q
         assert rec.success_prob == ref.success_prob
     # Gaussian-pointer families never reach the grid oracle.
-    sweep(sg_family(0.2), alphas, "delta_q", "exact", grid_n=16384)
+    sweep(sg_family(0.2), alphas, "delta_q", "exact")
     assert len(seen) == len(alphas)
 
 

@@ -271,6 +271,17 @@ def test_tiny_gaussian_width_exits_one_without_traceback(tmp_path, width):
         assert f".pointer.delta_q: delta_q = {width!r} is outside" in proc.stderr
 
 
+@pytest.mark.parametrize("width", ["0", "-1", "1e-300", "1e300"])
+def test_figure2_refuses_a_width_by_its_flag(capsys, width):
+    # The width goes through the pointer's own check. 1e-300 and 1e300 once
+    # exited 2 with a width-out-of-range JSON error on stdout.
+    argv = ["figure2", "--wv", "0.2,0.1", "--g", "0.1", "--delta_q", width]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --delta_q: delta_q")
+
+
 # --- usage and parse failures ------------------------------------------------------
 
 

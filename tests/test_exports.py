@@ -67,7 +67,7 @@ def test_public_names_are_pinned_resolve_and_do_not_repeat():
 # The threshold reaches the package only through `predict` and the series,
 # which the CLI passes a scenario file's ``orth_threshold`` option.
 THRESHOLD_TAKERS = {"predict", "series_device_state"}
-SETTABLE_PARAMETERS = 110
+SETTABLE_PARAMETERS = 107
 
 
 def test_settable_parameters_are_pinned():

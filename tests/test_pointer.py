@@ -1,5 +1,6 @@
 """Pointer-state grids, transforms, moments and densities."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -35,6 +36,7 @@ from weakmeas.pointer import (
     P_BRACE_P,
     PQ2P,
     PQP,
+    GaussianPointer,
     QGrid,
     apply_p,
     pointer_from_wire,
@@ -178,14 +180,23 @@ def test_gaussian_refuses_widths_whose_moments_overflow():
         1e-200, 1e-150, 1e-30, math.nextafter(MIN_WIDTH, 0.0),
         math.nextafter(MAX_WIDTH, math.inf), 1e200, 1e300,
     )
-    for width in outside:
+    # The constructor is the one check: a GaussianPointer built directly is
+    # refused like one from `gaussian`.
+    builders = (gaussian, GaussianPointer)
+    for build, width in itertools.product(builders, outside):
         with pytest.raises(WidthOutOfRange) as info:
-            gaussian(width)
+            build(width)
         message = str(info.value)
         assert f"delta_q = {width!r} is outside [{MIN_WIDTH!r}, {MAX_WIDTH!r}]" in message
-    for width in (0.0, -1.0, math.inf, math.nan):
+    for build, width in itertools.product(builders, (0.0, -1.0, math.inf, math.nan)):
         with pytest.raises(NonPositiveWidth):
-            gaussian(width)
+            build(width)
+
+
+def test_gaussian_pointer_keeps_its_width_as_a_float():
+    width = GaussianPointer(np.float64(2.0)).delta_q
+    assert type(width) is float and width == 2.0
+    assert gaussian(2) == GaussianPointer(2.0)
 
 
 def test_grid_moments_agree_with_gaussian_closed_forms():

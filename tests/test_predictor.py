@@ -29,6 +29,7 @@ from weakmeas import (
     scenario_with_orthogonal_weak_value,
     sg_optimum,
     stern_gerlach_outcome,
+    sweep,
     weak_value,
 )
 from weakmeas import oracle, pointer, predictor, qops, weak_values
@@ -44,7 +45,7 @@ from weakmeas.errors import (
     PointerNotEven,
     ValidityWarning,
 )
-from weakmeas.pointer import ANTICOMM_QP, gaussian_profile, variance_p
+from weakmeas.pointer import ANTICOMM_QP, P_BRACE_P, PQ2P, gaussian_profile, variance_p
 
 from support import (
     commuting_orthogonal,
@@ -308,8 +309,9 @@ def test_predict_reads_the_selection_kernel_once(monkeypatch, orthogonal):
 
 
 def test_grid_pointer_moments_are_computed_once(monkeypatch):
-    # A predict and an exact run on one grid pointer read overlapping sets
-    # of moments; each FFT quadrature runs once per branch and spec.
+    # A predict, an exact run and a predicted sweep (general and orthogonal
+    # points in one stack) on one grid pointer read overlapping sets of
+    # moments; each FFT quadrature runs once per branch and spec.
     calls = []
     branch_moment = pointer._branch_moment
 
@@ -324,6 +326,10 @@ def test_grid_pointer_moments_are_computed_once(monkeypatch):
     sc = half_overlap_scenario(0.02, grid_state(-12.0, 24.0 / 4096, 4096, branches))
     first = predict(sc)
     evolve_postselect(sc)
+    perp = np.array([-0.36 + 0.48j, 0.8])  # orthogonal to the pre-selection
+    family = [sc, make_scenario(sc.observable, sc.pre, perp, sc.g, sc.pointer)]
+    sweep(lambda i: family[int(i)], [0.0, 1.0], "delta_q", "predicted")
+    assert {spec for _, spec in calls} >= {PQ2P, P_BRACE_P, p_power(4)}
     assert calls and len(calls) == len(set(calls))
     assert {phi for phi, _ in calls} == {id(phi) for _, phi in sc.pointer.branches}
     # Memoized moments are the same floats: a repeat predicts the same bits.

@@ -99,6 +99,11 @@ def test_wire_round_trip_options():
     assert opts.orth_threshold == 1e-10
     # Unset options stay off the wire entirely.
     assert "options" not in scenario_to_wire(sc, ScenarioOptions())
+    # numpy integers pass the one integer check and go out as ints.
+    wide = ScenarioOptions(grid_n=np.int64(4096), series_order=np.int64(4))
+    assert _through_json(scenario_to_wire(sc, wide))["options"] == {
+        "grid_n": 4096, "series_order": 4,
+    }
 
 
 def test_post_selection_vector_accepted_on_wire():
@@ -275,6 +280,9 @@ def test_parse_rejects_bad_options():
         ("grid_n", 3, ValueError, "grid_n"),
         ("grid_n", 1 << 23, ValueError, "grid_n"),
         ("grid_n", 128.0, ValueError, "grid_n"),
+        ("grid_n", np.int64(100), ValueError, "power of two"),
+        ("grid_n", True, ValueError, "grid_n"),
+        ("series_order", np.int64(17), OrderTooLarge, "series order"),
         ("series_order", -1, ValueError, "series order"),
         ("series_order", 17, OrderTooLarge, "series order"),
         ("orth_threshold", 2.0, ValueError, "orth_threshold"),

@@ -17,11 +17,13 @@ from weakmeas import (
     projector_onto,
     pure_state,
     series_device_state,
+    sg_family,
+    sweep,
     weak_interaction_margin,
     weak_interaction_margin_argmax,
     weak_value,
 )
-from weakmeas import oracle, predictor, weak_values
+from weakmeas import amplifier, oracle, predictor, weak_values
 from weakmeas.errors import (
     HigherOrderOrthogonality,
     NotOrthogonal,
@@ -294,10 +296,13 @@ def test_every_caller_takes_its_route_from_one_function(monkeypatch):
         calls.append(args[1:])
         return route(*args, **kwargs)
 
-    for module in (weak_values, predictor, oracle):
-        monkeypatch.setattr(module, "_route", counted)
+    for module in (weak_values, predictor, oracle, amplifier):
+        if hasattr(module, "_route"):
+            monkeypatch.setattr(module, "_route", counted)
     orth, general = orthogonal_sigma_x(0.02), _near_orthogonal_qubit()
     runs = [
+        # One stack: the sweep's points share the observable, pointer and g.
+        lambda: sweep(sg_family(0.2), [0.5, 1.5, 2.5, math.pi], "measured", "predicted"),
         lambda: predict(orth),
         lambda: predict(general),
         lambda: predict(general, orth_threshold=0.5),
