@@ -7,9 +7,10 @@ Subcommands::
     weakmeas sterngerlach [--lambdas 0.05,0.1,0.2,0.4] [--steps N]
     weakmeas figure2 --wv RE,IM --g G [--delta_q D]
 
-Common flags: ``--grid-n`` (power-of-two working grid size),
-``--series-order`` (truncated-expansion order where meaningful) and
-``--out`` (write the primary output to a file instead of stdout).
+Every subcommand takes ``--out`` (write the primary output to a file
+instead of stdout). ``exact`` and ``figure2``, which build a working grid,
+take ``--grid-n`` (power-of-two working grid size, a floor), and ``exact``
+takes ``--series-order`` (also evaluate the truncated expansion).
 
 Exit codes: 0 on success; 1 for unusable input (CLI usage, file or JSON
 errors -- diagnostics name the offending key on stderr); 2 for scenarios
@@ -104,13 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = _Parser(add_help=False)
     common.add_argument(
+        "--out", default=None, help="write the primary output to this file"
+    )
+    # Only the subcommands that build a working grid take its size.
+    gridded = _Parser(add_help=False)
+    gridded.add_argument(
         "--grid-n",
         type=_int_arg(validate_grid_n),
         default=None,
         help="working grid size (power of two in [64, 2^22])",
-    )
-    common.add_argument(
-        "--out", default=None, help="write the primary output to this file"
     )
 
     p_predict = sub.add_parser(
@@ -129,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser(
         "exact",
-        parents=[common],
+        parents=[common, gridded],
         help="exact post-selected evolution for a scenario file",
     )
     p_exact.add_argument("scenario", help="scenario JSON file")
@@ -164,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser(
         "figure2",
-        parents=[common],
+        parents=[common, gridded],
         help="outgoing pointer profiles for matched orthogonal and "
         "non-orthogonal scenarios with a requested weak value",
     )
@@ -352,10 +355,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 1
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except WeakMeasurementError as exc:

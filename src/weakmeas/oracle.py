@@ -23,9 +23,11 @@ quantity at a chosen order, with every term expressed through generalized
 trace table of the kernel, making the successive-approximation structure
 of the predictor formulas directly observable. Both regimes run one
 expansion; the side, the threshold check and the conditioning denominator
-come from `weak_values._route`, as for `predict`, and each coefficient is
-one `weak_values._weak_ratio`. Powers of the momentum grid are running
-products, never stored per power. The series normalizes by its own
+come from `weak_values._route`, as for `predict`. Every order, order 0
+included, comes from one coefficient list (each weak value one
+`weak_values._weak_ratio`) that feeds both densities, and each conjugate
+pair of cross terms is formed once. Powers of the momentum grid are
+running products, never stored per power. The series normalizes by its own
 truncated density, as the grid oracle does, and refuses a bad order, grid
 size or regime before it allocates the grid.
 """
@@ -49,6 +51,7 @@ from .pointer import (
     Density,
     GaussianPointer,
     QGrid,
+    _next_pow2,
     default_grid,
     gaussian_profile,
     moment,
@@ -110,20 +113,17 @@ class MeasurementRecord:
     tail_estimate: float | None = None
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (max(n, 1) - 1).bit_length()
-
-
 def _evolution_frame(
     sc: Scenario, grid_n: int | None
 ) -> tuple[QGrid, list[tuple[float, np.ndarray]]]:
     """Choose the working grid and lay the initial pointer branches on it.
 
     Gaussian pointers get a symmetric grid wide enough for the pointer and
-    every eigenvalue translation. Grid pointers are zero-padded so the
-    spectral translations cannot wrap; ``grid_n`` acts as a lower bound on
-    the padded size and never shrinks user data. Before anything of size n
-    is allocated, `_require_frame` checks the grid can be built.
+    every eigenvalue translation and fine enough to resolve the pointer
+    (`default_grid`). Grid pointers are zero-padded so the spectral
+    translations cannot wrap. For both, ``grid_n`` is a floor on the size
+    and never shrinks user data. Before anything of size n is allocated,
+    `_require_frame` checks the grid can be built.
     """
     validate_grid_n(grid_n)
     pointer = sc.pointer
@@ -385,14 +385,16 @@ def series_device_state(
 ) -> MeasurementRecord:
     """Pointer record from the weak-value expansion truncated at ``order``.
 
-    Non-orthogonal selections use the expansion of the conditional device
-    state whose n-th term couples the generalized weak values of total
-    order n to p^(n-k) rho_d p^k; orthogonal selections use the analogous
-    expansion built on orthogonal weak values, with one extra momentum
-    operator on each side. Like `evolve_postselect`, the record is
-    conditioned on its own trace: the truncated position density's integral
-    N_t divides both densities, and the success probability is the leading
-    denominator (tr(P rho), or g^2 tr(P A rho A)) times N_t.
+    Order n has one coefficient list a[k] = (-i g)^n/n! (-1)^k C(n, k)
+    W(n-k, k), with W the generalized weak values, or for orthogonal
+    selections (s = 1, one extra momentum operator on each side) the
+    orthogonal ones. The position density gains Re sum_k a[k] p^(n-k+s) phi
+    (p^(k+s) phi)^*, each conjugate pair (k, n-k) formed once, and
+    Re sum_k a[k] is the momentum polynomial's coefficient of p^(n+2s).
+    Like `evolve_postselect`, the record is conditioned on its own trace:
+    the truncated position density's integral N_t divides both densities,
+    and the success probability is the leading denominator (tr(P rho), or
+    g^2 tr(P A rho A)) times N_t.
 
     Every refusal comes before the working grid is allocated: the order,
     then ``grid_n``, then the regime, routed like `predict`
@@ -426,37 +428,34 @@ def series_device_state(
     grid, branches = _evolution_frame(sc, grid_n)
     tables, m0, pk = _branch_p_table(grid, branches, order + side)
     qd = np.zeros(grid.n)
-    for (w, _), powers in zip(branches, tables):
-        qd += w * np.abs(powers[side]) ** 2
-
     # Momentum-density polynomial in p, with the factor p^(2 side).
     p_poly = np.zeros(order + 2 * side + 1)
-    p_poly[2 * side] = 1.0
-    base_sup = float(np.max(qd))
     sups: list[float] = []
-    for n in range(1, order + 1):
+    for n in range(order + 1):
         coeff = (-1j * g) ** n / math.factorial(n)
-        s_n = 0.0 + 0.0j
-        arr = np.zeros(grid.n, dtype=complex)
-        for k in range(n + 1):
-            wv = (-1) ** k * math.comb(n, k) * _weak_ratio(t, n - k, k, side, denom)
-            s_n += wv
-            cross = np.zeros(grid.n, dtype=complex)
-            for (w, _), powers in zip(branches, tables):
-                cross += w * powers[n - k + side] * np.conj(powers[k + side])
-            arr += wv * cross
-        term = np.real(coeff * arr)
-        qd = qd + term
-        p_poly[n + 2 * side] = float(np.real(coeff * s_n))
+        a = [
+            coeff * ((-1) ** k * math.comb(n, k) * _weak_ratio(t, n - k, k, side, denom))
+            for k in range(n + 1)
+        ]
+        # The k and n - k products are complex conjugates: each pair is formed
+        # once with coefficient a[k] + conj(a[n - k]), and the middle term
+        # k = n/2 stands alone.
+        term = np.zeros(grid.n)
+        for (w, _), powers in zip(branches, tables):
+            for k in range(n // 2 + 1):
+                pair = a[k] if 2 * k == n else a[k] + a[n - k].conjugate()
+                term += np.real(w * pair * powers[n - k + side] * np.conj(powers[k + side]))
+        qd += term
+        p_poly[n + 2 * side] = sum(a).real
         sups.append(float(np.max(np.abs(term))))
-        # Growth below SERIES_NOISE_FLOOR relative to the density peak is
-        # roundoff flutter of the spectral power tables (converged tails sit
-        # at that scale), not divergence; genuine divergence shows terms
-        # growing at the scale of the density itself.
+        # Growth below SERIES_NOISE_FLOOR relative to the order-0 density
+        # peak is roundoff flutter of the spectral power tables (converged
+        # tails sit at that scale), not divergence; genuine divergence shows
+        # terms growing at the scale of the density itself.
         if (
             n >= 3
             and sups[-1] >= sups[-2] >= sups[-3]
-            and sups[-1] > SERIES_NOISE_FLOOR * base_sup
+            and sups[-1] > SERIES_NOISE_FLOOR * sups[0]
         ):
             raise SeriesDiverging(
                 f"per-order density terms stopped decreasing at order {n} "
@@ -471,7 +470,7 @@ def series_device_state(
             f"truncated normalization {norm:.3e} is not positive; the "
             "expansion is meaningless at this coupling"
         )
-    tail = (sups[-1] / norm) if sups else 0.0
+    tail = (sups[-1] / norm) if order else 0.0
     return _finish_record(
         sc, grid, lead * norm, qd / norm, pd / norm,
         method="truncated-series", series_order=order, tail_estimate=tail,

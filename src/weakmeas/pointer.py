@@ -195,11 +195,25 @@ def gaussian_profile(q, delta_q: float, shift: float = 0.0) -> np.ndarray:
     return norm * np.exp(-((q - shift) ** 2) / (4.0 * delta_q**2))
 
 
+def _next_pow2(n: int) -> int:
+    return 1 << (max(n, 1) - 1).bit_length()
+
+
 def default_grid(delta_q: float, g: float = 0.0, n: int | None = None) -> QGrid:
-    """Symmetric grid covering +-10 max(delta_q, |g|) around zero."""
-    n = int(n or DEFAULT_GRID_N)
+    """Symmetric grid covering +-10 max(delta_q, |g|) around zero with
+    dq <= delta_q/8.
+
+    ``n`` (default DEFAULT_GRID_N) is a floor: it is raised to the next power
+    of two at or above 160 max(delta_q, |g|)/delta_q. A size beyond
+    MAX_GRID_N stays a float (it may be inf), for the frame guard to refuse
+    before anything is allocated.
+    """
     half = 10.0 * max(delta_q, abs(g))
-    return QGrid(q_min=-half, dq=2.0 * half / n, n=n)
+    size = 16.0 * half / delta_q  # dq = 2 half/size <= delta_q/8
+    if size <= MAX_GRID_N:
+        size = _next_pow2(math.ceil(size))
+    size = max(int(n or DEFAULT_GRID_N), size)
+    return QGrid(q_min=-half, dq=2.0 * half / size, n=size)
 
 
 def _check_grid_size(n: int) -> None:

@@ -30,7 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionFailure, OrderTooLarge, ParseError, WeakMeasurementError
+from .errors import (
+    ConstructionFailure,
+    HigherOrderOrthogonality,
+    OrderTooLarge,
+    ParseError,
+    WeakMeasurementError,
+)
 from .pointer import (
     PointerState,
     gaussian,
@@ -288,7 +294,9 @@ def _target_frame() -> tuple[Observable, np.ndarray]:
 
 def _target_scenario(obs, psi, phi, g, delta_q, target, weak) -> Scenario:
     """The target-frame scenario post-selecting ``phi``, checked to realize
-    ``target`` through the weak value function ``weak``."""
+    ``target`` through the weak value function ``weak``. The weak value's
+    route decides whether a leading response exists; its
+    HigherOrderOrthogonality becomes ConstructionFailure here."""
     sc = Scenario(
         observable=obs,
         pre=pure_state(psi),
@@ -296,7 +304,13 @@ def _target_scenario(obs, psi, phi, g, delta_q, target, weak) -> Scenario:
         g=float(g),
         pointer=gaussian(delta_q),
     )
-    achieved = weak(sc.observable, sc.pre, sc.post).value
+    try:
+        achieved = weak(sc.observable, sc.pre, sc.post).value
+    except HigherOrderOrthogonality as exc:
+        raise ConstructionFailure(
+            f"leading response <phi|A|psi> vanishes for target {target}; no "
+            "first-order orthogonal scenario exists in this frame"
+        ) from exc
     if abs(achieved - target) > _TARGET_TOL * max(1.0, abs(target)):
         raise ConstructionFailure(
             f"constructed weak value {achieved} misses target {target}"
@@ -349,10 +363,4 @@ def scenario_with_orthogonal_weak_value(
     )
     _, _, vh = np.linalg.svd(rows)
     phi = vh[-1].conj()
-    lead = complex(np.vdot(phi, obs.matrix @ psi))
-    if abs(lead) < 1e-8:
-        raise ConstructionFailure(
-            f"leading response <phi|A|psi> vanishes for target {target}; no "
-            "first-order orthogonal scenario exists in this frame"
-        )
     return _target_scenario(obs, psi, phi, g, delta_q, target, orthogonal_weak_value)

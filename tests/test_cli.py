@@ -194,6 +194,13 @@ def test_series_and_predict_report_one_code_for_a_vanishing_first_order(tmp_path
         assert json.loads(out)["error"]["code"] == "higher-order-orthogonality"
 
 
+def test_figure2_unreachable_orthogonal_target_is_a_construction_failure(capsys):
+    # |<phi|A|psi>| is about 1.9e-7 here: the route finds no leading response.
+    code, out, _ = _run(capsys, ["figure2", "--wv", "1e6,0", "--g", "0.05"])
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "construction-failure"
+
+
 def test_series_order_flag_beyond_the_cap_exits_one(tmp_path, capsys):
     path = _write_scenario(tmp_path, half_overlap_scenario(0.04))
     for order in ("17", "-1"):
@@ -317,6 +324,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert code == 1
     code, _, err = _run(capsys, ["sterngerlach", "--steps", "0"])
     assert code == 1
+    # Only the subcommands that build a working grid take --grid-n.
+    path = _write_scenario(tmp_path, half_overlap_scenario(0.01))
+    assert _run(capsys, ["predict", path, "--grid-n", "4096"])[0] == 1
+    assert _run(capsys, ["sterngerlach", "--grid-n", "4096"])[0] == 1
 
 
 @pytest.mark.parametrize(

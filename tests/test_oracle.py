@@ -50,7 +50,7 @@ from weakmeas.oracle import (
     _selection_amplitudes,
 )
 from weakmeas.pointer import PQ2P, moment, p_power
-from weakmeas.qops import _selection_kernel, _selection_traces
+from weakmeas.qops import SIGMA_X, _selection_kernel, _selection_traces
 from weakmeas.scenario import MAX_SERIES_ORDER
 
 from support import (
@@ -401,6 +401,32 @@ def test_series_matches_exact_on_random_scenarios():
         assert abs(rec.delta_q - exact.delta_q) < 1e-10
 
 
+def _two_branch_pointer():
+    """A mixed grid pointer: two skewed branches (weights 0.6 and 0.4) on one
+    grid, so the series must weight each branch's terms."""
+    first, second = skewed_pointer(1.0, skew=0.35), skewed_pointer(1.0, skew=-0.25)
+    branches = [(0.6, first.branches[0][1]), (0.4, second.branches[0][1])]
+    grid = first.grid
+    return grid_state(grid.q_min, grid.dq, grid.n, branches)
+
+
+@pytest.mark.parametrize("kind", ["general", "orthogonal"])
+def test_series_matches_exact_on_a_two_branch_pointer(kind):
+    ptr = _two_branch_pointer()
+    if kind == "general":
+        sc = half_overlap_scenario(0.04, ptr)
+    else:
+        sc = make_scenario(SIGMA_X, [1.0, 0.0], [0.0, 1.0], 0.02, ptr)
+    exact = evolve_postselect(sc)
+    rec = _quiet_series(sc, 10)
+    peak = float(np.max(exact.q_density.values))
+    sup = float(np.max(np.abs(rec.q_density.values - exact.q_density.values)))
+    assert sup < 1e-6 * peak
+    assert abs(rec.delta_q - exact.delta_q) < 1e-9
+    assert abs(rec.delta_p - exact.delta_p) < 1e-9
+    assert rec.success_prob == pytest.approx(exact.success_prob, rel=1e-10)
+
+
 def _unitary(gen, dim):
     raw = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
     return np.linalg.qr(raw)[0]
@@ -470,6 +496,40 @@ def test_gaussian_closed_form_matches_grid_oracle(
     assert abs(n_total - rec.success_prob) <= 1e-12
     assert abs(delta_q_cf - rec.delta_q) <= 1e-12
     assert abs(delta_p_cf - rec.delta_p) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(**{
+    **SCENARIO_DRAWS,
+    "selection": st.sampled_from(["generic", "orthogonal"]),
+    "g": st.floats(0.01, 0.05),
+})
+def test_series_matches_exact_across_the_valid_regime(
+    seed, dim, spectrum, mixed, selection, g, delta_q
+):
+    # Near-orthogonal draws are left out: their weak values grow like
+    # 1/sqrt(tr(P rho)), and the series is not meant to converge there.
+    # Draws with g/delta_q above 0.05 are left out for a known fault of the
+    # Gaussian working grid, pinned by
+    # test_series_is_accurate_at_a_moderate_coupling below.
+    assume(g <= 0.05 * delta_q)
+    sc = _drawn_scenario(seed, dim, spectrum, mixed, selection, g, delta_q)
+    try:
+        rec = _quiet_series(sc, 12)
+    except HigherOrderOrthogonality:
+        rec = None
+    assume(rec is not None)
+    try:
+        exact = evolve_postselect(sc)
+    except ZeroPostSelectionProbability:
+        exact = None
+    assume(exact is not None)
+    peak = float(np.max(exact.q_density.values))
+    sup = float(np.max(np.abs(rec.q_density.values - exact.q_density.values)))
+    assert sup <= 1e-8 * peak
+    assert abs(rec.delta_q - exact.delta_q) <= 1e-10
+    assert abs(rec.delta_p - exact.delta_p) <= 1e-10
+    assert abs(rec.success_prob / exact.success_prob - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -551,6 +611,33 @@ def test_grid_n_floor_is_respected():
     assert rec.q_density.coords.size == 8192
     with pytest.raises(ValueError):
         evolve_postselect(sc, grid_n=100)  # not a power of two
+
+
+@pytest.mark.xfail(strict=True, reason="the Gaussian working grid's box is too narrow for the series")
+def test_series_is_accurate_at_a_moderate_coupling():
+    # g dp = 0.05, well inside the weak regime. The Gaussian working grid
+    # spans +-10 delta_q, where the pointer amplitude is still exp(-25); the
+    # spectral powers p^a phi amplify that edge until the order-12 density
+    # misses by 4e-8 of its peak (and many drawn scenarios at g/delta_q
+    # from 0.06 up raise SeriesDiverging). The same pointer sampled on
+    # +-16 delta_q agrees to 1e-12.
+    sc = orthogonal_sigma_x(0.1)
+    exact = evolve_postselect(sc)
+    rec = _quiet_series(sc, 12)
+    sup = float(np.max(np.abs(rec.q_density.values - exact.q_density.values)))
+    assert sup <= 1e-8 * float(np.max(exact.q_density.values))
+
+
+def test_strong_coupling_grid_resolves_the_pointer():
+    # At g/delta_q = 200 the working grid must grow to keep dq <= delta_q/8;
+    # 4096 points would leave the momentum density undecayed at the edges.
+    sc = half_overlap_scenario(200.0)
+    rec = evolve_postselect(sc)
+    n_total, delta_q, delta_p = _gaussian_exact(sc)
+    assert rec.q_density.coords.size == 32768
+    assert rec.success_prob == pytest.approx(n_total, rel=1e-11)
+    assert rec.delta_q == pytest.approx(delta_q, rel=1e-11)
+    assert abs(rec.delta_p - delta_p) <= 1e-12
 
 
 def test_grid_pointer_padding_avoids_wraparound():

@@ -108,6 +108,10 @@ def test_default_grid_covers_pointer_and_translations():
     assert grid.q_min <= -30.0 and grid.q_min + grid.n * grid.dq >= 30.0
     grid_small = default_grid(0.5, g=0.0, n=256)
     assert grid_small.n == 256
+    # At strong coupling the size grows past the floor to keep dq <= delta_q/8.
+    strong = default_grid(1.0, g=200.0)
+    assert strong.dq <= 1.0 / 8.0
+    assert strong.q_min <= -2000.0 and strong.q_min + strong.n * strong.dq >= 2000.0
 
 
 # --- construction validation ---------------------------------------------------

@@ -370,6 +370,9 @@ def test_orthogonal_construction_hits_target(target):
 def test_orthogonal_construction_failure_for_unreachable_target():
     # A huge target forces <phi|A|psi> ~ <phi|A^2|psi>/(2w) below the usable
     # threshold, so the constructor refuses rather than return a scenario
-    # whose leading response is numerically meaningless.
-    with pytest.raises(ConstructionFailure):
-        scenario_with_orthogonal_weak_value(1e8, 0.02)
+    # whose leading response is numerically meaningless. The weak value's
+    # route alone sets that threshold, so targets whose leading response is
+    # small but not zero (3e5..1e7) fail the same way.
+    for target in (3e5, 1e6, 1e7, 1e8):
+        with pytest.raises(ConstructionFailure):
+            scenario_with_orthogonal_weak_value(target, 0.02)
