@@ -27,9 +27,13 @@ come from `weak_values._route`, as for `predict`. Every order, order 0
 included, comes from one coefficient list (each weak value one
 `weak_values._weak_ratio`) that feeds both densities, and each conjugate
 pair of cross terms is formed once. Powers of the momentum grid are
-running products, never stored per power. The series normalizes by its own
-truncated density, as the grid oracle does, and refuses a bad order, grid
-size or regime before it allocates the grid.
+running products, never stored per power. The power table p^a phi of a
+Gaussian pointer is closed form, Hermite functions from their three-term
+recurrence, kept real with the phase i^a in the coefficients, so each cross
+term is one real product; grid pointers take theirs from the FFT spectrum,
+masked below SPECTRAL_FLOOR. The series normalizes by its own truncated
+density, as the grid oracle does, and refuses a bad order, grid size or
+regime before it allocates the grid.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ NORM_TOL = 1e-8
 SERIES_MARGIN_WARN = 0.5
 SPECTRAL_FLOOR = 1e-15
 SERIES_NOISE_FLOOR = 1e-8
+_I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
 @dataclass(frozen=True)
@@ -380,6 +385,32 @@ def _branch_p_table(
     return tables, m0, pk
 
 
+def _gaussian_p_table(
+    grid: QGrid, phi: np.ndarray, delta_q: float, max_power: int
+) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
+    """`_branch_p_table` for the Gaussian pointer samples ``phi``, in
+    closed form.
+
+    With z = q/(sqrt(2) delta_q), p^a phi = (i/(sqrt(2) delta_q))^a He_a(z)
+    phi (Duck, Stevenson & Sudarshan 1989). Row a is the real array
+    p^a phi / i^a; the Hermite recurrence He_(a+1) = z He_a - a He_(a-1)
+    makes it row_(a+1) = (q row_a - a row_(a-1)) / (2 delta_q^2). The phase
+    i^a is left to the caller's coefficients. M0 is the exact momentum
+    density sqrt(2/pi) delta_q exp(-2 delta_q^2 p^2).
+    """
+    q, pk = grid.coords(), grid.momenta()
+    scale = 0.5 / delta_q**2
+    scaled_q = scale * q
+    powers = [phi]
+    for a in range(max_power):
+        row = scaled_q * powers[a]
+        if a:
+            row -= (scale * a) * powers[a - 1]
+        powers.append(row)
+    m0 = math.sqrt(2.0 / math.pi) * delta_q * np.exp(-2.0 * delta_q**2 * pk**2)
+    return [powers], m0, pk
+
+
 def series_device_state(
     sc: Scenario, order: int, grid_n: int | None = None, *, orth_threshold: float = ORTH_THRESHOLD
 ) -> MeasurementRecord:
@@ -394,7 +425,9 @@ def series_device_state(
     Like `evolve_postselect`, the record is conditioned on its own trace:
     the truncated position density's integral N_t divides both densities,
     and the success probability is the leading denominator (tr(P rho), or
-    g^2 tr(P A rho A)) times N_t.
+    g^2 tr(P A rho A)) times N_t. A Gaussian pointer's table p^a phi and
+    momentum density come in closed form (`_gaussian_p_table`); only grid
+    pointers go through the masked spectrum of `_branch_p_table`.
 
     Every refusal comes before the working grid is allocated: the order,
     then ``grid_n``, then the regime, routed like `predict`
@@ -426,7 +459,13 @@ def series_device_state(
     lead = g * g * denom if side else denom
 
     grid, branches = _evolution_frame(sc, grid_n)
-    tables, m0, pk = _branch_p_table(grid, branches, order + side)
+    gaussian = isinstance(sc.pointer, GaussianPointer)
+    if gaussian:
+        tables, m0, pk = _gaussian_p_table(
+            grid, branches[0][1], sc.pointer.delta_q, order + side
+        )
+    else:
+        tables, m0, pk = _branch_p_table(grid, branches, order + side)
     qd = np.zeros(grid.n)
     # Momentum-density polynomial in p, with the factor p^(2 side).
     p_poly = np.zeros(order + 2 * side + 1)
@@ -444,14 +483,20 @@ def series_device_state(
         for (w, _), powers in zip(branches, tables):
             for k in range(n // 2 + 1):
                 pair = a[k] if 2 * k == n else a[k] + a[n - k].conjugate()
-                term += np.real(w * pair * powers[n - k + side] * np.conj(powers[k + side]))
+                left, right = powers[n - k + side], powers[k + side]
+                if gaussian:
+                    # Real rows p^a phi / i^a: the product's phase i^(n - 2k)
+                    # joins the scalar, leaving one real product.
+                    term += (w * pair * _I_POWERS[(n - 2 * k) % 4]).real * (left * right)
+                else:
+                    term += np.real(w * pair * left * np.conj(right))
         qd += term
         p_poly[n + 2 * side] = sum(a).real
         sups.append(float(np.max(np.abs(term))))
         # Growth below SERIES_NOISE_FLOOR relative to the order-0 density
-        # peak is roundoff flutter of the spectral power tables (converged
-        # tails sit at that scale), not divergence; genuine divergence shows
-        # terms growing at the scale of the density itself.
+        # peak is roundoff flutter of a grid pointer's spectral power table
+        # (converged tails sit at that scale), not divergence; genuine
+        # divergence shows terms growing at the scale of the density itself.
         if (
             n >= 3
             and sups[-1] >= sups[-2] >= sups[-3]

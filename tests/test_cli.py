@@ -159,6 +159,19 @@ def test_exact_payload_with_series_and_densities(tmp_path, capsys):
     assert len(lines) == 4097
 
 
+def test_exact_series_on_a_gaussian_file_is_accurate(tmp_path, capsys):
+    # The demo qubit at g = 0.5: the order-8 series density must decay at
+    # the +-10 delta_q edges of the Gaussian working grid, or `exact` exits
+    # 2 with grid-too-small.
+    pre = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    post = np.array([1.0, -0.9]) / math.sqrt(1.81)
+    path = _write_scenario(tmp_path, make_scenario(SIGMA_Z, pre, post, 0.5, gaussian(1.0)))
+    code, out, _ = _run(capsys, ["exact", path, "--series-order", "8"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["series"]["delta_q"] == pytest.approx(payload["delta_q"], abs=1e-5)
+
+
 def test_exact_series_honors_file_orth_threshold(tmp_path, capsys):
     # tr(P rho) = 8.3e-12 lies above the default threshold (1e-12) but
     # below the file's 1e-9, so `predict` routes orthogonal; the series

@@ -49,7 +49,7 @@ from weakmeas.oracle import (
     _require_success,
     _selection_amplitudes,
 )
-from weakmeas.pointer import PQ2P, moment, p_power
+from weakmeas.pointer import PQ2P, default_grid, gaussian_profile, moment, p_power
 from weakmeas.qops import SIGMA_X, _selection_kernel, _selection_traces
 from weakmeas.scenario import MAX_SERIES_ORDER
 
@@ -309,16 +309,29 @@ def test_series_tail_estimate_shrinks():
     assert tails[0] > tails[1] > tails[2] > 0.0
 
 
-def test_series_divergence_detected():
-    # Nearly orthogonal selections blow the weak values up to ~1/sqrt(ov);
-    # at this coupling the expansion terms grow and the truncation refuses.
+def _near_orthogonal(g):
+    """Nearly orthogonal selections: the weak values grow to ~1/sqrt(ov)."""
     a = new_observable(np.diag([1.0, 0.35]))
     psi = np.array([0.8, 0.36 + 0.48j])
     perp = np.array([-np.conj(psi[1]), np.conj(psi[0])])
     post = projector_onto(0.01 * psi + perp)
-    sc = make_scenario(a, pure_state(psi), post, 0.2, gaussian(1.0))
-    with pytest.raises(SeriesDiverging):
-        _quiet_series(sc, 12)
+    return make_scenario(a, pure_state(psi), post, g, gaussian(1.0))
+
+
+def test_series_divergence_detected():
+    # At g = 2 the per-order sup norms grow from the first orders on
+    # (about 8.7, 278, 414 over orders 1-3) and the truncation refuses.
+    with pytest.raises(SeriesDiverging, match="at order 3"):
+        _quiet_series(_near_orthogonal(2.0), 12)
+
+
+def test_series_converges_near_orthogonality_at_a_moderate_coupling():
+    # The large weak values still leave the expansion convergent at g = 0.2:
+    # order 12 reproduces the exact density, and nothing is refused.
+    sc = _near_orthogonal(0.2)
+    exact, rec = evolve_postselect(sc), _quiet_series(sc, 12)
+    sup = float(np.max(np.abs(rec.q_density.values - exact.q_density.values)))
+    assert sup <= 1e-10 * float(np.max(exact.q_density.values))
 
 
 def test_series_raises_higher_order_orthogonality_beyond_second_order():
@@ -427,6 +440,47 @@ def test_series_matches_exact_on_a_two_branch_pointer(kind):
     assert rec.success_prob == pytest.approx(exact.success_prob, rel=1e-10)
 
 
+def _sampled_gaussian(delta_q, g):
+    """The Gaussian pointer sampled as a grid pointer on the lattice of its
+    own working grid, extended to twice that box (+-20 delta_q at weak
+    coupling), where its FFT power table has no edge to amplify."""
+    box = default_grid(delta_q, g)
+    q_min = box.q_min - (box.n // 2) * box.dq
+    q = q_min + box.dq * np.arange(2 * box.n)
+    return grid_state(q_min, box.dq, 2 * box.n, [(1.0, gaussian_profile(q, delta_q))])
+
+
+@pytest.mark.parametrize("order", [8, 12])
+@pytest.mark.parametrize("kind", ["general", "orthogonal"])
+def test_gaussian_power_table_matches_the_sampled_pointer(kind, order):
+    # The closed-form (Hermite) table of the Gaussian against the FFT table
+    # of the same pointer as grid samples: the Gaussian's working grid is a
+    # sub-lattice of the grid pointer's, in position and in momentum.
+    g = 0.1
+    def build(ptr):
+        if kind == "general":
+            return half_overlap_scenario(g, ptr)
+        return make_scenario(SIGMA_X, [1.0, 0.0], [0.0, 1.0], g, ptr)
+
+    closed = _quiet_series(build(gaussian(1.0)), order)
+    sampled = _quiet_series(build(_sampled_gaussian(1.0, g)), order)
+    qc, qs = closed.q_density, sampled.q_density
+    start = round((qc.coords[0] - qs.coords[0]) / qc.spacing)
+    window = slice(start, start + qc.coords.size)
+    np.testing.assert_allclose(qs.coords[window], qc.coords, rtol=0, atol=1e-12)
+    assert np.max(np.abs(qs.values[window] - qc.values)) <= 1e-12 * np.max(qc.values)
+    pc, ps = closed.p_density, sampled.p_density
+    stride = ps.coords.size // pc.coords.size
+    np.testing.assert_allclose(ps.coords[::stride], pc.coords, rtol=0, atol=1e-12)
+    assert np.max(np.abs(ps.values[::stride] - pc.values)) <= 1e-12 * np.max(pc.values)
+    # The orthogonal shifts vanish by symmetry; tail estimates reach 1e-22.
+    for field in ("success_prob", "delta_q", "delta_p", "var_q_out", "var_p_out",
+                  "tail_estimate"):
+        assert getattr(closed, field) == pytest.approx(
+            getattr(sampled, field), rel=1e-12, abs=1e-15
+        ), field
+
+
 def _unitary(gen, dim):
     raw = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
     return np.linalg.qr(raw)[0]
@@ -509,10 +563,6 @@ def test_series_matches_exact_across_the_valid_regime(
 ):
     # Near-orthogonal draws are left out: their weak values grow like
     # 1/sqrt(tr(P rho)), and the series is not meant to converge there.
-    # Draws with g/delta_q above 0.05 are left out for a known fault of the
-    # Gaussian working grid, pinned by
-    # test_series_is_accurate_at_a_moderate_coupling below.
-    assume(g <= 0.05 * delta_q)
     sc = _drawn_scenario(seed, dim, spectrum, mixed, selection, g, delta_q)
     try:
         rec = _quiet_series(sc, 12)
@@ -613,14 +663,12 @@ def test_grid_n_floor_is_respected():
         evolve_postselect(sc, grid_n=100)  # not a power of two
 
 
-@pytest.mark.xfail(strict=True, reason="the Gaussian working grid's box is too narrow for the series")
 def test_series_is_accurate_at_a_moderate_coupling():
     # g dp = 0.05, well inside the weak regime. The Gaussian working grid
-    # spans +-10 delta_q, where the pointer amplitude is still exp(-25); the
-    # spectral powers p^a phi amplify that edge until the order-12 density
-    # misses by 4e-8 of its peak (and many drawn scenarios at g/delta_q
-    # from 0.06 up raise SeriesDiverging). The same pointer sampled on
-    # +-16 delta_q agrees to 1e-12.
+    # spans +-10 delta_q, where the pointer amplitude is still exp(-25);
+    # spectral powers p^a phi would amplify the periodic FFT's jump there
+    # until the order-12 density missed by 4e-8 of its peak. The closed-form
+    # power table has no such edge.
     sc = orthogonal_sigma_x(0.1)
     exact = evolve_postselect(sc)
     rec = _quiet_series(sc, 12)
