@@ -9,10 +9,10 @@ closed-form for Gaussian pointers (pairwise branch overlaps, no grid) and
 runs the grid oracle `evolve_postselect` on its own working grid for grid
 pointers; no grid size is taken. The predicted engine is `predict`'s
 stacked kernel, routed like `predict` by `weak_values._route` at
-ORTH_THRESHOLD: the resummed second-order formula of
-`predictor.predict_general` above the orthogonality threshold and the
-orthogonal formula of `predictor.predict_orthogonal` at or below it, each
-with its predicted success probability. The canonical family is the
+ORTH_THRESHOLD: the order-2 series of `predictor.predict_general` above
+the orthogonality threshold and the orthogonal series of
+`predictor.predict_orthogonal` at or below it (any pointer, boosted ones
+included), each with its predicted success probability. The canonical family is the
 Stern-Gerlach arrangement `sg_family`, whose measured-value curve has the
 known analytic optimum `sg_optimum`.
 
@@ -21,8 +21,8 @@ g are evaluated in one array pass: one stack of the selection kernel
 (`qops._selection_kernel`) feeds the engine's kernel
 (`oracle._gaussian_exact_stacked`, `predictor._predict_stacked`), and the
 per-group constants -- the weak-interaction margin and the spectral frame
--- are computed once; the pointer moments are closed forms, or memoized
-on the grid pointer. A family author should therefore build
+-- are computed once; the pointer's moment table is memoized on the
+pointer. A family author should therefore build
 the observable and the pointer once, outside the closure, as `sg_family`
 does; a family that builds them per point still works, one point per
 kernel call. The optimum search evaluates one point at a time through

@@ -21,7 +21,6 @@ __all__ = [
     "HigherOrderOrthogonality",
     "OrderTooLarge",
     "NonPositiveDenominator",
-    "PointerNotEven",
     "DegenerateDenominator",
     "LambdaOutOfRange",
     "ZeroPostSelectionProbability",
@@ -116,12 +115,6 @@ class NonPositiveDenominator(WeakMeasurementError):
     prediction is meaningless there."""
 
     code = "non-positive-denominator"
-
-
-class PointerNotEven(WeakMeasurementError):
-    """Orthogonal-regime formulas assume an even pointer wavefunction."""
-
-    code = "pointer-not-even"
 
 
 class DegenerateDenominator(WeakMeasurementError):

@@ -24,16 +24,16 @@ trace table of the kernel, making the successive-approximation structure
 of the predictor formulas directly observable. Both regimes run one
 expansion; the side, the threshold check and the conditioning denominator
 come from `weak_values._route`, as for `predict`. Every order, order 0
-included, comes from one coefficient list (each weak value one
-`weak_values._weak_ratio`) that feeds both densities, and each conjugate
-pair of cross terms is formed once. Powers of the momentum grid are
-running products, never stored per power. The power table p^a phi of a
-Gaussian pointer is closed form, Hermite functions from their three-term
-recurrence, kept real with the phase i^a in the coefficients, so each cross
-term is one real product; grid pointers take theirs from the FFT spectrum,
-masked below SPECTRAL_FLOOR. The series normalizes by its own truncated
-density, as the grid oracle does, and refuses a bad order, grid size or
-regime before it allocates the grid.
+included, comes from one coefficient list (`_series_coefficients`) that
+feeds both densities, and each conjugate pair of cross terms is formed
+once. The power table p^a phi (`pointer`) of a Gaussian pointer is closed
+form, Hermite functions kept real with the phase i^a in the
+coefficients, so each cross term is one real product; grid pointers take
+theirs from the FFT spectrum, masked below SPECTRAL_FLOOR. The series
+normalizes by its own truncated density, as the grid oracle does, and
+refuses a bad order, grid size or regime before it allocates the grid.
+`_series_sums` integrates the same coefficients against the pointer's
+moment table: the scalars without a grid, which the predictors truncate.
 """
 
 from __future__ import annotations
@@ -51,10 +51,16 @@ from .errors import (
     ZeroPostSelectionProbability,
 )
 from .pointer import (
+    _I_POWERS,
     MAX_GRID_N,
+    TABLE_POWER,
     Density,
     GaussianPointer,
+    PointerState,
     QGrid,
+    _branch_p_table,
+    _gaussian_p_table,
+    _moment_table,
     _next_pow2,
     default_grid,
     gaussian_profile,
@@ -72,7 +78,8 @@ from .weak_values import (
     _moment_amplitudes,
     _point_route,
     _route,
-    _weak_ratio,
+    _series_coefficients,
+    _series_rows,
     weak_interaction_margin,
 )
 
@@ -88,9 +95,7 @@ PROB_FLOOR = 1e-14
 EDGE_TOL = 1e-12
 NORM_TOL = 1e-8
 SERIES_MARGIN_WARN = 0.5
-SPECTRAL_FLOOR = 1e-15
 SERIES_NOISE_FLOOR = 1e-8
-_I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
 @dataclass(frozen=True)
@@ -360,55 +365,39 @@ def success_probability(sc: Scenario, grid_n: int | None = None) -> float:
     return min(n_total, 1.0)
 
 
-def _branch_p_table(
-    grid: QGrid, branches: list[tuple[float, np.ndarray]], max_power: int
-) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
-    """Per-branch samples of p^a phi for a = 0..max_power, plus the mixed
-    momentum density M0 (FFT ordering) and the grid momenta."""
-    pk = grid.momenta()
-    tables = []
-    m0 = np.zeros(grid.n)
-    for w, phi in branches:
-        spectrum = np.fft.fft(phi)
-        # Raising to p^a amplifies the FFT noise floor of the spectral tail
-        # by p_max^a, which would swamp the factorially decaying true terms
-        # at high order. Modes this far below the peak carry no admissible
-        # pointer content, so drop them; using the same masked spectrum for
-        # the moments m0 keeps the Parseval normalization identities exact.
-        spectrum[np.abs(spectrum) < SPECTRAL_FLOOR * np.max(np.abs(spectrum))] = 0.0
-        m0 += w * np.abs((grid.dq / math.sqrt(2.0 * math.pi)) * spectrum) ** 2
-        powers = [phi]
-        for _ in range(max_power):
-            spectrum *= pk
-            powers.append(np.fft.ifft(spectrum))
-        tables.append(powers)
-    return tables, m0, pk
+def _series_sums(
+    pointer: PointerState, t: np.ndarray, side: int, denom, g: float, order: int
+) -> np.ndarray:
+    """The series' scalars without a grid: per-order increments
+    (Z, Q_1, Q_2, P_1, P_2), shape (order + 1, 5, B), for B points sharing
+    the pointer and g. Order n's densities integrate against q^j to
+    Q_j = Re sum_k a[k] M[k+s, j, n-k+s] (Z = Q_0) and against p^j to
+    P_j = Re(sum_k a[k]) <p^(n+2s+j)>, over the rows a of
+    `_series_coefficients` (a pair's row stands for both its terms, M being
+    Hermitian) and the pointer's `_moment_table` M; summed, N = lead Z,
+    <q> = Q_1/Z and var q = Q_2/Z - <q>^2 (Nakamura, Nishizawa & Fujimoto,
+    PRA 85, 012113 (2012)). An overflowing coefficient makes all sums NaN."""
+    a = _series_coefficients(t, side, denom, g, order)
+    a = a.reshape(a.shape[0], -1)
+    sums = _series_weights(pointer, order, side) @ np.concatenate([a.real, a.imag])
+    return sums.reshape(order + 1, 5, -1)
 
 
-def _gaussian_p_table(
-    grid: QGrid, phi: np.ndarray, delta_q: float, max_power: int
-) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
-    """`_branch_p_table` for the Gaussian pointer samples ``phi``, in
-    closed form.
-
-    With z = q/(sqrt(2) delta_q), p^a phi = (i/(sqrt(2) delta_q))^a He_a(z)
-    phi (Duck, Stevenson & Sudarshan 1989). Row a is the real array
-    p^a phi / i^a; the Hermite recurrence He_(a+1) = z He_a - a He_(a-1)
-    makes it row_(a+1) = (q row_a - a row_(a-1)) / (2 delta_q^2). The phase
-    i^a is left to the caller's coefficients. M0 is the exact momentum
-    density sqrt(2/pi) delta_q exp(-2 delta_q^2 p^2).
-    """
-    q, pk = grid.coords(), grid.momenta()
-    scale = 0.5 / delta_q**2
-    scaled_q = scale * q
-    powers = [phi]
-    for a in range(max_power):
-        row = scaled_q * powers[a]
-        if a:
-            row -= (scale * a) * powers[a - 1]
-        powers.append(row)
-    m0 = math.sqrt(2.0 / math.pi) * delta_q * np.exp(-2.0 * delta_q**2 * pk**2)
-    return [powers], m0, pk
+def _series_weights(pointer: PointerState, order: int, side: int) -> np.ndarray:
+    """[Re W, -Im W] with Re(W @ a) = `_series_sums` for coefficient rows a:
+    each order's rows against M[k+s, j, n-k+s] and <p^(n+2s+j)>, memoized
+    on the pointer."""
+    memo = pointer._tables
+    if (order, side) not in memo:
+        n, k = _series_rows(order)[:2]
+        table = _moment_table(pointer, max(TABLE_POWER, order + side, (order + 2 * side + 3) // 2))
+        powers = n[:, None] + (2 * side + 1, 2 * side + 2)
+        weights = np.zeros((order + 1, 5, n.size), dtype=complex)
+        weights[n, :3, np.arange(n.size)] = table[k + side, :, n - k + side]
+        weights[n, 3:, np.arange(n.size)] = table[powers // 2, 0, powers - powers // 2]
+        weights = weights.reshape(-1, n.size)
+        memo[order, side] = _frozen(np.concatenate([weights.real, -weights.imag], axis=1))
+    return memo[order, side]
 
 
 def series_device_state(
@@ -470,19 +459,15 @@ def series_device_state(
     # Momentum-density polynomial in p, with the factor p^(2 side).
     p_poly = np.zeros(order + 2 * side + 1)
     sups: list[float] = []
+    # One row per conjugate pair of cross terms (k, n - k), and the middle
+    # term k = n/2: each product is formed once.
+    coefficients = _series_coefficients(t, side, denom, g, order)
+    first = _series_rows(order)[2]
     for n in range(order + 1):
-        coeff = (-1j * g) ** n / math.factorial(n)
-        a = [
-            coeff * ((-1) ** k * math.comb(n, k) * _weak_ratio(t, n - k, k, side, denom))
-            for k in range(n + 1)
-        ]
-        # The k and n - k products are complex conjugates: each pair is formed
-        # once with coefficient a[k] + conj(a[n - k]), and the middle term
-        # k = n/2 stands alone.
+        a = coefficients[first[n] : first[n] + n // 2 + 1]
         term = np.zeros(grid.n)
         for (w, _), powers in zip(branches, tables):
-            for k in range(n // 2 + 1):
-                pair = a[k] if 2 * k == n else a[k] + a[n - k].conjugate()
+            for k, pair in enumerate(a):
                 left, right = powers[n - k + side], powers[k + side]
                 if gaussian:
                     # Real rows p^a phi / i^a: the product's phase i^(n - 2k)
@@ -491,7 +476,7 @@ def series_device_state(
                 else:
                     term += np.real(w * pair * left * np.conj(right))
         qd += term
-        p_poly[n + 2 * side] = sum(a).real
+        p_poly[n + 2 * side] = a.sum().real
         sups.append(float(np.max(np.abs(term))))
         # Growth below SERIES_NOISE_FLOOR relative to the order-0 density
         # peak is roundoff flutter of a grid pointer's spectral power table

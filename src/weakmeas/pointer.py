@@ -4,11 +4,14 @@ Two representations are supported: an analytic zero-mean minimum-uncertainty
 Gaussian, for which every required moment has a closed form, and a sampled
 grid state (optionally a convex mixture of pure branches), for which
 momentum-side quantities use the unitary discrete Fourier pair on the grid
-with the convention dq * dp = 2*pi/n. Everything runs with hbar = 1.
+with the convention dq * dp = 2*pi/n. Everything runs with hbar = 1. The
+series' power tables and the moment table `_moment_table` live here.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -33,10 +36,6 @@ __all__ = [
     "MomentSpec",
     "p_power",
     "q_power",
-    "ANTICOMM_QP",
-    "PQP",
-    "PQ2P",
-    "P_BRACE_P",
     "Density",
     "gaussian",
     "grid_state",
@@ -60,6 +59,10 @@ MAX_WEAK_ORDER = 12
 _TOP_EVEN = MAX_WEAK_ORDER - MAX_WEAK_ORDER % 2
 MAX_WIDTH = (sys.float_info.max / math.prod(range(1, _TOP_EVEN, 2))) ** (1.0 / _TOP_EVEN)
 MIN_WIDTH = 0.5 / MAX_WIDTH
+SPECTRAL_FLOOR = 1e-15
+# The default moment table's top power: <p^n> to MAX_GRID_MOMENT_ORDER.
+TABLE_POWER = MAX_GRID_MOMENT_ORDER // 2
+_I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
 def validate_grid_n(n: int | None) -> int | None:
@@ -109,11 +112,6 @@ def to_momentum(grid: QGrid, samples: np.ndarray) -> np.ndarray:
     return (grid.dq / math.sqrt(2.0 * math.pi)) * phase * np.fft.fft(samples)
 
 
-def apply_p(grid: QGrid, samples: np.ndarray, power: int = 1) -> np.ndarray:
-    """Apply the momentum operator (spectral differentiation) `power` times."""
-    return np.fft.ifft(grid.momenta() ** power * np.fft.fft(samples))
-
-
 def translate(grid: QGrid, samples: np.ndarray, shift: float) -> np.ndarray:
     """Samples of psi(q - shift) via the spectral translation phase.
 
@@ -127,9 +125,12 @@ def translate(grid: QGrid, samples: np.ndarray, shift: float) -> np.ndarray:
 class GaussianPointer:
     """Zero-mean minimum-uncertainty real Gaussian of width ``delta_q``,
     kept as a float. The one width check: the widths in [MIN_WIDTH,
-    MAX_WIDTH] are those whose moments up to MAX_WEAK_ORDER are finite."""
+    MAX_WIDTH] are those whose moments up to MAX_WEAK_ORDER are finite;
+    ``_tables`` memoizes `_moment_table` and the series weights built on
+    it."""
 
     delta_q: float
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         delta_q = self.delta_q
@@ -158,14 +159,12 @@ class GaussianPointer:
 @dataclass(frozen=True)
 class GridPointer:
     """Sampled pointer state: convex mixture of pure branches on one grid.
-
-    ``moment`` keeps each quadrature it computes in ``_moments``, keyed by
-    `MomentSpec`, so a pointer pays for each moment once.
-    """
+    ``_tables`` memoizes `_moment_table` (and the series weights built on
+    it), so a pointer pays for each branch's power table once."""
 
     grid: QGrid
     branches: tuple[tuple[float, np.ndarray], ...]
-    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def q_min(self) -> float:
@@ -281,12 +280,8 @@ def grid_state(q_min: float, dq: float, n: int, branches) -> GridPointer:
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """Tag for one of the pointer-moment expressions used by the predictors.
-
-    Kinds: ``p_power``/``q_power`` (<p^n>, <q^n> with ``order`` = n),
-    ``anticomm_qp`` (<{q,p}>), ``pqp`` (<p q p>), ``pq2p`` (<p q^2 p>) and
-    ``p_brace_p`` (<p {q,p} p>).
-    """
+    """Tag for a pointer moment: ``p_power`` or ``q_power`` (<p^n>, <q^n>
+    with ``order`` = n). Every other moment is an entry of `_moment_table`."""
 
     kind: str
     order: int = 0
@@ -304,74 +299,122 @@ def q_power(n: int) -> MomentSpec:
     return MomentSpec("q_power", n)
 
 
-ANTICOMM_QP = MomentSpec("anticomm_qp")
-PQP = MomentSpec("pqp")
-PQ2P = MomentSpec("pq2p")
-P_BRACE_P = MomentSpec("p_brace_p")
-
-_KINDS = {"p_power", "q_power", "anticomm_qp", "pqp", "pq2p", "p_brace_p"}
-
-
-def _double_factorial_odd(m: int) -> float:
-    # (m)!! for odd m, i.e. 1*3*5*...*m; m = -1 gives 1
-    out = 1.0
-    for k in range(1, m + 1, 2):
-        out *= k
-    return out
-
-
-def _gaussian_moment(state: GaussianPointer, spec: MomentSpec) -> float:
-    if spec.kind == "p_power":
-        if spec.order % 2:
-            return 0.0
-        return _double_factorial_odd(spec.order - 1) * state.var_p ** (spec.order // 2)
-    if spec.kind == "q_power":
-        if spec.order % 2:
-            return 0.0
-        return _double_factorial_odd(spec.order - 1) * state.var_q ** (spec.order // 2)
-    if spec.kind == "pq2p":
-        return 3.0 * state.var_q * state.var_p
-    # <{q,p}>, <pqp>, <p{q,p}p> all vanish for a real even wavefunction
-    return 0.0
-
-
-def _branch_moment(grid: QGrid, phi: np.ndarray, spec: MomentSpec) -> float:
-    q = grid.coords()
-    if spec.kind == "q_power":
-        return float(np.sum(q**spec.order * np.abs(phi) ** 2) * grid.dq)
-    if spec.kind == "p_power":
-        tilde = to_momentum(grid, phi)
-        return float(np.sum(grid.momenta() ** spec.order * np.abs(tilde) ** 2) * grid.dp)
-    psi = apply_p(grid, phi)
-    if spec.kind == "anticomm_qp":
-        return float(2.0 * np.real(np.sum(np.conj(phi) * q * psi) * grid.dq))
-    if spec.kind == "pqp":
-        return float(np.real(np.sum(np.conj(psi) * q * psi) * grid.dq))
-    if spec.kind == "pq2p":
-        return float(np.real(np.sum(np.conj(psi) * q**2 * psi) * grid.dq))
-    # p_brace_p
-    chi = apply_p(grid, psi)
-    return float(2.0 * np.real(np.sum(np.conj(psi) * q * chi) * grid.dq))
+_KINDS = {"p_power", "q_power"}
 
 
 def moment(state: PointerState, spec: MomentSpec) -> float:
-    """Evaluate a pointer moment: closed form for the Gaussian, spectral
-    quadrature for grid states (orders above MAX_GRID_MOMENT_ORDER refused),
-    computed once per grid pointer and spec."""
+    """Evaluate a pointer moment: closed form for the Gaussian; for grid
+    states (orders above MAX_GRID_MOMENT_ORDER refused) a position-side sum
+    for <q^n> and the memoized `_moment_table` for <p^n>."""
     if spec.kind not in _KINDS:
         raise ValueError(f"unknown moment kind {spec.kind!r}")
+    n = spec.order
     if isinstance(state, GaussianPointer):
-        return _gaussian_moment(state, spec)
-    if spec.kind in ("p_power", "q_power") and spec.order > MAX_GRID_MOMENT_ORDER:
+        var = state.var_p if spec.kind == "p_power" else state.var_q
+        return 0.0 if n % 2 else math.prod(range(n - 1, 0, -2)) * var ** (n // 2)
+    if n > MAX_GRID_MOMENT_ORDER:
         raise UnsupportedOrder(
-            f"grid moments support order <= {MAX_GRID_MOMENT_ORDER}, got {spec.order}"
+            f"grid moments support order <= {MAX_GRID_MOMENT_ORDER}, got {n}"
         )
-    memo = state._moments
-    if spec not in memo:
-        memo[spec] = sum(
-            w * _branch_moment(state.grid, phi, spec) for w, phi in state.branches
+    if spec.kind == "p_power":
+        return float(_moment_table(state)[n // 2, 0, n - n // 2].real)
+    q = state.grid.coords()
+    return sum(
+        w * float(np.sum(q**n * np.abs(phi) ** 2) * state.dq) for w, phi in state.branches
+    )
+
+
+def _branch_p_table(
+    grid: QGrid, branches: list[tuple[float, np.ndarray]], max_power: int
+) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
+    """Per-branch samples of p^a phi for a = 0..max_power, plus the mixed
+    momentum density M0 (FFT ordering) and the grid momenta."""
+    pk = grid.momenta()
+    tables = []
+    m0 = np.zeros(grid.n)
+    for w, phi in branches:
+        spectrum = np.fft.fft(phi)
+        # Raising to p^a amplifies the FFT noise floor of the spectral tail
+        # by p_max^a, which would swamp the factorially decaying true terms
+        # at high order. Modes this far below the peak carry no admissible
+        # pointer content, so drop them; using the same masked spectrum for
+        # the moments m0 keeps the Parseval normalization identities exact.
+        spectrum[np.abs(spectrum) < SPECTRAL_FLOOR * np.max(np.abs(spectrum))] = 0.0
+        m0 += w * np.abs((grid.dq / math.sqrt(2.0 * math.pi)) * spectrum) ** 2
+        powers = [phi]
+        for _ in range(max_power):
+            spectrum *= pk
+            powers.append(np.fft.ifft(spectrum))
+        tables.append(powers)
+    return tables, m0, pk
+
+
+def _gaussian_p_table(
+    grid: QGrid, phi: np.ndarray, delta_q: float, max_power: int
+) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
+    """`_branch_p_table` for the Gaussian pointer samples ``phi``, in
+    closed form.
+
+    With z = q/(sqrt(2) delta_q), p^a phi = (i/(sqrt(2) delta_q))^a He_a(z)
+    phi (Duck, Stevenson & Sudarshan 1989). Row a is the real array
+    p^a phi / i^a; the Hermite recurrence He_(a+1) = z He_a - a He_(a-1)
+    makes it row_(a+1) = (q row_a - a row_(a-1)) / (2 delta_q^2). The phase
+    i^a is left to the caller's coefficients. M0 is the exact momentum
+    density sqrt(2/pi) delta_q exp(-2 delta_q^2 p^2).
+    """
+    q, pk = grid.coords(), grid.momenta()
+    scale = 0.5 / delta_q**2
+    scaled_q = scale * q
+    powers = [phi]
+    for a in range(max_power):
+        row = scaled_q * powers[a]
+        if a:
+            row -= (scale * a) * powers[a - 1]
+        powers.append(row)
+    m0 = math.sqrt(2.0 / math.pi) * delta_q * np.exp(-2.0 * delta_q**2 * pk**2)
+    return [powers], m0, pk
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_wick(size: int) -> np.ndarray:
+    """Integers K[b, j, a] (a, b <= ``size``, j <= 2) with
+    <p^b phi| q^j |p^a phi> = i^(a-b) K dq^(j-a-b) / 2^(a+b) for a Gaussian
+    of width dq: `_gaussian_p_table`'s Hermite recurrence on integer
+    coefficients against Wick's moments (m-1)!! of z^m, rounded once."""
+    he = [[1]]  # He_a(z) coefficients, lowest power first
+    for a in range(size):
+        shifted = itertools.zip_longest([0, *he[a]], he[a - 1] if a else [], fillvalue=0)
+        he.append([x - a * y for x, y in shifted])
+    table = np.zeros((size + 1, 3, size + 1))
+    for (b, hb), (a, ha), j in itertools.product(enumerate(he), enumerate(he), range(3)):
+        table[b, j, a] = sum(
+            x * y * math.prod(range(c + d + j - 1, 0, -2)) * 2 ** ((b - c + a - d) // 2)
+            for (c, x), (d, y) in itertools.product(enumerate(hb), enumerate(ha))
+            if x and y and (c + d + j) % 2 == 0
         )
-    return memo[spec]
+    return _frozen(table)
+
+
+def _moment_table(state: PointerState, size: int = TABLE_POWER) -> np.ndarray:
+    """M[b, j, a] = <p^b phi| q^j |p^a phi> for a, b <= ``size`` and
+    j = 0, 1, 2 (mixed over the branches), read-only, once per pointer and
+    size: closed form for a Gaussian (`_hermite_wick`), a quadrature over
+    the masked FFT rows of `_branch_p_table` on a grid pointer's own grid."""
+    memo = state._tables
+    if size in memo:
+        return memo[size]
+    if isinstance(state, GaussianPointer):
+        b, j, a = np.indices((size + 1, 3, size + 1))
+        phase = np.array(_I_POWERS)[(a - b) % 4]
+        table = phase * _hermite_wick(size) * state.delta_q ** (j - a - b) / 2.0 ** (a + b)
+    else:
+        q, (tables, _, _) = state.grid.coords(), _branch_p_table(state.grid, state.branches, size)
+        table = sum(
+            w * np.stack([(rows.conj() * (q**j * state.dq)) @ rows.T for j in range(3)], axis=1)
+            for (w, _), rows in zip(state.branches, map(np.array, tables))
+        )
+    memo[size] = _frozen(table)
+    return memo[size]
 
 
 def variance_q(state: PointerState) -> float:

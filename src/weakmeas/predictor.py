@@ -3,7 +3,8 @@
 The interaction is the impulsive coupling exp(-i g A p) between a system
 observable A and the pointer momentum p (hbar = 1 throughout). After
 post-selection the pointer's position and momentum means shift; this module
-evaluates those shifts in closed form:
+evaluates those shifts in closed form, as low orders of the weak-value
+series of `oracle.series_device_state` (Nakamura et al., PRA 85, 012113):
 
 - `predict`: the single entry from a scenario to a prediction. It takes
   its route from `weak_values._route`, as the weak values and the series
@@ -13,7 +14,7 @@ evaluates those shifts in closed form:
 - `predict_general`: second order with the resummed denominator, valid for
   mixed states and any small-but-finite coupling short of orthogonality.
 - `predict_orthogonal`: exactly orthogonal selections -- pure or mixed
-  pre-selections, post-selections of any rank, even pointers -- where the
+  pre-selections, post-selections of any rank, any pointer -- where the
   response is governed by the orthogonal weak value and the pointer arrives
   in a distorted (for Gaussians, double-peaked) profile;
   `predict_orthogonal_gaussian` is the same prediction for a Gaussian of a
@@ -25,15 +26,16 @@ evaluates those shifts in closed form:
 Every closed-form prediction is one stacked kernel, `_predict_stacked`. It
 takes its route -- each point's side, overlap, traces and conditioning
 denominator -- from `weak_values._route` over the moment amplitudes of the
-selection kernel (`qops._selection_kernel`), reads the pointer moments
-through `pointer.moment` and computes both regimes' fields as arrays, NaN
-where a point is undefined. The amplifier runs it over stacks routed at
-ORTH_THRESHOLD; `predict` and the four forced predictors are its batch of
-one, `_predict_point`, which reads the selection kernel and routes once per
-call, takes the regime errors from `weak_values._point_route` and raises
-every other typed error. The forced predictors use the default threshold
-ORTH_THRESHOLD; another threshold is set through `predict` (or a scenario
-file's ``orth_threshold`` option).
+selection kernel (`qops._selection_kernel`), reads the grid-free series
+sums (`oracle._series_sums`, over the pointer's moment table) and computes
+both regimes' fields as arrays, NaN where a point is undefined. The
+amplifier runs it over stacks routed at ORTH_THRESHOLD; `predict` and the
+four forced predictors are its batch of one, `_predict_point`, which reads
+the selection kernel and routes once per call, takes the regime errors
+from `weak_values._point_route` and raises every other typed error. The
+forced predictors use the default threshold ORTH_THRESHOLD; another
+threshold is set through `predict` (or a scenario file's
+``orth_threshold`` option).
 """
 
 from __future__ import annotations
@@ -50,21 +52,10 @@ from .errors import (
     LambdaOutOfRange,
     NonPositiveDenominator,
     NotApplicable,
-    PointerNotEven,
     ValidityWarning,
 )
-from .pointer import (
-    ANTICOMM_QP,
-    P_BRACE_P,
-    PQ2P,
-    PQP,
-    GaussianPointer,
-    PointerState,
-    gaussian,
-    moment,
-    p_power,
-    q_power,
-)
+from .oracle import _series_sums
+from .pointer import GaussianPointer, PointerState, _moment_table, gaussian
 from .qops import Observable, PostSelection, SystemState
 from .scenario import Scenario
 from .weak_values import (
@@ -74,6 +65,7 @@ from .weak_values import (
     _moment_amplitudes,
     _point_route,
     _route,
+    _weak_ratio,
     weak_interaction_margin,
 )
 
@@ -92,8 +84,6 @@ __all__ = [
 # Weak-interaction margins above which predictions are flagged / distrusted.
 MARGIN_WARN = 0.1
 MARGIN_STRONG = 0.3
-# Odd momentum moments below this count as zero (an even pointer).
-EVEN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -140,35 +130,20 @@ def _warn_margin(margin: float) -> None:
     warnings.warn(message, ValidityWarning, stacklevel=4)
 
 
-_GENERAL_MOMENTS = (q_power(1), p_power(1), p_power(2), p_power(3), PQP, ANTICOMM_QP)
-_ORTHOGONAL_MOMENTS = (p_power(4), P_BRACE_P, PQ2P)
-
-
-def _odd_moment(pointer: PointerState) -> tuple[int, float] | None:
-    """(n, <p^n>) for the first of n = 1, 3 whose moment exceeds EVEN_TOL,
-    or None for the even pointer the orthogonal formulas assume."""
-    for n in (1, 3):
-        value = moment(pointer, p_power(n))
-        if abs(value) > EVEN_TOL:
-            return n, value
-    return None
-
-
 class _Fields(NamedTuple):
     """Per-point fields of `_predict_stacked`.
 
     ``bracket`` (1/C) is NaN on the points at or below the threshold;
-    ``ow_re`` / ``ow_im`` (A_ow) and the output variances are NaN on the
-    others, and None when no point is orthogonal. ``success``, ``delta_q``
-    and ``delta_p`` follow each point's own route.
+    ``ow`` (A_ow) and the output variances are NaN on the others, and None
+    when no point is orthogonal. ``success``, ``delta_q`` and ``delta_p``
+    follow each point's own route.
     """
 
     bracket: np.ndarray
     success: np.ndarray
     delta_q: np.ndarray
     delta_p: np.ndarray
-    ow_re: np.ndarray | None
-    ow_im: np.ndarray | None
+    ow: np.ndarray | None
     var_q: np.ndarray | None
     var_p: np.ndarray | None
 
@@ -177,69 +152,49 @@ def _predict_stacked(
     pointer: PointerState, g: float, route: tuple, first_order: bool = False
 ) -> _Fields:
     """Every closed-form prediction for B selections sharing the pointer
-    and g.
-
-    ``route`` is `weak_values._route` of the points' moment amplitudes
-    b_0..b_2: the overlaps ov = tr(P rho), the traces
-    t[m, l] = tr(P A^m rho A^l) that give every field, each point's side
-    and its conditioning denominator. On side 0 (ov above the threshold):
-    bracket = 1/C, success = ov C and the resummed shifts of
-    `predict_general` (the linear shifts of `predict_aav` with
-    ``first_order``). On side 1: success = g^2 tr(P A rho A) <p^2>, the
-    shifts from A_ow = t[2, 1] / (2 t[1, 1]) and the output variances of
-    `predict_orthogonal`, evaluated only on the points routed there.
-
-    The pointer moments are `moment` reads: closed forms for a Gaussian,
-    the pointer's memo for a grid; the orthogonal ones only when a point is
-    orthogonal. Undefined points -- a bracket <= 0 or NaN, a NaN
-    denominator, a pointer that is not even -- come out as NaN, without a
-    floating-point warning.
+    and g, as low orders of the series (`oracle._series_sums`), routed by
+    ``route`` (`weak_values._route` of their b_0..b_2). On side 0 the series
+    runs to order 2: bracket = 1/C = Z, success = ov Z and the shifts
+    Q_1/Z - <q>, P_1/Z - <p>; with ``first_order``, the order-1 increments
+    less the mean times Z's. On side 1 (one extra momentum operator on each
+    side), run only when some point is there, order 1 gives
+    success = g^2 tr(P A rho A) Z and the shifts, order 0 the variances.
+    Undefined points -- Z <= 0 or NaN, a NaN denominator -- come out as
+    NaN, without a floating-point warning.
     """
     ov, t, orth, denom = route
-    q1, p1, p2, p3, pqp, anti = (moment(pointer, spec) for spec in _GENERAL_MOMENTS)
-    # NaN in place of the overlap (and of a bracket <= 0) carries through
-    # to NaN results without a warning.
-    ov_safe = np.where(orth, np.nan, ov)
-    # Real and imaginary parts are divided separately: complex division by
-    # a real number multiplies by its reciprocal, which rounds differently.
-    aw_re, aw_im = t[1, 0].real / ov_safe, t[1, 0].imag / ov_safe
-    a2w_re, a2w_im = t[2, 0].real / ov_safe, t[2, 0].imag / ov_safe
-    d_coef = t[1, 1].real / ov_safe - a2w_re
-    bracket = 1.0 + 2.0 * g * p1 * aw_im + g * g * p2 * d_coef
-    c = 1.0 / np.where(bracket > 0.0, bracket, np.nan)
-    varp = p2 - p1 * p1
-    if first_order:
-        delta_q, delta_p = g * aw_re + g * aw_im * anti, 2.0 * g * aw_im * varp
-    else:
-        delta_q = c * (
-            g * aw_re
-            + g * aw_im * (anti - 2.0 * q1 * p1)
-            + g * g * (pqp - p2 * q1) * d_coef
-            + g * g * p1 * a2w_im
-        )
-        delta_p = c * (2.0 * g * aw_im * varp + g * g * (p3 - p2 * p1) * d_coef)
-    success = ov / c
-    orth_fields = [None] * 4
-    if orth.any():
-        pts = np.flatnonzero(orth)
-        p4, pbrace, pq2p = (moment(pointer, spec) for spec in _ORTHOGONAL_MOMENTS)
-        # An odd pointer, like a NaN denominator, leaves A_ow undefined.
-        den = denom[pts] if _odd_moment(pointer) is None else np.full(pts.size, np.nan)
-        usable = ~np.isnan(den)
-        ow_re, ow_im = t[2, 1, pts].real / (2.0 * den), t[2, 1, pts].imag / (2.0 * den)
-        with np.errstate(over="ignore"):
-            # libm's pow, as the scalar formula g**2 had; g * g differs in
-            # the last bit for about one g in a thousand.
-            g2 = np.float64(g) ** 2
-        success[pts] = g2 * den * p2
-        delta_q[pts] = g * ow_re + g * ow_im * pbrace / p2
-        delta_p[pts] = 2.0 * g * ow_im * p4 / p2
-        variances = (np.where(usable, pq2p / p2, np.nan), np.where(usable, p4 / p2, np.nan))
-        parts = (ow_re, ow_im, *variances)
-        orth_fields = [np.full(ov.shape, np.nan) for _ in parts]
-        for full, part in zip(orth_fields, parts):
-            full[pts] = part
+    table = _moment_table(pointer)
+    q0, p0 = table[0, 1, 0].real, table[0, 0, 1].real
+    with np.errstate(over="ignore", invalid="ignore"):
+        # NaN in place of the overlap carries through to NaN results.
+        sums = _series_sums(pointer, t, 0, np.where(orth, np.nan, ov), g, 1 if first_order else 2)
+        bracket, delta_q, delta_p = _statistics(sums, q0, p0)
+        if first_order:
+            z1, q1, _, p1, _ = sums[1]
+            delta_q, delta_p = q1 - q0 * z1, p1 - p0 * z1
+        success = ov * bracket
+        orth_fields = [None] * 3
+        if orth.any():
+            pts = np.flatnonzero(orth)
+            t, den = t[:, :, pts], denom[pts]
+            sums = _series_sums(pointer, t, 1, den, g, 1)
+            z, dq, dp = _statistics(sums, q0, p0)
+            success[pts], delta_q[pts], delta_p[pts] = g * g * den * z, dq, dp
+            z0, q1, q2, p1, p2 = sums[0]
+            parts = (_weak_ratio(t, 1, 0, 1, den), q2 / z0 - (q1 / z0) ** 2,
+                     p2 / z0 - (p1 / z0) ** 2)
+            orth_fields = [np.full(ov.shape, np.nan, dtype=part.dtype) for part in parts]
+            for full, part in zip(orth_fields, parts):
+                full[pts] = part
     return _Fields(bracket, success, delta_q, delta_p, *orth_fields)
+
+
+def _statistics(sums: np.ndarray, q0: float, p0: float) -> tuple:
+    """(Z, shift in q, shift in p) from `_series_sums` summed over its
+    orders; NaN wherever Z is not positive."""
+    z, q1, _, p1, _ = sums.sum(axis=0)
+    z = np.where(z > 0.0, z, np.nan)
+    return z, q1 / z - q0, p1 / z - p0
 
 
 def _predict_point(
@@ -251,8 +206,8 @@ def _predict_point(
     One selection-kernel read (b_0..b_4) serves the route, the fields and
     the linear-response margin. ``regime`` is ``auto`` or a forced one;
     `_route` takes the side and `_point_route` raises the regime errors
-    (HigherOrderOrthogonality before PointerNotEven) before any moment is
-    read. Every typed error is raised here before a prediction is returned.
+    before any moment is read. Every typed error is raised here before a
+    prediction is returned.
     """
     b = _moment_amplitudes(obs, pre, post, MARGIN_ORDER)
     route = _route(b[:3], orth_threshold)
@@ -263,13 +218,6 @@ def _predict_point(
     f = _predict_stacked(pointer, g, route, regime == "aav")
     fields = {"delta_q": float(f.delta_q[0]), "delta_p": float(f.delta_p[0])}
     if regime == "orthogonal":
-        odd = _odd_moment(pointer)
-        if odd is not None:
-            n, val = odd
-            raise PointerNotEven(
-                f"<p^{n}> = {val:.3e} does not vanish (tolerance {EVEN_TOL:.1e}); "
-                "the orthogonal predictor requires an even pointer state"
-            )
         fields.update(
             success_prob=float(f.success[0]),
             var_q_out=float(f.var_q[0]),
@@ -277,8 +225,8 @@ def _predict_point(
         )
         if isinstance(pointer, GaussianPointer):
             root2 = math.sqrt(2.0)
-            q_center = g * float(f.ow_re[0])
-            p_center = g * float(f.ow_im[0]) * pointer.var_p
+            q_center = g * float(f.ow[0].real)
+            p_center = g * float(f.ow[0].imag) * pointer.var_p
             fields["peaks_q"] = (q_center - root2 * pointer.delta_q,
                                  q_center + root2 * pointer.delta_q)
             fields["peaks_p"] = (p_center - root2 * pointer.delta_p,
@@ -311,10 +259,11 @@ def predict_aav(
 ) -> ShiftPrediction:
     """First-order (linear-response) pointer shifts.
 
-    delta_q = g Re A_w + g Im A_w <{q, p}>,  delta_p = 2 g Im A_w var p,
-    with A_w the (generalized) weak value. Accurate only while the
-    linear-response margin is small; `predict_general` extends this to
-    second order.
+    delta_q = g Re A_w + g Im A_w (<{q, p}> - 2<q><p>),
+    delta_p = 2 g Im A_w var p,
+    with A_w the (generalized) weak value (Jozsa, PRA 76, 044103 (2007)).
+    Accurate only while the linear-response margin is small;
+    `predict_general` extends this to second order.
     """
     return _predict_point(obs, pre, post, g, pointer, "aav")
 
@@ -346,16 +295,19 @@ def predict_orthogonal(
     """Leading-order pointer statistics for orthogonal selections.
 
     With A_ow = tr(P A^2 rho A) / (2 tr(P A rho A)) the orthogonal weak
-    value and an even pointer state,
+    value, the series with one extra momentum operator on each side gives,
+    for an even pointer state,
 
         delta_q = g Re A_ow + g Im A_ow <p{q,p}p>/<p^2>
         delta_p = 2 g Im A_ow <p^4>/<p^2>
         var'_q  = <p q^2 p>/<p^2>,   var'_p = <p^4>/<p^2>
 
-    (variances to zeroth order in g), and the post-selection probability is
-    g^2 tr(P A rho A) <p^2>. The trace formula covers mixed pre-selections
-    and post-selections of any rank. The post-selected pointer is no longer
-    a small displacement of the input: even at g -> 0 its moments are those
+    (shifts to first order, variances to zeroth order in g), and the
+    post-selection probability is g^2 tr(P A rho A) <p^2>; other pointers
+    add terms, such as the filtered mean <p q p>/<p^2> - <q> at order g^0.
+    The trace formula covers mixed pre-selections and post-selections of
+    any rank. The post-selected pointer is no longer a
+    small displacement of the input: even at g -> 0 its moments are those
     of the p-filtered state. For a Gaussian of width delta_q the outgoing
     profile is double-peaked, with maxima at
 

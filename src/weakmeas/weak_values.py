@@ -16,6 +16,7 @@ trusted while they stay well below one.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .errors import (
     OrthogonalPPS,
 )
 from .pointer import MAX_WEAK_ORDER, PointerState, moment, p_power, variance_p
-from .qops import Observable, PostSelection, SystemState, _check_dims, _is_integer
+from .qops import Observable, PostSelection, SystemState, _check_dims, _frozen, _is_integer
 from .qops import _selection_kernel, _selection_overlaps, _selection_traces
 
 __all__ = [
@@ -124,10 +125,35 @@ def _point_route(
     return ov, t[:, :, 0], side, denom
 
 
-def _weak_ratio(t: np.ndarray, m: int, l: int, side: int, denom: float) -> complex:
-    """The weak value of orders (m, l) on a routed side:
-    tr(P A^(m+s) rho A^(l+s)) / (((m+1)(l+1))^s denom) with s = side."""
-    return complex(t[m + side, l + side]) / (((m + 1) * (l + 1)) ** side * denom)
+def _weak_ratio(t: np.ndarray, m, l, side: int, denom) -> np.ndarray:
+    """tr(P A^(m+s) rho A^(l+s)) / (((m+1)(l+1))^s denom), s = side, for
+    orders (m, l) (ints or arrays) and one point or B (last axis), the real
+    and imaginary parts divided separately."""
+    trace, scale = t[m + side, l + side], np.multiply.outer(((m + 1) * (l + 1)) ** side, denom)
+    return trace.real / scale + 1j * (trace.imag / scale)
+
+
+@functools.lru_cache(maxsize=None)
+def _series_rows(order: int) -> tuple[np.ndarray, ...]:
+    """The rows (n, k), k <= n/2, n <= order, of `_series_coefficients`, as
+    read-only arrays: n, k, each order's first row, n! and the pair weight
+    (2 for k < n/2, 1 for k = n/2) times (-1)^k C(n, k)."""
+    n, k = np.array([(i, j) for i in range(order + 1) for j in range(i // 2 + 1)]).T
+    signed = [(1 + (2 * j < i)) * (-1) ** j * math.comb(i, j) for i, j in zip(n, k)]
+    rows = (n, k, np.flatnonzero(k == 0), [math.factorial(i) for i in n], np.array(signed, float))
+    return tuple(_frozen(row) for row in rows)
+
+
+def _series_coefficients(t: np.ndarray, side: int, denom, g: float, order: int) -> np.ndarray:
+    """Every order's coefficient list up to ``order``, over the points of
+    `_weak_ratio`, rows as `_series_rows`. Order n's terms are
+    a[k] = (-i g)^n/n! (-1)^k C(n, k) W(n-k, k); as W(l, m) = W(m, l)^*,
+    a[n-k] = a[k]^*, so each conjugate pair (k, n-k) is one row, 2 a[k],
+    and the middle term k = n/2 another. An overflowing g gives inf or NaN."""
+    n, k, _, factorial, signed = _series_rows(order)
+    shape = (-1, *[1] * (np.ndim(t) - 2))
+    coeff = (np.complex128(-1j * g) ** n / factorial).reshape(shape)
+    return coeff * (signed.reshape(shape) * _weak_ratio(t, n - k, k, side, denom))
 
 
 def _check_orders(m, l, cap: float = math.inf) -> tuple[int, int]:
@@ -151,7 +177,7 @@ def _weak_report(
     b = _moment_amplitudes(obs, pre, post, max(m, l) + 1)
     route = _route(b, ORTH_THRESHOLD)
     _, t, side, denom = _point_route(route, ORTH_THRESHOLD, kind == "orthogonal")
-    value = _weak_ratio(t, m, l, side, denom)
+    value = complex(_weak_ratio(t, m, l, side, denom))
     orders = None if kind == "standard" else (m, l)
     return WeakValueReport(value=value, kind=kind, orders=orders, denominator=complex(denom))
 

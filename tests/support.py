@@ -152,6 +152,17 @@ def commuting_orthogonal(g: float, delta_q: float = 1.0):
     return make_scenario(a, [1.0, 0.0], [0.0, 1.0], g, gaussian(delta_q))
 
 
+def orthogonal_d3(seed: int, pointer):
+    """A random d = 3 pure orthogonal selection on ``pointer``, as a function
+    of g."""
+    gen = rng(seed)
+    obs = new_observable(random_hermitian(gen, 3))
+    pre = gen.standard_normal(3) + 1j * gen.standard_normal(3)
+    post = gen.standard_normal(3) + 1j * gen.standard_normal(3)
+    post -= np.vdot(pre, post) / np.vdot(pre, pre) * pre
+    return lambda g: make_scenario(obs, pure_state(pre), projector_onto(post), g, pointer)
+
+
 def skewed_pointer(delta_q: float = 1.0, *, skew: float = 0.35, n: int = 4096,
                    half_span: float = 10.0):
     """Single-branch grid pointer with a real, asymmetric profile recentred

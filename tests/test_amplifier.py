@@ -143,11 +143,11 @@ def test_sweep_records_undefined_outcomes_as_null():
         assert [r.success_prob for r in records] == [0.0, 0.0]
 
 
-def test_predicted_sweep_leaves_uncovered_orthogonal_points_blank():
-    # At t = 0 the selections are orthogonal with a mixed pre-selection,
-    # which the orthogonal trace formula covers, or pure with a boosted
-    # pointer whose <p> does not vanish (PointerNotEven), which lies outside
-    # it; the exact engine records both points.
+def test_predicted_sweep_records_mixed_and_boosted_orthogonal_points():
+    # At t = 0 the selections are orthogonal with a mixed pre-selection, or
+    # pure with a boosted pointer whose <p> does not vanish; the orthogonal
+    # series covers both, so the predicted engine records both points next
+    # to the exact engine's.
     obs = new_observable(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
     q = -10.0 + (20.0 / 1024) * np.arange(1024)
     boosted = grid_state(
@@ -166,14 +166,11 @@ def test_predicted_sweep_leaves_uncovered_orthogonal_points_blank():
         exact = sweep(family, [0.0, 0.5], "delta_q", "exact")
         assert exact[0].outcome is not None and exact[0].success_prob > 0.0
         assert predicted[1].outcome == pytest.approx(exact[1].outcome, abs=1e-3)
-        if family is mixed:
-            # Leading order in g: the probability is off by O(g^2) relative.
-            assert predicted[0].outcome == pytest.approx(exact[0].outcome, abs=1e-3)
-            assert predicted[0].success_prob == pytest.approx(
-                exact[0].success_prob, rel=0.05**2
-            )
-        else:
-            assert (predicted[0].outcome, predicted[0].success_prob) == (None, 0.0)
+        # Leading order in g: the probability is off by O(g^2) relative.
+        assert predicted[0].outcome == pytest.approx(exact[0].outcome, abs=1e-3)
+        assert predicted[0].success_prob == pytest.approx(
+            exact[0].success_prob, rel=0.05**2
+        )
     assert sweep(mixed, [0.0], "delta_q", "exact")[0].success_prob == pytest.approx(
         1.56e-4, rel=1e-2
     )

@@ -22,7 +22,7 @@ PUBLIC = {
     "WeakMeasurementError", "ValidityWarning", "NonHermitian", "ZeroOperator",
     "DimensionMismatch", "NonPositiveWidth", "WidthOutOfRange", "UnsupportedOrder",
     "EmptyGrid", "OrthogonalPPS", "NotOrthogonal", "HigherOrderOrthogonality", "OrderTooLarge",
-    "NonPositiveDenominator", "PointerNotEven", "DegenerateDenominator",
+    "NonPositiveDenominator", "DegenerateDenominator",
     "LambdaOutOfRange", "ZeroPostSelectionProbability", "GridTooSmall",
     "SeriesDiverging", "NotApplicable", "InvalidBracket", "NotUnimodal",
     "ParseError", "ConstructionFailure",
@@ -34,7 +34,6 @@ PUBLIC = {
     "QGrid", "GaussianPointer", "GridPointer", "PointerState", "Density",
     "MomentSpec", "gaussian", "gaussian_profile", "grid_state", "default_grid",
     "densities", "moment", "p_power", "q_power", "variance_q", "variance_p",
-    "ANTICOMM_QP", "PQP", "PQ2P", "P_BRACE_P",
     # weak values
     "WeakValueReport", "weak_value", "generalized_weak_value",
     "orthogonal_weak_value", "aav_margin", "weak_interaction_margin",

@@ -48,14 +48,17 @@ from weakmeas.oracle import (
     _gaussian_exact,
     _require_success,
     _selection_amplitudes,
+    _series_sums,
 )
-from weakmeas.pointer import PQ2P, default_grid, gaussian_profile, moment, p_power
+from weakmeas.pointer import _moment_table, default_grid, gaussian_profile, moment, p_power, q_power
 from weakmeas.qops import SIGMA_X, _selection_kernel, _selection_traces
 from weakmeas.scenario import MAX_SERIES_ORDER
+from weakmeas.weak_values import ORTH_THRESHOLD, _moment_amplitudes, _point_route, _route
 
 from support import (
     commuting_orthogonal,
     half_overlap_scenario,
+    orthogonal_d3,
     orthogonal_idempotent,
     orthogonal_sigma_x,
     random_density,
@@ -258,12 +261,44 @@ def test_order_zero_series_is_the_unperturbed_pointer():
 
 def test_order_zero_orthogonal_series_is_momentum_filtered():
     # At leading order the orthogonal conditional pointer is the p-filtered
-    # state: variance <p q^2 p>/<p^2> and success g^2 tr(PArhoA) <p^2>.
+    # state: variance <p q^2 p>/<p^2> - (<p q p>/<p^2>)^2 and success
+    # g^2 tr(PArhoA) <p^2>.
     sc = orthogonal_sigma_x(0.02)
     rec = series_device_state(sc, 0)
-    expected_var = moment(sc.pointer, PQ2P) / moment(sc.pointer, p_power(2))
+    table = _moment_table(sc.pointer).real
+    expected_var = table[1, 2, 1] / table[1, 0, 1] - (table[1, 1, 1] / table[1, 0, 1]) ** 2
     assert rec.var_q_out == pytest.approx(expected_var, rel=1e-9)
     assert rec.success_prob == pytest.approx(0.02**2 * 0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("pointer_kind", ["gaussian", "grid"])
+@pytest.mark.parametrize("selection", ["generic", "orthogonal"])
+def test_grid_free_series_matches_the_series_records(pointer_kind, selection):
+    # Integrated term by term against q^j and p^j, the series' densities
+    # give its scalars from the pointer's moment table, with no grid:
+    # N, both shifts and both variances equal the records' at every order.
+    if pointer_kind == "gaussian":
+        pointer = gaussian(1.2)
+    else:
+        pointer = skewed_pointer(1.0, half_span=16.0)
+    if selection == "generic":
+        sc = half_overlap_scenario(0.05, pointer)
+    else:
+        sc = orthogonal_d3(3, pointer)(0.05)
+    b = _moment_amplitudes(sc.observable, sc.pre, sc.post, MAX_SERIES_ORDER + 1)
+    _, t, side, denom = _point_route(_route(b, ORTH_THRESHOLD), ORTH_THRESHOLD)
+    assert side == (selection == "orthogonal")
+    lead = sc.g * sc.g * denom if side else denom
+    sums = _series_sums(sc.pointer, t, side, denom, sc.g, MAX_SERIES_ORDER)
+    q0, p0 = moment(sc.pointer, q_power(1)), moment(sc.pointer, p_power(1))
+    for order in range(MAX_SERIES_ORDER + 1):
+        rec = _quiet_series(sc, order)
+        z, q1, q2, p1, p2 = sums[: order + 1].sum(axis=0)
+        mean_q, mean_p = q1 / z, p1 / z
+        grid_free = (lead * z, mean_q - q0, mean_p - p0, q2 / z - mean_q**2, p2 / z - mean_p**2)
+        recorded = (rec.success_prob, rec.delta_q, rec.delta_p, rec.var_q_out, rec.var_p_out)
+        for mine, ref in zip(grid_free, recorded):
+            assert abs(mine - ref) <= 1e-13 * abs(ref) + 1e-15, (order, mine, ref)
 
 
 def test_series_converges_to_exact():

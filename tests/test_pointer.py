@@ -28,17 +28,13 @@ from weakmeas.errors import (
     WidthOutOfRange,
 )
 from weakmeas.pointer import (
-    ANTICOMM_QP,
     MAX_GRID_N,
     MAX_WEAK_ORDER,
     MAX_WIDTH,
     MIN_WIDTH,
-    P_BRACE_P,
-    PQ2P,
-    PQP,
     GaussianPointer,
     QGrid,
-    apply_p,
+    _moment_table,
     pointer_from_wire,
     pointer_to_wire,
     to_momentum,
@@ -79,15 +75,18 @@ def test_to_momentum_is_unitary():
     assert p_norm == pytest.approx(q_norm, rel=1e-12)
 
 
-def test_apply_p_matches_derivative():
+def test_p_acts_as_the_derivative():
     # p acts as -i d/dq: on exp(ikq) times a Gaussian envelope the expected
-    # mean momentum is k.
+    # mean momentum is k, on either side of the power table.
     grid = QGrid(q_min=-12.0, dq=24.0 / 2048, n=2048)
     k = 1.3
     phi = gaussian_profile(grid.coords(), 1.0) * np.exp(1j * k * grid.coords())
-    pphi = apply_p(grid, phi)
-    mean_p = float(np.real(np.sum(np.conj(phi) * pphi) * grid.dq))
-    assert mean_p == pytest.approx(k, rel=1e-10)
+    phi /= math.sqrt(float(np.sum(np.abs(phi) ** 2)) * grid.dq)
+    pt = grid_state(grid.q_min, grid.dq, grid.n, [(1.0, phi)])
+    table = _moment_table(pt)
+    assert moment(pt, p_power(1)) == pytest.approx(k, rel=1e-10)
+    assert table[0, 0, 1] == pytest.approx(k, rel=1e-10)
+    assert table[1, 0, 0] == pytest.approx(k, rel=1e-10)
 
 
 def test_translate_shifts_mean_and_preserves_norm():
@@ -162,11 +161,6 @@ def test_gaussian_moment_closed_forms():
         for n in (1, 3, 5):
             assert moment(g, p_power(n)) == 0.0
             assert moment(g, q_power(n)) == 0.0
-        assert moment(g, ANTICOMM_QP) == 0.0
-        assert moment(g, PQP) == 0.0
-        assert moment(g, P_BRACE_P) == 0.0
-        # <p q^2 p> = <q^4>/(4 dq^4) = 3/4 for a Gaussian, any width
-        assert moment(g, PQ2P) == pytest.approx(0.75, rel=1e-14)
 
 
 def test_gaussian_refuses_widths_whose_moments_overflow():
@@ -175,10 +169,11 @@ def test_gaussian_refuses_widths_whose_moments_overflow():
     # past either end is refused.
     specs = [p_power(n) for n in range(MAX_WEAK_ORDER + 1)] + [
         q_power(n) for n in range(MAX_WEAK_ORDER + 1)
-    ] + [ANTICOMM_QP, PQP, PQ2P, P_BRACE_P]
+    ]
     for width in (MIN_WIDTH, MAX_WIDTH):
         g = gaussian(width)
         assert all(math.isfinite(moment(g, spec)) for spec in specs)
+        assert np.all(np.isfinite(_moment_table(g)))
         assert math.isfinite(variance_p(g)) and math.isfinite(variance_q(g))
     outside = (
         1e-200, 1e-150, 1e-30, math.nextafter(MIN_WIDTH, 0.0),
@@ -207,11 +202,7 @@ def test_grid_moments_agree_with_gaussian_closed_forms():
     for delta_q in (0.7, 1.0, 1.6):
         closed = gaussian(delta_q)
         sampled = _grid_gaussian(delta_q)
-        specs = (
-            [p_power(n) for n in range(1, 7)]
-            + [q_power(n) for n in range(1, 7)]
-            + [ANTICOMM_QP, PQP, PQ2P, P_BRACE_P]
-        )
+        specs = [p_power(n) for n in range(1, 7)] + [q_power(n) for n in range(1, 7)]
         for spec in specs:
             assert moment(sampled, spec) == pytest.approx(
                 moment(closed, spec), rel=1e-9, abs=1e-10
@@ -231,11 +222,61 @@ def test_skewed_pointer_is_centred_but_not_even():
     all the moments a real wavefunction forces to zero are zero, while the
     parity-sensitive <p q p> stays visibly nonzero."""
     pt = skewed_pointer(1.0)
+    table = _moment_table(pt)
     assert abs(moment(pt, q_power(1))) < 1e-10
     assert abs(moment(pt, p_power(1))) < 1e-12
     assert abs(moment(pt, p_power(3))) < 1e-12
-    assert abs(moment(pt, ANTICOMM_QP)) < 1e-10
-    assert abs(moment(pt, PQP)) > 1e-2
+    assert abs(2.0 * table[0, 1, 1].real) < 1e-10  # <{q, p}>
+    assert abs(table[1, 1, 1]) > 1e-2  # <p q p>
+
+
+def _table_pointers():
+    """A Gaussian, its sample, and grid pointers that are asymmetric,
+    displaced and boosted, or a two-branch mixture."""
+    n, half = 4096, 16.0
+    q = -half + (2.0 * half / n) * np.arange(n)
+
+    def normalized(phi):
+        return phi / math.sqrt(float(np.sum(np.abs(phi) ** 2)) * 2.0 * half / n)
+
+    moving = normalized(gaussian_profile(q, 1.0, 1.5) * np.exp(0.3j * q))
+    mixture = [(0.4, normalized(gaussian_profile(q, 0.8))),
+               (0.6, normalized(gaussian_profile(q, 1.2, -0.5) * np.exp(-0.2j * q)))]
+    return [
+        gaussian(1.3),
+        _grid_gaussian(1.3),
+        skewed_pointer(1.0, half_span=half),
+        grid_state(-half, 2.0 * half / n, n, [(1.0, moving)]),
+        grid_state(-half, 2.0 * half / n, n, mixture),
+    ]
+
+
+def test_moment_table_closed_form_matches_the_sampled_gaussian():
+    # <p^b phi| q^j |p^a phi> for b, a <= 6 and j <= 2: the exact Gaussian
+    # table against the FFT rows of the same Gaussian on a grid.
+    for delta_q in (0.7, 1.0, 1.6):
+        closed = _moment_table(gaussian(delta_q), 6)
+        sampled = _moment_table(_grid_gaussian(delta_q), 6)
+        assert closed.shape == sampled.shape == (7, 3, 7)
+        scale = np.abs(closed).max(axis=1, keepdims=True)
+        assert np.max(np.abs(sampled - closed) / scale) <= 1e-12
+    # <p q^2 p> = 3/4 and <q p> = i/2 (so <{q, p}> = 0) for a Gaussian of
+    # any width.
+    table = _moment_table(gaussian(2.5))
+    assert table[1, 2, 1] == pytest.approx(0.75, rel=1e-15)
+    assert table[0, 1, 1] == pytest.approx(0.5j, rel=1e-15)
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_moment_table_is_hermitian_and_obeys_the_commutator(index):
+    # M[b, j, a] = M[a, j, b]^* (q^j is Hermitian) and [q, p] = i gives
+    # M[b, 1, a+1] - M[b+1, 1, a] = i M[b, 0, a].
+    table = _moment_table(_table_pointers()[index])
+    scale = np.abs(table).max()
+    assert np.max(np.abs(table - table.conj().transpose(2, 1, 0))) <= 1e-14 * scale
+    commutator = table[:-1, 1, 1:] - table[1:, 1, :-1]
+    assert np.max(np.abs(commutator - 1j * table[:-1, 0, :-1])) <= 1e-13 * scale
+    assert table[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 # --- densities -------------------------------------------------------------------
