@@ -4,10 +4,9 @@ A scenario family maps one real parameter (a pre-selection angle, a
 coupling, ...) to a full measurement scenario. This module evaluates an
 amplification objective across the family -- with either the exact
 evolution or the closed-form predictor as the engine -- and locates the
-parameter maximizing it by Brent's method. The exact engine is
-closed-form for Gaussian pointers (pairwise branch overlaps, no grid) and
-runs the grid oracle `evolve_postselect` on its own working grid for grid
-pointers; no grid size is taken. The predicted engine is `predict`'s
+parameter maximizing it by Brent's method. The exact engine is the pair
+kernel `oracle._exact_stacked` for every pointer (no grid size is taken,
+and the grid oracle never runs). The predicted engine is `predict`'s
 stacked kernel, routed like `predict` by `weak_values._route` at
 ORTH_THRESHOLD: the order-2 series of `predictor.predict_general` above
 the orthogonality threshold and the orthogonal series of
@@ -19,8 +18,8 @@ known analytic optimum `sg_optimum`.
 Points whose scenarios share the observable object, the pointer object and
 g are evaluated in one array pass: one stack of the selection kernel
 (`qops._selection_kernel`) feeds the engine's kernel
-(`oracle._gaussian_exact_stacked`, `predictor._predict_stacked`), and the
-per-group constants -- the weak-interaction margin and the spectral frame
+(`oracle._exact_stacked`, `predictor._predict_stacked`), and the
+per-group constants -- the weak-interaction margin and the pair frame
 -- are computed once; the pointer's moment table is memoized on the
 pointer. A family author should therefore build
 the observable and the pointer once, outside the closure, as `sg_family`
@@ -50,13 +49,8 @@ from .errors import (
     ValidityWarning,
     ZeroPostSelectionProbability,
 )
-from .oracle import (
-    _gaussian_exact_stacked,
-    _gaussian_frame,
-    _scenario_selections,
-    evolve_postselect,
-)
-from .pointer import GaussianPointer, gaussian
+from .oracle import _exact_stacked, _pair_frame, _scenario_selections
+from .pointer import gaussian
 from .predictor import _check_alpha, _check_lambda, _predict_stacked
 from .qops import SIGMA_Z, new_observable, projector_onto, pure_state
 from .scenario import Scenario, make_scenario
@@ -115,17 +109,6 @@ def _check_choices(objective: str, engine: str) -> None:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
 
 
-def _per_point(sc: Scenario) -> tuple[float, float, float]:
-    """(success_prob, delta_q, delta_p) of one grid-pointer scenario through
-    the grid oracle, NaN shifts and zero probability where post-selection
-    never succeeds."""
-    try:
-        rec = evolve_postselect(sc)
-    except ZeroPostSelectionProbability:
-        return 0.0, math.nan, math.nan
-    return rec.success_prob, rec.delta_q, rec.delta_p
-
-
 def _group_key(sc: Scenario) -> tuple:
     """Scenarios with equal keys share the observable object, the pointer
     object and g (sign of zero included), and so one kernel frame."""
@@ -135,7 +118,7 @@ def _group_key(sc: Scenario) -> tuple:
 class _Evaluator:
     """Evaluates scenarios with one engine and objective, one kernel call per
     group of scenarios with one `_group_key`. The group constants (margin,
-    spectral frame) are kept for the last group seen, so a sequential search
+    pair frame) are kept for the last group seen, so a sequential search
     builds them once.
     """
 
@@ -146,15 +129,13 @@ class _Evaluator:
         self._frame: tuple = ()
 
     def _group_frame(self, sc: Scenario) -> tuple:
-        """(weak margin, Gaussian exact frame or None) of the scenario's group."""
+        """(weak margin, pair frame or None) of the scenario's group."""
         key = _group_key(sc)
         if key != self._key:
             # Holding the objects keeps their ids from being reused by
             # later ones while the key is cached.
             self._key, self._held = key, (sc.observable, sc.pointer)
-            frame = None
-            if self.engine == "exact" and isinstance(sc.pointer, GaussianPointer):
-                frame = _gaussian_frame(sc.observable, sc.g, sc.pointer)
+            frame = _pair_frame(sc) if self.engine == "exact" else None
             self._frame = (weak_interaction_margin(sc.g, sc.pointer), frame)
         return self._frame
 
@@ -167,15 +148,9 @@ class _Evaluator:
             fields = _predict_stacked(scenarios[0].pointer, g, _route(b, ORTH_THRESHOLD))
             success = np.where(np.isnan(fields.success), 0.0, fields.success)
             delta_q, delta_p = fields.delta_q, fields.delta_p
-        elif frame is not None:
-            n_total, delta_q, delta_p = _gaussian_exact_stacked(
-                *_scenario_selections(scenarios, 1), frame
-            )
-            success = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
         else:
-            success, delta_q, delta_p = (
-                np.array(col) for col in zip(*(_per_point(sc) for sc in scenarios))
-            )
+            n_total, delta_q, delta_p = _exact_stacked(*_scenario_selections(scenarios, 1), frame)
+            success = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
         if self.objective == "delta_p":
             outcomes = delta_p
         elif self.objective == "delta_q":
@@ -205,10 +180,10 @@ def sweep(
     and g are evaluated together, in one array pass of the engine's kernel;
     so a family should build its observable and pointer once, outside the
     closure, as `sg_family` does. Points that share nothing are groups of
-    one through the same kernel. The exact engine is closed-form for
-    Gaussian pointers and runs the grid oracle point by point, on its own
-    working grid, for grid pointers. The predicted engine routes each point
-    like `predict`, orthogonal selections included, in the same array pass.
+    one through the same kernel. The exact engine is the pair kernel for
+    every pointer, one `oracle._pair_frame` per group. The predicted engine
+    routes each point like `predict`, orthogonal selections included, in
+    the same array pass.
     """
     _check_choices(objective, engine)
     values = [float(p) for p in params]
@@ -255,8 +230,7 @@ def find_optimum(
     with no term relative to the parameter's size, in at most
     MAX_SEARCH_ITER steps (floating-point curvature of the objective
     permitting); every evaluated point lies in the bracket. As in `sweep`,
-    the exact engine is closed-form for Gaussian pointers and runs the grid
-    oracle for grid pointers.
+    the exact engine is the pair kernel for every pointer.
     """
     _check_choices(objective, engine)
     lo, hi = float(bracket[0]), float(bracket[1])

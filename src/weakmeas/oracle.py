@@ -9,13 +9,13 @@ translated by g times its eigenvalue. No perturbative assumption enters, so
 `evolve_postselect` serves as the ground truth the closed-form predictors
 are checked against. Both exact engines read the one selection kernel
 (`qops._selection_kernel`): the grid oracle sums each row of its amplitude
-table c over the translated branches, and for the Gaussian pointer
-`_gaussian_exact` takes the closed-form statistics (Duck, Stevenson &
-Sudarshan, Phys. Rev. D 40, 2112 (1989)) from the kernel's moment
-amplitudes b_0, b_1 and the pairwise branch overlaps T = c^T c*, without a
-grid. That closed form is one array kernel, `_gaussian_exact_stacked`, over
-a stack of points sharing the observable, g and the pointer;
-`_gaussian_exact` is its batch of one.
+table c over the translated branches, and the pair kernel
+`_exact_stacked` takes N, delta_q and delta_p without a density (Duck,
+Stevenson & Sudarshan, Phys. Rev. D 40, 2112 (1989)) from the pair table
+T = c^T c* and the pointer's lag functions (`_pair_frame`: closed form for
+a Gaussian, one FFT per branch for a grid pointer), for a stack of points
+sharing the observable, g and the pointer. `success_probability` and the
+amplifier read the pair kernel; only `evolve_postselect` runs the grid.
 
 `series_device_state` instead truncates the Dyson expansion of the same
 quantity at a chosen order, with every term expressed through generalized
@@ -53,6 +53,7 @@ from .errors import (
 from .pointer import (
     _I_POWERS,
     MAX_GRID_N,
+    SPECTRAL_FLOOR,
     TABLE_POWER,
     Density,
     GaussianPointer,
@@ -71,7 +72,7 @@ from .pointer import (
     validate_grid_n,
     variance_q,
 )
-from .qops import Observable, _frozen, _selection_kernel, _selection_traces
+from .qops import _frozen, _selection_kernel, _selection_traces
 from .scenario import Scenario, validate_series_order
 from .weak_values import (
     ORTH_THRESHOLD,
@@ -186,7 +187,7 @@ def _selection_amplitudes(sc: Scenario) -> np.ndarray:
 
 
 def _exact_components(
-    sc: Scenario, grid_n: int | None, want_densities: bool
+    sc: Scenario, grid_n: int | None
 ) -> tuple[QGrid, float, np.ndarray, np.ndarray]:
     """Exact evolution: returns (grid, N, q_density_num, p_density_num).
 
@@ -210,8 +211,7 @@ def _exact_components(
         for row in c:
             comp = row @ shifted
             qd += v_j * np.abs(comp) ** 2
-            if want_densities:
-                pd += (v_j * p_scale) * np.abs(np.fft.fft(comp)) ** 2
+            pd += (v_j * p_scale) * np.abs(np.fft.fft(comp)) ** 2
     n_total = float(np.sum(qd) * grid.dq)
     return grid, n_total, qd, pd
 
@@ -283,62 +283,80 @@ def _require_success(n_total: float, prob_floor: float) -> None:
         )
 
 
-def _gaussian_frame(
-    obs: Observable, g: float, pointer: GaussianPointer
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
-    """The parts of `_gaussian_exact` fixed by the observable, g and the
-    pointer: (g, x, s, expm1(-x^2 dp^2/2), dp^2) with u_i = g a_i,
-    x_ij = u_i - u_j and s_ij = (u_i + u_j)/2."""
-    u = g * obs.eigenvalues
-    x = u[:, None] - u[None, :]
-    s = 0.5 * (u[:, None] + u[None, :])
-    var_p = pointer.var_p
-    return g, x, s, np.expm1(-0.5 * var_p * x**2), var_p
+def _pair_frame(sc: Scenario) -> tuple:
+    """(g, zero, slope, lags) for `_exact_stacked`. With chi(x) =
+    <phi|U_x phi>, chi_q(x) = <q phi|U_x phi>, chi_p(x) = <phi|p U_x phi>
+    (U_x translates by x), zero = (chi(0), chi_q(0), chi_p(0)) and lags
+    stacks, at x_ij = u_i - u_j (u = g a), dchi = chi(x) - chi(0),
+    Q = chi_q(x) - chi_q(0) + u_j dchi and P = chi_p(x) - chi_p(0) + i slope x.
+    A Gaussian's are closed form: dchi = expm1(-x^2 dp^2/2), Q = s dchi with
+    s_ij = (u_i + u_j)/2 (the rest, x/2, has no real part against the pair
+    table), slope = dp^2, P = -i dp^2 x dchi. A grid pointer's sum its
+    weights W = |phi~|^2, conj((q phi)~) phi~, p |phi~|^2 (times dq/n) on
+    `_evolution_frame(sc, None)`'s padded grid, where no lag wraps: with
+    D_i = e^(-i p u_i) - 1, dchi_ij = sum W (D_i + D_j^* + D_i D_j^*).
+    """
+    u = sc.g * sc.observable.eigenvalues
+    if isinstance(sc.pointer, GaussianPointer):
+        var_p = sc.pointer.var_p
+        x = u[:, None] - u[None, :]
+        dchi = np.expm1(-0.5 * var_p * x**2)
+        s_dchi = 0.5 * (u[:, None] + u[None, :]) * dchi
+        return sc.g, (1.0, 0.0, 0.0), var_p, np.stack([dchi, s_dchi, -1j * var_p * x * dchi])
+    grid, branches = _evolution_frame(sc, None)
+    p, q = grid.momenta(), grid.coords()
+    weights = np.zeros((3, grid.n), dtype=complex)
+    for w, phi in branches:
+        spectrum = np.fft.fft(phi)
+        power = (w * grid.dq / grid.n) * (spectrum.real**2 + spectrum.imag**2)
+        weights[0] += power
+        weights[1] += (w * grid.dq / grid.n) * np.conj(np.fft.fft(q * phi)) * spectrum
+        weights[2] += p * power
+    # Modes where every weight is below SPECTRAL_FLOOR^2 of its peak (the
+    # FFT's rounding floor) move no table by more than 2 n SPECTRAL_FLOOR^2
+    # of that peak; a smooth pointer keeps about a hundred modes.
+    mass = np.abs(weights)
+    keep = (mass > SPECTRAL_FLOOR**2 * mass.max(axis=1, keepdims=True)).any(axis=0)
+    p, weights = p[keep], weights[:, keep]
+    # A row of ones, then D = -2 sin^2(p u/2) - i sin(p u), with no cancellation.
+    half = 0.5 * np.multiply.outer(u, p)
+    rows = np.vstack([np.ones_like(p), -2.0 * np.sin(half) ** 2 - 1j * np.sin(2.0 * half)])
+    table = (weights[:, None, :] * rows) @ rows.conj().T
+    lags = table[:, 1:, 1:] + table[:, 1:, :1] + table[:, :1, 1:]
+    lags[1] += u * lags[0]
+    return sc.g, table[:, 0, 0].real, 0.0, lags
 
 
-def _gaussian_exact_stacked(
+def _exact_stacked(
     c: np.ndarray, b: np.ndarray, frame: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_gaussian_exact` for B points that share one `_gaussian_frame`.
-
-    ``c`` and ``b`` are the points' selection kernel (amplitude table and
-    moment amplitudes b_0, b_1). Returns the arrays (N, delta_q, delta_p);
-    the shifts are NaN wherever N is not above PROB_FLOOR (NaN included),
-    without a floating-point warning.
+    """(N, delta_q, delta_p) arrays for B points sharing one `_pair_frame`,
+    from their selection kernel c, b. Branch i is the pointer translated by
+    u_i; with T = c^T c*, N = chi(0) |b_0|^2 + sum T dchi,
+    N <q> = chi_q(0) |b_0|^2 + chi(0) g Re(b_1 b_0^*) + sum T Q and
+    N <p> = chi_p(0) |b_0|^2 + 2 slope g Im(b_1 b_0^*) + sum T P. Near
+    orthogonality N is a small remainder of O(1) terms, so the lag-0 parts
+    come from b_0 = <f|psi> and b_1 = <f|A|psi>, summed before squaring, and
+    only lag differences are summed over pairs. The shifts (from chi_q(0),
+    chi_p(0)) are NaN, silently, wherever N is not above PROB_FLOOR or NaN.
     """
-    g, x, s, decay, var_p = frame
-    o1 = (np.swapaxes(c, 1, 2) @ c.conj()) * decay
+    g, zero, slope, lags = frame
     t = _selection_traces(b[:2])  # |b_0|^2 and b_1 b_0^*, summed over rows
+    b0 = t[0, 0].real
     b1_b0 = g * t[1, 0]
-    n_total = t[0, 0].real + o1.sum(axis=(1, 2)).real
-    # Dividing by NaN where N is not above the floor blanks those shifts
-    # without a warning.
+    sums = ((np.swapaxes(c, 1, 2) @ c.conj())[:, None] * lags).sum(axis=(2, 3)).real
+    n_total = zero[0] * b0 + sums[:, 0]
     n_safe = np.where(n_total > PROB_FLOOR, n_total, np.nan)
-    delta_q = (b1_b0.real + (o1 * s).sum(axis=(1, 2)).real) / n_safe
-    delta_p = var_p * (2.0 * b1_b0.imag + (x * o1.imag).sum(axis=(1, 2))) / n_safe
+    delta_q = (zero[1] * b0 + zero[0] * b1_b0.real + sums[:, 1]) / n_safe - zero[1]
+    delta_p = (zero[2] * b0 + 2.0 * slope * b1_b0.imag + sums[:, 2]) / n_safe - zero[2]
     return n_total, delta_q, delta_p
 
 
-def _gaussian_exact(sc: Scenario) -> tuple[float, float, float]:
-    """Exact (success_prob, delta_q, delta_p) for a Gaussian pointer, no grid.
-
-    Branch i of the post-selected pointer is the Gaussian translated by
-    u_i = g a_i. With T_ij = <a_j|P|a_i><a_i|rho|a_j>, x_ij = u_i - u_j,
-    s_ij = (u_i + u_j)/2 and O_ij = T_ij exp(-x_ij^2 dp^2/2), the pairwise
-    overlaps give N = sum O, <q> = sum O s / N and
-    <p> = sum O (-i x dp^2) / N, at O(d^2) cost. Raises
-    ZeroPostSelectionProbability like `evolve_postselect`. This is the
-    batch of one of `_gaussian_exact_stacked`.
-
-    Near-orthogonal selections make N a small remainder of O(1) terms, so
-    the sums are split at exp = 1 + expm1. The exp = 1 part comes from the
-    kernel's moment amplitudes b0 = <f_m|psi_k> and b1 = <f_m|A|psi_k>,
-    summed before they are squared (as the grid oracle sums branch
-    amplitudes before squaring); only the O(g^2) expm1 part is summed over
-    pairs.
-    """
-    frame = _gaussian_frame(sc.observable, sc.g, sc.pointer)
-    n_total, delta_q, delta_p = _gaussian_exact_stacked(*_scenario_selections([sc], 1), frame)
+def _exact_scalars(sc: Scenario) -> tuple[float, float, float]:
+    """Exact (success_prob, delta_q, delta_p) for any pointer, without a
+    density: the batch of one of `_exact_stacked`. Raises
+    ZeroPostSelectionProbability like `evolve_postselect`."""
+    n_total, delta_q, delta_p = _exact_stacked(*_scenario_selections([sc], 1), _pair_frame(sc))
     _require_success(float(n_total[0]), PROB_FLOOR)
     return min(float(n_total[0]), 1.0), float(delta_q[0]), float(delta_p[0])
 
@@ -350,7 +368,7 @@ def evolve_postselect(sc: Scenario, grid_n: int | None = None) -> MeasurementRec
     above PROB_FLOOR (the conditional state is then undefined), and
     GridTooSmall when the outgoing densities reach the box edges.
     """
-    grid, n_total, qd, pd = _exact_components(sc, grid_n, want_densities=True)
+    grid, n_total, qd, pd = _exact_components(sc, grid_n)
     _require_success(n_total, PROB_FLOOR)
     return _finish_record(
         sc, grid, n_total, qd / n_total, pd / n_total, method="exact-spectral"
@@ -358,11 +376,16 @@ def evolve_postselect(sc: Scenario, grid_n: int | None = None) -> MeasurementRec
 
 
 def success_probability(sc: Scenario, grid_n: int | None = None) -> float:
-    """Exact post-selection probability; values below PROB_FLOOR snap to 0."""
-    _, n_total, _, _ = _exact_components(sc, grid_n, want_densities=False)
-    if n_total < PROB_FLOOR:
-        return 0.0
-    return min(n_total, 1.0)
+    """Exact post-selection probability; values below PROB_FLOOR snap to 0.
+    It is `_exact_stacked`'s N, independent of the grid oracle and of
+    ``grid_n``, and refuses what `evolve_postselect` would: a bad ``grid_n``
+    or an unbuildable grid (on a Gaussian, `default_grid`'s, not allocated)."""
+    validate_grid_n(grid_n)
+    if isinstance(sc.pointer, GaussianPointer):
+        grid = default_grid(sc.pointer.delta_q, sc.g, grid_n)
+        _require_frame(sc.g, grid.dq, grid.n)
+    n_total = float(_exact_stacked(*_scenario_selections([sc], 1), _pair_frame(sc))[0][0])
+    return 0.0 if n_total < PROB_FLOOR else min(n_total, 1.0)
 
 
 def _series_sums(

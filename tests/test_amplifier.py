@@ -28,6 +28,7 @@ from weakmeas import (
     grid_state,
     make_scenario,
     new_observable,
+    oracle,
     predict,
     projector_onto,
     pure_state,
@@ -47,7 +48,7 @@ from weakmeas.errors import (
     ValidityWarning,
 )
 
-from weakmeas.oracle import _gaussian_exact
+from weakmeas.oracle import _exact_scalars
 from weakmeas.qops import SIGMA_Z
 from weakmeas.weak_values import ORTH_THRESHOLD
 
@@ -203,26 +204,26 @@ def test_exact_sweep_at_strong_coupling_separates_branches():
     assert records[1].outcome == pytest.approx(181.85948536513635, rel=1e-12)
 
 
-def test_exact_sweep_over_grid_pointer_uses_grid_oracle(monkeypatch):
-    family = _sg_like_family(0.3, skewed_pointer(1.0))
+def test_exact_sweep_over_grid_pointer_never_runs_the_grid_oracle(monkeypatch):
+    # The exact engine reads the pair kernel for grid pointers as for
+    # Gaussians; its records match the grid oracle point by point.
+    g = 0.3
+    family = _sg_like_family(g, skewed_pointer(1.0))
     alphas = [0.5, 1.5, 2.5]
-    seen = []
+    refs = [evolve_postselect(family(alpha)) for alpha in alphas]
 
-    def spy(sc, *args, **kwargs):
-        seen.append((args, kwargs))
-        return evolve_postselect(sc, *args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact engine ran the grid oracle")
 
-    monkeypatch.setattr(amplifier, "evolve_postselect", spy)
+    monkeypatch.setattr(oracle, "_exact_components", refuse)
     records = sweep(family, alphas, "delta_q", "exact")
-    # The oracle runs on its own working grid: no grid size is passed.
-    assert seen == [((), {})] * len(alphas)
-    for rec in records:
-        ref = evolve_postselect(family(rec.parameter))
-        assert rec.outcome == ref.delta_q
-        assert rec.success_prob == ref.success_prob
-    # Gaussian-pointer families never reach the grid oracle.
-    sweep(sg_family(0.2), alphas, "delta_q", "exact")
-    assert len(seen) == len(alphas)
+    report = find_optimum(family, (math.pi / 2.0, math.pi), "measured", "exact")
+    monkeypatch.undo()
+    for rec, ref in zip(records, refs):
+        assert abs(rec.success_prob / ref.success_prob - 1.0) <= 1e-12
+        assert abs(rec.outcome - ref.delta_q) <= 1e-13
+    ref = evolve_postselect(family(report.parameter_opt))
+    assert abs(report.outcome_max - ref.delta_q / g) <= 1e-13 / g
 
 
 def test_sweep_csv_is_byte_deterministic():
@@ -498,7 +499,7 @@ def test_sweeps_and_optima_never_build_a_density_matrix(monkeypatch):
 
 def _per_point_records(family, alphas, objective, engine):
     """Sweep records built one point at a time through the single-point
-    routes: `predict` for the predicted engine, `_gaussian_exact` for the
+    routes: `predict` for the predicted engine, `_exact_scalars` for the
     exact one."""
     records = []
     for alpha in alphas:
@@ -509,7 +510,7 @@ def _per_point_records(family, alphas, objective, engine):
                 pred = predict(sc)
             success, delta_q, delta_p = pred.success_prob, pred.delta_q, pred.delta_p
         else:
-            success, delta_q, delta_p = _gaussian_exact(sc)
+            success, delta_q, delta_p = _exact_scalars(sc)
         outcome = {"delta_q": delta_q, "delta_p": delta_p, "measured": delta_q / sc.g}
         records.append(
             amplifier.SweepRecord(

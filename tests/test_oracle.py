@@ -25,6 +25,7 @@ from weakmeas import (
     grid_state,
     make_scenario,
     new_observable,
+    oracle,
     predict_aav,
     predict_general,
     projector,
@@ -45,7 +46,7 @@ from weakmeas.errors import (
 )
 from weakmeas.oracle import (
     PROB_FLOOR,
-    _gaussian_exact,
+    _exact_scalars,
     _require_success,
     _selection_amplitudes,
     _series_sums,
@@ -581,10 +582,79 @@ def test_gaussian_closed_form_matches_grid_oracle(
     # shifts of either engine by about 1e-17 |<f|g A|psi>| / N, so a 1e-12
     # check needs N above about 1e-6; the floor itself is tested below.
     assume(rec is not None and rec.success_prob > 1e-6)
-    n_total, delta_q_cf, delta_p_cf = _gaussian_exact(sc)
+    n_total, delta_q_cf, delta_p_cf = _exact_scalars(sc)
     assert abs(n_total - rec.success_prob) <= 1e-12
     assert abs(delta_q_cf - rec.delta_q) <= 1e-12
     assert abs(delta_p_cf - rec.delta_p) <= 1e-12
+
+
+def _drawn_grid_pointer(kind):
+    """A skewed grid pointer, the same boosted by e^(0.4 i q), or the
+    two-branch mixture."""
+    if kind == "two-branch":
+        return _two_branch_pointer()
+    base = skewed_pointer(1.0)
+    if kind == "skewed":
+        return base
+    grid, (_, phi) = base.grid, base.branches[0]
+    return grid_state(grid.q_min, grid.dq, grid.n, [(1.0, phi * np.exp(0.4j * grid.coords()))])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    **{**SCENARIO_DRAWS, "dim": st.integers(2, 3), "g": st.floats(0.005, 1.0)},
+    pointer=st.sampled_from(["skewed", "boosted", "two-branch"]),
+)
+def test_pair_kernel_matches_grid_oracle_on_grid_pointers(
+    seed, dim, spectrum, mixed, selection, g, delta_q, pointer
+):
+    # The pair kernel reads a grid pointer's lag functions from its
+    # spectrum; the grid oracle translates its samples. Pure or mixed
+    # pre-selections, post-selections of rank 1 or 2, generic,
+    # near-orthogonal and exactly orthogonal selections.
+    drawn = _drawn_scenario(seed, dim, spectrum, mixed, selection, g, delta_q)
+    sc = make_scenario(drawn.observable, drawn.pre, drawn.post, g, _drawn_grid_pointer(pointer))
+    try:
+        rec = evolve_postselect(sc)
+    except ZeroPostSelectionProbability:
+        rec = None
+    assume(rec is not None and rec.success_prob > 1e-6)
+    n_total, delta_q_pair, delta_p_pair = _exact_scalars(sc)
+    assert abs(n_total / rec.success_prob - 1.0) <= 1e-12
+    assert abs(delta_q_pair - rec.delta_q) <= 1e-12
+    assert abs(delta_p_pair - rec.delta_p) <= 1e-12
+
+
+def _mixed_orthogonal(g):
+    """Orthogonal selections with a mixed pre-selection (as in
+    test_mixed_state_orthogonal_exact)."""
+    a = new_observable(np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex))
+    rho = density_state(np.diag([0.5, 0.5, 0.0]))
+    return make_scenario(a, rho, projector_onto([0.0, 0.0, 1.0]), g, gaussian(1.0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: half_overlap_scenario(0.05),
+        lambda: orthogonal_sigma_x(0.02),
+        lambda: _mixed_orthogonal(0.02),
+        lambda: half_overlap_scenario(0.05, skewed_pointer(1.0)),
+        lambda: make_scenario(SIGMA_X, [1.0, 0.0], [0.0, 1.0], 0.02, _two_branch_pointer()),
+    ],
+    ids=["gaussian", "orthogonal", "mixed-orthogonal", "skewed", "two-branch"],
+)
+def test_success_probability_never_runs_the_grid_oracle(build, monkeypatch):
+    # success_probability and evolve_postselect are two independent
+    # computations, so verify's probability check compares two engines.
+    sc = build()
+    reference = evolve_postselect(sc).success_prob
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("success_probability ran the grid oracle")
+
+    monkeypatch.setattr(oracle, "_exact_components", refuse)
+    assert abs(success_probability(sc) / reference - 1.0) <= 1e-13
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -681,7 +751,7 @@ def test_selection_kernel_matches_the_standard_basis(
 
 def test_gaussian_closed_form_refuses_zero_probability():
     with pytest.raises(ZeroPostSelectionProbability):
-        _gaussian_exact(commuting_orthogonal(0.02))
+        _exact_scalars(commuting_orthogonal(0.02))
     # The floor check must refuse a NaN probability as well.
     with pytest.raises(ZeroPostSelectionProbability):
         _require_success(math.nan, PROB_FLOOR)
@@ -716,7 +786,7 @@ def test_strong_coupling_grid_resolves_the_pointer():
     # 4096 points would leave the momentum density undecayed at the edges.
     sc = half_overlap_scenario(200.0)
     rec = evolve_postselect(sc)
-    n_total, delta_q, delta_p = _gaussian_exact(sc)
+    n_total, delta_q, delta_p = _exact_scalars(sc)
     assert rec.q_density.coords.size == 32768
     assert rec.success_prob == pytest.approx(n_total, rel=1e-11)
     assert rec.delta_q == pytest.approx(delta_q, rel=1e-11)

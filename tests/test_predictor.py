@@ -34,7 +34,7 @@ from weakmeas import (
     weak_value,
 )
 from weakmeas import oracle, pointer, predictor, qops, weak_values
-from weakmeas.oracle import _gaussian_exact
+from weakmeas.oracle import _exact_scalars
 from weakmeas.amplifier import sg_family
 from weakmeas.errors import (
     HigherOrderOrthogonality,
@@ -270,10 +270,10 @@ def test_predicted_success_probability_tracks_the_exact_one():
     for g in (0.04, 0.02):
         general = half_overlap_scenario(g)
         pred = _quiet(predict, general)
-        assert pred.success_prob == pytest.approx(_gaussian_exact(general)[0], rel=g**4)
+        assert pred.success_prob == pytest.approx(_exact_scalars(general)[0], rel=g**4)
         orth = scenario_with_orthogonal_weak_value(0.2 + 0.1j, g, 1.0)
         pred = predict(orth)
-        assert pred.success_prob == pytest.approx(_gaussian_exact(orth)[0], rel=g**2)
+        assert pred.success_prob == pytest.approx(_exact_scalars(orth)[0], rel=g**2)
     assert predict_aav(*qubit_pps_half_overlap(), 0.02, gaussian(1.0)).success_prob is None
 
 
