@@ -12,10 +12,11 @@ are checked against. Both exact engines read the one selection kernel
 table c over the translated branches, and the pair kernel
 `_exact_stacked` takes N, delta_q and delta_p without a density (Duck,
 Stevenson & Sudarshan, Phys. Rev. D 40, 2112 (1989)) from the pair table
-T = c^T c* and the pointer's lag functions (`_pair_frame`: closed form for
-a Gaussian, one FFT per branch for a grid pointer), for a stack of points
-sharing the observable, g and the pointer. `success_probability` and the
-amplifier read the pair kernel; only `evolve_postselect` runs the grid.
+T = c^T c* and the pointer's lag functions (`pointer._lag_tables`), for a
+stack of points sharing the observable, g and the pointer.
+`success_probability` and the amplifier read the pair kernel; only
+`evolve_postselect` runs the grid. No engine here asks which kind of
+pointer it holds: `pointer` lays it on the grid.
 
 `series_device_state` instead truncates the Dyson expansion of the same
 quantity at a chosen order, with every term expressed through generalized
@@ -26,10 +27,10 @@ expansion; the side, the threshold check and the conditioning denominator
 come from `weak_values._route`, as for `predict`. Every order, order 0
 included, comes from one coefficient list (`_series_coefficients`) that
 feeds both densities, and each conjugate pair of cross terms is formed
-once. The power table p^a phi (`pointer`) of a Gaussian pointer is closed
-form, Hermite functions kept real with the phase i^a in the
-coefficients, so each cross term is one real product; grid pointers take
-theirs from the FFT spectrum, masked below SPECTRAL_FLOOR. The series
+once. Real rows of the power table (`pointer._power_table`: a Gaussian's
+Hermite functions p^a phi / i^a in units of its width) leave the phase
+i^a to the coefficients, so each cross term is one real product; complex
+rows (a grid pointer's masked spectrum) take the complex one. The series
 normalizes by its own truncated density, as the grid oracle does, and
 refuses a bad order, grid size or regime before it allocates the grid.
 `_series_sums` integrates the same coefficients against the pointer's
@@ -52,25 +53,20 @@ from .errors import (
 )
 from .pointer import (
     _I_POWERS,
-    MAX_GRID_N,
-    SPECTRAL_FLOOR,
     TABLE_POWER,
     Density,
-    GaussianPointer,
     PointerState,
     QGrid,
-    _branch_p_table,
-    _gaussian_p_table,
+    _frame,
+    _lag_tables,
     _moment_table,
-    _next_pow2,
-    default_grid,
-    gaussian_profile,
+    _power_table,
+    _translated,
+    _working_grid,
     moment,
     p_power,
     q_power,
-    translate,
     validate_grid_n,
-    variance_q,
 )
 from .qops import _frozen, _selection_kernel, _selection_traces
 from .scenario import Scenario, validate_series_order
@@ -124,56 +120,6 @@ class MeasurementRecord:
     tail_estimate: float | None = None
 
 
-def _evolution_frame(
-    sc: Scenario, grid_n: int | None
-) -> tuple[QGrid, list[tuple[float, np.ndarray]]]:
-    """Choose the working grid and lay the initial pointer branches on it.
-
-    Gaussian pointers get a symmetric grid wide enough for the pointer and
-    every eigenvalue translation and fine enough to resolve the pointer
-    (`default_grid`). Grid pointers are zero-padded so the spectral
-    translations cannot wrap. For both, ``grid_n`` is a floor on the size
-    and never shrinks user data. Before anything of size n is allocated,
-    `_require_frame` checks the grid can be built.
-    """
-    validate_grid_n(grid_n)
-    pointer = sc.pointer
-    if isinstance(pointer, GaussianPointer):
-        grid = default_grid(pointer.delta_q, sc.g, grid_n)
-        _require_frame(sc.g, grid.dq, grid.n)
-        return grid, [(1.0, gaussian_profile(grid.coords(), pointer.delta_q))]
-    base = pointer.grid
-    amax = float(np.max(np.abs(sc.observable.eigenvalues)))
-    sigma = math.sqrt(max(variance_q(pointer), 0.0))
-    pad_cells = (abs(sc.g) * amax + 8.0 * sigma) / base.dq
-    # A padding beyond the cap stays a float (it may be inf) for the guard.
-    n_new = base.n + 2.0 * pad_cells
-    if n_new <= MAX_GRID_N:
-        n_new = _next_pow2(base.n + 2 * math.ceil(pad_cells))
-    if grid_n is not None:
-        n_new = max(n_new, grid_n)
-    _require_frame(sc.g, base.dq, n_new)
-    offset = (n_new - base.n) // 2
-    grid = QGrid(q_min=base.q_min - offset * base.dq, dq=base.dq, n=n_new)
-    branches = []
-    for w, phi in pointer.branches:
-        embedded = np.zeros(n_new, dtype=complex)
-        embedded[offset : offset + base.n] = phi
-        branches.append((w, embedded))
-    return grid, branches
-
-
-def _require_frame(g: float, dq: float, n: float) -> None:
-    """The one frame guard: a working grid of at most MAX_GRID_N points
-    whose dq * dq is finite (the momentum density's scale)."""
-    if not (n <= MAX_GRID_N and math.isfinite(dq * dq)):
-        raise GridTooSmall(
-            f"g = {g:.3e} needs a working grid of n = {n:.6g} points spanning "
-            f"{n * dq:.3e} (dq = {dq:.3e}); the grid holds at most {MAX_GRID_N} "
-            "points with a finite dq^2"
-        )
-
-
 def _scenario_selections(scenarios: list[Scenario], n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The selection kernel (c, b) for scenarios sharing the observable."""
     posts, pres = [sc.post for sc in scenarios], [sc.pre for sc in scenarios]
@@ -194,20 +140,14 @@ def _exact_components(
     The density numerators are unnormalized (they integrate to N); the
     momentum numerator is in FFT ordering.
     """
-    grid, branches = _evolution_frame(sc, grid_n)
     shifts = sc.g * sc.observable.eigenvalues
+    grid, branches = _frame(sc.pointer, sc.g, shifts, grid_n)
     c = _selection_amplitudes(sc)
-    q = grid.coords()
     p_scale = grid.dq**2 / (2.0 * math.pi)
-    shifted = np.empty((shifts.size, grid.n), dtype=complex)
     qd = np.zeros(grid.n)
     pd = np.zeros(grid.n)
     for v_j, phi in branches:
-        for i, shift in enumerate(shifts):
-            if isinstance(sc.pointer, GaussianPointer):
-                shifted[i] = gaussian_profile(q, sc.pointer.delta_q, float(shift))
-            else:
-                shifted[i] = translate(grid, phi, float(shift))
+        shifted = _translated(sc.pointer, grid, phi, shifts)
         for row in c:
             comp = row @ shifted
             qd += v_j * np.abs(comp) ** 2
@@ -284,47 +224,9 @@ def _require_success(n_total: float, prob_floor: float) -> None:
 
 
 def _pair_frame(sc: Scenario) -> tuple:
-    """(g, zero, slope, lags) for `_exact_stacked`. With chi(x) =
-    <phi|U_x phi>, chi_q(x) = <q phi|U_x phi>, chi_p(x) = <phi|p U_x phi>
-    (U_x translates by x), zero = (chi(0), chi_q(0), chi_p(0)) and lags
-    stacks, at x_ij = u_i - u_j (u = g a), dchi = chi(x) - chi(0),
-    Q = chi_q(x) - chi_q(0) + u_j dchi and P = chi_p(x) - chi_p(0) + i slope x.
-    A Gaussian's are closed form: dchi = expm1(-x^2 dp^2/2), Q = s dchi with
-    s_ij = (u_i + u_j)/2 (the rest, x/2, has no real part against the pair
-    table), slope = dp^2, P = -i dp^2 x dchi. A grid pointer's sum its
-    weights W = |phi~|^2, conj((q phi)~) phi~, p |phi~|^2 (times dq/n) on
-    `_evolution_frame(sc, None)`'s padded grid, where no lag wraps: with
-    D_i = e^(-i p u_i) - 1, dchi_ij = sum W (D_i + D_j^* + D_i D_j^*).
-    """
-    u = sc.g * sc.observable.eigenvalues
-    if isinstance(sc.pointer, GaussianPointer):
-        var_p = sc.pointer.var_p
-        x = u[:, None] - u[None, :]
-        dchi = np.expm1(-0.5 * var_p * x**2)
-        s_dchi = 0.5 * (u[:, None] + u[None, :]) * dchi
-        return sc.g, (1.0, 0.0, 0.0), var_p, np.stack([dchi, s_dchi, -1j * var_p * x * dchi])
-    grid, branches = _evolution_frame(sc, None)
-    p, q = grid.momenta(), grid.coords()
-    weights = np.zeros((3, grid.n), dtype=complex)
-    for w, phi in branches:
-        spectrum = np.fft.fft(phi)
-        power = (w * grid.dq / grid.n) * (spectrum.real**2 + spectrum.imag**2)
-        weights[0] += power
-        weights[1] += (w * grid.dq / grid.n) * np.conj(np.fft.fft(q * phi)) * spectrum
-        weights[2] += p * power
-    # Modes where every weight is below SPECTRAL_FLOOR^2 of its peak (the
-    # FFT's rounding floor) move no table by more than 2 n SPECTRAL_FLOOR^2
-    # of that peak; a smooth pointer keeps about a hundred modes.
-    mass = np.abs(weights)
-    keep = (mass > SPECTRAL_FLOOR**2 * mass.max(axis=1, keepdims=True)).any(axis=0)
-    p, weights = p[keep], weights[:, keep]
-    # A row of ones, then D = -2 sin^2(p u/2) - i sin(p u), with no cancellation.
-    half = 0.5 * np.multiply.outer(u, p)
-    rows = np.vstack([np.ones_like(p), -2.0 * np.sin(half) ** 2 - 1j * np.sin(2.0 * half)])
-    table = (weights[:, None, :] * rows) @ rows.conj().T
-    lags = table[:, 1:, 1:] + table[:, 1:, :1] + table[:, :1, 1:]
-    lags[1] += u * lags[0]
-    return sc.g, table[:, 0, 0].real, 0.0, lags
+    """(g, zero, slope, lags) for `_exact_stacked`: the pointer's
+    `_lag_tables` at the scenario's translations u = g a."""
+    return (sc.g, *_lag_tables(sc.pointer, sc.g, sc.g * sc.observable.eigenvalues))
 
 
 def _exact_stacked(
@@ -379,11 +281,8 @@ def success_probability(sc: Scenario, grid_n: int | None = None) -> float:
     """Exact post-selection probability; values below PROB_FLOOR snap to 0.
     It is `_exact_stacked`'s N, independent of the grid oracle and of
     ``grid_n``, and refuses what `evolve_postselect` would: a bad ``grid_n``
-    or an unbuildable grid (on a Gaussian, `default_grid`'s, not allocated)."""
-    validate_grid_n(grid_n)
-    if isinstance(sc.pointer, GaussianPointer):
-        grid = default_grid(sc.pointer.delta_q, sc.g, grid_n)
-        _require_frame(sc.g, grid.dq, grid.n)
+    or an unbuildable grid (`pointer._working_grid`'s, not allocated)."""
+    _working_grid(sc.pointer, sc.g, sc.g * sc.observable.eigenvalues, grid_n)
     n_total = float(_exact_stacked(*_scenario_selections([sc], 1), _pair_frame(sc))[0][0])
     return 0.0 if n_total < PROB_FLOOR else min(n_total, 1.0)
 
@@ -437,9 +336,9 @@ def series_device_state(
     Like `evolve_postselect`, the record is conditioned on its own trace:
     the truncated position density's integral N_t divides both densities,
     and the success probability is the leading denominator (tr(P rho), or
-    g^2 tr(P A rho A)) times N_t. A Gaussian pointer's table p^a phi and
-    momentum density come in closed form (`_gaussian_p_table`); only grid
-    pointers go through the masked spectrum of `_branch_p_table`.
+    g^2 tr(P A rho A)) times N_t. The terms run in the unit of the power
+    table (`pointer._power_table`; a Gaussian's width, so that nothing
+    overflows), with coupling g / unit and momenta unit p.
 
     Every refusal comes before the working grid is allocated: the order,
     then ``grid_n``, then the regime, routed like `predict`
@@ -468,16 +367,11 @@ def series_device_state(
             ValidityWarning,
             stacklevel=2,
         )
-    lead = g * g * denom if side else denom
 
-    grid, branches = _evolution_frame(sc, grid_n)
-    gaussian = isinstance(sc.pointer, GaussianPointer)
-    if gaussian:
-        tables, m0, pk = _gaussian_p_table(
-            grid, branches[0][1], sc.pointer.delta_q, order + side
-        )
-    else:
-        tables, m0, pk = _branch_p_table(grid, branches, order + side)
+    grid, branches = _frame(sc.pointer, g, g * sc.observable.eigenvalues, grid_n)
+    tables, m0, pk, unit = _power_table(sc.pointer, grid, branches, order + side)
+    g = g / unit
+    lead = g * g * denom if side else denom
     qd = np.zeros(grid.n)
     # Momentum-density polynomial in p, with the factor p^(2 side).
     p_poly = np.zeros(order + 2 * side + 1)
@@ -492,9 +386,9 @@ def series_device_state(
         for (w, _), powers in zip(branches, tables):
             for k, pair in enumerate(a):
                 left, right = powers[n - k + side], powers[k + side]
-                if gaussian:
-                    # Real rows p^a phi / i^a: the product's phase i^(n - 2k)
-                    # joins the scalar, leaving one real product.
+                if np.isrealobj(left):
+                    # Real rows (unit^a p^a phi / i^a): the product's phase
+                    # i^(n - 2k) joins the scalar, leaving one real product.
                     term += (w * pair * _I_POWERS[(n - 2 * k) % 4]).real * (left * right)
                 else:
                     term += np.real(w * pair * left * np.conj(right))

@@ -4,8 +4,9 @@ Two representations are supported: an analytic zero-mean minimum-uncertainty
 Gaussian, for which every required moment has a closed form, and a sampled
 grid state (optionally a convex mixture of pure branches), for which
 momentum-side quantities use the unitary discrete Fourier pair on the grid
-with the convention dq * dp = 2*pi/n. Everything runs with hbar = 1. The
-series' power tables and the moment table `_moment_table` live here.
+with the convention dq * dp = 2*pi/n. Everything runs with hbar = 1. How a
+pointer meets a working grid is decided here alone: its frame, translated
+branches, lag tables, power tables and moment table.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ def to_momentum(grid: QGrid, samples: np.ndarray) -> np.ndarray:
 
 
 def translate(grid: QGrid, samples: np.ndarray, shift: float) -> np.ndarray:
-    """Samples of psi(q - shift) via the spectral translation phase.
+    """Samples of psi(q - shift) via the spectral translation phase; a
+    column of shifts gives one row per shift from one forward transform.
 
     Exact for band-limited periodic data; callers must leave room so the
     translated tails do not wrap around.
@@ -349,37 +351,37 @@ def _branch_p_table(
     return tables, m0, pk
 
 
-def _gaussian_p_table(
-    grid: QGrid, phi: np.ndarray, delta_q: float, max_power: int
-) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
-    """`_branch_p_table` for the Gaussian pointer samples ``phi``, in
-    closed form.
-
-    With z = q/(sqrt(2) delta_q), p^a phi = (i/(sqrt(2) delta_q))^a He_a(z)
-    phi (Duck, Stevenson & Sudarshan 1989). Row a is the real array
-    p^a phi / i^a; the Hermite recurrence He_(a+1) = z He_a - a He_(a-1)
-    makes it row_(a+1) = (q row_a - a row_(a-1)) / (2 delta_q^2). The phase
-    i^a is left to the caller's coefficients. M0 is the exact momentum
-    density sqrt(2/pi) delta_q exp(-2 delta_q^2 p^2).
-    """
-    q, pk = grid.coords(), grid.momenta()
-    scale = 0.5 / delta_q**2
-    scaled_q = scale * q
-    powers = [phi]
+def _power_table(
+    pointer: PointerState, grid: QGrid, branches: list[tuple[float, np.ndarray]], max_power: int
+) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray, float]:
+    """The series' power table on the `_frame` in a unit of length, and the
+    unit: rows unit^a p^a phi, M0 and momenta unit p (`_branch_p_table`'s,
+    unit 1, for a grid pointer). A Gaussian's rows are real and closed form
+    in units of its width, so no power of q, g or p in the series overflows:
+    as p^a phi = (i/(sqrt(2) delta_q))^a He_a(q/(sqrt(2) delta_q)) phi
+    (Duck, Stevenson & Sudarshan 1989), row a = delta_q^a p^a phi / i^a
+    obeys row_(a+1) = (q/(2 delta_q)) row_a - (a/2) row_(a-1), the phase i^a
+    left to the caller's coefficients, and M0 = sqrt(2/pi) delta_q
+    exp(-2 delta_q^2 p^2)."""
+    if not isinstance(pointer, GaussianPointer):
+        return (*_branch_p_table(grid, branches, max_power), 1.0)
+    delta_q, (q, pk) = pointer.delta_q, (grid.coords(), grid.momenta())
+    half_q = q / (2.0 * delta_q)
+    powers = [branches[0][1]]
     for a in range(max_power):
-        row = scaled_q * powers[a]
+        row = half_q * powers[a]
         if a:
-            row -= (scale * a) * powers[a - 1]
+            row -= (0.5 * a) * powers[a - 1]
         powers.append(row)
     m0 = math.sqrt(2.0 / math.pi) * delta_q * np.exp(-2.0 * delta_q**2 * pk**2)
-    return [powers], m0, pk
+    return [powers], m0, delta_q * pk, delta_q
 
 
 @functools.lru_cache(maxsize=None)
 def _hermite_wick(size: int) -> np.ndarray:
     """Integers K[b, j, a] (a, b <= ``size``, j <= 2) with
     <p^b phi| q^j |p^a phi> = i^(a-b) K dq^(j-a-b) / 2^(a+b) for a Gaussian
-    of width dq: `_gaussian_p_table`'s Hermite recurrence on integer
+    of width dq: `_power_table`'s Hermite recurrence on integer
     coefficients against Wick's moments (m-1)!! of z^m, rounded once."""
     he = [[1]]  # He_a(z) coefficients, lowest power first
     for a in range(size):
@@ -425,6 +427,109 @@ def variance_q(state: PointerState) -> float:
 def variance_p(state: PointerState) -> float:
     m1 = moment(state, p_power(1))
     return moment(state, p_power(2)) - m1**2
+
+
+# --- the pointer on a working grid ------------------------------------------
+
+def _working_grid(
+    pointer: PointerState, g: float, shifts: np.ndarray, grid_n: int | None
+) -> QGrid:
+    """The working grid for the translations ``shifts`` = g a, allocating
+    nothing: a Gaussian's is `default_grid`'s; a grid pointer's is padded
+    by max|shift| + 8 sigma on each side to a power of two, so no spectral
+    translation wraps. ``grid_n`` is a floor and never shrinks user data.
+    The one frame guard: at most MAX_GRID_N points with a finite dq * dq
+    (the momentum density's scale)."""
+    validate_grid_n(grid_n)
+    if isinstance(pointer, GaussianPointer):
+        grid = default_grid(pointer.delta_q, g, grid_n)
+    else:
+        base = pointer.grid
+        sigma = math.sqrt(max(variance_q(pointer), 0.0))
+        pad_cells = (float(np.max(np.abs(shifts))) + 8.0 * sigma) / base.dq
+        # A padding beyond the cap stays a float (it may be inf) for the guard.
+        n = base.n + 2.0 * pad_cells
+        if n <= MAX_GRID_N:
+            n = _next_pow2(base.n + 2 * math.ceil(pad_cells))
+        if grid_n is not None:
+            n = max(n, grid_n)
+        grid = QGrid(q_min=base.q_min - (n - base.n) // 2 * base.dq, dq=base.dq, n=n)
+    n, dq = grid.n, grid.dq
+    if not (n <= MAX_GRID_N and math.isfinite(dq * dq)):
+        raise GridTooSmall(
+            f"g = {g:.3e} needs a working grid of n = {n:.6g} points spanning "
+            f"{n * dq:.3e} (dq = {dq:.3e}); the grid holds at most {MAX_GRID_N} "
+            "points with a finite dq^2"
+        )
+    return grid
+
+
+def _frame(
+    pointer: PointerState, g: float, shifts: np.ndarray, grid_n: int | None
+) -> tuple[QGrid, list[tuple[float, np.ndarray]]]:
+    """The pointer's branches laid on its `_working_grid`: a Gaussian
+    sampled there, a grid pointer's branches zero-padded to it."""
+    grid = _working_grid(pointer, g, shifts, grid_n)
+    if isinstance(pointer, GaussianPointer):
+        return grid, [(1.0, gaussian_profile(grid.coords(), pointer.delta_q))]
+    pad = (grid.n - pointer.n) // 2
+    return grid, [(w, np.pad(phi, (pad, grid.n - pointer.n - pad))) for w, phi in pointer.branches]
+
+
+def _translated(
+    pointer: PointerState, grid: QGrid, phi: np.ndarray, shifts: np.ndarray
+) -> np.ndarray:
+    """The (d, n) complex table of the `_frame` branch ``phi`` translated by
+    each shift: a grid branch's by one `translate` (one forward transform),
+    a Gaussian's row by row (one (d, n) broadcast ran 3x slower)."""
+    if isinstance(pointer, GaussianPointer):
+        q = grid.coords()
+        return np.array([gaussian_profile(q, pointer.delta_q, u) for u in shifts], dtype=complex)
+    return translate(grid, phi, shifts[:, None])
+
+
+def _lag_tables(pointer: PointerState, g: float, u: np.ndarray) -> tuple:
+    """(zero, slope, lags) of the pointer at the translations u (g names
+    the coupling if the grid is refused). With chi(x) = <phi|U_x phi>,
+    chi_q(x) = <q phi|U_x phi>, chi_p(x) = <phi|p U_x phi> (U_x translates
+    by x), zero = (chi(0), chi_q(0), chi_p(0)) and lags stacks, at
+    x_ij = u_i - u_j, dchi = chi(x) - chi(0), Q = chi_q(x) - chi_q(0) + u_j dchi and
+    P = chi_p(x) - chi_p(0) + i slope x. A Gaussian's are closed form:
+    dchi = expm1(-x^2 dp^2/2), Q = s dchi with s_ij = (u_i + u_j)/2 (the
+    rest, x/2, has no real part against the pair table), slope = dp^2,
+    P = -i dp^2 x dchi. A grid pointer's sum its weights W = |phi~|^2,
+    conj((q phi)~) phi~, p |phi~|^2 (times dq/n) on the `_frame` without a
+    ``grid_n`` floor, where no lag wraps: with D_i = e^(-i p u_i) - 1,
+    dchi_ij = sum W (D_i + D_j^* + D_i D_j^*).
+    """
+    if isinstance(pointer, GaussianPointer):
+        var_p = pointer.var_p
+        x = u[:, None] - u[None, :]
+        dchi = np.expm1(-0.5 * var_p * x**2)
+        s_dchi = 0.5 * (u[:, None] + u[None, :]) * dchi
+        return (1.0, 0.0, 0.0), var_p, np.stack([dchi, s_dchi, -1j * var_p * x * dchi])
+    grid, branches = _frame(pointer, g, u, None)
+    p, q = grid.momenta(), grid.coords()
+    weights = np.zeros((3, grid.n), dtype=complex)
+    for w, phi in branches:
+        spectrum = np.fft.fft(phi)
+        power = (w * grid.dq / grid.n) * (spectrum.real**2 + spectrum.imag**2)
+        weights[0] += power
+        weights[1] += (w * grid.dq / grid.n) * np.conj(np.fft.fft(q * phi)) * spectrum
+        weights[2] += p * power
+    # Modes where every weight is below SPECTRAL_FLOOR^2 of its peak (the
+    # FFT's rounding floor) move no table by more than 2 n SPECTRAL_FLOOR^2
+    # of that peak; a smooth pointer keeps about a hundred modes.
+    mass = np.abs(weights)
+    keep = (mass > SPECTRAL_FLOOR**2 * mass.max(axis=1, keepdims=True)).any(axis=0)
+    p, weights = p[keep], weights[:, keep]
+    # A row of ones, then D = -2 sin^2(p u/2) - i sin(p u), with no cancellation.
+    half = 0.5 * np.multiply.outer(u, p)
+    rows = np.vstack([np.ones_like(p), -2.0 * np.sin(half) ** 2 - 1j * np.sin(2.0 * half)])
+    table = (weights[:, None, :] * rows) @ rows.conj().T
+    lags = table[:, 1:, 1:] + table[:, 1:, :1] + table[:, :1, 1:]
+    lags[1] += u * lags[0]
+    return table[:, 0, 0].real, 0.0, lags
 
 
 # --- densities --------------------------------------------------------------

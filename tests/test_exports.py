@@ -6,9 +6,12 @@ pinned set below makes that a deliberate edit, and so do the pinned knobs:
 the functions that take ``orth_threshold`` and the total number of settable
 parameters. The benchmark tracer rebinds
 functions by module and name, so a consolidation that renames or removes one
-would silently break a traced run; the second test catches that here.
+would silently break a traced run; the second test catches that here. The
+last test pins the boundary between the oracle's engines and the pointer
+layer: the oracle never asks which kind of pointer it holds.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -92,3 +95,30 @@ def test_every_traced_benchmark_function_exists():
         module = importlib.import_module(f"weakmeas.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"weakmeas.{layer}.{name}"
+
+
+# What `oracle` reads from `pointer`: the frame, translation, lag-table and
+# power-table layer, the moment table and the record types, never the
+# sizing rules, profiles or power tables of one pointer kind.
+ORACLE_POINTER_IMPORTS = {
+    "_I_POWERS", "TABLE_POWER", "Density", "PointerState", "QGrid", "_frame",
+    "_lag_tables", "_moment_table", "_power_table", "_translated", "_working_grid",
+    "moment", "p_power", "q_power", "validate_grid_n",
+}
+POINTER_KINDS = {"GaussianPointer", "GridPointer"}
+
+
+def test_oracle_never_branches_on_the_pointer_kind():
+    path = Path(__file__).resolve().parents[1] / "src" / "weakmeas" / "oracle.py"
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "pointer"
+        for alias in node.names
+    }
+    assert imported == ORACLE_POINTER_IMPORTS
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+            assert not names & POINTER_KINDS, ast.unparse(node)

@@ -26,6 +26,7 @@ from weakmeas import (
     make_scenario,
     new_observable,
     oracle,
+    pointer,
     predict_aav,
     predict_general,
     projector,
@@ -51,8 +52,17 @@ from weakmeas.oracle import (
     _selection_amplitudes,
     _series_sums,
 )
-from weakmeas.pointer import _moment_table, default_grid, gaussian_profile, moment, p_power, q_power
-from weakmeas.qops import SIGMA_X, _selection_kernel, _selection_traces
+from weakmeas.pointer import (
+    MAX_WIDTH,
+    MIN_WIDTH,
+    _moment_table,
+    default_grid,
+    gaussian_profile,
+    moment,
+    p_power,
+    q_power,
+)
+from weakmeas.qops import SIGMA_X, SIGMA_Z, _selection_kernel, _selection_traces
 from weakmeas.scenario import MAX_SERIES_ORDER
 from weakmeas.weak_values import ORTH_THRESHOLD, _moment_amplitudes, _point_route, _route
 
@@ -63,8 +73,10 @@ from support import (
     orthogonal_idempotent,
     orthogonal_sigma_x,
     random_density,
+    random_observable,
     random_projector,
     random_scenario,
+    random_selections,
     rng,
     skewed_pointer,
     standard_amplitudes,
@@ -436,6 +448,23 @@ def test_series_bad_grid_n_precedes_a_bad_threshold():
         series_device_state(half_overlap_scenario(0.02), 4, grid_n=3, orth_threshold=math.nan)
 
 
+@pytest.mark.parametrize("order", [8, 16])
+@pytest.mark.parametrize("selection", ["generic", "orthogonal"])
+@pytest.mark.parametrize("delta_q", [MIN_WIDTH, 1e-20, 1e20, MAX_WIDTH])
+def test_series_matches_exact_at_extreme_widths(delta_q, selection, order):
+    # A Gaussian's series runs in units of its width, so at order 16 no
+    # power of q, g or p overflows (a RuntimeWarning, an error in this
+    # suite) at any accepted width.
+    if selection == "generic":
+        sc = make_scenario(SIGMA_Z, [1.0, 1j], [1.0, 0.7], 0.05 * delta_q, gaussian(delta_q))
+    else:
+        sc = orthogonal_sigma_x(0.02 * delta_q, delta_q)
+    exact, rec = evolve_postselect(sc), series_device_state(sc, order)
+    assert abs(rec.success_prob / exact.success_prob - 1.0) <= 1e-12
+    assert abs(rec.delta_q - exact.delta_q) / delta_q <= 1e-12
+    assert abs(rec.delta_p - exact.delta_p) * delta_q <= 1e-12
+
+
 # --- random cross-checks --------------------------------------------------------------
 
 
@@ -802,6 +831,39 @@ def test_grid_pointer_padding_avoids_wraparound():
     assert rec.q_density.coords.size >= 2048
     assert rec.q_density.spacing == pytest.approx(9.0 * 2 / 2048, rel=1e-12)
     assert abs(rec.q_density.total() - 1.0) < 1e-8
+
+
+def test_grid_branches_are_transformed_once(monkeypatch):
+    # The grid oracle translates a branch by every eigenvalue from one
+    # forward transform of its samples (two branches, d = 3: 2 transforms,
+    # not 6), and the record is bit for bit that of one `translate` per
+    # eigenvalue.
+    gen = rng(7)
+    obs = random_observable(gen, 3)
+    pre, post = random_selections(gen, 3, rank=1, min_overlap=0.1)
+    sc = make_scenario(obs, pre, post, 0.05, _two_branch_pointer())
+    shifts = sc.g * sc.observable.eigenvalues
+    samples = [phi for _, phi in pointer._frame(sc.pointer, sc.g, shifts, None)[1]]
+    fft, transformed = np.fft.fft, []
+
+    def counted(a, *args, **kwargs):
+        transformed.append(any(np.array_equal(a, phi) for phi in samples))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    rec = evolve_postselect(sc)
+    assert sum(transformed) == 2
+    monkeypatch.undo()
+
+    def one_per_shift(ptr, grid, phi, shifts):
+        return np.array([pointer.translate(grid, phi, float(shift)) for shift in shifts])
+
+    monkeypatch.setattr(oracle, "_translated", one_per_shift)
+    loop = evolve_postselect(sc)
+    for field in ("success_prob", "delta_q", "delta_p", "var_q_out", "var_p_out"):
+        assert getattr(loop, field) == getattr(rec, field), field
+    for field in ("q_density", "p_density"):
+        assert np.array_equal(getattr(loop, field).values, getattr(rec, field).values), field
 
 
 def test_slowly_decaying_momentum_is_refused():

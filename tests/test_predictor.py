@@ -56,6 +56,8 @@ from support import (
     orthogonal_sigma_x,
     qubit_pps_half_overlap,
     random_hermitian,
+    random_observable,
+    random_selections,
     rng,
     skewed_pointer,
 )
@@ -455,6 +457,41 @@ def test_orthogonal_prediction_on_boosted_pointers(boost, seed, g):
         assert pred.regime == "orthogonal"
         errors.append(math.hypot(pred.delta_q - exact.delta_q, pred.delta_p - exact.delta_p))
     assert 3.2 <= errors[0] / errors[1] <= 4.8, errors
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    boost=st.floats(-0.5, 0.5).filter(lambda k: abs(k) >= 0.05),
+    seed=st.integers(0, 2**16),
+    g=st.floats(0.002, 0.005),
+)
+def test_linear_and_general_error_orders_on_generated_pointers(boost, seed, g):
+    # Criteria 2a and 2b beyond their pinned qubit: a boosted skewed pointer,
+    # a random d = 3 observable and pure rank-1 selections. Against the exact
+    # oracle, the shift error (both shifts, in quadrature) of the linear
+    # formula is second order in g and that of the general one third order;
+    # over 190 random draws the ratios per halving lay in [3.93, 4.09] and
+    # [7.98, 8.03]. Unboosted, the pointer is real and the linear formula's
+    # second-order error can be small beside the third-order one: 2 of 13
+    # selections gave 5.1-5.2 at g = 0.004, falling to 4.0 by g = 0.00025.
+    base = skewed_pointer(1.0, half_span=16.0)
+    grid, (_, phi) = base.grid, base.branches[0]
+    boosted = grid_state(
+        grid.q_min, grid.dq, grid.n, [(1.0, phi * np.exp(1j * boost * grid.coords()))]
+    )
+    gen = rng(seed)
+    obs = random_observable(gen, 3)
+    pre, post = random_selections(gen, 3, rank=1, min_overlap=0.1)
+    errors = {"aav": [], "general": []}
+    for coupling in (g, g / 2.0):
+        sc = make_scenario(obs, pre, post, coupling, boosted)
+        exact = evolve_postselect(sc)
+        for regime, errs in errors.items():
+            pred = predict(sc, regime)
+            errs.append(math.hypot(pred.delta_q - exact.delta_q, pred.delta_p - exact.delta_p))
+    (aav, aav_half), (general, general_half) = errors.values()
+    assert 3.2 <= aav / aav_half <= 4.8, errors
+    assert 6.0 <= general / general_half <= 10.0, errors
 
 
 # --- Stern-Gerlach closed forms ------------------------------------------------------
