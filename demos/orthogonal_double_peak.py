@@ -17,7 +17,7 @@ import numpy as np
 from weakmeas import (
     evolve_postselect,
     orthogonal_weak_value,
-    predict_orthogonal_gaussian,
+    predict,
     scenario_with_orthogonal_weak_value,
     success_probability,
 )
@@ -45,7 +45,7 @@ print()
 #     both quadrature variances triple, and the position density has two
 #     maxima straddling g * Re(A_ow).
 rec = evolve_postselect(sc, grid_n=4096)
-pred = predict_orthogonal_gaussian(sc.observable, sc.pre, sc.post, sc.g, 1.0)
+pred = predict(sc, "orthogonal")
 print(f"variance ratios: var_q' / var_q = {rec.var_q_out / 1.0:.6f}, "
       f"var_p' / var_p = {rec.var_p_out / 0.25:.6f}  (-> 3 as g -> 0)")
 

@@ -17,8 +17,7 @@ from weakmeas import (
     evolve_postselect,
     gaussian,
     make_scenario,
-    predict_aav,
-    predict_general,
+    predict,
     weak_value,
 )
 from weakmeas.errors import ValidityWarning
@@ -50,8 +49,8 @@ with warnings.catch_warnings():
     for g in (0.16, 0.08, 0.04, 0.02, 0.01):
         sc = make_scenario(sigma_z, pre, post, g, pointer)
         exact = evolve_postselect(sc)
-        first = predict_aav(sc.observable, sc.pre, sc.post, sc.g, sc.pointer)
-        second = predict_general(sc.observable, sc.pre, sc.post, sc.g, sc.pointer)
+        first = predict(sc, "aav")
+        second = predict(sc, "general")
         margin = aav_margin(sc.observable, sc.pre, sc.post, sc.g, sc.pointer)
         print(f"{g:>7.3f} {exact.delta_q / g:>12.6f} {first.delta_q / g:>12.6f} "
               f"{second.delta_q / g:>12.6f} {exact.success_prob:>10.6f} "

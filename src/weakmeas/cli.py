@@ -12,6 +12,10 @@ instead of stdout). ``exact`` and ``figure2``, which build a working grid,
 take ``--grid-n`` (power-of-two working grid size, a floor), and ``exact``
 takes ``--series-order`` (also evaluate the truncated expansion).
 
+The CLI only parses and formats: ``predict`` prints the regime that
+`predictor.predict` names (``aav``, ``general`` or ``orthogonal``), and one
+writer, `_csv`, formats every CSV file.
+
 Exit codes: 0 on success; 1 for unusable input (CLI usage, file or JSON
 errors -- diagnostics name the offending key on stderr); 2 for scenarios
 that are valid but outside the requested regime (orthogonal selections fed
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import NonPositiveWidth, ParseError, WeakMeasurementError, WidthOutOfRange
 from .oracle import evolve_postselect, series_device_state
-from .pointer import GaussianPointer, gaussian_profile, validate_grid_n
+from .pointer import gaussian, gaussian_profile, validate_grid_n
 from .predictor import SGParams, predict, sg_optimum, stern_gerlach_outcome
 from .scenario import (
     load_scenario,
@@ -199,9 +203,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _prediction_payload(pred) -> dict:
-    peaks = None
-    if pred.peaks_q is not None and pred.peaks_p is not None:
-        peaks = {"q": list(pred.peaks_q), "p": list(pred.peaks_p)}
+    peaks = None if pred.peaks_q is None else {"q": list(pred.peaks_q), "p": list(pred.peaks_p)}
     return {
         "regime": pred.regime,
         "delta_q": pred.delta_q,
@@ -223,29 +225,19 @@ def _load(path: str) -> tuple:
 
 def _cmd_predict(args) -> int:
     sc, _, orth = _load(args.scenario)
-    pred = predict(sc, args.regime, orth_threshold=orth)
-    payload = _prediction_payload(pred)
-    if args.regime == "orthogonal" and isinstance(sc.pointer, GaussianPointer):
-        payload["regime"] = "orthogonal-gaussian"
-    elif args.regime == "auto" and pred.margin_aav is not None and pred.margin_aav < 0.01:
-        # Within linear response the second-order evaluation coincides
-        # with the first-order formula; label it so callers know.
-        payload["regime"] = "aav-compatible general"
-    _emit_json(payload, args.out)
+    _emit_json(_prediction_payload(predict(sc, args.regime, orth_threshold=orth)), args.out)
     return 0
 
 
-def _densities_csv(rec) -> str:
-    """CSV of the record's densities; the orders of magnitude involved
-    require full float precision (17 significant digits)."""
-    lines = ["coord,q_density,p_coord,p_density"]
-    q = rec.q_density.coords
-    p = rec.p_density.coords
-    for i in range(q.size):
-        lines.append(
-            f"{q[i]:.17g},{rec.q_density.values[i]:.17g},"
-            f"{p[i]:.17g},{rec.p_density.values[i]:.17g}"
-        )
+def _csv(comments: list[str], columns: list[tuple[str, np.ndarray | list[float]]]) -> str:
+    """The one CSV writer: ``# `` comments, a header and a row per index of
+    the (header, values) columns, in order (a list: headers may repeat),
+    read lazily so no column is copied; 17 significant digits, as the
+    orders of magnitude involved require."""
+    lines = [f"# {text}" for text in comments]
+    lines.append(",".join(header for header, _ in columns))
+    cells = [map(float, values) for _, values in columns]
+    lines.extend(",".join(map("{:.17g}".format, row)) for row in zip(*cells))
     return "\n".join(lines) + "\n"
 
 
@@ -269,7 +261,10 @@ def _cmd_exact(args) -> int:
         payload["series"] = _record_payload(srec)
         payload["series"].update(order=srec.series_order, tail_estimate=srec.tail_estimate)
     if args.densities is not None:
-        _emit(_densities_csv(rec), args.densities)
+        q, p = rec.q_density, rec.p_density
+        columns = [("coord", q.coords), ("q_density", q.values),
+                   ("p_coord", p.coords), ("p_density", p.values)]
+        _emit(_csv([], columns), args.densities)
     _emit_json(payload, args.out)
     return 0
 
@@ -277,31 +272,26 @@ def _cmd_exact(args) -> int:
 def _cmd_sterngerlach(args) -> int:
     if args.steps < 1:
         raise ParseError(f"--steps: expected a positive integer, got {args.steps}")
-    lambdas = args.lambdas
-    lines = []
-    for lam in lambdas:
+    comments = []
+    for lam in args.lambdas:
         SGParams(alpha=0.0, lmbda=lam)  # range-check (and warn) once per lambda
-        alpha_opt, outcome_max = sg_optimum(lam)
-        lines.append(
-            f"# lambda={lam:g} alpha_opt={alpha_opt:.17g} outcome_max={outcome_max:.17g}"
-        )
-    lines.append("alpha," + ",".join(f"outcome_{lam:g}" for lam in lambdas))
-    steps = args.steps
-    for i in range(steps + 1):
-        alpha = np.pi * i / steps
-        row = [f"{alpha:.17g}"]
-        for lam in lambdas:
-            row.append(f"{stern_gerlach_outcome(SGParams(alpha=alpha, lmbda=lam)):.17g}")
-        lines.append(",".join(row))
-    _emit("\n".join(lines) + "\n", args.out)
+        alpha, top = sg_optimum(lam)
+        comments.append(f"lambda={lam:g} alpha_opt={alpha:.17g} outcome_max={top:.17g}")
+    alphas = [np.pi * i / args.steps for i in range(args.steps + 1)]
+    columns = [("alpha", alphas)]
+    for lam in args.lambdas:
+        outcomes = [stern_gerlach_outcome(SGParams(alpha=a, lmbda=lam)) for a in alphas]
+        columns.append((f"outcome_{lam:g}", outcomes))
+    _emit(_csv(comments, columns), args.out)
     return 0
 
 
 def _cmd_figure2(args) -> int:
     try:
-        dq_w = GaussianPointer(args.delta_q).delta_q
+        pointer = gaussian(args.delta_q)
     except (NonPositiveWidth, WidthOutOfRange) as exc:
         raise ParseError(f"--delta_q: {exc}") from exc
+    dq_w, dp_w = pointer.delta_q, pointer.delta_p
     target = args.wv
     sc_orth = scenario_with_orthogonal_weak_value(target, args.g, dq_w)
     sc_non = scenario_with_weak_value(target, args.g, dq_w)
@@ -311,36 +301,24 @@ def _cmd_figure2(args) -> int:
     achieved_orth = orthogonal_weak_value(sc_orth.observable, sc_orth.pre, sc_orth.post).value
     achieved_non = weak_value(sc_non.observable, sc_non.pre, sc_non.post).value
 
-    dp_w = 1.0 / (2.0 * dq_w)
-    q = rec_orth.q_density.coords
-    p = rec_orth.p_density.coords
-    init_q = gaussian_profile(q, dq_w) ** 2
-    init_p = gaussian_profile(p, dp_w) ** 2
-
-    lines = [
-        f"# target_weak_value={target.real:.17g}{target.imag:+.17g}j",
-        f"# achieved_orthogonal={achieved_orth.real:.17g}{achieved_orth.imag:+.17g}j",
-        f"# achieved_nonorthogonal={achieved_non.real:.17g}{achieved_non.imag:+.17g}j",
-        f"# g={args.g:.17g} delta_q={dq_w:.17g}",
-        "q_over_dq,initial_q,orthogonal_q,nonorthogonal_q,"
-        "p_over_dp,initial_p,orthogonal_p,nonorthogonal_p",
+    q, p = rec_orth.q_density.coords, rec_orth.p_density.coords
+    comments = [
+        f"target_weak_value={target.real:.17g}{target.imag:+.17g}j",
+        f"achieved_orthogonal={achieved_orth.real:.17g}{achieved_orth.imag:+.17g}j",
+        f"achieved_nonorthogonal={achieved_non.real:.17g}{achieved_non.imag:+.17g}j",
+        f"g={args.g:.17g} delta_q={dq_w:.17g}",
     ]
-    for i in range(q.size):
-        lines.append(
-            ",".join(
-                (
-                    f"{q[i] / dq_w:.17g}",
-                    f"{init_q[i] * dq_w:.17g}",
-                    f"{rec_orth.q_density.values[i] * dq_w:.17g}",
-                    f"{rec_non.q_density.values[i] * dq_w:.17g}",
-                    f"{p[i] / dp_w:.17g}",
-                    f"{init_p[i] * dp_w:.17g}",
-                    f"{rec_orth.p_density.values[i] * dp_w:.17g}",
-                    f"{rec_non.p_density.values[i] * dp_w:.17g}",
-                )
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    columns = [
+        ("q_over_dq", q / dq_w),
+        ("initial_q", gaussian_profile(q, dq_w) ** 2 * dq_w),
+        ("orthogonal_q", rec_orth.q_density.values * dq_w),
+        ("nonorthogonal_q", rec_non.q_density.values * dq_w),
+        ("p_over_dp", p / dp_w),
+        ("initial_p", gaussian_profile(p, dp_w) ** 2 * dp_w),
+        ("orthogonal_p", rec_orth.p_density.values * dp_w),
+        ("nonorthogonal_p", rec_non.p_density.values * dp_w),
+    ]
+    _emit(_csv(comments, columns), args.out)
     return 0
 
 

@@ -162,7 +162,8 @@ class GaussianPointer:
 class GridPointer:
     """Sampled pointer state: convex mixture of pure branches on one grid.
     ``_tables`` memoizes `_moment_table` (and the series weights built on
-    it), so a pointer pays for each branch's power table once."""
+    it) and the spread sigma_q that pads its `_working_grid`, so a pointer
+    pays for each branch's power table and for its variance once."""
 
     grid: QGrid
     branches: tuple[tuple[float, np.ndarray], ...]
@@ -194,6 +195,18 @@ def gaussian_profile(q, delta_q: float, shift: float = 0.0) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     norm = (2.0 * math.pi * delta_q**2) ** (-0.25)
     return norm * np.exp(-((q - shift) ** 2) / (4.0 * delta_q**2))
+
+
+def _orthogonal_peaks(pointer: PointerState, center: complex) -> tuple | None:
+    """The maxima (peaks_q, peaks_p) of a Gaussian's double-peaked orthogonal
+    profile about ``center`` = g A_ow: g Re A_ow +/- sqrt(2) delta_q and
+    g Im A_ow delta_p^2 +/- sqrt(2) delta_p. None for a grid pointer."""
+    if not isinstance(pointer, GaussianPointer):
+        return None
+    root2 = math.sqrt(2.0)
+    q, p = center.real, center.imag * pointer.var_p
+    return ((q - root2 * pointer.delta_q, q + root2 * pointer.delta_q),
+            (p - root2 * pointer.delta_p, p + root2 * pointer.delta_p))
 
 
 def _next_pow2(n: int) -> int:
@@ -444,8 +457,10 @@ def _working_grid(
     if isinstance(pointer, GaussianPointer):
         grid = default_grid(pointer.delta_q, g, grid_n)
     else:
-        base = pointer.grid
-        sigma = math.sqrt(max(variance_q(pointer), 0.0))
+        base, memo = pointer.grid, pointer._tables
+        if "sigma_q" not in memo:
+            memo["sigma_q"] = math.sqrt(max(variance_q(pointer), 0.0))
+        sigma = memo["sigma_q"]
         pad_cells = (float(np.max(np.abs(shifts))) + 8.0 * sigma) / base.dq
         # A padding beyond the cap stays a float (it may be inf) for the guard.
         n = base.n + 2.0 * pad_cells

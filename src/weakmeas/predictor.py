@@ -18,7 +18,7 @@ series of `oracle.series_device_state` (Nakamura et al., PRA 85, 012113):
   response is governed by the orthogonal weak value and the pointer arrives
   in a distorted (for Gaussians, double-peaked) profile;
   `predict_orthogonal_gaussian` is the same prediction for a Gaussian of a
-  given width.
+  given width (`pointer._orthogonal_peaks` places a Gaussian's peaks).
 - `stern_gerlach_outcome` / `sg_optimum`: the closed-form measured-value
   amplification curve for a spin-1/2 Stern-Gerlach arrangement and its
   analytic optimum.
@@ -35,14 +35,15 @@ the selection kernel and routes once per call, takes the regime errors
 from `weak_values._point_route` and raises every other typed error. The
 forced predictors use the default threshold ORTH_THRESHOLD; another
 threshold is set through `predict` (or a scenario file's
-``orth_threshold`` option).
+``orth_threshold`` option). Every prediction names its regime with one
+vocabulary: ``aav``, ``general`` or ``orthogonal``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +56,7 @@ from .errors import (
     ValidityWarning,
 )
 from .oracle import _series_sums
-from .pointer import GaussianPointer, PointerState, _moment_table, gaussian
+from .pointer import PointerState, _moment_table, _orthogonal_peaks, gaussian
 from .qops import Observable, PostSelection, SystemState
 from .scenario import Scenario
 from .weak_values import (
@@ -223,14 +224,9 @@ def _predict_point(
             var_q_out=float(f.var_q[0]),
             var_p_out=float(f.var_p[0]),
         )
-        if isinstance(pointer, GaussianPointer):
-            root2 = math.sqrt(2.0)
-            q_center = g * float(f.ow[0].real)
-            p_center = g * float(f.ow[0].imag) * pointer.var_p
-            fields["peaks_q"] = (q_center - root2 * pointer.delta_q,
-                                 q_center + root2 * pointer.delta_q)
-            fields["peaks_p"] = (p_center - root2 * pointer.delta_p,
-                                 p_center + root2 * pointer.delta_p)
+        peaks = _orthogonal_peaks(pointer, g * complex(f.ow[0]))
+        if peaks is not None:
+            fields["peaks_q"], fields["peaks_p"] = peaks
     else:
         if regime == "general":
             bracket = float(f.bracket[0])
@@ -331,8 +327,7 @@ def predict_orthogonal_gaussian(
     and ``peaks_q`` / ``peaks_p`` locate the two maxima of the
     double-peaked outgoing profile.
     """
-    pred = _predict_point(obs, pre, post, g, gaussian(delta_q), "orthogonal")
-    return replace(pred, regime="orthogonal-gaussian")
+    return _predict_point(obs, pre, post, g, gaussian(delta_q), "orthogonal")
 
 
 _REGIMES = ("aav", "general", "orthogonal")
@@ -414,9 +409,9 @@ def sg_optimum(lmbda: float) -> tuple[float, float]:
 
     Returns (alpha_opt, outcome_max) with
     alpha_opt = arccos(lambda^2/2 - 1) and
-    outcome_max = 1/sqrt(lambda^2 - lambda^4/4).
+    outcome_max = 1/(lambda sqrt(1 - lambda^2/4)), which does not underflow.
     """
     _check_lambda(lmbda)
     alpha_opt = math.acos(0.5 * lmbda**2 - 1.0)
-    outcome_max = 1.0 / math.sqrt(lmbda**2 - 0.25 * lmbda**4)
+    outcome_max = 1.0 / (lmbda * math.sqrt(1.0 - 0.25 * lmbda**2))
     return alpha_opt, outcome_max

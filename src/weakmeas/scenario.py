@@ -292,6 +292,14 @@ def _target_frame() -> tuple[Observable, np.ndarray]:
     return obs, psi / np.linalg.norm(psi)
 
 
+def _row_scale(target: complex) -> float:
+    """The power of two 2^-(e-1), e the binary exponent of max(|Re w|, |Im w|)
+    clamped at 1, that scales a constraint row: exact, so the row's kernel
+    stays, and w A and w I stay finite for every finite w (abs(w) may not)."""
+    e = math.frexp(max(abs(target.real), abs(target.imag)))[1]
+    return math.ldexp(1.0, 1 - max(e, 1))
+
+
 def _target_scenario(obs, psi, phi, g, delta_q, target, weak) -> Scenario:
     """The target-frame scenario post-selecting ``phi``, checked to realize
     ``target`` through the weak value function ``weak``. The weak value's
@@ -329,7 +337,8 @@ def scenario_with_weak_value(
     """
     target = complex(target)
     obs, psi = _target_frame()
-    constraint = (obs.matrix - target * np.eye(obs.dim)) @ psi
+    scale = _row_scale(target)
+    constraint = (scale * obs.matrix - (scale * target) * np.eye(obs.dim)) @ psi
     rows = np.array([constraint.conj()])
     _, _, vh = np.linalg.svd(rows)
     kernel = vh[1:].conj().T  # columns orthogonal to the constraint row
@@ -354,11 +363,12 @@ def scenario_with_orthogonal_weak_value(
     """
     target = complex(target)
     obs, psi = _target_frame()
+    scale = _row_scale(target)
     a2 = obs.power(2)
     rows = np.array(
         [
             psi.conj(),
-            ((a2 - 2.0 * target * obs.matrix) @ psi).conj(),
+            ((scale * a2 - 2.0 * (scale * target) * obs.matrix) @ psi).conj(),
         ]
     )
     _, _, vh = np.linalg.svd(rows)

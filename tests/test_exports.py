@@ -7,8 +7,8 @@ the functions that take ``orth_threshold`` and the total number of settable
 parameters. The benchmark tracer rebinds
 functions by module and name, so a consolidation that renames or removes one
 would silently break a traced run; the second test catches that here. The
-last test pins the boundary between the oracle's engines and the pointer
-layer: the oracle never asks which kind of pointer it holds.
+last test pins the boundary around the pointer layer: no module but
+`pointer` asks which kind of pointer it holds.
 """
 
 import ast
@@ -109,16 +109,26 @@ POINTER_KINDS = {"GaussianPointer", "GridPointer"}
 
 
 def test_oracle_never_branches_on_the_pointer_kind():
-    path = Path(__file__).resolve().parents[1] / "src" / "weakmeas" / "oracle.py"
-    tree = ast.parse(path.read_text())
+    # Only `pointer` asks which kind of pointer it holds (`__init__`
+    # re-exports the classes): no other module imports either class or
+    # calls isinstance on one.
+    package = Path(__file__).resolve().parents[1] / "src" / "weakmeas"
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    assert {"cli", "oracle", "predictor"} <= set(trees)
     imported = {
         alias.name
-        for node in ast.walk(tree)
+        for node in ast.walk(trees["oracle"])
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "pointer"
         for alias in node.names
     }
     assert imported == ORACLE_POINTER_IMPORTS
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
-            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
-            assert not names & POINTER_KINDS, ast.unparse(node)
+    for module, tree in trees.items():
+        if module in ("pointer", "__init__"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert not names & POINTER_KINDS, (module, ast.unparse(node))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+                assert not names & POINTER_KINDS, (module, ast.unparse(node))

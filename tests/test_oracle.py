@@ -866,6 +866,24 @@ def test_grid_branches_are_transformed_once(monkeypatch):
         assert np.array_equal(getattr(loop, field).values, getattr(rec, field).values), field
 
 
+def test_grid_pointer_spread_is_computed_once(monkeypatch):
+    # Every working grid of a grid pointer is padded by its sigma: the
+    # exact run, the probability and the series size it four times in all
+    # and compute variance_q once.
+    sc = half_overlap_scenario(0.05, _two_branch_pointer())
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return variance_q(state)
+
+    monkeypatch.setattr(pointer, "variance_q", counted)
+    evolve_postselect(sc)
+    success_probability(sc)
+    series_device_state(sc, 8)
+    assert calls == [sc.pointer]
+
+
 def test_slowly_decaying_momentum_is_refused():
     # A box-shaped wavefunction has sinc-like momentum tails that never fit
     # in any finite band: the oracle reports the grid as too small rather

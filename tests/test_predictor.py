@@ -209,7 +209,8 @@ def test_orthogonal_gaussian_peaks():
     g, delta_q = 0.02, 1.0
     sc = scenario_with_orthogonal_weak_value(0.2 + 0.1j, g, delta_q)
     pred = predict_orthogonal_gaussian(sc.observable, sc.pre, sc.post, g, delta_q)
-    assert pred.regime == "orthogonal-gaussian"
+    assert pred.regime == "orthogonal"
+    assert repr(pred) == repr(predict(sc, "orthogonal")) == repr(predict(sc))
     root2 = math.sqrt(2.0)
     delta_p = 1.0 / (2.0 * delta_q)
     qc = g * 0.2
@@ -531,6 +532,9 @@ def test_sg_optimum_is_the_curve_maximum():
         assert outcome_max == pytest.approx(
             1.0 / math.sqrt(lam**2 - 0.25 * lam**4), rel=1e-15
         )
+    # Where lambda^2 - lambda^4/4 would underflow the maximum is still 1/lambda.
+    for lam in (1e-300, 1e-160):
+        assert sg_optimum(lam)[1] * lam == pytest.approx(1.0, abs=1e-15)
 
 
 # --- validity gating -------------------------------------------------------------------

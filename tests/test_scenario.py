@@ -372,7 +372,15 @@ def test_orthogonal_construction_failure_for_unreachable_target():
     # threshold, so the constructor refuses rather than return a scenario
     # whose leading response is numerically meaningless. The weak value's
     # route alone sets that threshold, so targets whose leading response is
-    # small but not zero (3e5..1e7) fail the same way.
-    for target in (3e5, 1e6, 1e7, 1e8):
+    # small but not zero (3e5..1e7) fail the same way, and so do targets
+    # near the float limit, whose constraint row is scaled by a power of two.
+    for target in (3e5, 1e6, 1e7, 1e8, 1e308, -1.7e308, 1e308j):
         with pytest.raises(ConstructionFailure):
             scenario_with_orthogonal_weak_value(target, 0.02)
+
+
+def test_weak_value_construction_failure_at_the_float_limit():
+    # The constraint row is scaled so w I stays finite; a target this large
+    # leaves no post-selection with a usable overlap.
+    with pytest.raises(ConstructionFailure):
+        scenario_with_weak_value(1e308 * (1 + 1j), 0.02)
