@@ -29,14 +29,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
-from .errors import NonPositiveWidth, ParseError, WeakMeasurementError, WidthOutOfRange
+from .errors import ParseError, WeakMeasurementError
 from .oracle import evolve_postselect, series_device_state
 from .pointer import gaussian, gaussian_profile, validate_grid_n
 from .predictor import SGParams, predict, sg_optimum, stern_gerlach_outcome
+from .qops import _parsed
 from .scenario import (
     load_scenario,
     scenario_with_orthogonal_weak_value,
@@ -49,7 +51,12 @@ __all__ = ["build_parser", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
+    """argparse with usage errors mapped to exit code 1 and a value, not a
+    flag, in any token like ``-1e-3``, ``-0.5,0.1`` or ``-.5``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -287,10 +294,7 @@ def _cmd_sterngerlach(args) -> int:
 
 
 def _cmd_figure2(args) -> int:
-    try:
-        pointer = gaussian(args.delta_q)
-    except (NonPositiveWidth, WidthOutOfRange) as exc:
-        raise ParseError(f"--delta_q: {exc}") from exc
+    pointer = _parsed("--delta_q", gaussian, args.delta_q)
     dq_w, dp_w = pointer.delta_q, pointer.delta_p
     target = args.wv
     sc_orth = scenario_with_orthogonal_weak_value(target, args.g, dq_w)

@@ -6,7 +6,9 @@ grid state (optionally a convex mixture of pure branches), for which
 momentum-side quantities use the unitary discrete Fourier pair on the grid
 with the convention dq * dp = 2*pi/n. Everything runs with hbar = 1. How a
 pointer meets a working grid is decided here alone: its frame, translated
-branches, lag tables, power tables and moment table.
+branches, lag tables, power tables and moment table. So is its wire form:
+``type`` names the kind, each kind refuses keys it does not read, and the
+samples are `qops` [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,15 @@ from .errors import (
     UnsupportedOrder,
     WidthOutOfRange,
 )
-from .qops import _frozen, _is_integer, _require_number, vector_from_wire
+from .qops import (
+    _frozen,
+    _is_integer,
+    _parsed,
+    _require_number,
+    _wire_object,
+    matrix_to_wire,
+    vector_from_wire,
+)
 
 __all__ = [
     "QGrid",
@@ -602,56 +612,37 @@ def pointer_to_wire(state: PointerState) -> dict:
         "q_min": state.q_min,
         "dq": state.dq,
         "n": state.n,
-        "branches": [
-            {
-                "weight": w,
-                "samples": [[float(z.real), float(z.imag)] for z in phi],
-            }
-            for w, phi in state.branches
-        ],
+        "branches": [{"weight": w, "samples": matrix_to_wire(phi)} for w, phi in state.branches],
     }
 
 
 def pointer_from_wire(data, path: str = "pointer") -> PointerState:
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected an object")
-    kind = data.get("type")
+    """A pointer from its wire object; the ``type`` key names the kind, and
+    each kind refuses keys of the other."""
+    # Any key passes until the kind, which decides the keys, is known.
+    kind = _wire_object(data, path, ("type",), data)["type"]
     if kind == "gaussian":
-        if "delta_q" not in data:
-            raise ParseError(f"{path}.delta_q: missing")
+        _wire_object(data, path, ("type", "delta_q"))
         delta_q = _require_number(data["delta_q"], f"{path}.delta_q")
-        try:
-            return gaussian(delta_q)
-        except (NonPositiveWidth, WidthOutOfRange) as exc:
-            raise ParseError(f"{path}.delta_q: {exc}") from exc
-    if kind == "grid":
-        for key in ("q_min", "dq", "n", "branches"):
-            if key not in data:
-                raise ParseError(f"{path}.{key}: missing")
-        q_min = _require_number(data["q_min"], f"{path}.q_min")
-        dq = _require_number(data["dq"], f"{path}.dq")
-        n = data["n"]
-        if not _is_integer(n):
-            raise ParseError(f"{path}.n: expected an integer, got {n!r}")
-        try:
-            _check_grid_size(n)
-        except (ValueError, EmptyGrid) as exc:
-            raise ParseError(f"{path}.n: {exc}") from exc
-        raw_branches = data["branches"]
-        if not isinstance(raw_branches, list) or not raw_branches:
-            raise ParseError(f"{path}.branches: expected a nonempty array")
-        branches = []
-        for i, entry in enumerate(raw_branches):
-            if not isinstance(entry, dict) or "weight" not in entry or "samples" not in entry:
-                raise ParseError(
-                    f"{path}.branches[{i}]: expected an object with weight and samples"
-                )
-            weight = _require_number(entry["weight"], f"{path}.branches[{i}].weight")
-            samples = vector_from_wire(entry["samples"], f"{path}.branches[{i}].samples")
-            branches.append((weight, samples))
-        try:
-            return grid_state(q_min, dq, n, branches)
-        except (ValueError, EmptyGrid, GridTooSmall) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    raise ParseError(f"{path}.type: expected 'gaussian' or 'grid', got {kind!r}")
-
+        return _parsed(f"{path}.delta_q", gaussian, delta_q)
+    if kind != "grid":
+        raise ParseError(f"{path}.type: expected 'gaussian' or 'grid', got {kind!r}")
+    _wire_object(data, path, ("type", "q_min", "dq", "n", "branches"))
+    q_min = _require_number(data["q_min"], f"{path}.q_min")
+    dq = _require_number(data["dq"], f"{path}.dq")
+    n = data["n"]
+    if not _is_integer(n):
+        raise ParseError(f"{path}.n: expected an integer, got {n!r}")
+    _parsed(f"{path}.n", _check_grid_size, n)
+    raw_branches = data["branches"]
+    if not isinstance(raw_branches, list) or not raw_branches:
+        raise ParseError(f"{path}.branches: expected a nonempty array")
+    branches = []
+    for i, entry in enumerate(raw_branches):
+        at = f"{path}.branches[{i}]"
+        _wire_object(
+            entry, at, ("weight", "samples"), (), "expected an object with weight and samples"
+        )
+        weight = _require_number(entry["weight"], f"{at}.weight")
+        branches.append((weight, vector_from_wire(entry["samples"], f"{at}.samples")))
+    return _parsed(path, grid_state, q_min, dq, n, branches)

@@ -408,10 +408,11 @@ def sg_optimum(lmbda: float) -> tuple[float, float]:
     """Analytic optimum of the Stern-Gerlach outcome curve over alpha.
 
     Returns (alpha_opt, outcome_max) with
-    alpha_opt = arccos(lambda^2/2 - 1) and
+    alpha_opt = arccos(lambda^2/2 - 1) = pi - 2 arcsin(lambda/2), the form
+    that keeps its digits at small lambda, and
     outcome_max = 1/(lambda sqrt(1 - lambda^2/4)), which does not underflow.
     """
     _check_lambda(lmbda)
-    alpha_opt = math.acos(0.5 * lmbda**2 - 1.0)
+    alpha_opt = math.pi - 2.0 * math.asin(0.5 * lmbda)
     outcome_max = 1.0 / (lmbda * math.sqrt(1.0 - 0.25 * lmbda**2))
     return alpha_opt, outcome_max

@@ -9,6 +9,11 @@ their arrays are defensive copies with the writeable flag cleared.
 Every selection trace tr(P A^m rho A^l), weak value and overlap tr(P rho)
 of the package is read from one kernel, `_selection_kernel`; `overlap` is
 its batch of one.
+
+The wire section holds the matrix codecs and the two helpers every reader
+of outside input goes through: `_wire_object`, the one key check of a wire
+object, and `_parsed`, the one place a constructor's refusal becomes a
+ParseError naming its key.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitian, ParseError, ZeroOperator
+from .errors import DimensionMismatch, NonHermitian, ParseError, WeakMeasurementError, ZeroOperator
 
 __all__ = [
     "Observable",
@@ -372,6 +377,33 @@ def overlap(post: PostSelection, pre: SystemState) -> float:
 # Complex matrices cross process boundaries as row-major nested arrays whose
 # entries are [real, imag] pairs of IEEE-754 doubles in decimal text. The
 # format round-trips bit-exactly through Python's json module.
+
+def _wire_object(data, path: str, required=(), optional=(), expected="expected an object"):
+    """The one key check: ``data`` if it is a dict with every ``required``
+    key and no key outside ``required`` and ``optional``, else a ParseError
+    naming ``path`` (``expected``), its first unknown key or a missing one."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: {expected}")
+    unknown = sorted(key for key in data if key not in required and key not in optional)
+    if unknown:
+        raise ParseError(f"{path}: unknown key {unknown[0]!r}")
+    for key in required:
+        if key not in data:
+            raise ParseError(f"{path}.{key}: missing")
+    return data
+
+
+def _parsed(path: str, build, *args, **kwargs):
+    """The one rewrap: ``build(*args, **kwargs)``, its refusal (a
+    WeakMeasurementError or ValueError) raised as a ParseError naming
+    ``path``; a ParseError, which names its own key, passes through."""
+    try:
+        return build(*args, **kwargs)
+    except ParseError:
+        raise
+    except (WeakMeasurementError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
 
 def matrix_to_wire(m) -> list:
     arr = np.asarray(m, dtype=complex)

@@ -16,10 +16,13 @@ scenario is a JSON object::
       "options": {"grid_n": ..., "series_order": ..., "orth_threshold": ...}
     }
 
-Observables are normalized at parse time and the coupling rescaled by the
-spectral norm, so files may state the observable in any overall scale.
-Serializing an in-memory scenario writes the normalized form, which makes a
-serialize/parse cycle reproduce every complex entry bit-for-bit.
+Every object refuses keys it does not read (`qops._wire_object`), and
+every refusal names its key: a constructor's own check becomes a ParseError
+in `qops._parsed`. Observables are normalized at parse time and the
+coupling rescaled by the spectral norm, so files may state the observable
+in any overall scale. Serializing an in-memory scenario writes the
+normalized form, which makes a serialize/parse cycle reproduce every
+complex entry bit-for-bit.
 """
 
 from __future__ import annotations
@@ -30,13 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstructionFailure,
-    HigherOrderOrthogonality,
-    OrderTooLarge,
-    ParseError,
-    WeakMeasurementError,
-)
+from .errors import ConstructionFailure, HigherOrderOrthogonality, OrderTooLarge
 from .pointer import (
     PointerState,
     gaussian,
@@ -50,7 +47,9 @@ from .qops import (
     SystemState,
     _check_dims,
     _is_integer,
+    _parsed,
     _require_number,
+    _wire_object,
     density_state,
     matrix_from_wire,
     matrix_to_wire,
@@ -82,8 +81,9 @@ class ScenarioOptions:
     """Optional numerical controls carried alongside a scenario file.
 
     Every option that is set is checked by its validator when the options
-    are built (ValueError, or OrderTooLarge for the series order), so
-    `scenario_to_wire` never writes options its parser refuses.
+    are built (ValueError, or OrderTooLarge for the series order) and kept
+    as the int or float it returns, so `scenario_to_wire` writes them as
+    they are and never writes options its parser refuses.
     """
 
     grid_n: int | None = None
@@ -94,7 +94,7 @@ class ScenarioOptions:
         for name, check in _OPTION_CHECKS.items():
             value = getattr(self, name)
             if value is not None:
-                check(value)
+                object.__setattr__(self, name, check(value))
 
     def any_set(self) -> bool:
         return any(v is not None for v in (self.grid_n, self.series_order, self.orth_threshold))
@@ -146,7 +146,7 @@ def make_scenario(observable, pre, post, g: float, pointer: PointerState) -> Sce
 
 # --- wire format -----------------------------------------------------------
 
-_TOP_KEYS = {"observable", "pre_state", "post_projector", "g", "pointer", "options"}
+_REQUIRED_KEYS = ("observable", "pre_state", "post_projector", "g", "pointer")
 
 
 def validate_series_order(order) -> int:
@@ -168,17 +168,10 @@ _OPTION_CHECKS = {
 
 
 def _parse_options(data, path: str) -> ScenarioOptions:
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected an object")
-    unknown = set(data) - _OPTION_CHECKS.keys()
-    if unknown:
-        raise ParseError(f"{path}: unknown key {sorted(unknown)[0]!r}")
+    _wire_object(data, path, optional=_OPTION_CHECKS)
     # Built one option at a time, so a refusal names its key.
     for key in _OPTION_CHECKS:
-        try:
-            ScenarioOptions(**{key: data.get(key)})
-        except (ValueError, OrderTooLarge) as exc:
-            raise ParseError(f"{path}.{key}: {exc}") from exc
+        _parsed(f"{path}.{key}", ScenarioOptions, **{key: data.get(key)})
     return ScenarioOptions(**data)
 
 
@@ -195,60 +188,30 @@ def _looks_like_matrix(data) -> bool:
 def _selection_from_wire(data, path: str, from_vector, from_matrix):
     """A pre- or post-selection from its wire vector or matrix; a refusal
     becomes a ParseError naming ``path``."""
-    try:
-        if _looks_like_matrix(data):
-            return from_matrix(matrix_from_wire(data, path))
-        return from_vector(vector_from_wire(data, path))
-    except ParseError:
-        raise
-    except (WeakMeasurementError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    if _looks_like_matrix(data):
+        return _parsed(path, from_matrix, matrix_from_wire(data, path))
+    return _parsed(path, from_vector, vector_from_wire(data, path))
 
 
 def parse_scenario(obj, path: str = "scenario") -> tuple[Scenario, ScenarioOptions]:
     """Parse a scenario wire object; errors name the offending key."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    unknown = set(obj) - _TOP_KEYS
-    if unknown:
-        raise ParseError(f"{path}: unknown key {sorted(unknown)[0]!r}")
-    for key in ("observable", "pre_state", "post_projector", "g", "pointer"):
-        if key not in obj:
-            raise ParseError(f"{path}.{key}: missing required key")
-
-    obs_mat = matrix_from_wire(obj["observable"], f"{path}.observable")
-    try:
-        obs = new_observable(obs_mat)
-    except (WeakMeasurementError, ValueError) as exc:
-        raise ParseError(f"{path}.observable: {exc}") from exc
-
+    _wire_object(obj, path, _REQUIRED_KEYS, ("options",), "expected a JSON object")
+    obs_path = f"{path}.observable"
+    obs = _parsed(obs_path, new_observable, matrix_from_wire(obj["observable"], obs_path))
     pre = _selection_from_wire(obj["pre_state"], f"{path}.pre_state", pure_state, density_state)
     post = _selection_from_wire(
         obj["post_projector"], f"{path}.post_projector", projector_onto, projector
     )
     g_raw = _require_number(obj["g"], f"{path}.g")
     pointer = pointer_from_wire(obj["pointer"], f"{path}.pointer")
-    options = (
-        _parse_options(obj["options"], f"{path}.options")
-        if "options" in obj
-        else ScenarioOptions()
-    )
-    try:
-        sc = Scenario(
-            observable=obs, pre=pre, post=post, g=g_raw * obs.scale, pointer=pointer
-        )
-    except (WeakMeasurementError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return sc, options
+    options = _parse_options(obj.get("options", {}), f"{path}.options")
+    return _parsed(path, Scenario, obs, pre, post, g_raw * obs.scale, pointer), options
 
 
 def load_scenario(path: str) -> tuple[Scenario, ScenarioOptions]:
     """Load a scenario JSON file."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        obj = _parsed(f"{path}: invalid JSON", json.load, fh)
     return parse_scenario(obj, path=path)
 
 
@@ -262,14 +225,7 @@ def scenario_to_wire(sc: Scenario, options: ScenarioOptions | None = None) -> di
         "pointer": pointer_to_wire(sc.pointer),
     }
     if options is not None and options.any_set():
-        opts = {}
-        if options.grid_n is not None:
-            opts["grid_n"] = int(options.grid_n)
-        if options.series_order is not None:
-            opts["series_order"] = int(options.series_order)
-        if options.orth_threshold is not None:
-            opts["orth_threshold"] = float(options.orth_threshold)
-        out["options"] = opts
+        out["options"] = {key: value for key, value in vars(options).items() if value is not None}
     return out
 
 

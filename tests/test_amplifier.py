@@ -46,6 +46,7 @@ from weakmeas.errors import (
     LambdaOutOfRange,
     NotUnimodal,
     ValidityWarning,
+    ZeroPostSelectionProbability,
 )
 
 from weakmeas.oracle import _exact_scalars
@@ -350,6 +351,13 @@ def test_optimizer_reports_non_unimodal_bracket():
     # endpoint.
     with pytest.raises(NotUnimodal):
         find_optimum(sg_family(0.2), (0.2, 1.2), "measured", "predicted")
+
+
+def test_optimizer_reports_an_objective_undefined_everywhere():
+    # Commuting orthogonal selections never succeed, so the search ends on a
+    # parameter where the objective is undefined, and says so.
+    with pytest.raises(ZeroPostSelectionProbability, match="undefined at the located"):
+        find_optimum(lambda x: commuting_orthogonal(0.02), (0.0, 1.0))
 
 
 def test_family_validation():

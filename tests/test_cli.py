@@ -296,10 +296,11 @@ def test_tiny_gaussian_width_exits_one_without_traceback(tmp_path, width):
         assert f".pointer.delta_q: delta_q = {width!r} is outside" in proc.stderr
 
 
-@pytest.mark.parametrize("width", ["0", "-1", "1e-300", "1e300"])
+@pytest.mark.parametrize("width", ["0", "-1", "1e-300", "1e300", "-1e-3"])
 def test_figure2_refuses_a_width_by_its_flag(capsys, width):
     # The width goes through the pointer's own check. 1e-300 and 1e300 once
-    # exited 2 with a width-out-of-range JSON error on stdout.
+    # exited 2 with a width-out-of-range JSON error on stdout, and -1e-3 was
+    # taken for a flag ("expected one argument").
     argv = ["figure2", "--wv", "0.2,0.1", "--g", "0.1", "--delta_q", width]
     code, out, err = _run(capsys, argv)
     assert code == 1
@@ -336,6 +337,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert code == 1
     assert "bogus" in err
 
+    wire = scenario_to_wire(half_overlap_scenario(0.01))
+    wire["pointer"]["widht"] = 3
+    stray.write_text(json.dumps(wire))
+    code, _, err = _run(capsys, ["exact", str(stray)])
+    assert code == 1
+    assert err.endswith(".pointer: unknown key 'widht'\n")
+
     code, _, err = _run(capsys, ["figure2", "--wv", "abc", "--g", "0.1"])
     assert code == 1
     code, _, err = _run(capsys, ["figure2", "--wv", "0.2,0.1", "--g", "0.1", "--delta_q", "-1"])
@@ -346,6 +354,20 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     path = _write_scenario(tmp_path, half_overlap_scenario(0.01))
     assert _run(capsys, ["predict", path, "--grid-n", "4096"])[0] == 1
     assert _run(capsys, ["sterngerlach", "--grid-n", "4096"])[0] == 1
+
+
+def test_negative_flag_values_in_any_number_form(capsys):
+    # A value that starts with a minus and a digit is a value, not a flag,
+    # in comma and exponent form too; this overrides a private argparse
+    # attribute, so a Python upgrade that breaks it fails here.
+    fig = ["figure2", "--g", "0.05"]
+    code, out, _ = _run(capsys, [*fig, "--wv", "-0.5,0.1"])
+    assert code == 0
+    assert (code, out) == _run(capsys, [*fig, "--wv=-0.5,0.1"])[:2]
+    assert _run(capsys, ["figure2", "--wv", "2,0", "--g", "-1e-3"])[0] == 0
+    code, out, err = _run(capsys, ["figure2", "--wv", "2,0", "--g", "-x"])
+    assert (code, out) == (1, "")
+    assert "--g: expected one argument" in err
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,9 @@ the functions that take ``orth_threshold`` and the total number of settable
 parameters. The benchmark tracer rebinds
 functions by module and name, so a consolidation that renames or removes one
 would silently break a traced run; the second test catches that here. The
-last test pins the boundary around the pointer layer: no module but
-`pointer` asks which kind of pointer it holds.
+last two tests pin boundaries in the source: no module but `pointer` asks
+which kind of pointer it holds, and no function but `qops._parsed` turns a
+refusal into a ParseError.
 """
 
 import ast
@@ -132,3 +133,39 @@ def test_oracle_never_branches_on_the_pointer_kind():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
                 names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
                 assert not names & POINTER_KINDS, (module, ast.unparse(node))
+
+
+def _rewrapping_handlers(tree):
+    """The except handlers in ``tree`` that raise a new ParseError."""
+    return [
+        handler
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler)
+        and any(
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "ParseError"
+            for node in ast.walk(handler)
+        )
+    ]
+
+
+def test_only_one_function_rewraps_a_refusal_as_a_parse_error():
+    # Outside input is refused by the constructors' own checks; the one
+    # place that turns such a refusal into a ParseError naming the key is
+    # `qops._parsed`.
+    package = Path(__file__).resolve().parents[1] / "src" / "weakmeas"
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    found = {
+        (module, handler.lineno)
+        for module, tree in trees.items()
+        for handler in _rewrapping_handlers(tree)
+    }
+    allowed = {
+        ("qops", handler.lineno)
+        for node in ast.walk(trees["qops"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_parsed"
+        for handler in _rewrapping_handlers(node)
+    }
+    assert found == allowed
+    assert len(allowed) == 1

@@ -371,6 +371,16 @@ def test_series_divergence_detected():
     # (about 8.7, 278, 414 over orders 1-3) and the truncation refuses.
     with pytest.raises(SeriesDiverging, match="at order 3"):
         _quiet_series(_near_orthogonal(2.0), 12)
+    # A weak value 1 - 6i on a pointer with <p> = 1 (a Gaussian times e^(iq)):
+    # the order-1 normalization 1 + 2 g <p> Im A_w is -0.2 at g = 0.1, and
+    # the series refuses it; order 2 is positive again.
+    n = 4096
+    q = -16.0 + (32.0 / n) * np.arange(n)
+    pt = grid_state(-16.0, 32.0 / n, n, [(1.0, gaussian_profile(q, 1.0) * np.exp(1j * q))])
+    sc = make_scenario(SIGMA_Z, [1.0, 1.0], [1.0, -0.9 - 0.3j], 0.1, pt)
+    with pytest.raises(SeriesDiverging, match="truncated normalization -2.000e-01"):
+        _quiet_series(sc, 1)
+    assert _quiet_series(sc, 2).success_prob > 0.0
 
 
 def test_series_converges_near_orthogonality_at_a_moderate_coupling():
@@ -795,6 +805,17 @@ def test_grid_n_floor_is_respected():
     assert rec.q_density.coords.size == 8192
     with pytest.raises(ValueError):
         evolve_postselect(sc, grid_n=100)  # not a power of two
+    # A grid pointer's working grid (8192 points here) grows to the floor
+    # at its own dq, and the statistics stay those of the default grid.
+    sc = half_overlap_scenario(0.05, skewed_pointer(1.0, half_span=16.0))
+    fields = ("success_prob", "delta_q", "delta_p", "var_q_out", "var_p_out")
+    for run in (evolve_postselect, lambda sc, **kw: _quiet_series(sc, 8, **kw)):
+        ref, rec = run(sc), run(sc, grid_n=65536)
+        assert rec.q_density.coords.size == 65536
+        assert rec.q_density.spacing == ref.q_density.spacing
+        for name in fields:
+            assert abs(getattr(rec, name) - getattr(ref, name)) <= 1e-13, name
+    assert abs(success_probability(sc, grid_n=65536) - success_probability(sc)) <= 1e-13
 
 
 def test_series_is_accurate_at_a_moderate_coupling():

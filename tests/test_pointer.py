@@ -366,6 +366,19 @@ def test_pointer_wire_parse_errors_name_the_key():
     for delta_q in ("2", True, math.inf):
         with pytest.raises(ParseError, match=r"pointer\.delta_q: expected a"):
             pointer_from_wire({"type": "gaussian", "delta_q": delta_q})
+    # Each kind refuses a key it does not read, the other kind's included.
+    unknown = [
+        ({"type": "gaussian", "delta_q": 1.0, "widht": 3}, r"pointer: unknown key 'widht'"),
+        ({"type": "gaussian", "delta_q": 1.0, "n": 64}, r"pointer: unknown key 'n'"),
+        ({**valid, "delta_q": 1.0}, r"pointer: unknown key 'delta_q'"),
+        (
+            {**valid, "branches": [{**branch, "phase": 0.0}]},
+            r"pointer\.branches\[0\]: unknown key 'phase'",
+        ),
+    ]
+    for wire, match in unknown:
+        with pytest.raises(ParseError, match=match):
+            pointer_from_wire(wire)
 
 
 def test_grid_pointer_size_is_refused_before_allocating():

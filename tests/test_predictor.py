@@ -535,6 +535,11 @@ def test_sg_optimum_is_the_curve_maximum():
     # Where lambda^2 - lambda^4/4 would underflow the maximum is still 1/lambda.
     for lam in (1e-300, 1e-160):
         assert sg_optimum(lam)[1] * lam == pytest.approx(1.0, abs=1e-15)
+    # At small lambda alpha_opt = pi - 2 asin(lambda/2) is pi - lambda to
+    # rounding (the difference is about lambda^3/24); acos(lambda^2/2 - 1)
+    # lost those digits and read exactly pi from about lambda = 1e-8.
+    for lam in (1e-5, 1e-7, 1e-8):
+        assert sg_optimum(lam)[0] == pytest.approx(math.pi - lam, abs=1e-15)
 
 
 # --- validity gating -------------------------------------------------------------------
