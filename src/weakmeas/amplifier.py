@@ -8,10 +8,10 @@ parameter maximizing it by Brent's method. The exact engine is the pair
 kernel `oracle._exact_stacked` for every pointer (no grid size is taken,
 and the grid oracle never runs). The predicted engine is `predict`'s
 stacked kernel, routed like `predict` by `weak_values._route` at
-ORTH_THRESHOLD: the order-2 series of `predictor.predict_general` above
-the orthogonality threshold and the orthogonal series of
-`predictor.predict_orthogonal` at or below it (any pointer, boosted ones
-included), each with its predicted success probability. The canonical family is the
+ORTH_THRESHOLD: one series call per stack, the order 2 of
+`predictor.predict_general` above the orthogonality threshold and the
+order 3 of `predictor.predict_orthogonal` at or below it (any pointer,
+boosted ones included), each with its predicted success probability. The canonical family is the
 Stern-Gerlach arrangement `sg_family`, whose measured-value curve has the
 known analytic optimum `sg_optimum`.
 
@@ -144,7 +144,7 @@ class _Evaluator:
         margin, frame = self._group_frame(scenarios[0])
         g = scenarios[0].g
         if self.engine == "predicted":
-            _, b = _scenario_selections(scenarios, 2)
+            _, b = _scenario_selections(scenarios, 3)
             fields = _predict_stacked(scenarios[0].pointer, g, _route(b, ORTH_THRESHOLD))
             success = np.where(np.isnan(fields.success), 0.0, fields.success)
             delta_q, delta_p = fields.delta_q, fields.delta_p

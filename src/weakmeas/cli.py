@@ -223,15 +223,9 @@ def _prediction_payload(pred) -> dict:
     }
 
 
-def _load(path: str) -> tuple:
-    """(scenario, options, orthogonality threshold) of a scenario file; the
-    threshold is the file's, else ORTH_THRESHOLD."""
-    sc, options = load_scenario(path)
-    return sc, options, options.orth_threshold or ORTH_THRESHOLD
-
-
 def _cmd_predict(args) -> int:
-    sc, _, orth = _load(args.scenario)
+    sc, options = load_scenario(args.scenario)
+    orth = options.orth_threshold or ORTH_THRESHOLD
     _emit_json(_prediction_payload(predict(sc, args.regime, orth_threshold=orth)), args.out)
     return 0
 
@@ -255,7 +249,7 @@ def _record_payload(rec) -> dict:
 
 
 def _cmd_exact(args) -> int:
-    sc, options, orth = _load(args.scenario)
+    sc, options = load_scenario(args.scenario)
     grid_n = args.grid_n if args.grid_n is not None else options.grid_n
     rec = evolve_postselect(sc, grid_n=grid_n)
     payload = _record_payload(rec)
@@ -264,7 +258,7 @@ def _cmd_exact(args) -> int:
         args.series_order if args.series_order is not None else options.series_order
     )
     if series_order is not None:
-        srec = series_device_state(sc, series_order, grid_n=grid_n, orth_threshold=orth)
+        srec = series_device_state(sc, series_order, grid_n=grid_n)
         payload["series"] = _record_payload(srec)
         payload["series"].update(order=srec.series_order, tail_estimate=srec.tail_estimate)
     if args.densities is not None:

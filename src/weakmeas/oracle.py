@@ -19,26 +19,28 @@ stack of points sharing the observable, g and the pointer.
 pointer it holds: `pointer` lays it on the grid.
 
 `series_device_state` instead truncates the Dyson expansion of the same
-quantity at a chosen order, with every term expressed through generalized
-(or, for orthogonal selections, orthogonal) weak values read from one
-trace table of the kernel, making the successive-approximation structure
-of the predictor formulas directly observable. Both regimes run one
-expansion; the side, the threshold check and the conditioning denominator
-come from `weak_values._route`, as for `predict`. Every order, order 0
-included, comes from one coefficient list (`_series_coefficients`) that
-feeds both densities, and each conjugate pair of cross terms is formed
-once. Real rows of the power table (`pointer._power_table`: a Gaussian's
-Hermite functions p^a phi / i^a in units of its width) leave the phase
-i^a to the coefficients, so each cross term is one real product; complex
-rows (a grid pointer's masked spectrum) take the complex one. The series
-normalizes by its own truncated density, as the grid oracle does, and
-refuses a bad order, grid size or regime before it allocates the grid.
+quantity at a chosen order, with every term expressed through the raw
+selection traces tr(P A^m rho A^l) of one trace table of the kernel,
+making the successive-approximation structure of the predictor formulas
+directly observable. The traces are divided by no denominator, so one
+expansion holds on both sides of the orthogonality threshold and the
+series takes no route: the terms that carry b_0 = <f|psi> simply vanish
+with it. Every order, order 0 included, comes from one coefficient list
+(`_series_coefficients`) that feeds both densities, and each conjugate
+pair of cross terms is formed once. Real rows of the power table
+(`pointer._power_table`: a Gaussian's Hermite functions p^a phi / i^a in
+units of its width) leave the phase i^a to the coefficients, so each
+cross term is one real product; complex rows (a grid pointer's masked
+spectrum) take the complex one. The truncated density's integral is the
+success probability, and the series normalizes by it, as the grid oracle
+does; a bad order or grid size is refused before the grid is allocated.
 `_series_sums` integrates the same coefficients against the pointer's
 moment table: the scalars without a grid, which the predictors truncate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -70,15 +72,7 @@ from .pointer import (
 )
 from .qops import _frozen, _selection_kernel, _selection_traces
 from .scenario import Scenario, validate_series_order
-from .weak_values import (
-    ORTH_THRESHOLD,
-    _moment_amplitudes,
-    _point_route,
-    _route,
-    _series_coefficients,
-    _series_rows,
-    weak_interaction_margin,
-)
+from .weak_values import weak_interaction_margin
 
 __all__ = [
     "PROB_FLOOR",
@@ -287,77 +281,91 @@ def success_probability(sc: Scenario, grid_n: int | None = None) -> float:
     return 0.0 if n_total < PROB_FLOOR else min(n_total, 1.0)
 
 
-def _series_sums(
-    pointer: PointerState, t: np.ndarray, side: int, denom, g: float, order: int
-) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _series_rows(order: int) -> tuple[np.ndarray, ...]:
+    """The rows (n, k), k <= n/2, n <= order, of `_series_coefficients`, as
+    read-only arrays: n, k, each order's first row, n! and the pair weight
+    (2 for k < n/2, 1 for k = n/2) times (-1)^k C(n, k)."""
+    n, k = np.array([(i, j) for i in range(order + 1) for j in range(i // 2 + 1)]).T
+    signed = [(1 + (2 * j < i)) * (-1) ** j * math.comb(i, j) for i, j in zip(n, k)]
+    rows = (n, k, np.flatnonzero(k == 0), [math.factorial(i) for i in n], np.array(signed, float))
+    return tuple(_frozen(row) for row in rows)
+
+
+def _series_coefficients(t: np.ndarray, g: float, order: int) -> np.ndarray:
+    """Every order's coefficient list up to ``order`` from the raw traces
+    t[m, l] = tr(P A^m rho A^l) of one point, or of B on the last axis,
+    rows as `_series_rows`. Order n's terms are
+    a[k] = (-i g)^n/n! (-1)^k C(n, k) t[n-k, k]; as t[l, m] = t[m, l]^*,
+    a[n-k] = a[k]^*, so each conjugate pair (k, n-k) is one row, 2 a[k],
+    and the middle term k = n/2 another. An overflowing g gives inf or NaN."""
+    n, k, _, factorial, signed = _series_rows(order)
+    shape = (-1, *[1] * (np.ndim(t) - 2))
+    coeff = (np.complex128(-1j * g) ** n / factorial).reshape(shape)
+    return coeff * (signed.reshape(shape) * t[n - k, k])
+
+
+def _series_sums(pointer: PointerState, t: np.ndarray, g: float, order: int) -> np.ndarray:
     """The series' scalars without a grid: per-order increments
     (Z, Q_1, Q_2, P_1, P_2), shape (order + 1, 5, B), for B points sharing
     the pointer and g. Order n's densities integrate against q^j to
-    Q_j = Re sum_k a[k] M[k+s, j, n-k+s] (Z = Q_0) and against p^j to
-    P_j = Re(sum_k a[k]) <p^(n+2s+j)>, over the rows a of
+    Q_j = Re sum_k a[k] M[k, j, n-k] (Z = Q_0) and against p^j to
+    P_j = Re(sum_k a[k]) <p^(n+j)>, over the rows a of
     `_series_coefficients` (a pair's row stands for both its terms, M being
-    Hermitian) and the pointer's `_moment_table` M; summed, N = lead Z,
+    Hermitian) and the pointer's `_moment_table` M; summed, N = Z,
     <q> = Q_1/Z and var q = Q_2/Z - <q>^2 (Nakamura, Nishizawa & Fujimoto,
-    PRA 85, 012113 (2012)). An overflowing coefficient makes all sums NaN."""
-    a = _series_coefficients(t, side, denom, g, order)
-    a = a.reshape(a.shape[0], -1)
-    sums = _series_weights(pointer, order, side) @ np.concatenate([a.real, a.imag])
-    return sums.reshape(order + 1, 5, -1)
+    PRA 85, 012113 (2012)). Each order sums its own rows, so a coefficient
+    that overflows makes only its own order's sums NaN."""
+    a = _series_coefficients(t, g, order)
+    terms = (_series_weights(pointer, order)[:, :, None] * a.reshape(a.shape[0], 1, -1)).real
+    return np.add.reduceat(terms, _series_rows(order)[2], axis=0)
 
 
-def _series_weights(pointer: PointerState, order: int, side: int) -> np.ndarray:
-    """[Re W, -Im W] with Re(W @ a) = `_series_sums` for coefficient rows a:
-    each order's rows against M[k+s, j, n-k+s] and <p^(n+2s+j)>, memoized
-    on the pointer."""
-    memo = pointer._tables
-    if (order, side) not in memo:
+def _series_weights(pointer: PointerState, order: int) -> np.ndarray:
+    """W[row, :] with Re(W a) the row's share of `_series_sums`: its
+    M[k, j, n-k] and <p^(n+j)>, memoized on the pointer."""
+    memo, key = pointer._tables, ("series", order)
+    if key not in memo:
         n, k = _series_rows(order)[:2]
-        table = _moment_table(pointer, max(TABLE_POWER, order + side, (order + 2 * side + 3) // 2))
-        powers = n[:, None] + (2 * side + 1, 2 * side + 2)
-        weights = np.zeros((order + 1, 5, n.size), dtype=complex)
-        weights[n, :3, np.arange(n.size)] = table[k + side, :, n - k + side]
-        weights[n, 3:, np.arange(n.size)] = table[powers // 2, 0, powers - powers // 2]
-        weights = weights.reshape(-1, n.size)
-        memo[order, side] = _frozen(np.concatenate([weights.real, -weights.imag], axis=1))
-    return memo[order, side]
+        # Size >= order and >= TABLE_POWER (4) holds <p^(order+2)> as well.
+        table = _moment_table(pointer, max(TABLE_POWER, order))
+        powers = n[:, None] + (1, 2)
+        weights = np.empty((n.size, 5), dtype=complex)
+        weights[:, :3] = table[k, :, n - k]
+        weights[:, 3:] = table[powers // 2, 0, powers - powers // 2]
+        memo[key] = _frozen(weights)
+    return memo[key]
 
 
-def series_device_state(
-    sc: Scenario, order: int, grid_n: int | None = None, *, orth_threshold: float = ORTH_THRESHOLD
-) -> MeasurementRecord:
+def series_device_state(sc: Scenario, order: int, grid_n: int | None = None) -> MeasurementRecord:
     """Pointer record from the weak-value expansion truncated at ``order``.
 
     Order n has one coefficient list a[k] = (-i g)^n/n! (-1)^k C(n, k)
-    W(n-k, k), with W the generalized weak values, or for orthogonal
-    selections (s = 1, one extra momentum operator on each side) the
-    orthogonal ones. The position density gains Re sum_k a[k] p^(n-k+s) phi
-    (p^(k+s) phi)^*, each conjugate pair (k, n-k) formed once, and
-    Re sum_k a[k] is the momentum polynomial's coefficient of p^(n+2s).
-    Like `evolve_postselect`, the record is conditioned on its own trace:
-    the truncated position density's integral N_t divides both densities,
-    and the success probability is the leading denominator (tr(P rho), or
-    g^2 tr(P A rho A)) times N_t. The terms run in the unit of the power
-    table (`pointer._power_table`; a Gaussian's width, so that nothing
+    t[n-k, k] over the raw selection traces t[m, l] = tr(P A^m rho A^l),
+    divided by no denominator, so one expansion serves orthogonal and
+    non-orthogonal selections alike. The position density gains
+    Re sum_k a[k] p^(n-k) phi (p^k phi)^*, each conjugate pair (k, n-k)
+    formed once, and Re sum_k a[k] is the momentum polynomial's coefficient
+    of p^n. The truncated position density's integral is the success
+    probability and, as in `evolve_postselect`, divides both densities.
+    Where the leading traces vanish (b_0 = <f|psi> = 0 for orthogonal
+    selections), so do the first orders, and ``tail_estimate`` is O(1) at
+    the selection's first nonzero order. The terms run in the unit of the
+    power table (`pointer._power_table`; a Gaussian's width, so that nothing
     overflows), with coupling g / unit and momenta unit p.
 
-    Every refusal comes before the working grid is allocated: the order,
-    then ``grid_n``, then the regime, routed like `predict`
-    (`weak_values._route`): ``orth_threshold`` must lie in (0, 1), and
-    orthogonal selections whose leading response tr(P A rho A) vanishes too
-    raise HigherOrderOrthogonality. Then the validity warning reads the
-    pointer moments, and only then can the frame raise
-    GridTooSmall. Raises SeriesDiverging when the per-order density terms
-    stop decreasing (or the truncated normalization is not positive) -- the
-    expansion is then meaningless at this coupling.
+    The order and then ``grid_n`` are refused before the working grid is
+    allocated; then the validity warning reads the pointer moments, and
+    only then can the frame raise GridTooSmall. Raises SeriesDiverging when
+    the per-order density terms stop decreasing or the truncated probability
+    is negative -- the expansion is then meaningless at this coupling -- and
+    ZeroPostSelectionProbability, as `evolve_postselect` does, when it is
+    not above PROB_FLOOR.
     """
     order = validate_series_order(order)
     validate_grid_n(grid_n)
     # One trace table t[m, l] = tr(P A^m rho A^l) serves every order.
-    # Orthogonal selections put one momentum operator on each side (side = 1)
-    # and condition on g^2 tr(P A rho A) instead of tr(P rho). The route
-    # refuses before any pointer moment or grid work.
-    b = _moment_amplitudes(sc.observable, sc.pre, sc.post, order + 1)
-    _, t, side, denom = _point_route(_route(b, orth_threshold), orth_threshold)
+    t = _selection_traces(_scenario_selections([sc], order)[1])[:, :, 0]
     g = sc.g
     margin = weak_interaction_margin(g, sc.pointer)
     if margin >= SERIES_MARGIN_WARN:
@@ -369,23 +377,20 @@ def series_device_state(
         )
 
     grid, branches = _frame(sc.pointer, g, g * sc.observable.eigenvalues, grid_n)
-    tables, m0, pk, unit = _power_table(sc.pointer, grid, branches, order + side)
-    g = g / unit
-    lead = g * g * denom if side else denom
+    tables, m0, pk, unit = _power_table(sc.pointer, grid, branches, order)
     qd = np.zeros(grid.n)
-    # Momentum-density polynomial in p, with the factor p^(2 side).
-    p_poly = np.zeros(order + 2 * side + 1)
+    p_poly = np.zeros(order + 1)
     sups: list[float] = []
     # One row per conjugate pair of cross terms (k, n - k), and the middle
     # term k = n/2: each product is formed once.
-    coefficients = _series_coefficients(t, side, denom, g, order)
+    coefficients = _series_coefficients(t, g / unit, order)
     first = _series_rows(order)[2]
     for n in range(order + 1):
         a = coefficients[first[n] : first[n] + n // 2 + 1]
         term = np.zeros(grid.n)
         for (w, _), powers in zip(branches, tables):
             for k, pair in enumerate(a):
-                left, right = powers[n - k + side], powers[k + side]
+                left, right = powers[n - k], powers[k]
                 if np.isrealobj(left):
                     # Real rows (unit^a p^a phi / i^a): the product's phase
                     # i^(n - 2k) joins the scalar, leaving one real product.
@@ -393,17 +398,15 @@ def series_device_state(
                 else:
                     term += np.real(w * pair * left * np.conj(right))
         qd += term
-        p_poly[n + 2 * side] = a.sum().real
+        p_poly[n] = a.sum().real
         sups.append(float(np.max(np.abs(term))))
-        # Growth below SERIES_NOISE_FLOOR relative to the order-0 density
-        # peak is roundoff flutter of a grid pointer's spectral power table
-        # (converged tails sit at that scale), not divergence; genuine
-        # divergence shows terms growing at the scale of the density itself.
-        if (
-            n >= 3
-            and sups[-1] >= sups[-2] >= sups[-3]
-            and sups[-1] > SERIES_NOISE_FLOOR * sups[0]
-        ):
+        # Terms below SERIES_NOISE_FLOOR relative to the largest so far are
+        # roundoff, not divergence: a grid pointer's spectral power table
+        # flutters there (converged tails sit at that scale), and an
+        # orthogonal selection's vanishing first orders climb from there to
+        # its first nonzero one. Genuine divergence shows terms growing from
+        # the scale of the density itself.
+        if n >= 3 and sups[-1] >= sups[-2] >= sups[-3] > SERIES_NOISE_FLOOR * max(sups):
             raise SeriesDiverging(
                 f"per-order density terms stopped decreasing at order {n} "
                 f"(sup norms {sups[-3]:.3e}, {sups[-2]:.3e}, {sups[-1]:.3e}); "
@@ -412,13 +415,14 @@ def series_device_state(
 
     pd = m0 * np.polyval(p_poly[::-1], pk)
     norm = float(np.sum(qd) * grid.dq)
-    if not norm > 0.0:
+    if not norm >= 0.0:
         raise SeriesDiverging(
             f"truncated normalization {norm:.3e} is not positive; the "
             "expansion is meaningless at this coupling"
         )
+    _require_success(norm, PROB_FLOOR)
     tail = (sups[-1] / norm) if order else 0.0
     return _finish_record(
-        sc, grid, lead * norm, qd / norm, pd / norm,
+        sc, grid, norm, qd / norm, pd / norm,
         method="truncated-series", series_order=order, tail_estimate=tail,
     )

@@ -7,9 +7,9 @@ evaluates those shifts in closed form, as low orders of the weak-value
 series of `oracle.series_device_state` (Nakamura et al., PRA 85, 012113):
 
 - `predict`: the single entry from a scenario to a prediction. It takes
-  its route from `weak_values._route`, as the weak values and the series
-  do: the general formulas above the orthogonality threshold (a number in
-  (0, 1)), the orthogonal ones at or below it; a regime can also be forced.
+  its route from `weak_values._route`, as the weak values do: the general
+  formulas above the orthogonality threshold (a number in (0, 1)), the
+  orthogonal ones at or below it; a regime can also be forced.
 - `predict_aav`: first order in g (linear response).
 - `predict_general`: second order with the resummed denominator, valid for
   mixed states and any small-but-finite coupling short of orthogonality.
@@ -26,9 +26,12 @@ series of `oracle.series_device_state` (Nakamura et al., PRA 85, 012113):
 Every closed-form prediction is one stacked kernel, `_predict_stacked`. It
 takes its route -- each point's side, overlap, traces and conditioning
 denominator -- from `weak_values._route` over the moment amplitudes of the
-selection kernel (`qops._selection_kernel`), reads the grid-free series
-sums (`oracle._series_sums`, over the pointer's moment table) and computes
-both regimes' fields as arrays, NaN where a point is undefined. The
+selection kernel (`qops._selection_kernel`), makes one call of the
+grid-free series sums to order 3 (`oracle._series_sums`, over the
+pointer's moment table) and reads each regime's fields from its low
+orders, as arrays, NaN where a point is undefined. The series divides the
+traces by no denominator, so the orthogonal fields are its orders up to 3,
+whose first two vanish with <f|psi>; the route only picks the orders. The
 amplifier runs it over stacks routed at ORTH_THRESHOLD; `predict` and the
 four forced predictors are its batch of one, `_predict_point`, which reads
 the selection kernel and routes once per call, takes the regime errors
@@ -135,67 +138,57 @@ class _Fields(NamedTuple):
     """Per-point fields of `_predict_stacked`.
 
     ``bracket`` (1/C) is NaN on the points at or below the threshold;
-    ``ow`` (A_ow) and the output variances are NaN on the others, and None
-    when no point is orthogonal. ``success``, ``delta_q`` and ``delta_p``
-    follow each point's own route.
+    ``success``, the shifts and the variances follow each point's own
+    route.
     """
 
     bracket: np.ndarray
     success: np.ndarray
     delta_q: np.ndarray
     delta_p: np.ndarray
-    ow: np.ndarray | None
-    var_q: np.ndarray | None
-    var_p: np.ndarray | None
+    var_q: np.ndarray
+    var_p: np.ndarray
 
 
 def _predict_stacked(
     pointer: PointerState, g: float, route: tuple, first_order: bool = False
 ) -> _Fields:
     """Every closed-form prediction for B selections sharing the pointer
-    and g, as low orders of the series (`oracle._series_sums`), routed by
-    ``route`` (`weak_values._route` of their b_0..b_2). On side 0 the series
-    runs to order 2: bracket = 1/C = Z, success = ov Z and the shifts
-    Q_1/Z - <q>, P_1/Z - <p>; with ``first_order``, the order-1 increments
-    less the mean times Z's. On side 1 (one extra momentum operator on each
-    side), run only when some point is there, order 1 gives
-    success = g^2 tr(P A rho A) Z and the shifts, order 0 the variances.
-    Undefined points -- Z <= 0 or NaN, a NaN denominator -- come out as
-    NaN, without a floating-point warning.
+    and g, as low orders of one series (`oracle._series_sums` to order 3),
+    routed by ``route`` (`weak_values._route` of their b_0..b_3). Above the
+    threshold the series runs to order 2: bracket = 1/C = Z / ov,
+    success = Z and the shifts Q_1/Z - <q>, P_1/Z - <p>; with
+    ``first_order``, the order-1 increments less the mean times Z's, over
+    ov. At or below it, where orders 0 and 1 vanish with b_0 = <f|psi>,
+    orders up to 3 give the success and the shifts. The variances come
+    from orders up to 2 on both sides. Undefined points -- Z <= 0 or NaN, a
+    NaN denominator -- come out as NaN, without a floating-point warning.
     """
     ov, t, orth, denom = route
     table = _moment_table(pointer)
     q0, p0 = table[0, 1, 0].real, table[0, 0, 1].real
+    defined = ~np.isnan(denom)
+    # NaN in place of the overlap carries through to NaN results.
+    off = np.where(orth, np.nan, ov)
     with np.errstate(over="ignore", invalid="ignore"):
-        # NaN in place of the overlap carries through to NaN results.
-        sums = _series_sums(pointer, t, 0, np.where(orth, np.nan, ov), g, 1 if first_order else 2)
-        bracket, delta_q, delta_p = _statistics(sums, q0, p0)
+        sums = _series_sums(pointer, t, g, 3)
+        low = sums[:3].sum(axis=0)
+        z, mean_q, mean_p, _, _ = _statistics(np.where(orth, low + sums[3], low), defined)
+        delta_q, delta_p = mean_q - q0, mean_p - p0
         if first_order:
             z1, q1, _, p1, _ = sums[1]
-            delta_q, delta_p = q1 - q0 * z1, p1 - p0 * z1
-        success = ov * bracket
-        orth_fields = [None] * 3
-        if orth.any():
-            pts = np.flatnonzero(orth)
-            t, den = t[:, :, pts], denom[pts]
-            sums = _series_sums(pointer, t, 1, den, g, 1)
-            z, dq, dp = _statistics(sums, q0, p0)
-            success[pts], delta_q[pts], delta_p[pts] = g * g * den * z, dq, dp
-            z0, q1, q2, p1, p2 = sums[0]
-            parts = (_weak_ratio(t, 1, 0, 1, den), q2 / z0 - (q1 / z0) ** 2,
-                     p2 / z0 - (p1 / z0) ** 2)
-            orth_fields = [np.full(ov.shape, np.nan, dtype=part.dtype) for part in parts]
-            for full, part in zip(orth_fields, parts):
-                full[pts] = part
-    return _Fields(bracket, success, delta_q, delta_p, *orth_fields)
+            delta_q, delta_p = (q1 - q0 * z1) / off, (p1 - p0 * z1) / off
+        var_q, var_p = _statistics(low, defined)[3:]
+    return _Fields(z / off, z, delta_q, delta_p, var_q, var_p)
 
 
-def _statistics(sums: np.ndarray, q0: float, p0: float) -> tuple:
-    """(Z, shift in q, shift in p) from `_series_sums` summed over its
-    orders; NaN wherever Z is not positive."""
-    z, q1, _, p1, _ = sums.sum(axis=0)
-    z = np.where(z > 0.0, z, np.nan)
-    return z, q1 / z - q0, p1 / z - p0
+def _statistics(sums: np.ndarray, defined: np.ndarray) -> tuple:
+    """(Z, <q>, <p>, var q, var p) from summed `_series_sums` increments;
+    NaN wherever Z is not positive or the point is not ``defined``."""
+    z, q1, q2, p1, p2 = sums
+    z = np.where((z > 0.0) & defined, z, np.nan)
+    mean_q, mean_p = q1 / z, p1 / z
+    return z, mean_q, mean_p, q2 / z - mean_q**2, p2 / z - mean_p**2
 
 
 def _predict_point(
@@ -211,9 +204,9 @@ def _predict_point(
     prediction is returned.
     """
     b = _moment_amplitudes(obs, pre, post, MARGIN_ORDER)
-    route = _route(b[:3], orth_threshold)
+    route = _route(b[:4], orth_threshold)
     forced = None if regime == "auto" else regime == "orthogonal"
-    _, _, side, _ = _point_route(route, orth_threshold, forced)
+    _, t, side, denom = _point_route(route, orth_threshold, forced)
     if regime == "auto":
         regime = "orthogonal" if side else "general"
     f = _predict_stacked(pointer, g, route, regime == "aav")
@@ -224,7 +217,7 @@ def _predict_point(
             var_q_out=float(f.var_q[0]),
             var_p_out=float(f.var_p[0]),
         )
-        peaks = _orthogonal_peaks(pointer, g * complex(f.ow[0]))
+        peaks = _orthogonal_peaks(pointer, g * complex(_weak_ratio(t, 1, 0, 1, denom)))
         if peaks is not None:
             fields["peaks_q"], fields["peaks_p"] = peaks
     else:
@@ -291,8 +284,8 @@ def predict_orthogonal(
     """Leading-order pointer statistics for orthogonal selections.
 
     With A_ow = tr(P A^2 rho A) / (2 tr(P A rho A)) the orthogonal weak
-    value, the series with one extra momentum operator on each side gives,
-    for an even pointer state,
+    value, the series to order 3 (its orders 0 and 1 vanish with <f|psi>)
+    gives, for an even pointer state,
 
         delta_q = g Re A_ow + g Im A_ow <p{q,p}p>/<p^2>
         delta_p = 2 g Im A_ow <p^4>/<p^2>

@@ -384,7 +384,7 @@ def _wire_object(data, path: str, required=(), optional=(), expected="expected a
     naming ``path`` (``expected``), its first unknown key or a missing one."""
     if not isinstance(data, dict):
         raise ParseError(f"{path}: {expected}")
-    unknown = sorted(key for key in data if key not in required and key not in optional)
+    unknown = sorted((key for key in data if key not in required and key not in optional), key=str)
     if unknown:
         raise ParseError(f"{path}: unknown key {unknown[0]!r}")
     for key in required:
@@ -395,13 +395,14 @@ def _wire_object(data, path: str, required=(), optional=(), expected="expected a
 
 def _parsed(path: str, build, *args, **kwargs):
     """The one rewrap: ``build(*args, **kwargs)``, its refusal (a
-    WeakMeasurementError or ValueError) raised as a ParseError naming
-    ``path``; a ParseError, which names its own key, passes through."""
+    WeakMeasurementError or ValueError, or a RecursionError from JSON nested
+    too deeply) raised as a ParseError naming ``path``; a ParseError, which
+    names its own key, passes through."""
     try:
         return build(*args, **kwargs)
     except ParseError:
         raise
-    except (WeakMeasurementError, ValueError) as exc:
+    except (WeakMeasurementError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -6,17 +6,17 @@ variant in which the leading response is carried by tr(P A rho A). All
 three, and `selection_trace`, read their traces from the one selection
 kernel (`qops._selection_kernel`) through one order check. `_route` is the
 package's one regime decision, per-point arrays for a stack of any size;
-the weak values, `predict`, the series and the amplifier's predicted
-engine all route through it. `_point_route` raises one point's regime
-errors from those arrays, and `_weak_ratio` is the one weak value. The two
-margin diagnostics quantify how far a scenario sits from the
-linear-response and weak-interaction regimes; predictions should only be
-trusted while they stay well below one.
+the weak values, `predict` and the amplifier's predicted engine route
+through it. The truncated series needs no route: it expands the raw
+traces, one expansion on both sides of the threshold. `_point_route`
+raises one point's regime errors from those arrays, and `_weak_ratio` is
+the one weak value. The two margin diagnostics quantify how far a
+scenario sits from the linear-response and weak-interaction regimes;
+predictions should only be trusted while they stay well below one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ from .errors import (
     OrthogonalPPS,
 )
 from .pointer import MAX_WEAK_ORDER, PointerState, moment, p_power, variance_p
-from .qops import Observable, PostSelection, SystemState, _check_dims, _frozen, _is_integer
+from .qops import Observable, PostSelection, SystemState, _check_dims, _is_integer
 from .qops import _selection_kernel, _selection_overlaps, _selection_traces
 
 __all__ = [
@@ -131,29 +131,6 @@ def _weak_ratio(t: np.ndarray, m, l, side: int, denom) -> np.ndarray:
     and imaginary parts divided separately."""
     trace, scale = t[m + side, l + side], np.multiply.outer(((m + 1) * (l + 1)) ** side, denom)
     return trace.real / scale + 1j * (trace.imag / scale)
-
-
-@functools.lru_cache(maxsize=None)
-def _series_rows(order: int) -> tuple[np.ndarray, ...]:
-    """The rows (n, k), k <= n/2, n <= order, of `_series_coefficients`, as
-    read-only arrays: n, k, each order's first row, n! and the pair weight
-    (2 for k < n/2, 1 for k = n/2) times (-1)^k C(n, k)."""
-    n, k = np.array([(i, j) for i in range(order + 1) for j in range(i // 2 + 1)]).T
-    signed = [(1 + (2 * j < i)) * (-1) ** j * math.comb(i, j) for i, j in zip(n, k)]
-    rows = (n, k, np.flatnonzero(k == 0), [math.factorial(i) for i in n], np.array(signed, float))
-    return tuple(_frozen(row) for row in rows)
-
-
-def _series_coefficients(t: np.ndarray, side: int, denom, g: float, order: int) -> np.ndarray:
-    """Every order's coefficient list up to ``order``, over the points of
-    `_weak_ratio`, rows as `_series_rows`. Order n's terms are
-    a[k] = (-i g)^n/n! (-1)^k C(n, k) W(n-k, k); as W(l, m) = W(m, l)^*,
-    a[n-k] = a[k]^*, so each conjugate pair (k, n-k) is one row, 2 a[k],
-    and the middle term k = n/2 another. An overflowing g gives inf or NaN."""
-    n, k, _, factorial, signed = _series_rows(order)
-    shape = (-1, *[1] * (np.ndim(t) - 2))
-    coeff = (np.complex128(-1j * g) ** n / factorial).reshape(shape)
-    return coeff * (signed.reshape(shape) * _weak_ratio(t, n - k, k, side, denom))
 
 
 def _check_orders(m, l, cap: float = math.inf) -> tuple[int, int]:

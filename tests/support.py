@@ -163,6 +163,23 @@ def orthogonal_d3(seed: int, pointer):
     return lambda g: make_scenario(obs, pure_state(pre), projector_onto(post), g, pointer)
 
 
+def overlap_family(ov: float, g: float):
+    """A d = 3 pure selection with tr(P rho) = ``ov`` on a Gaussian of
+    width 1: post |f> and pre cos(theta) |perp> + sin(theta) |f>, with
+    sin(theta)^2 = ov, |perp> orthogonal to |f>, and the observable, |f>
+    and |perp> drawn from seed 7. At ov = 0 the selections are orthogonal."""
+    gen = rng(7)
+    obs = random_observable(gen, 3)
+    f = gen.standard_normal(3) + 1j * gen.standard_normal(3)
+    f /= np.linalg.norm(f)
+    perp = gen.standard_normal(3) + 1j * gen.standard_normal(3)
+    perp -= np.vdot(f, perp) * f
+    perp /= np.linalg.norm(perp)
+    theta = np.arcsin(np.sqrt(ov))
+    pre = np.cos(theta) * perp + np.sin(theta) * f
+    return make_scenario(obs, pure_state(pre), projector_onto(f), g, gaussian(1.0))
+
+
 def skewed_pointer(delta_q: float = 1.0, *, skew: float = 0.35, n: int = 4096,
                    half_span: float = 10.0):
     """Single-branch grid pointer with a real, asymmetric profile recentred

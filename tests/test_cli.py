@@ -15,13 +15,12 @@ import pytest
 from weakmeas import (
     SGParams,
     ScenarioOptions,
+    evolve_postselect,
     gaussian,
-    load_scenario,
     make_scenario,
     new_observable,
     scenario_to_wire,
     scenario_with_orthogonal_weak_value,
-    series_device_state,
     sg_optimum,
     stern_gerlach_outcome,
 )
@@ -174,39 +173,44 @@ def test_exact_series_on_a_gaussian_file_is_accurate(tmp_path, capsys):
     assert payload["series"]["delta_q"] == pytest.approx(payload["delta_q"], abs=1e-5)
 
 
-def test_exact_series_honors_file_orth_threshold(tmp_path, capsys):
+def test_exact_series_ignores_the_file_orth_threshold(tmp_path, capsys):
     # tr(P rho) = 8.3e-12 lies above the default threshold (1e-12) but
-    # below the file's 1e-9, so `predict` routes orthogonal; the series
-    # must take the orthogonal expansion as well.
+    # below the file's 1e-9, so `predict` routes orthogonal. The series
+    # takes no route: at either threshold it matches the exact record.
     obs = new_observable(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
     sc = make_scenario(obs, [3e-6, 1.0, 0.3], [1.0, 0.0, 0.0], 0.05, gaussian(1.0))
-    wire = scenario_to_wire(sc, ScenarioOptions(orth_threshold=1e-9))
-    path = tmp_path / "near_orth.json"
-    path.write_text(json.dumps(wire))
-    code, out, _ = _run(capsys, ["predict", str(path)])
-    assert code == 0
-    assert json.loads(out)["regime"] == "orthogonal"
-    code, out, _ = _run(capsys, ["exact", str(path), "--series-order", "4"])
-    assert code == 0
-    series = json.loads(out)["series"]
-    expected = series_device_state(load_scenario(str(path))[0], 4, orth_threshold=1e-9)
-    assert series["delta_q"] == expected.delta_q
-    assert series["success_prob"] == expected.success_prob
-    assert series["delta_q"] == pytest.approx(0.0053057, abs=1e-7)
+    exact = evolve_postselect(sc)
+    for threshold in (1e-9, 1e-13):
+        wire = scenario_to_wire(sc, ScenarioOptions(orth_threshold=threshold))
+        path = tmp_path / "near_orth.json"
+        path.write_text(json.dumps(wire))
+        code, out, _ = _run(capsys, ["predict", str(path)])
+        assert code == 0
+        assert json.loads(out)["regime"] == ("orthogonal" if threshold > 1e-11 else "general")
+        code, out, _ = _run(capsys, ["exact", str(path), "--series-order", "8"])
+        assert code == 0
+        series = json.loads(out)["series"]
+        assert series["delta_q"] == pytest.approx(exact.delta_q, abs=1e-12)
+        assert series["delta_p"] == pytest.approx(exact.delta_p, abs=1e-12)
+        assert series["success_prob"] == pytest.approx(exact.success_prob, rel=1e-12)
 
 
-def test_series_and_predict_report_one_code_for_a_vanishing_first_order(tmp_path, capsys):
+def test_series_converges_where_predict_finds_a_vanishing_first_order(tmp_path, capsys):
     # Orthogonal selections with tr(P A rho A) = 0 whose post-selection
-    # still succeeds at second order (<2|A^2|0> = 1), so `exact` itself
-    # runs: the series and `predict` both report the route's error.
+    # still succeeds at second order (<2|A^2|0> = 1): the series starts at
+    # order 4 and reaches the exact record by order 12, while `predict`
+    # reports the route's error.
     obs = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
     sc = make_scenario(obs, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.2, gaussian(1.0))
     path = _write_scenario(tmp_path, sc)
-    assert _run(capsys, ["exact", path])[0] == 0
-    for argv in (["exact", path, "--series-order", "4"], ["predict", path]):
-        code, out, _ = _run(capsys, argv)
-        assert code == 2
-        assert json.loads(out)["error"]["code"] == "higher-order-orthogonality"
+    code, out, _ = _run(capsys, ["exact", path, "--series-order", "12"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["series"]["delta_q"] == pytest.approx(payload["delta_q"], abs=1e-12)
+    assert payload["series"]["success_prob"] == pytest.approx(payload["success_prob"], rel=1e-9)
+    code, out, _ = _run(capsys, ["predict", path])
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "higher-order-orthogonality"
 
 
 def test_figure2_unreachable_orthogonal_target_is_a_construction_failure(capsys):
@@ -354,6 +358,17 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     path = _write_scenario(tmp_path, half_overlap_scenario(0.01))
     assert _run(capsys, ["predict", path, "--grid-n", "4096"])[0] == 1
     assert _run(capsys, ["sterngerlach", "--grid-n", "4096"])[0] == 1
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    # Nesting past the interpreter's recursion limit once escaped as a
+    # RecursionError traceback.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = _run(capsys, ["exact", str(deep)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {deep}: invalid JSON: ")
 
 
 def test_negative_flag_values_in_any_number_form(capsys):

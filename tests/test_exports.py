@@ -8,8 +8,8 @@ parameters. The benchmark tracer rebinds
 functions by module and name, so a consolidation that renames or removes one
 would silently break a traced run; the second test catches that here. The
 last two tests pin boundaries in the source: no module but `pointer` asks
-which kind of pointer it holds, and no function but `qops._parsed` turns a
-refusal into a ParseError.
+which kind of pointer it holds, `oracle` imports no regime route, and no
+function but `qops._parsed` turns a refusal into a ParseError.
 """
 
 import ast
@@ -67,10 +67,10 @@ def test_public_names_are_pinned_resolve_and_do_not_repeat():
         assert hasattr(weakmeas, name), name
 
 
-# The threshold reaches the package only through `predict` and the series,
-# which the CLI passes a scenario file's ``orth_threshold`` option.
-THRESHOLD_TAKERS = {"predict", "series_device_state"}
-SETTABLE_PARAMETERS = 107
+# The threshold reaches the package only through `predict`, which the CLI
+# passes a scenario file's ``orth_threshold`` option.
+THRESHOLD_TAKERS = {"predict"}
+SETTABLE_PARAMETERS = 106
 
 
 def test_settable_parameters_are_pinned():
@@ -123,6 +123,14 @@ def test_oracle_never_branches_on_the_pointer_kind():
         for alias in node.names
     }
     assert imported == ORACLE_POINTER_IMPORTS
+    # The engines take no route: the regime decision lives outside them.
+    routing = {
+        alias.name
+        for node in ast.walk(trees["oracle"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    } & {"_route", "_point_route", "ORTH_THRESHOLD"}
+    assert not routing
     for module, tree in trees.items():
         if module in ("pointer", "__init__"):
             continue

@@ -39,7 +39,6 @@ from weakmeas import (
 )
 from weakmeas.errors import (
     GridTooSmall,
-    HigherOrderOrthogonality,
     OrderTooLarge,
     SeriesDiverging,
     ValidityWarning,
@@ -64,7 +63,7 @@ from weakmeas.pointer import (
 )
 from weakmeas.qops import SIGMA_X, SIGMA_Z, _selection_kernel, _selection_traces
 from weakmeas.scenario import MAX_SERIES_ORDER
-from weakmeas.weak_values import ORTH_THRESHOLD, _moment_amplitudes, _point_route, _route
+from weakmeas.weak_values import _moment_amplitudes
 
 from support import (
     commuting_orthogonal,
@@ -72,6 +71,7 @@ from support import (
     orthogonal_d3,
     orthogonal_idempotent,
     orthogonal_sigma_x,
+    overlap_family,
     random_density,
     random_observable,
     random_projector,
@@ -273,11 +273,11 @@ def test_order_zero_series_is_the_unperturbed_pointer():
 
 
 def test_order_zero_orthogonal_series_is_momentum_filtered():
-    # At leading order the orthogonal conditional pointer is the p-filtered
-    # state: variance <p q^2 p>/<p^2> - (<p q p>/<p^2>)^2 and success
-    # g^2 tr(PArhoA) <p^2>.
+    # Orders 0 and 1 vanish with <f|psi>, so at order 2, the leading one,
+    # the orthogonal conditional pointer is the p-filtered state: variance
+    # <p q^2 p>/<p^2> - (<p q p>/<p^2>)^2 and success g^2 tr(PArhoA) <p^2>.
     sc = orthogonal_sigma_x(0.02)
-    rec = series_device_state(sc, 0)
+    rec = series_device_state(sc, 2)
     table = _moment_table(sc.pointer).real
     expected_var = table[1, 2, 1] / table[1, 0, 1] - (table[1, 1, 1] / table[1, 0, 1]) ** 2
     assert rec.var_q_out == pytest.approx(expected_var, rel=1e-9)
@@ -298,17 +298,15 @@ def test_grid_free_series_matches_the_series_records(pointer_kind, selection):
         sc = half_overlap_scenario(0.05, pointer)
     else:
         sc = orthogonal_d3(3, pointer)(0.05)
-    b = _moment_amplitudes(sc.observable, sc.pre, sc.post, MAX_SERIES_ORDER + 1)
-    _, t, side, denom = _point_route(_route(b, ORTH_THRESHOLD), ORTH_THRESHOLD)
-    assert side == (selection == "orthogonal")
-    lead = sc.g * sc.g * denom if side else denom
-    sums = _series_sums(sc.pointer, t, side, denom, sc.g, MAX_SERIES_ORDER)
+    # Orthogonal selections start at order 2: orders 0 and 1 vanish.
+    b = _moment_amplitudes(sc.observable, sc.pre, sc.post, MAX_SERIES_ORDER)
+    sums = _series_sums(sc.pointer, _selection_traces(b), sc.g, MAX_SERIES_ORDER)
     q0, p0 = moment(sc.pointer, q_power(1)), moment(sc.pointer, p_power(1))
-    for order in range(MAX_SERIES_ORDER + 1):
+    for order in range(2 if selection == "orthogonal" else 0, MAX_SERIES_ORDER + 1):
         rec = _quiet_series(sc, order)
         z, q1, q2, p1, p2 = sums[: order + 1].sum(axis=0)
         mean_q, mean_p = q1 / z, p1 / z
-        grid_free = (lead * z, mean_q - q0, mean_p - p0, q2 / z - mean_q**2, p2 / z - mean_p**2)
+        grid_free = (z, mean_q - q0, mean_p - p0, q2 / z - mean_q**2, p2 / z - mean_p**2)
         recorded = (rec.success_prob, rec.delta_q, rec.delta_p, rec.var_q_out, rec.var_p_out)
         for mine, ref in zip(grid_free, recorded):
             assert abs(mine - ref) <= 1e-13 * abs(ref) + 1e-15, (order, mine, ref)
@@ -344,8 +342,8 @@ def test_series_converges_to_exact_orthogonal():
 def test_series_density_normalized_at_every_order():
     non_orth = half_overlap_scenario(0.05)
     orth = orthogonal_sigma_x(0.02)
-    for sc in (non_orth, orth):
-        for order in range(0, 7):
+    for sc, orders in ((non_orth, range(0, 7)), (orth, range(2, 9))):
+        for order in orders:
             rec = series_device_state(sc, order)
             assert abs(rec.q_density.total() - 1.0) < 1e-12
             assert abs(rec.p_density.total() - 1.0) < 1e-12
@@ -372,13 +370,14 @@ def test_series_divergence_detected():
     with pytest.raises(SeriesDiverging, match="at order 3"):
         _quiet_series(_near_orthogonal(2.0), 12)
     # A weak value 1 - 6i on a pointer with <p> = 1 (a Gaussian times e^(iq)):
-    # the order-1 normalization 1 + 2 g <p> Im A_w is -0.2 at g = 0.1, and
-    # the series refuses it; order 2 is positive again.
+    # the order-1 normalization tr(P rho) (1 + 2 g <p> Im A_w) is
+    # 0.0263 x -0.2 at g = 0.1, and the series refuses it; order 2 is
+    # positive again.
     n = 4096
     q = -16.0 + (32.0 / n) * np.arange(n)
     pt = grid_state(-16.0, 32.0 / n, n, [(1.0, gaussian_profile(q, 1.0) * np.exp(1j * q))])
     sc = make_scenario(SIGMA_Z, [1.0, 1.0], [1.0, -0.9 - 0.3j], 0.1, pt)
-    with pytest.raises(SeriesDiverging, match="truncated normalization -2.000e-01"):
+    with pytest.raises(SeriesDiverging, match="truncated normalization -5.263e-03"):
         _quiet_series(sc, 1)
     assert _quiet_series(sc, 2).success_prob > 0.0
 
@@ -392,11 +391,14 @@ def test_series_converges_near_orthogonality_at_a_moderate_coupling():
     assert sup <= 1e-10 * float(np.max(exact.q_density.values))
 
 
-def test_series_raises_higher_order_orthogonality_beyond_second_order():
-    # The same error `predict` and `orthogonal_weak_value` raise here: the
-    # series takes its route from the one route function.
-    with pytest.raises(HigherOrderOrthogonality):
-        series_device_state(commuting_orthogonal(0.02), 4)
+def test_series_refuses_a_post_selection_that_never_succeeds():
+    # Every trace vanishes, so every order of the series does: it refuses
+    # the post-selection as `evolve_postselect` does.
+    for order in range(MAX_SERIES_ORDER + 1):
+        with pytest.raises(ZeroPostSelectionProbability):
+            series_device_state(commuting_orthogonal(0.02), order)
+    with pytest.raises(ZeroPostSelectionProbability):
+        evolve_postselect(commuting_orthogonal(0.02))
 
 
 def test_series_order_validation():
@@ -431,31 +433,22 @@ def test_series_normalizes_by_its_own_density():
     assert rec.success_prob == pytest.approx(exact.success_prob, rel=1e-13, abs=0.0)
 
 
-def test_series_refuses_a_bad_threshold_before_allocating():
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="orth_threshold"):
-            series_device_state(
-                half_overlap_scenario(0.02), 4, grid_n=1 << 22, orth_threshold=math.nan
-            )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
 def test_series_regime_error_precedes_grid_too_small():
-    # The regime is routed before the frame is built, so a regime error wins
-    # over GridTooSmall (g = 1e200 cannot be gridded).
+    # The series refuses what `evolve_postselect` refuses: at g = 1e200,
+    # which cannot be gridded, both raise GridTooSmall.
+    sc = commuting_orthogonal(1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        with pytest.raises(HigherOrderOrthogonality):
-            series_device_state(commuting_orthogonal(1e200), 2)
+        with pytest.raises(GridTooSmall) as exact:
+            evolve_postselect(sc)
+        with pytest.raises(GridTooSmall) as series:
+            series_device_state(sc, 2)
+    assert str(series.value) == str(exact.value)
 
 
 def test_series_bad_grid_n_precedes_a_bad_threshold():
     with pytest.raises(ValueError, match="grid_n"):
-        series_device_state(half_overlap_scenario(0.02), 4, grid_n=3, orth_threshold=math.nan)
+        series_device_state(half_overlap_scenario(0.02), 4, grid_n=3)
 
 
 @pytest.mark.parametrize("order", [8, 16])
@@ -710,7 +703,7 @@ def test_series_matches_exact_across_the_valid_regime(
     sc = _drawn_scenario(seed, dim, spectrum, mixed, selection, g, delta_q)
     try:
         rec = _quiet_series(sc, 12)
-    except HigherOrderOrthogonality:
+    except ZeroPostSelectionProbability:
         rec = None
     assume(rec is not None)
     try:
@@ -724,6 +717,24 @@ def test_series_matches_exact_across_the_valid_regime(
     assert abs(rec.delta_q - exact.delta_q) <= 1e-10
     assert abs(rec.delta_p - exact.delta_p) <= 1e-10
     assert abs(rec.success_prob / exact.success_prob - 1.0) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    log_ov=st.one_of(st.none(), st.floats(-18.0, 0.0)),
+    g=st.sampled_from([0.1, 0.02]),
+)
+def test_series_is_one_expansion_across_the_orthogonality_threshold(log_ov, g):
+    # The terms that carry <f|psi> are of relative size sqrt(ov)/g, not ov:
+    # a series that drops them below ORTH_THRESHOLD missed the exact shift
+    # by 15% at ov = 1e-12, g = 0.02. The unconditioned series is one
+    # expansion at every overlap, orthogonal (None) included.
+    sc = overlap_family(0.0 if log_ov is None else 10.0**log_ov, g)
+    n_total, delta_q, delta_p = _exact_scalars(sc)
+    rec = _quiet_series(sc, 10)
+    assert abs(rec.success_prob / n_total - 1.0) <= 1e-12
+    assert abs(rec.delta_q - delta_q) <= 1e-12
+    assert abs(rec.delta_p - delta_p) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -376,13 +376,13 @@ def test_grid_pointer_moments_are_computed_once(monkeypatch):
 
 
 def test_predict_refuses_non_finite_fields():
-    # At g = 1e308 the bracket is NaN; at g = 1e200 the orthogonal success
-    # probability overflows, and at g = 1e305 on a pointer of width 1e-3 the
+    # At g = 1e308 the bracket is NaN; at g = 1e200 the orthogonal series
+    # overflows at its leading order 2, and at g = 1e305 on a pointer of width 1e-3 the
     # linear delta_p = 2 g Im A_w var p (-3.5e309) does. Each is a typed
     # error, never a prediction carrying NaN or inf.
     with pytest.raises(NonPositiveDenominator, match="bracket nan"):
         _quiet(predict, half_overlap_scenario(1e308))
-    with pytest.raises(NotApplicable, match="success_prob is inf"):
+    with pytest.raises(NotApplicable, match="orthogonal prediction's delta_q is nan"):
         _quiet(predict, orthogonal_sigma_x(1e200))
     with pytest.raises(NotApplicable, match="delta_p is -inf"):
         _quiet(predict, half_overlap_scenario(1e305, gaussian(1e-3)), "aav")
@@ -394,7 +394,7 @@ def test_orthogonal_error_paths():
         predict_orthogonal(obs, pre, post, 0.01, gaussian(1.0))
 
     # A pointer with nonzero odd momentum moments gets a prediction: its
-    # shifts are the order-1 orthogonal series, within O(g^2) of the oracle.
+    # shifts are the order-3 series, within O(g^2) of the oracle.
     tilted = _grid_pointer(lambda q: gaussian_profile(q, 1.0) * np.exp(0.4j * q), n=2048, half=12.0)
     sc = replace(orthogonal_sigma_x(0.01), pointer=tilted)
     pred = predict_orthogonal(sc.observable, sc.pre, sc.post, sc.g, tilted)
@@ -413,16 +413,16 @@ def test_orthogonal_error_paths():
 
 def test_orthogonal_prediction_on_an_asymmetric_pointer():
     # A real asymmetric pointer has <p q p>/<p^2> != <q>: the filtered
-    # pointer's mean moves at order g^0. The order-1 orthogonal series
-    # carries that term, so its shift error is second order; the output
-    # variance is the order-0 series' own.
+    # pointer's mean moves at order g^0. The order-3 series carries that
+    # term, so its shift error is second order; the output variance is the
+    # order-2 series' own, the leading order of an orthogonal selection.
     family = orthogonal_d3(3, skewed_pointer(1.0, half_span=16.0))
     errors = []
     for g in (0.04, 0.02, 0.01, 0.005):
         sc = family(g)
         pred = predict(sc, "orthogonal")
         errors.append(abs(pred.delta_q - evolve_postselect(sc).delta_q))
-        order_zero = series_device_state(sc, 0)
+        order_zero = series_device_state(sc, 2)
         assert pred.var_q_out == pytest.approx(order_zero.var_q_out, rel=1e-12)
         assert pred.var_p_out == pytest.approx(order_zero.var_p_out, rel=1e-12)
     ratios = _halving_ratios(errors)

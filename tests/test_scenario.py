@@ -166,6 +166,9 @@ def test_parse_rejects_unknown_key():
     wire["bogus"] = 1
     with pytest.raises(ParseError, match="bogus"):
         parse_scenario(wire)
+    # Keys of mixed types sort by their text, not into a TypeError.
+    with pytest.raises(ParseError, match="scenario: unknown key 1"):
+        parse_scenario({1: 0, "x": 0})
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from weakmeas.errors import (
     NotOrthogonal,
     OrderTooLarge,
     OrthogonalPPS,
+    ZeroPostSelectionProbability,
 )
 from weakmeas.qops import SIGMA_X
 from weakmeas.weak_values import selection_trace
@@ -278,14 +279,11 @@ def _near_orthogonal_qubit(g: float = 0.05):
 @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, 1.0, 2.0, True, "0.5"])
 @pytest.mark.parametrize("build", [orthogonal_sigma_x, _near_orthogonal_qubit])
 def test_threshold_outside_unit_interval_is_refused_on_every_path(threshold, build):
-    # Before the one route, NaN sent the series orthogonal and `predict`
-    # general, -1 ended in a ZeroDivisionError (series) or a NaN bracket
-    # (predict), and 2 routed every scenario orthogonal.
+    # Before the one route, NaN sent `predict` general, -1 ended in a NaN
+    # bracket, and 2 routed every scenario orthogonal.
     sc = build(0.02)
     with pytest.raises(ValueError, match="orth_threshold"):
         predict(sc, orth_threshold=threshold)
-    with pytest.raises(ValueError, match="orth_threshold"):
-        series_device_state(sc, 4, orth_threshold=threshold)
 
 
 def test_every_caller_takes_its_route_from_one_function(monkeypatch):
@@ -306,8 +304,6 @@ def test_every_caller_takes_its_route_from_one_function(monkeypatch):
         lambda: predict(orth),
         lambda: predict(general),
         lambda: predict(general, orth_threshold=0.5),
-        lambda: series_device_state(orth, 3),
-        lambda: series_device_state(general, 3, orth_threshold=0.5),
         lambda: weak_value(general.observable, general.pre, general.post),
         lambda: generalized_weak_value(general.observable, general.pre, general.post, 2, 1),
         lambda: orthogonal_weak_value(orth.observable, orth.pre, orth.post),
@@ -319,12 +315,13 @@ def test_every_caller_takes_its_route_from_one_function(monkeypatch):
 
 
 def test_vanishing_first_order_response_is_one_error_everywhere():
-    # tr(P rho) = tr(P A rho A) = 0: the orthogonal weak value, `predict`
-    # and the series raise the same error.
+    # tr(P rho) = tr(P A rho A) = 0: the orthogonal weak value and `predict`
+    # raise the same error; the series, whose every order vanishes, refuses
+    # the post-selection as `evolve_postselect` does.
     sc = commuting_orthogonal(0.02)
     with pytest.raises(HigherOrderOrthogonality):
         orthogonal_weak_value(sc.observable, sc.pre, sc.post)
     with pytest.raises(HigherOrderOrthogonality):
         predict(sc)
-    with pytest.raises(HigherOrderOrthogonality):
+    with pytest.raises(ZeroPostSelectionProbability):
         series_device_state(sc, 4)
