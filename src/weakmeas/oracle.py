@@ -357,7 +357,8 @@ def series_device_state(sc: Scenario, order: int, grid_n: int | None = None) -> 
     The order and then ``grid_n`` are refused before the working grid is
     allocated; then the validity warning reads the pointer moments, and
     only then can the frame raise GridTooSmall. Raises SeriesDiverging when
-    the per-order density terms stop decreasing or the truncated probability
+    the per-order density terms stop decreasing, from the first order whose
+    traces are not negligible on, or the truncated probability
     is negative -- the expansion is then meaningless at this coupling -- and
     ZeroPostSelectionProbability, as `evolve_postselect` does, when it is
     not above PROB_FLOOR.
@@ -384,7 +385,14 @@ def series_device_state(sc: Scenario, order: int, grid_n: int | None = None) -> 
     # One row per conjugate pair of cross terms (k, n - k), and the middle
     # term k = n/2: each product is formed once.
     coefficients = _series_coefficients(t, g / unit, order)
-    first = _series_rows(order)[2]
+    n_rows, k_rows, first = _series_rows(order)[:3]
+    # The divergence guard measures growth from the first live order: one
+    # whose traces are not negligible against their bound 1 (A has unit
+    # spectral norm). An orthogonal selection's leading orders vanish
+    # (b_0 = <f|psi> = 0), and their roundoff, climbing to the first live
+    # order, is not divergence.
+    live = np.maximum.reduceat(np.abs(t[n_rows - k_rows, k_rows]), first) > SERIES_NOISE_FLOOR
+    lead = int(np.argmax(live)) if live.any() else order + 1
     for n in range(order + 1):
         a = coefficients[first[n] : first[n] + n // 2 + 1]
         term = np.zeros(grid.n)
@@ -400,13 +408,15 @@ def series_device_state(sc: Scenario, order: int, grid_n: int | None = None) -> 
         qd += term
         p_poly[n] = a.sum().real
         sups.append(float(np.max(np.abs(term))))
-        # Terms below SERIES_NOISE_FLOOR relative to the largest so far are
-        # roundoff, not divergence: a grid pointer's spectral power table
-        # flutters there (converged tails sit at that scale), and an
-        # orthogonal selection's vanishing first orders climb from there to
-        # its first nonzero one. Genuine divergence shows terms growing from
-        # the scale of the density itself.
-        if n >= 3 and sups[-1] >= sups[-2] >= sups[-3] > SERIES_NOISE_FLOOR * max(sups):
+        # Growth below SERIES_NOISE_FLOOR relative to the first live order's
+        # density term is roundoff flutter of a grid pointer's spectral power
+        # table (converged tails sit at that scale), not divergence; genuine
+        # divergence shows terms growing at the scale of the density itself.
+        if (
+            n >= lead + 3
+            and sups[-1] >= sups[-2] >= sups[-3]
+            and sups[-1] > SERIES_NOISE_FLOOR * sups[lead]
+        ):
             raise SeriesDiverging(
                 f"per-order density terms stopped decreasing at order {n} "
                 f"(sup norms {sups[-3]:.3e}, {sups[-2]:.3e}, {sups[-1]:.3e}); "

@@ -170,16 +170,26 @@ def _predict_stacked(
     defined = ~np.isnan(denom)
     # NaN in place of the overlap carries through to NaN results.
     off = np.where(orth, np.nan, ov)
+    # The orders run at the coupling g 2^j >= 1/2, so no power of a weak g
+    # underflows, and come back as each point's orders over 2^lead, its
+    # largest Z increment's binary exponent: exact powers of two, one per
+    # point, that leave every ratio as it was.
+    j = max(0, -math.frexp(g)[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _series_sums(pointer, t, g, 3)
+        sums = _series_sums(pointer, t, math.ldexp(g, j), 3)
+        shift = -j * np.arange(4)[:, None]
+        exponents = np.frexp(sums[:, 0])[1] + shift
+        lead = np.max(np.where(sums[:, 0] != 0.0, exponents, -(2**20)), axis=0)
+        sums = np.ldexp(sums, (shift - lead)[:, None])
         low = sums[:3].sum(axis=0)
         z, mean_q, mean_p, _, _ = _statistics(np.where(orth, low + sums[3], low), defined)
         delta_q, delta_p = mean_q - q0, mean_p - p0
         if first_order:
             z1, q1, _, p1, _ = sums[1]
-            delta_q, delta_p = (q1 - q0 * z1) / off, (p1 - p0 * z1) / off
+            delta_q, delta_p = (np.ldexp(x, lead) / off for x in (q1 - q0 * z1, p1 - p0 * z1))
         var_q, var_p = _statistics(low, defined)[3:]
-    return _Fields(z / off, z, delta_q, delta_p, var_q, var_p)
+    success = np.ldexp(z, lead)
+    return _Fields(success / off, success, delta_q, delta_p, var_q, var_p)
 
 
 def _statistics(sums: np.ndarray, defined: np.ndarray) -> tuple:

@@ -355,12 +355,13 @@ def test_series_tail_estimate_shrinks():
     assert tails[0] > tails[1] > tails[2] > 0.0
 
 
-def _near_orthogonal(g):
-    """Nearly orthogonal selections: the weak values grow to ~1/sqrt(ov)."""
+def _near_orthogonal(g, eps=0.01):
+    """Nearly orthogonal selections: the weak values grow to ~1/sqrt(ov),
+    ov ~ eps^2; orthogonal ones at eps = 0."""
     a = new_observable(np.diag([1.0, 0.35]))
     psi = np.array([0.8, 0.36 + 0.48j])
     perp = np.array([-np.conj(psi[1]), np.conj(psi[0])])
-    post = projector_onto(0.01 * psi + perp)
+    post = projector_onto(eps * psi + perp)
     return make_scenario(a, pure_state(psi), post, g, gaussian(1.0))
 
 
@@ -369,6 +370,13 @@ def test_series_divergence_detected():
     # (about 8.7, 278, 414 over orders 1-3) and the truncation refuses.
     with pytest.raises(SeriesDiverging, match="at order 3"):
         _quiet_series(_near_orthogonal(2.0), 12)
+    # At g = 2e4 each order's term is about 1e4 times the last; the growth
+    # is measured from the first live order (order 2 of the orthogonal
+    # selection), so it is caught however fast it is.
+    with pytest.raises(SeriesDiverging, match="at order 3"):
+        _quiet_series(_near_orthogonal(2e4), 6)
+    with pytest.raises(SeriesDiverging, match="at order 5"):
+        _quiet_series(_near_orthogonal(2e4, 0.0), 6)
     # A weak value 1 - 6i on a pointer with <p> = 1 (a Gaussian times e^(iq)):
     # the order-1 normalization tr(P rho) (1 + 2 g <p> Im A_w) is
     # 0.0263 x -0.2 at g = 0.1, and the series refuses it; order 2 is
@@ -433,7 +441,7 @@ def test_series_normalizes_by_its_own_density():
     assert rec.success_prob == pytest.approx(exact.success_prob, rel=1e-13, abs=0.0)
 
 
-def test_series_regime_error_precedes_grid_too_small():
+def test_series_raises_grid_too_small_as_the_exact_oracle_does():
     # The series refuses what `evolve_postselect` refuses: at g = 1e200,
     # which cannot be gridded, both raise GridTooSmall.
     sc = commuting_orthogonal(1e200)
@@ -446,7 +454,7 @@ def test_series_regime_error_precedes_grid_too_small():
     assert str(series.value) == str(exact.value)
 
 
-def test_series_bad_grid_n_precedes_a_bad_threshold():
+def test_series_refuses_a_bad_grid_n():
     with pytest.raises(ValueError, match="grid_n"):
         series_device_state(half_overlap_scenario(0.02), 4, grid_n=3)
 

@@ -188,6 +188,15 @@ def test_orthogonal_pinned_values():
     pred = predict_orthogonal(idem.observable, idem.pre, idem.post, idem.g, idem.pointer)
     assert pred.delta_q == pytest.approx(0.01, rel=1e-12)
     assert pred.delta_p == pytest.approx(0.0, abs=1e-15)
+    # At any coupling the shift is g/2; at g = 1e-150 the order-3 term's g^3
+    # and at 1e-200 the success probability's g^2 are below the smallest
+    # double, and the shift must not depend on either.
+    for g in (1e-150, 1e-200):
+        idem = orthogonal_idempotent(g)
+        pred = predict_orthogonal(idem.observable, idem.pre, idem.post, g, idem.pointer)
+        assert pred.delta_q == pytest.approx(g / 2.0, rel=1e-12)
+        assert pred.var_q_out == pytest.approx(3.0, rel=1e-12)
+    assert pred.success_prob == 0.0
 
 
 def test_orthogonal_general_and_gaussian_forms_agree():
