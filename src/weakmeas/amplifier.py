@@ -7,13 +7,13 @@ evolution or the closed-form predictor as the engine -- and locates the
 parameter maximizing it by Brent's method. The exact engine is the pair
 kernel `oracle._exact_stacked` for every pointer (no grid size is taken,
 and the grid oracle never runs). The predicted engine is `predict`'s
-stacked kernel, routed like `predict` by `weak_values._route` at
-ORTH_THRESHOLD: one series call per stack, the order 2 of
-`predictor.predict_general` above the orthogonality threshold and the
-order 3 of `predictor.predict_orthogonal` at or below it (any pointer,
-boosted ones included), each with its predicted success probability. The canonical family is the
-Stern-Gerlach arrangement `sg_family`, whose measured-value curve has the
-known analytic optimum `sg_optimum`.
+stacked kernel, routed like `predict` by `weak_values._route`: one
+series call per stack, the order 2 of `predictor.predict_general` above
+the orthogonality threshold and the order 3 of
+`predictor.predict_orthogonal` at or below it (any pointer, boosted ones
+included), each with its predicted success probability. The canonical
+family is the Stern-Gerlach arrangement `sg_family`, whose measured-value
+curve has the known analytic optimum `sg_optimum`.
 
 Points whose scenarios share the observable object, the pointer object and
 g are evaluated in one array pass: one stack of the selection kernel
@@ -54,7 +54,7 @@ from .pointer import gaussian
 from .predictor import _check_alpha, _check_lambda, _predict_stacked
 from .qops import SIGMA_Z, new_observable, projector_onto, pure_state
 from .scenario import Scenario, make_scenario
-from .weak_values import ORTH_THRESHOLD, _route, weak_interaction_margin
+from .weak_values import _route, weak_interaction_margin
 
 __all__ = [
     "OBJECTIVES",
@@ -145,7 +145,7 @@ class _Evaluator:
         g = scenarios[0].g
         if self.engine == "predicted":
             _, b = _scenario_selections(scenarios, 3)
-            fields = _predict_stacked(scenarios[0].pointer, g, _route(b, ORTH_THRESHOLD))
+            fields = _predict_stacked(scenarios[0].pointer, g, _route(b))
             success = np.where(np.isnan(fields.success), 0.0, fields.success)
             delta_q, delta_p = fields.delta_q, fields.delta_p
         else:

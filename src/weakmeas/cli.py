@@ -45,7 +45,7 @@ from .scenario import (
     scenario_with_weak_value,
     validate_series_order,
 )
-from .weak_values import ORTH_THRESHOLD, orthogonal_weak_value, weak_value
+from .weak_values import orthogonal_weak_value, weak_value
 
 __all__ = ["build_parser", "main"]
 
@@ -224,9 +224,8 @@ def _prediction_payload(pred) -> dict:
 
 
 def _cmd_predict(args) -> int:
-    sc, options = load_scenario(args.scenario)
-    orth = options.orth_threshold or ORTH_THRESHOLD
-    _emit_json(_prediction_payload(predict(sc, args.regime, orth_threshold=orth)), args.out)
+    sc, _ = load_scenario(args.scenario)
+    _emit_json(_prediction_payload(predict(sc, args.regime)), args.out)
     return 0
 
 
@@ -275,7 +274,6 @@ def _cmd_sterngerlach(args) -> int:
         raise ParseError(f"--steps: expected a positive integer, got {args.steps}")
     comments = []
     for lam in args.lambdas:
-        SGParams(alpha=0.0, lmbda=lam)  # range-check (and warn) once per lambda
         alpha, top = sg_optimum(lam)
         comments.append(f"lambda={lam:g} alpha_opt={alpha:.17g} outcome_max={top:.17g}")
     alphas = [np.pi * i / args.steps for i in range(args.steps + 1)]

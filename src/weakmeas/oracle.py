@@ -358,8 +358,8 @@ def series_device_state(sc: Scenario, order: int, grid_n: int | None = None) -> 
     allocated; then the validity warning reads the pointer moments, and
     only then can the frame raise GridTooSmall. Raises SeriesDiverging when
     the per-order density terms stop decreasing, from the first order whose
-    traces are not negligible on, or the truncated probability
-    is negative -- the expansion is then meaningless at this coupling -- and
+    traces are not negligible on, or the truncated probability lies outside
+    [0, 1] -- the expansion is then meaningless at this coupling -- and
     ZeroPostSelectionProbability, as `evolve_postselect` does, when it is
     not above PROB_FLOOR.
     """
@@ -425,9 +425,9 @@ def series_device_state(sc: Scenario, order: int, grid_n: int | None = None) -> 
 
     pd = m0 * np.polyval(p_poly[::-1], pk)
     norm = float(np.sum(qd) * grid.dq)
-    if not norm >= 0.0:
+    if not 0.0 <= norm <= 1.0 + NORM_TOL:
         raise SeriesDiverging(
-            f"truncated normalization {norm:.3e} is not positive; the "
+            f"truncated normalization {norm:.3e} lies outside [0, 1]; the "
             "expansion is meaningless at this coupling"
         )
     _require_success(norm, PROB_FLOOR)

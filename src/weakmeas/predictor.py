@@ -8,7 +8,7 @@ series of `oracle.series_device_state` (Nakamura et al., PRA 85, 012113):
 
 - `predict`: the single entry from a scenario to a prediction. It takes
   its route from `weak_values._route`, as the weak values do: the general
-  formulas above the orthogonality threshold (a number in (0, 1)), the
+  formulas above the fixed orthogonality threshold ORTH_THRESHOLD, the
   orthogonal ones at or below it; a regime can also be forced.
 - `predict_aav`: first order in g (linear response).
 - `predict_general`: second order with the resummed denominator, valid for
@@ -32,14 +32,12 @@ pointer's moment table) and reads each regime's fields from its low
 orders, as arrays, NaN where a point is undefined. The series divides the
 traces by no denominator, so the orthogonal fields are its orders up to 3,
 whose first two vanish with <f|psi>; the route only picks the orders. The
-amplifier runs it over stacks routed at ORTH_THRESHOLD; `predict` and the
-four forced predictors are its batch of one, `_predict_point`, which reads
-the selection kernel and routes once per call, takes the regime errors
-from `weak_values._point_route` and raises every other typed error. The
-forced predictors use the default threshold ORTH_THRESHOLD; another
-threshold is set through `predict` (or a scenario file's
-``orth_threshold`` option). Every prediction names its regime with one
-vocabulary: ``aav``, ``general`` or ``orthogonal``.
+amplifier runs it over routed stacks; `predict` and the four forced
+predictors are its batch of one, `_predict_point`, which reads the
+selection kernel and routes once per call, takes the regime errors from
+`weak_values._point_route` and raises every other typed error. Every
+prediction names its regime with one vocabulary: ``aav``, ``general`` or
+``orthogonal``.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ from .qops import Observable, PostSelection, SystemState
 from .scenario import Scenario
 from .weak_values import (
     MARGIN_ORDER,
-    ORTH_THRESHOLD,
     _aav_margin,
     _moment_amplitudes,
     _point_route,
@@ -203,7 +200,7 @@ def _statistics(sums: np.ndarray, defined: np.ndarray) -> tuple:
 
 def _predict_point(
     obs: Observable, pre: SystemState, post: PostSelection, g: float, pointer: PointerState,
-    regime: str, orth_threshold: float = ORTH_THRESHOLD,
+    regime: str,
 ) -> ShiftPrediction:
     """`_predict_stacked`'s batch of one, behind every public predictor.
 
@@ -214,9 +211,9 @@ def _predict_point(
     prediction is returned.
     """
     b = _moment_amplitudes(obs, pre, post, MARGIN_ORDER)
-    route = _route(b[:4], orth_threshold)
+    route = _route(b[:4])
     forced = None if regime == "auto" else regime == "orthogonal"
-    _, t, side, denom = _point_route(route, orth_threshold, forced)
+    _, t, side, denom = _point_route(route, forced)
     if regime == "auto":
         regime = "orthogonal" if side else "general"
     f = _predict_stacked(pointer, g, route, regime == "aav")
@@ -336,23 +333,18 @@ def predict_orthogonal_gaussian(
 _REGIMES = ("aav", "general", "orthogonal")
 
 
-def predict(
-    sc: Scenario, regime: str = "auto", *, orth_threshold: float = ORTH_THRESHOLD
-) -> ShiftPrediction:
+def predict(sc: Scenario, regime: str = "auto") -> ShiftPrediction:
     """Closed-form prediction for a scenario.
 
     ``regime`` is ``auto``, ``aav``, ``general`` or ``orthogonal``. ``auto``
     routes on the selection overlap tr(P rho): the general formulas above
-    ``orth_threshold``, the orthogonal ones at or below it. The other values
+    ORTH_THRESHOLD, the orthogonal ones at or below it. The other values
     force that regime, and raise its regime error when the scenario lies
-    outside it. ``orth_threshold`` must lie in (0, 1) (ValueError
-    otherwise). Every regime reads the selection kernel once.
+    outside it. Every regime reads the selection kernel once.
     """
     if regime != "auto" and regime not in _REGIMES:
         raise ValueError(f"regime must be 'auto' or one of {_REGIMES}, got {regime!r}")
-    return _predict_point(
-        sc.observable, sc.pre, sc.post, sc.g, sc.pointer, regime, orth_threshold
-    )
+    return _predict_point(sc.observable, sc.pre, sc.post, sc.g, sc.pointer, regime)
 
 
 def _check_alpha(alpha: float) -> None:

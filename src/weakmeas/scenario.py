@@ -13,7 +13,7 @@ scenario is a JSON object::
       "pointer": {"type": "gaussian", "delta_q": 1.0} |
                  {"type": "grid", "q_min": ..., "dq": ..., "n": ...,
                   "branches": [{"weight": w, "samples": [[re, im], ...]}, ...]},
-      "options": {"grid_n": ..., "series_order": ..., "orth_threshold": ...}
+      "options": {"grid_n": ..., "series_order": ...}
     }
 
 Every object refuses keys it does not read (`qops._wire_object`), and
@@ -59,7 +59,7 @@ from .qops import (
     pure_state,
     vector_from_wire,
 )
-from .weak_values import _check_threshold, orthogonal_weak_value, weak_value
+from .weak_values import orthogonal_weak_value, weak_value
 
 __all__ = [
     "Scenario",
@@ -88,7 +88,6 @@ class ScenarioOptions:
 
     grid_n: int | None = None
     series_order: int | None = None
-    orth_threshold: float | None = None
 
     def __post_init__(self) -> None:
         for name, check in _OPTION_CHECKS.items():
@@ -97,7 +96,7 @@ class ScenarioOptions:
                 object.__setattr__(self, name, check(value))
 
     def any_set(self) -> bool:
-        return any(v is not None for v in (self.grid_n, self.series_order, self.orth_threshold))
+        return any(v is not None for v in (self.grid_n, self.series_order))
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,6 @@ def validate_series_order(order) -> int:
 _OPTION_CHECKS = {
     "grid_n": validate_grid_n,
     "series_order": validate_series_order,
-    "orth_threshold": _check_threshold,
 }
 
 

@@ -5,20 +5,21 @@ generalization tr(P A^m rho A^l)/tr(P rho), and the orthogonal-selection
 variant in which the leading response is carried by tr(P A rho A). All
 three, and `selection_trace`, read their traces from the one selection
 kernel (`qops._selection_kernel`) through one order check. `_route` is the
-package's one regime decision, per-point arrays for a stack of any size;
-the weak values, `predict` and the amplifier's predicted engine route
-through it. The truncated series needs no route: it expands the raw
-traces, one expansion on both sides of the threshold. `_point_route`
-raises one point's regime errors from those arrays, and `_weak_ratio` is
-the one weak value. The two margin diagnostics quantify how far a
-scenario sits from the linear-response and weak-interaction regimes;
-predictions should only be trusted while they stay well below one.
+package's one regime decision, per-point arrays for a stack of any size:
+it compares each overlap with the constant ORTH_THRESHOLD, which no other
+module names. The weak values, `predict` and the amplifier's predicted
+engine route through it. The truncated series needs no route: it expands
+the raw traces, one expansion on both sides of the threshold.
+`_point_route` raises one point's regime errors from those arrays, and
+`_weak_ratio` is the one weak value. The two margin diagnostics quantify
+how far a scenario sits from the linear-response and weak-interaction
+regimes; predictions should only be trusted while they stay well below
+one.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ __all__ = [
     "weak_interaction_margin_argmax",
 ]
 
+# The selection overlap tr(P rho) at or below which `_route` takes the
+# orthogonal side.
 ORTH_THRESHOLD = 1e-12
 G2_THRESHOLD = 1e-12
 # Highest moment order the two margin diagnostics take their maximum over.
@@ -74,31 +77,22 @@ def _moment_amplitudes(
     return _selection_kernel([post], [pre], obs, n_max)[1]
 
 
-def _check_threshold(orth_threshold) -> float:
-    """The one check of an orthogonality threshold: a real number in (0, 1)."""
-    real = isinstance(orth_threshold, numbers.Real) and not isinstance(orth_threshold, bool)
-    if not (real and 0.0 < orth_threshold < 1.0):
-        raise ValueError(f"orth_threshold must be a number in (0, 1), got {orth_threshold!r}")
-    return float(orth_threshold)
-
-
-def _route(b: np.ndarray, orth_threshold) -> tuple:
+def _route(b: np.ndarray) -> tuple:
     """The one regime decision, for a stack of B points' moment amplitudes
     b_0..b_n (n >= 1): per-point arrays (ov, t, side, denom) with
     ov = tr(P rho), t[m, l] = tr(P A^m rho A^l), side True (orthogonal)
-    where ov is at or below the threshold, and the conditioning denominator
-    -- ov off side 1, tr(P A rho A) on it, NaN there unless tr(P A rho A)
-    > G2_THRESHOLD."""
-    orth_threshold = _check_threshold(orth_threshold)
+    where ov is at or below ORTH_THRESHOLD, and the conditioning
+    denominator -- ov off side 1, tr(P A rho A) on it, NaN there unless
+    tr(P A rho A) > G2_THRESHOLD."""
     ov = _selection_overlaps(b)
     t = _selection_traces(b)
-    side = ov <= orth_threshold
+    side = ov <= ORTH_THRESHOLD
     lead = t[1, 1].real
     return ov, t, side, np.where(side, np.where(lead > G2_THRESHOLD, lead, np.nan), ov)
 
 
 def _point_route(
-    route: tuple, orth_threshold: float, orthogonal: bool | None = None
+    route: tuple, orthogonal: bool | None = None
 ) -> tuple[float, np.ndarray, int, float]:
     """A one-point `_route` as (ov, t[:, :, 0], side, denom), raising the
     point's regime errors: a forced ``orthogonal`` raises NotOrthogonal /
@@ -107,13 +101,13 @@ def _point_route(
     ov, side, denom = float(ovs[0]), int(sides[0]), float(denoms[0])
     if orthogonal and not side:
         raise NotOrthogonal(
-            f"selection overlap {ov:.3e} exceeds {float(orth_threshold):.1e}; the "
+            f"selection overlap {ov:.3e} exceeds {ORTH_THRESHOLD:.1e}; the "
             "selections are not orthogonal (use the standard weak values and "
             "the non-orthogonal predictors)"
         )
     if orthogonal is False and side:
         raise OrthogonalPPS(
-            f"selection overlap {ov:.3e} is below {float(orth_threshold):.1e}; the "
+            f"selection overlap {ov:.3e} is below {ORTH_THRESHOLD:.1e}; the "
             "selections are orthogonal (use the orthogonal weak value and "
             "predictor)"
         )
@@ -152,8 +146,7 @@ def _weak_report(
     tr(P A rho A) instead of tr(P rho)."""
     m, l = _check_orders(m, l, MAX_WEAK_ORDER)
     b = _moment_amplitudes(obs, pre, post, max(m, l) + 1)
-    route = _route(b, ORTH_THRESHOLD)
-    _, t, side, denom = _point_route(route, ORTH_THRESHOLD, kind == "orthogonal")
+    _, t, side, denom = _point_route(_route(b), kind == "orthogonal")
     value = complex(_weak_ratio(t, m, l, side, denom))
     orders = None if kind == "standard" else (m, l)
     return WeakValueReport(value=value, kind=kind, orders=orders, denominator=complex(denom))

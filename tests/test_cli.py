@@ -14,7 +14,6 @@ import pytest
 
 from weakmeas import (
     SGParams,
-    ScenarioOptions,
     evolve_postselect,
     gaussian,
     make_scenario,
@@ -173,26 +172,41 @@ def test_exact_series_on_a_gaussian_file_is_accurate(tmp_path, capsys):
     assert payload["series"]["delta_q"] == pytest.approx(payload["delta_q"], abs=1e-5)
 
 
-def test_exact_series_ignores_the_file_orth_threshold(tmp_path, capsys):
-    # tr(P rho) = 8.3e-12 lies above the default threshold (1e-12) but
-    # below the file's 1e-9, so `predict` routes orthogonal. The series
-    # takes no route: at either threshold it matches the exact record.
+def _near_orthogonal_d3():
+    """tr(P rho) = 8.3e-12, just above ORTH_THRESHOLD (1e-12)."""
     obs = new_observable(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
-    sc = make_scenario(obs, [3e-6, 1.0, 0.3], [1.0, 0.0, 0.0], 0.05, gaussian(1.0))
+    return make_scenario(obs, [3e-6, 1.0, 0.3], [1.0, 0.0, 0.0], 0.05, gaussian(1.0))
+
+
+def test_a_file_orth_threshold_is_refused(tmp_path, capsys):
+    # The orthogonality threshold is a constant, not a file option: the one
+    # key check refuses it.
+    wire = scenario_to_wire(_near_orthogonal_d3())
+    wire["options"] = {"orth_threshold": 1e-9}
+    path = tmp_path / "near_orth.json"
+    path.write_text(json.dumps(wire))
+    for command in ("predict", "exact"):
+        code, out, err = _run(capsys, [command, str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.endswith(f"{path}.options: unknown key 'orth_threshold'\n")
+
+
+def test_exact_series_matches_the_oracle_just_above_the_threshold(tmp_path, capsys):
+    # `predict` routes general at tr(P rho) = 8.3e-12; the series takes no
+    # route and matches the exact record.
+    sc = _near_orthogonal_d3()
     exact = evolve_postselect(sc)
-    for threshold in (1e-9, 1e-13):
-        wire = scenario_to_wire(sc, ScenarioOptions(orth_threshold=threshold))
-        path = tmp_path / "near_orth.json"
-        path.write_text(json.dumps(wire))
-        code, out, _ = _run(capsys, ["predict", str(path)])
-        assert code == 0
-        assert json.loads(out)["regime"] == ("orthogonal" if threshold > 1e-11 else "general")
-        code, out, _ = _run(capsys, ["exact", str(path), "--series-order", "8"])
-        assert code == 0
-        series = json.loads(out)["series"]
-        assert series["delta_q"] == pytest.approx(exact.delta_q, abs=1e-12)
-        assert series["delta_p"] == pytest.approx(exact.delta_p, abs=1e-12)
-        assert series["success_prob"] == pytest.approx(exact.success_prob, rel=1e-12)
+    path = _write_scenario(tmp_path, sc)
+    code, out, _ = _run(capsys, ["predict", path])
+    assert code == 0
+    assert json.loads(out)["regime"] == "general"
+    code, out, _ = _run(capsys, ["exact", path, "--series-order", "8"])
+    assert code == 0
+    series = json.loads(out)["series"]
+    assert series["delta_q"] == pytest.approx(exact.delta_q, abs=1e-12)
+    assert series["delta_p"] == pytest.approx(exact.delta_p, abs=1e-12)
+    assert series["success_prob"] == pytest.approx(exact.success_prob, rel=1e-12)
 
 
 def test_series_converges_where_predict_finds_a_vanishing_first_order(tmp_path, capsys):
@@ -457,6 +471,22 @@ def test_sterngerlach_small_angle_is_tangent(capsys):
     rows = [r for r in out.splitlines() if not r.startswith("#")][1:]
     alpha, outcome = (float(x) for x in rows[13].split(","))
     assert outcome == pytest.approx(math.tan(alpha / 2.0), rel=5e-3)
+
+
+def test_sterngerlach_warns_once_per_strong_lambda():
+    # A fresh process, so no earlier warning is filtered as a repeat: one
+    # ValidityWarning per lambda above 0.5, none for 0.3.
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakmeas.cli", "sterngerlach",
+         "--lambdas", "0.3,0.6,0.7", "--steps", "4"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    warned = [line for line in proc.stderr.splitlines() if "ValidityWarning" in line]
+    assert len(warned) == 2
+    assert "lambda = 0.6 > 0.5" in warned[0]
+    assert "lambda = 0.7 > 0.5" in warned[1]
 
 
 # --- figure2 ---------------------------------------------------------------------

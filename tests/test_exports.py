@@ -2,14 +2,15 @@
 
 `weakmeas.__all__` is derived from the submodules' ``__all__`` lists, so a
 name dropped from (or added to) a submodule changes the public API; the
-pinned set below makes that a deliberate edit, and so do the pinned knobs:
-the functions that take ``orth_threshold`` and the total number of settable
-parameters. The benchmark tracer rebinds
+pinned set below makes that a deliberate edit, and so does the total
+number of settable parameters; no function takes an ``orth_threshold``,
+which is a constant. The benchmark tracer rebinds
 functions by module and name, so a consolidation that renames or removes one
 would silently break a traced run; the second test catches that here. The
 last two tests pin boundaries in the source: no module but `pointer` asks
-which kind of pointer it holds, `oracle` imports no regime route, and no
-function but `qops._parsed` turns a refusal into a ParseError.
+which kind of pointer it holds, `oracle` imports no regime route, no module
+but `weak_values` names ORTH_THRESHOLD, and no function but `qops._parsed`
+turns a refusal into a ParseError.
 """
 
 import ast
@@ -67,10 +68,7 @@ def test_public_names_are_pinned_resolve_and_do_not_repeat():
         assert hasattr(weakmeas, name), name
 
 
-# The threshold reaches the package only through `predict`, which the CLI
-# passes a scenario file's ``orth_threshold`` option.
-THRESHOLD_TAKERS = {"predict"}
-SETTABLE_PARAMETERS = 106
+SETTABLE_PARAMETERS = 105
 
 
 def test_settable_parameters_are_pinned():
@@ -79,10 +77,9 @@ def test_settable_parameters_are_pinned():
         for name in weakmeas.__all__
         if inspect.isfunction(getattr(weakmeas, name))
     ]
-    takers = {
-        fn.__name__ for fn in functions if "orth_threshold" in inspect.signature(fn).parameters
-    }
-    assert takers == THRESHOLD_TAKERS
+    # The orthogonality threshold is a constant that `weak_values._route`
+    # reads, not a knob.
+    assert not [fn for fn in functions if "orth_threshold" in inspect.signature(fn).parameters]
     total = sum(len(inspect.signature(fn).parameters) for fn in functions)
     assert total == SETTABLE_PARAMETERS
 
@@ -131,6 +128,18 @@ def test_oracle_never_branches_on_the_pointer_kind():
         for alias in node.names
     } & {"_route", "_point_route", "ORTH_THRESHOLD"}
     assert not routing
+    # One reader of the orthogonality threshold: no other module names it.
+    naming = {
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "ORTH_THRESHOLD")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and "ORTH_THRESHOLD" in {alias.name for alias in node.names}
+        )
+    }
+    assert naming == {"weak_values"}
     for module, tree in trees.items():
         if module in ("pointer", "__init__"):
             continue

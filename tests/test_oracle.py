@@ -377,6 +377,13 @@ def test_series_divergence_detected():
         _quiet_series(_near_orthogonal(2e4), 6)
     with pytest.raises(SeriesDiverging, match="at order 5"):
         _quiet_series(_near_orthogonal(2e4, 0.0), 6)
+    # Truncated at order 3, strongly coupled orthogonal selections integrate
+    # to far above 1 (2.434e6 at g = 1e4; 60.84 at g = 50, where the exact
+    # probability is 0.4608): a probability above 1 is refused, not capped.
+    with pytest.raises(SeriesDiverging, match=r"truncated normalization 2\.434e\+06"):
+        _quiet_series(_near_orthogonal(1e4, 0.0), 3)
+    with pytest.raises(SeriesDiverging, match=r"truncated normalization 6\.084e\+01"):
+        _quiet_series(_near_orthogonal(50.0, 0.0), 3)
     # A weak value 1 - 6i on a pointer with <p> = 1 (a Gaussian times e^(iq)):
     # the order-1 normalization tr(P rho) (1 + 2 g <p> Im A_w) is
     # 0.0263 x -0.2 at g = 0.1, and the series refuses it; order 2 is

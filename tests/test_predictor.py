@@ -18,7 +18,6 @@ from weakmeas import (
     grid_state,
     make_scenario,
     new_observable,
-    overlap,
     predict,
     predict_aav,
     predict_general,
@@ -54,6 +53,7 @@ from support import (
     orthogonal_d3,
     orthogonal_idempotent,
     orthogonal_sigma_x,
+    overlap_family,
     qubit_pps_half_overlap,
     random_hermitian,
     random_observable,
@@ -234,18 +234,14 @@ def test_orthogonal_gaussian_peaks():
 
 
 def test_predict_routes_on_the_overlap_threshold():
-    # Above the threshold predict is predict_general, at or below it
-    # predict_orthogonal, bit for bit (repr distinguishes every float).
+    # Above ORTH_THRESHOLD (1e-12) predict is predict_general, at or below
+    # it predict_orthogonal, bit for bit (repr distinguishes every float).
+    for ov, forced in ((2e-12, predict_general), (5e-13, predict_orthogonal)):
+        near = overlap_family(ov, 0.02)
+        args = (near.observable, near.pre, near.post, near.g, near.pointer)
+        assert repr(_quiet(predict, near)) == repr(_quiet(forced, *args))
     sc = half_overlap_scenario(0.02)
-    ov = overlap(sc.post, sc.pre)
     args = (sc.observable, sc.pre, sc.post, sc.g, sc.pointer)
-    below = math.nextafter(ov, 0.0)
-    for threshold, expected in (
-        (1e-12, predict_general(*args)),
-        (below, predict(sc, "general", orth_threshold=below)),
-        (ov, predict(sc, "orthogonal", orth_threshold=ov)),
-    ):
-        assert repr(_quiet(predict, sc, orth_threshold=threshold)) == repr(expected)
     orth = scenario_with_orthogonal_weak_value(0.2 + 0.1j, 0.02, 1.5)
     expected = predict_orthogonal(orth.observable, orth.pre, orth.post, orth.g, orth.pointer)
     assert repr(predict(orth)) == repr(expected)

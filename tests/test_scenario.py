@@ -90,13 +90,12 @@ def test_wire_round_trip_bit_exact_grid():
 def test_wire_round_trip_options():
     gen = rng(42)
     sc = random_scenario(gen, 2)
-    options = ScenarioOptions(grid_n=8192, series_order=6, orth_threshold=1e-10)
+    options = ScenarioOptions(grid_n=8192, series_order=6)
     wire = scenario_to_wire(sc, options)
     sc2, opts = parse_scenario(_through_json(wire))
     _assert_same_scenario(sc, sc2)
     assert opts.grid_n == 8192
     assert opts.series_order == 6
-    assert opts.orth_threshold == 1e-10
     # Unset options stay off the wire entirely.
     assert "options" not in scenario_to_wire(sc, ScenarioOptions())
     # numpy integers pass the one integer check and go out as ints.
@@ -169,6 +168,11 @@ def test_parse_rejects_unknown_key():
     # Keys of mixed types sort by their text, not into a TypeError.
     with pytest.raises(ParseError, match="scenario: unknown key 1"):
         parse_scenario({1: 0, "x": 0})
+    # The orthogonality threshold is a constant, not a file option.
+    wire = _base_wire()
+    wire["options"] = {"orth_threshold": 1e-9}
+    with pytest.raises(ParseError, match=r"scenario\.options: unknown key 'orth_threshold'"):
+        parse_scenario(wire)
 
 
 @pytest.mark.parametrize(
@@ -288,8 +292,6 @@ def test_parse_rejects_bad_options():
         ("series_order", np.int64(17), OrderTooLarge, "series order"),
         ("series_order", -1, ValueError, "series order"),
         ("series_order", 17, OrderTooLarge, "series order"),
-        ("orth_threshold", 2.0, ValueError, "orth_threshold"),
-        ("orth_threshold", math.nan, ValueError, "orth_threshold"),
     ],
 )
 def test_options_are_refused_when_built(field, value, error, name):
