@@ -2,6 +2,7 @@
 validity margins."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from support import (
     commuting_orthogonal,
     orthogonal_idempotent,
     orthogonal_sigma_x,
+    overlap_family,
     qubit_pps_half_overlap,
     random_observable,
     random_selections,
@@ -271,9 +273,56 @@ def test_aav_margin_basics():
 
 
 def _near_orthogonal_qubit(g: float = 0.05):
-    """sigma_x, pre ~ (1, 0.3), post |1>: tr(P rho) = 0.083, well above any
-    default threshold, and tr(P A rho A) = 0.917."""
+    """sigma_x, pre ~ (1, 0.3), post |1>: tr(P rho) = 0.083, well above
+    ORTH_THRESHOLD, and tr(P A rho A) = 0.917."""
     return make_scenario(SIGMA_X, [1.0, 0.3], [0.0, 1.0], g, gaussian(1.0))
+
+
+# Each path as (call, refused off the orthogonal side, refused on it).
+_ROUTED_PATHS = {
+    "predict": (lambda sc: predict(sc), None, None),
+    "predict_aav": (lambda sc: predict(sc, "aav"), None, OrthogonalPPS),
+    "predict_general": (lambda sc: predict(sc, "general"), None, OrthogonalPPS),
+    "predict_orthogonal": (lambda sc: predict(sc, "orthogonal"), NotOrthogonal, None),
+    "weak_value": (lambda sc: weak_value(sc.observable, sc.pre, sc.post), None, OrthogonalPPS),
+    "generalized_weak_value": (
+        lambda sc: generalized_weak_value(sc.observable, sc.pre, sc.post, 2, 1),
+        None,
+        OrthogonalPPS,
+    ),
+    "orthogonal_weak_value": (
+        lambda sc: orthogonal_weak_value(sc.observable, sc.pre, sc.post),
+        NotOrthogonal,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("path", list(_ROUTED_PATHS))
+@pytest.mark.parametrize(
+    "build, side",
+    [
+        (orthogonal_sigma_x, True),
+        (lambda g: overlap_family(5e-13, g), True),
+        (lambda g: overlap_family(2e-12, g), False),
+        (_near_orthogonal_qubit, False),
+    ],
+    ids=["orthogonal", "ov_5e-13", "ov_2e-12", "ov_0.083"],
+)
+def test_every_path_routes_at_the_constant(build, side, path):
+    # The overlap is compared with ORTH_THRESHOLD (1e-12) on every path:
+    # `predict` labels the side, a forced regime off its side is refused
+    # with a message naming the constant, and every other call succeeds.
+    sc = build(0.02)
+    call, refused_off, refused_on = _ROUTED_PATHS[path]
+    error = refused_on if side else refused_off
+    if error is None:
+        result = call(sc)
+        if path == "predict":
+            assert result.regime == ("orthogonal" if side else "general")
+        return
+    with pytest.raises(error, match=re.escape(f"{weak_values.ORTH_THRESHOLD:.1e}")):
+        call(sc)
 
 
 def test_every_caller_takes_its_route_from_one_function(monkeypatch):
