@@ -18,14 +18,14 @@ curve has the known analytic optimum `sg_optimum`.
 Points whose scenarios share the observable object, the pointer object and
 g are evaluated in one array pass: one stack of the selection kernel
 (`qops._selection_kernel`) feeds the engine's kernel
-(`oracle._exact_stacked`, `predictor._predict_stacked`), and the
-per-group constants -- the weak-interaction margin and the pair frame
--- are computed once; the pointer's moment table is memoized on the
-pointer. A family author should therefore build
-the observable and the pointer once, outside the closure, as `sg_family`
-does; a family that builds them per point still works, one point per
-kernel call. The optimum search evaluates one point at a time through
-the same kernels and keeps the per-group constants between steps.
+(`oracle._exact_stacked`, `predictor._predict_stacked`). The pointer holds
+its own tables: the moment table, and the pair frame of the last coupling
+(`pointer._lag_tables`), so this module caches nothing. A family author
+should therefore build the observable and the pointer once, outside the
+closure, as `sg_family` does; a family that builds them per point still
+works, one point per kernel call. The optimum search evaluates one point
+at a time through the same kernels; at one coupling the pointer's pair
+frame is built once for the whole search.
 
 Points where the objective is undefined (post-selection never succeeds,
 or the predictor does not apply) are recorded with a blank outcome instead
@@ -49,7 +49,7 @@ from .errors import (
     ValidityWarning,
     ZeroPostSelectionProbability,
 )
-from .oracle import _exact_stacked, _pair_frame, _scenario_selections
+from .oracle import _exact_stacked, _scenario_selections
 from .pointer import gaussian
 from .predictor import _check_alpha, _check_lambda, _predict_stacked
 from .qops import SIGMA_Z, new_observable, projector_onto, pure_state
@@ -111,58 +111,34 @@ def _check_choices(objective: str, engine: str) -> None:
 
 def _group_key(sc: Scenario) -> tuple:
     """Scenarios with equal keys share the observable object, the pointer
-    object and g (sign of zero included), and so one kernel frame."""
+    object and g (sign of zero included), and so one kernel call. The key
+    groups only within one call, whose scenario list keeps the ids alive."""
     return id(sc.observable), id(sc.pointer), sc.g, math.copysign(1.0, sc.g)
 
 
-class _Evaluator:
-    """Evaluates scenarios with one engine and objective, one kernel call per
-    group of scenarios with one `_group_key`. The group constants (margin,
-    pair frame) are kept for the last group seen, so a sequential search
-    builds them once.
-    """
-
-    def __init__(self, objective: str, engine: str) -> None:
-        self.objective, self.engine = objective, engine
-        self._key: tuple | None = None
-        self._held: tuple = ()
-        self._frame: tuple = ()
-
-    def _group_frame(self, sc: Scenario) -> tuple:
-        """(weak margin, pair frame or None) of the scenario's group."""
-        key = _group_key(sc)
-        if key != self._key:
-            # Holding the objects keeps their ids from being reused by
-            # later ones while the key is cached.
-            self._key, self._held = key, (sc.observable, sc.pointer)
-            frame = _pair_frame(sc) if self.engine == "exact" else None
-            self._frame = (weak_interaction_margin(sc.g, sc.pointer), frame)
-        return self._frame
-
-    def group(self, scenarios: list[Scenario]) -> list[tuple[float | None, float, float]]:
-        """(outcome, success_prob, weak_margin) for scenarios of one group."""
-        margin, frame = self._group_frame(scenarios[0])
-        g = scenarios[0].g
-        if self.engine == "predicted":
-            _, b = _scenario_selections(scenarios, 3)
-            fields = _predict_stacked(scenarios[0].pointer, g, _route(b))
-            success = np.where(np.isnan(fields.success), 0.0, fields.success)
-            delta_q, delta_p = fields.delta_q, fields.delta_p
-        else:
-            n_total, delta_q, delta_p = _exact_stacked(*_scenario_selections(scenarios, 1), frame)
-            success = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
-        if self.objective == "delta_p":
-            outcomes = delta_p
-        elif self.objective == "delta_q":
-            outcomes = delta_q
-        elif g != 0.0:
-            outcomes = delta_q / g
-        else:
-            outcomes = np.full(len(scenarios), np.nan)
-        return [
-            (None if math.isnan(out) else out, prob, margin)
-            for out, prob in zip(outcomes.tolist(), success.tolist())
-        ]
+def _evaluate(scenarios: list[Scenario], objective: str, engine: str) -> tuple[list, list]:
+    """(outcomes, success probabilities) for scenarios of one `_group_key`,
+    in one kernel call; an undefined outcome is NaN. The exact engine's pair
+    frame is the pointer's memoized `_lag_tables`, so a search at one
+    coupling builds it once."""
+    sc, g = scenarios[0], scenarios[0].g
+    if engine == "predicted":
+        _, b = _scenario_selections(scenarios, 3)
+        fields = _predict_stacked(sc.pointer, g, _route(b))
+        success = np.where(np.isnan(fields.success), 0.0, fields.success)
+        delta_q, delta_p = fields.delta_q, fields.delta_p
+    else:
+        n_total, delta_q, delta_p = _exact_stacked(*_scenario_selections(scenarios, 1), sc)
+        success = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
+    if objective == "delta_p":
+        outcomes = delta_p
+    elif objective == "delta_q":
+        outcomes = delta_q
+    elif g != 0.0:
+        outcomes = delta_q / g
+    else:
+        outcomes = np.full(len(scenarios), np.nan)
+    return outcomes.tolist(), success.tolist()
 
 
 def sweep(
@@ -181,9 +157,9 @@ def sweep(
     so a family should build its observable and pointer once, outside the
     closure, as `sg_family` does. Points that share nothing are groups of
     one through the same kernel. The exact engine is the pair kernel for
-    every pointer, one `oracle._pair_frame` per group. The predicted engine
-    routes each point like `predict`, orthogonal selections included, in
-    the same array pass.
+    every pointer, on the pointer's memoized `_lag_tables`. The predicted
+    engine routes each point like `predict`, orthogonal selections
+    included, in the same array pass.
     """
     _check_choices(objective, engine)
     values = [float(p) for p in params]
@@ -194,7 +170,6 @@ def sweep(
             raise ValueError(
                 f"sweep grid must be strictly increasing, got {prev} before {cur}"
             )
-    evaluator = _Evaluator(objective, engine)
     results: list = [None] * len(values)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
@@ -203,8 +178,10 @@ def sweep(
         for i, sc in enumerate(scenarios):
             groups.setdefault(_group_key(sc), []).append(i)
         for members in groups.values():
-            for i, res in zip(members, evaluator.group([scenarios[i] for i in members])):
-                results[i] = res
+            group = [scenarios[i] for i in members]
+            margin = weak_interaction_margin(group[0].g, group[0].pointer)
+            for i, out, prob in zip(members, *_evaluate(group, objective, engine)):
+                results[i] = (None if math.isnan(out) else out, prob, margin)
     return [
         SweepRecord(parameter=param, outcome=outcome, success_prob=success, weak_margin=margin)
         for param, (outcome, success, margin) in zip(values, results)
@@ -240,11 +217,9 @@ def find_optimum(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
 
-        evaluator = _Evaluator(objective, engine)
-
         def f(x: float) -> float:
-            outcome, _, _ = evaluator.group([family(x)])[0]
-            return -math.inf if outcome is None else outcome
+            outcome = _evaluate([family(x)], objective, engine)[0][0]
+            return -math.inf if math.isnan(outcome) else outcome
 
         f_lo, f_hi = f(lo), f(hi)
         # Brent's method, maximizing: x is the best point so far, w the

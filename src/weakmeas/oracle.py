@@ -217,17 +217,12 @@ def _require_success(n_total: float, prob_floor: float) -> None:
         )
 
 
-def _pair_frame(sc: Scenario) -> tuple:
-    """(g, zero, slope, lags) for `_exact_stacked`: the pointer's
-    `_lag_tables` at the scenario's translations u = g a."""
-    return (sc.g, *_lag_tables(sc.pointer, sc.g, sc.g * sc.observable.eigenvalues))
-
-
 def _exact_stacked(
-    c: np.ndarray, b: np.ndarray, frame: tuple
+    c: np.ndarray, b: np.ndarray, sc: Scenario
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, delta_q, delta_p) arrays for B points sharing one `_pair_frame`,
-    from their selection kernel c, b. Branch i is the pointer translated by
+    """(N, delta_q, delta_p) arrays for B points sharing the observable, g
+    and the pointer of ``sc``, from their selection kernel c, b and the
+    pointer's `_lag_tables` at u = g a. Branch i is the pointer translated by
     u_i; with T = c^T c*, N = chi(0) |b_0|^2 + sum T dchi,
     N <q> = chi_q(0) |b_0|^2 + chi(0) g Re(b_1 b_0^*) + sum T Q and
     N <p> = chi_p(0) |b_0|^2 + 2 slope g Im(b_1 b_0^*) + sum T P. Near
@@ -236,7 +231,8 @@ def _exact_stacked(
     only lag differences are summed over pairs. The shifts (from chi_q(0),
     chi_p(0)) are NaN, silently, wherever N is not above PROB_FLOOR or NaN.
     """
-    g, zero, slope, lags = frame
+    g = sc.g
+    zero, slope, lags = _lag_tables(sc.pointer, g, g * sc.observable.eigenvalues)
     t = _selection_traces(b[:2])  # |b_0|^2 and b_1 b_0^*, summed over rows
     b0 = t[0, 0].real
     b1_b0 = g * t[1, 0]
@@ -252,7 +248,7 @@ def _exact_scalars(sc: Scenario) -> tuple[float, float, float]:
     """Exact (success_prob, delta_q, delta_p) for any pointer, without a
     density: the batch of one of `_exact_stacked`. Raises
     ZeroPostSelectionProbability like `evolve_postselect`."""
-    n_total, delta_q, delta_p = _exact_stacked(*_scenario_selections([sc], 1), _pair_frame(sc))
+    n_total, delta_q, delta_p = _exact_stacked(*_scenario_selections([sc], 1), sc)
     _require_success(float(n_total[0]), PROB_FLOOR)
     return min(float(n_total[0]), 1.0), float(delta_q[0]), float(delta_p[0])
 
@@ -277,7 +273,7 @@ def success_probability(sc: Scenario, grid_n: int | None = None) -> float:
     ``grid_n``, and refuses what `evolve_postselect` would: a bad ``grid_n``
     or an unbuildable grid (`pointer._working_grid`'s, not allocated)."""
     _working_grid(sc.pointer, sc.g, sc.g * sc.observable.eigenvalues, grid_n)
-    n_total = float(_exact_stacked(*_scenario_selections([sc], 1), _pair_frame(sc))[0][0])
+    n_total = float(_exact_stacked(*_scenario_selections([sc], 1), sc)[0][0])
     return 0.0 if n_total < PROB_FLOOR else min(n_total, 1.0)
 
 

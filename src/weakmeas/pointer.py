@@ -30,6 +30,7 @@ from .errors import (
     WidthOutOfRange,
 )
 from .qops import (
+    _freeze,
     _frozen,
     _is_integer,
     _parsed,
@@ -138,8 +139,8 @@ class GaussianPointer:
     """Zero-mean minimum-uncertainty real Gaussian of width ``delta_q``,
     kept as a float. The one width check: the widths in [MIN_WIDTH,
     MAX_WIDTH] are those whose moments up to MAX_WEAK_ORDER are finite;
-    ``_tables`` memoizes `_moment_table` and the series weights built on
-    it."""
+    ``_tables`` memoizes `_moment_table`, the series weights built on it
+    and the last `_lag_tables`."""
 
     delta_q: float
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -172,8 +173,8 @@ class GaussianPointer:
 class GridPointer:
     """Sampled pointer state: convex mixture of pure branches on one grid.
     ``_tables`` memoizes `_moment_table` (and the series weights built on
-    it) and the spread sigma_q that pads its `_working_grid`, so a pointer
-    pays for each branch's power table and for its variance once."""
+    it), the spread sigma_q that pads its `_working_grid` and the last
+    `_lag_tables`, so a pointer pays for each of them once."""
 
     grid: QGrid
     branches: tuple[tuple[float, np.ndarray], ...]
@@ -241,7 +242,9 @@ def default_grid(delta_q: float, g: float = 0.0, n: int | None = None) -> QGrid:
 
 
 def _check_grid_size(n: int) -> None:
-    """A grid pointer's sample count: a power of two in [1, MAX_GRID_N]."""
+    """A grid pointer's sample count: an integer power of two in [1, MAX_GRID_N]."""
+    if not _is_integer(n):
+        raise ValueError(f"expected an integer, got {n!r}")
     if n <= 0:
         raise EmptyGrid("grid has no points")
     if n & (n - 1):
@@ -253,7 +256,7 @@ def _check_grid_size(n: int) -> None:
 def grid_state(q_min: float, dq: float, n: int, branches) -> GridPointer:
     """Build a grid pointer from `(weight, samples)` branches.
 
-    Validates: n is a power of two no larger than MAX_GRID_N; q_min, dq,
+    Validates: n is an integer power of two at most MAX_GRID_N; q_min, dq,
     weights and samples are finite; each branch has n samples (checked
     before anything of size n is allocated); weights are positive and sum
     to one within 1e-12; each branch is normalized within 1e-10; the grid
@@ -305,34 +308,32 @@ def grid_state(q_min: float, dq: float, n: int, branches) -> GridPointer:
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """Tag for a pointer moment: ``p_power`` or ``q_power`` (<p^n>, <q^n>
-    with ``order`` = n). Every other moment is an entry of `_moment_table`."""
+    """Tag for a pointer moment, checked here once: ``p_power`` or ``q_power``
+    (<p^n>, <q^n> with ``order`` = n, a nonnegative integer). Every other
+    moment is an entry of `_moment_table`."""
 
     kind: str
     order: int = 0
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("p_power", "q_power"):
+            raise ValueError(f"unknown moment kind {self.kind!r}")
+        if not _is_integer(self.order) or self.order < 0:
+            raise ValueError(f"moment order must be a nonnegative integer, got {self.order!r}")
+
 
 def p_power(n: int) -> MomentSpec:
-    if n < 0:
-        raise ValueError("moment order must be nonnegative")
     return MomentSpec("p_power", n)
 
 
 def q_power(n: int) -> MomentSpec:
-    if n < 0:
-        raise ValueError("moment order must be nonnegative")
     return MomentSpec("q_power", n)
-
-
-_KINDS = {"p_power", "q_power"}
 
 
 def moment(state: PointerState, spec: MomentSpec) -> float:
     """Evaluate a pointer moment: closed form for the Gaussian; for grid
     states (orders above MAX_GRID_MOMENT_ORDER refused) a position-side sum
     for <q^n> and the memoized `_moment_table` for <p^n>."""
-    if spec.kind not in _KINDS:
-        raise ValueError(f"unknown moment kind {spec.kind!r}")
     n = spec.order
     if isinstance(state, GaussianPointer):
         var = state.var_p if spec.kind == "p_power" else state.var_q
@@ -514,18 +515,30 @@ def _translated(
 
 
 def _lag_tables(pointer: PointerState, g: float, u: np.ndarray) -> tuple:
-    """(zero, slope, lags) of the pointer at the translations u (g names
-    the coupling if the grid is refused). With chi(x) = <phi|U_x phi>,
-    chi_q(x) = <q phi|U_x phi>, chi_p(x) = <phi|p U_x phi> (U_x translates
-    by x), zero = (chi(0), chi_q(0), chi_p(0)) and lags stacks, at
-    x_ij = u_i - u_j, dchi = chi(x) - chi(0), Q = chi_q(x) - chi_q(0) + u_j dchi and
-    P = chi_p(x) - chi_p(0) + i slope x. A Gaussian's are closed form:
-    dchi = expm1(-x^2 dp^2/2), Q = s dchi with s_ij = (u_i + u_j)/2 (the
-    rest, x/2, has no real part against the pair table), slope = dp^2,
-    P = -i dp^2 x dchi. A grid pointer's sum its weights W = |phi~|^2,
-    conj((q phi)~) phi~, p |phi~|^2 (times dq/n) on the `_frame` without a
-    ``grid_n`` floor, where no lag wraps: with D_i = e^(-i p u_i) - 1,
-    dchi_ij = sum W (D_i + D_j^* + D_i D_j^*).
+    """`_build_lag_tables` at the translations u, read-only. The last result
+    is memoized in one slot of the pointer's ``_tables``, keyed by u's bytes
+    (the tables depend on u alone; g names the coupling if the grid is
+    refused): one build per search at one coupling, one table held through
+    a coupling sweep."""
+    memo, key = pointer._tables, u.tobytes()
+    if memo.get("lags", (None,))[0] != key:
+        zero, slope, lags = _build_lag_tables(pointer, g, u)
+        memo["lags"] = key, (_frozen(zero), slope, _freeze(lags))
+    return memo["lags"][1]
+
+
+def _build_lag_tables(pointer: PointerState, g: float, u: np.ndarray) -> tuple:
+    """(zero, slope, lags) of the pointer at the translations u. With
+    chi(x) = <phi|U_x phi>, chi_q(x) = <q phi|U_x phi>, chi_p(x) =
+    <phi|p U_x phi> (U_x translates by x), zero = (chi(0), chi_q(0),
+    chi_p(0)) and lags stacks, at x_ij = u_i - u_j, dchi = chi(x) - chi(0),
+    Q = chi_q(x) - chi_q(0) + u_j dchi and P = chi_p(x) - chi_p(0) + i slope x.
+    A Gaussian's are closed form: dchi = expm1(-x^2 dp^2/2), Q = s dchi with
+    s_ij = (u_i + u_j)/2 (the rest, x/2, has no real part against the pair
+    table), slope = dp^2, P = -i dp^2 x dchi. A grid pointer's sum its
+    weights W = |phi~|^2, conj((q phi)~) phi~, p |phi~|^2 (times dq/n) on
+    the `_frame` without a ``grid_n`` floor, where no lag wraps: with
+    D_i = e^(-i p u_i) - 1, dchi_ij = sum W (D_i + D_j^* + D_i D_j^*).
     """
     if isinstance(pointer, GaussianPointer):
         var_p = pointer.var_p
@@ -631,8 +644,6 @@ def pointer_from_wire(data, path: str = "pointer") -> PointerState:
     q_min = _require_number(data["q_min"], f"{path}.q_min")
     dq = _require_number(data["dq"], f"{path}.dq")
     n = data["n"]
-    if not _is_integer(n):
-        raise ParseError(f"{path}.n: expected an integer, got {n!r}")
     _parsed(f"{path}.n", _check_grid_size, n)
     raw_branches = data["branches"]
     if not isinstance(raw_branches, list) or not raw_branches:

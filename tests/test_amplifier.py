@@ -37,6 +37,7 @@ from weakmeas import (
     sg_optimum,
     stern_gerlach_outcome,
     sweep,
+    success_probability,
     sweep_to_csv,
     weak_interaction_margin,
 )
@@ -49,7 +50,9 @@ from weakmeas.errors import (
     ZeroPostSelectionProbability,
 )
 
+from weakmeas import pointer as pointer_module
 from weakmeas.oracle import _exact_scalars
+from weakmeas.pointer import _lag_tables
 from weakmeas.qops import SIGMA_Z
 from weakmeas.weak_values import ORTH_THRESHOLD
 
@@ -503,6 +506,60 @@ def test_sweeps_and_optima_never_build_a_density_matrix(monkeypatch):
     assert reads == []
     scenario_to_wire(family(1.0))  # the wire format does read it
     assert len(reads) == 1
+
+
+def test_the_pair_frame_is_built_once_per_coupling(monkeypatch):
+    # The pair kernel's lag tables live in one read-only slot of the
+    # pointer's memo: a repeated call and a search at one coupling build them
+    # once, and a coupling sweep builds one per coupling and holds only the
+    # last.
+    builds = []
+    build = pointer_module._build_lag_tables
+
+    def counted(pointer, g, u):
+        builds.append(g)
+        return build(pointer, g, u)
+
+    monkeypatch.setattr(pointer_module, "_build_lag_tables", counted)
+    obs, post = new_observable(SIGMA_Z), projector_onto(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    shared = skewed_pointer(1.0)
+
+    def family(alpha):
+        half = 0.25 * math.pi - 0.5 * alpha
+        return make_scenario(obs, [math.cos(half), math.sin(half)], post, 0.3, shared)
+
+    sc = family(1.0)
+    assert success_probability(sc) == success_probability(sc)
+    assert builds == [0.3]
+    builds.clear()
+    shared._tables.clear()
+    find_optimum(family, (math.pi / 2.0, math.pi), "measured", "exact")
+    assert builds == [0.3]
+    # The memo keys on the translations, not on object ids, so a family that
+    # builds its observable per point also builds the frame once per search.
+    builds.clear()
+    find_optimum(_sg_like_family(0.2, shared), (math.pi / 2.0, math.pi), "measured", "exact")
+    assert builds == [0.2]
+
+    def coupling_family(g):
+        return _sg_like_family(g, shared)(1.0)
+
+    couplings = [0.1, 0.2, 0.3, 0.4, 0.5]
+    sweep(coupling_family, [0.05], "delta_q", "exact")
+    memo_size = len(shared._tables)
+    builds.clear()
+    sweep(coupling_family, couplings, "delta_q", "exact")
+    assert builds == couplings
+    assert len(shared._tables) == memo_size
+    held = _lag_tables(shared, 0.5, 0.5 * obs.eigenvalues)
+    assert builds == couplings
+    fresh = build(shared, 0.5, 0.5 * obs.eigenvalues)
+    assert np.array_equal(held[2], fresh[2]) and np.array_equal(held[0], fresh[0])
+    for pointer in (shared, gaussian(1.0)):
+        zero, _, lags = _lag_tables(pointer, 0.3, 0.3 * obs.eigenvalues)
+        for table in (zero, lags):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 def _per_point_records(family, alphas, objective, engine):

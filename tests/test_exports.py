@@ -7,10 +7,12 @@ number of settable parameters; no function takes an ``orth_threshold``,
 which is a constant. The benchmark tracer rebinds
 functions by module and name, so a consolidation that renames or removes one
 would silently break a traced run; the second test catches that here. The
-last two tests pin boundaries in the source: no module but `pointer` asks
+last three tests pin boundaries in the source: no module but `pointer` asks
 which kind of pointer it holds, `oracle` imports no regime route, no module
-but `weak_values` names ORTH_THRESHOLD, and no function but `qops._parsed`
-turns a refusal into a ParseError.
+but `weak_values` names ORTH_THRESHOLD, no function but `qops._parsed`
+turns a refusal into a ParseError, and the pointer's ``_tables`` is the one
+cache of its tables (`amplifier` holds none: it defines no class but its
+two records).
 """
 
 import ast
@@ -186,3 +188,20 @@ def test_only_one_function_rewraps_a_refusal_as_a_parse_error():
     }
     assert found == allowed
     assert len(allowed) == 1
+
+
+def test_the_pointer_memo_is_the_one_table_cache():
+    # Pointer tables (moments, series weights, sigma_q, the pair frame) are
+    # memoized on the pointer's ``_tables``, which only `pointer` and
+    # `oracle` name; the amplifier keeps no cache object of its own.
+    package = Path(__file__).resolve().parents[1] / "src" / "weakmeas"
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    naming = {
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if getattr(node, "attr", getattr(node, "id", None)) == "_tables"
+    }
+    assert naming == {"pointer", "oracle"}
+    classes = {node.name for node in ast.walk(trees["amplifier"]) if isinstance(node, ast.ClassDef)}
+    assert classes == {"SweepRecord", "OptimumReport"}

@@ -33,6 +33,7 @@ from weakmeas.pointer import (
     MAX_WIDTH,
     MIN_WIDTH,
     GaussianPointer,
+    MomentSpec,
     QGrid,
     _moment_table,
     pointer_from_wire,
@@ -116,6 +117,25 @@ def test_default_grid_covers_pointer_and_translations():
 # --- construction validation ---------------------------------------------------
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "grid"])
+def test_moment_spec_refuses_an_unknown_kind_or_order(kind):
+    # MomentSpec is the one check of a moment. These specs used to return a
+    # wrong value (0.0 for a half-integer order, 4.0 for order -2, a wrapped
+    # table entry or inf for order -1 on a grid) or take True as order 1.
+    pointer = gaussian(1.0) if kind == "gaussian" else _grid_gaussian(1.0, n=256)
+    bad = [("p_power", 2.5), ("p_power", -2), ("p_power", -1), ("q_power", -1),
+           ("p_power", True), ("q_power", 2.0), ("p_power", "2"), ("r_power", 2)]
+    for spec_kind, order in bad:
+        with pytest.raises(ValueError):
+            moment(pointer, MomentSpec(spec_kind, order))
+    for make, order in itertools.product((p_power, q_power), (2.5, -1, True)):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            make(order)
+    # numpy integers are orders.
+    assert moment(pointer, p_power(np.int64(2))) == moment(pointer, p_power(2))
+    assert moment(pointer, q_power(np.int64(2))) == moment(pointer, q_power(2))
+
+
 def test_grid_state_validates_input():
     n, dq = 256, 0.125
     q = -16.0 + dq * np.arange(n)
@@ -145,6 +165,11 @@ def test_grid_state_validates_input():
         grid_state(-16.0, math.inf, n, [(1.0, phi)])
     with pytest.raises(ValueError, match="weight"):
         grid_state(-16.0, dq, n, [(math.nan, phi)])
+    # The sample count is an integer: 1024.0 used to fail inside a bitwise
+    # test, and True built a one-sample grid.
+    for count in (1024.0, True):
+        with pytest.raises(ValueError, match="expected an integer"):
+            grid_state(-16.0, dq, count, [(1.0, phi)])
 
 
 # --- moments --------------------------------------------------------------------
