@@ -119,7 +119,7 @@ def test_default_grid_covers_pointer_and_translations():
 
 @pytest.mark.parametrize("kind", ["gaussian", "grid"])
 def test_moment_spec_refuses_an_unknown_kind_or_order(kind):
-    # MomentSpec is the one check of a moment. These specs used to return a
+    # MomentSpec is the one check of a moment. Unchecked, these specs give a
     # wrong value (0.0 for a half-integer order, 4.0 for order -2, a wrapped
     # table entry or inf for order -1 on a grid) or take True as order 1.
     pointer = gaussian(1.0) if kind == "gaussian" else _grid_gaussian(1.0, n=256)
@@ -165,8 +165,8 @@ def test_grid_state_validates_input():
         grid_state(-16.0, math.inf, n, [(1.0, phi)])
     with pytest.raises(ValueError, match="weight"):
         grid_state(-16.0, dq, n, [(math.nan, phi)])
-    # The sample count is an integer: 1024.0 used to fail inside a bitwise
-    # test, and True built a one-sample grid.
+    # The sample count is an integer: unchecked, 1024.0 fails inside a
+    # bitwise test with a TypeError, and True builds a one-sample grid.
     for count in (1024.0, True):
         with pytest.raises(ValueError, match="expected an integer"):
             grid_state(-16.0, dq, count, [(1.0, phi)])
