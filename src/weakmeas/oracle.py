@@ -28,12 +28,13 @@ series takes no route: the terms that carry b_0 = <f|psi> simply vanish
 with it. Every order, order 0 included, comes from one coefficient list
 (`_series_coefficients`) that feeds both densities, and each conjugate
 pair of cross terms is formed once. Real rows of the power table
-(`pointer._power_table`: a Gaussian's Hermite functions p^a phi / i^a in
-units of its width) leave the phase i^a to the coefficients, so each
-cross term is one real product; complex rows (a grid pointer's masked
-spectrum) take the complex one. The truncated density's integral is the
-success probability, and the series normalizes by it, as the grid oracle
-does; a bad order or grid size is refused before the grid is allocated.
+(`pointer._power_table`: p^a phi / i^a, a Gaussian's Hermite functions in
+units of its width or a real grid branch's masked spectrum) leave the phase
+i^a to the coefficients, so each cross term is one real product; complex
+rows (a complex grid branch's) take the complex one. The truncated
+density's integral is the success probability, and the series normalizes
+by it, as the grid oracle does; a bad order or grid size is refused before
+the grid is allocated.
 `_series_sums` integrates the same coefficients against the pointer's
 moment table: the scalars without a grid, which the predictors truncate.
 """
@@ -70,7 +71,7 @@ from .pointer import (
     q_power,
     validate_grid_n,
 )
-from .qops import _frozen, _selection_kernel, _selection_traces
+from .qops import _freeze, _frozen, _selection_kernel, _selection_traces
 from .scenario import Scenario, validate_series_order
 from .weak_values import weak_interaction_margin
 
@@ -132,11 +133,16 @@ def _exact_components(
     """Exact evolution: returns (grid, N, q_density_num, p_density_num).
 
     The density numerators are unnormalized (they integrate to N); the
-    momentum numerator is in FFT ordering.
+    momentum numerator is in FFT ordering. They read the amplitudes c only
+    through c^H c = R^H R, so at most d rows, those of QR's R = Q^H c, are
+    summed; unlike c^H c's eigenvectors, R keeps an orthogonal selection's
+    sum_i c_i = b_0 ~ 0 at roundoff.
     """
     shifts = sc.g * sc.observable.eigenvalues
     grid, branches = _frame(sc.pointer, sc.g, shifts, grid_n)
     c = _selection_amplitudes(sc)
+    if c.shape[0] > c.shape[1]:
+        c = np.linalg.qr(c, mode="r")
     p_scale = grid.dq**2 / (2.0 * math.pi)
     qd = np.zeros(grid.n)
     pd = np.zeros(grid.n)
@@ -144,8 +150,9 @@ def _exact_components(
         shifted = _translated(sc.pointer, grid, phi, shifts)
         for row in c:
             comp = row @ shifted
-            qd += v_j * np.abs(comp) ** 2
-            pd += (v_j * p_scale) * np.abs(np.fft.fft(comp)) ** 2
+            qd += v_j * (comp.real**2 + comp.imag**2)
+            spectrum = np.fft.fft(comp)
+            pd += (v_j * p_scale) * (spectrum.real**2 + spectrum.imag**2)
     n_total = float(np.sum(qd) * grid.dq)
     return grid, n_total, qd, pd
 
@@ -176,9 +183,8 @@ def _finish_record(
     series_order: int | None = None,
     tail_estimate: float | None = None,
 ) -> MeasurementRecord:
-    order = np.fft.fftshift(np.arange(grid.n))
-    p_coords = grid.momenta()[order]
-    pd = pd_fft[order]
+    p_coords = np.fft.fftshift(grid.momenta())
+    pd = np.fft.fftshift(pd_fft)
     q = grid.coords()
 
     _check_edges(qd, "position")
@@ -201,8 +207,8 @@ def _finish_record(
         delta_p=p_mean - p0,
         var_q_out=q_var,
         var_p_out=p_var,
-        q_density=Density(coords=_frozen(q), values=_frozen(qd)),
-        p_density=Density(coords=_frozen(p_coords), values=_frozen(pd)),
+        q_density=Density(coords=_freeze(q), values=_freeze(qd)),
+        p_density=Density(coords=_freeze(p_coords), values=_freeze(pd)),
         series_order=series_order,
         tail_estimate=tail_estimate,
     )

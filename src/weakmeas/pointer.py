@@ -125,13 +125,20 @@ def to_momentum(grid: QGrid, samples: np.ndarray) -> np.ndarray:
 
 
 def translate(grid: QGrid, samples: np.ndarray, shift: float) -> np.ndarray:
-    """Samples of psi(q - shift) via the spectral translation phase; a
-    column of shifts gives one row per shift from one forward transform.
+    """Samples of psi(q - shift) via the spectral translation phase
+    exp(-i p shift), written as cos and -sin into one complex array (bit for
+    bit `np.exp`'s); a column of shifts gives one row per shift from one
+    forward transform.
 
     Exact for band-limited periodic data; callers must leave room so the
     translated tails do not wrap around.
     """
-    return np.fft.ifft(np.exp(-1j * grid.momenta() * shift) * np.fft.fft(samples))
+    x = grid.momenta() * shift
+    phase = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=phase.real)
+    np.sin(np.negative(x, out=x), out=phase.imag)
+    phase *= np.fft.fft(samples)
+    return np.fft.ifft(phase)
 
 
 @dataclass(frozen=True)
@@ -172,6 +179,7 @@ class GaussianPointer:
 @dataclass(frozen=True)
 class GridPointer:
     """Sampled pointer state: convex mixture of pure branches on one grid.
+    A branch with real samples gets real power-table rows, as a Gaussian.
     ``_tables`` memoizes `_moment_table` (and the series weights built on
     it), the spread sigma_q that pads its `_working_grid` and the last
     `_lag_tables`, so a pointer pays for each of them once."""
@@ -353,24 +361,34 @@ def moment(state: PointerState, spec: MomentSpec) -> float:
 def _branch_p_table(
     grid: QGrid, branches: list[tuple[float, np.ndarray]], max_power: int
 ) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
-    """Per-branch samples of p^a phi for a = 0..max_power, plus the mixed
-    momentum density M0 (FFT ordering) and the grid momenta."""
+    """Per-branch rows for a = 0..max_power, plus the mixed momentum
+    density M0 (FFT ordering) and the grid momenta. A branch with real
+    samples has a Hermitian spectrum, so `rfft` halves its transforms and
+    its rows p^a phi / i^a are real, the Gaussian rows' convention (the
+    phase i^a left to the caller); its M0 mirrors the half spectrum. Any
+    other branch gets complex rows p^a phi."""
     pk = grid.momenta()
     tables = []
     m0 = np.zeros(grid.n)
     for w, phi in branches:
-        spectrum = np.fft.fft(phi)
+        real = not phi.imag.any()
+        spectrum = np.fft.rfft(phi.real) if real else np.fft.fft(phi)
         # Raising to p^a amplifies the FFT noise floor of the spectral tail
         # by p_max^a, which would swamp the factorially decaying true terms
         # at high order. Modes this far below the peak carry no admissible
         # pointer content, so drop them; using the same masked spectrum for
         # the moments m0 keeps the Parseval normalization identities exact.
         spectrum[np.abs(spectrum) < SPECTRAL_FLOOR * np.max(np.abs(spectrum))] = 0.0
-        m0 += w * np.abs((grid.dq / math.sqrt(2.0 * math.pi)) * spectrum) ** 2
-        powers = [phi]
+        power = w * np.abs((grid.dq / math.sqrt(2.0 * math.pi)) * spectrum) ** 2
+        # A real branch's M0 is even: its half spectrum, mirrored.
+        m0 += np.concatenate([power, power[-2:0:-1]]) if real else power
+        # A step multiplies by p, or by p / i (odd a's Nyquist mode, then
+        # imaginary, is dropped by `irfft`).
+        step = -1j * pk[: spectrum.size] if real else pk
+        powers = [phi.real if real else phi]
         for _ in range(max_power):
-            spectrum *= pk
-            powers.append(np.fft.ifft(spectrum))
+            spectrum *= step
+            powers.append(np.fft.irfft(spectrum, grid.n) if real else np.fft.ifft(spectrum))
         tables.append(powers)
     return tables, m0, pk
 
@@ -379,8 +397,9 @@ def _power_table(
     pointer: PointerState, grid: QGrid, branches: list[tuple[float, np.ndarray]], max_power: int
 ) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray, float]:
     """The series' power table on the `_frame` in a unit of length, and the
-    unit: rows unit^a p^a phi, M0 and momenta unit p (`_branch_p_table`'s,
-    unit 1, for a grid pointer). A Gaussian's rows are real and closed form
+    unit: rows unit^a p^a phi, real rows unit^a p^a phi / i^a, M0 and
+    momenta unit p (`_branch_p_table`'s, unit 1, for a grid pointer: real
+    rows for real samples). A Gaussian's rows are real and closed form
     in units of its width, so no power of q, g or p in the series overflows:
     as p^a phi = (i/(sqrt(2) delta_q))^a He_a(q/(sqrt(2) delta_q)) phi
     (Duck, Stevenson & Sudarshan 1989), row a = delta_q^a p^a phi / i^a
@@ -425,18 +444,21 @@ def _moment_table(state: PointerState, size: int = TABLE_POWER) -> np.ndarray:
     """M[b, j, a] = <p^b phi| q^j |p^a phi> for a, b <= ``size`` and
     j = 0, 1, 2 (mixed over the branches), read-only, once per pointer and
     size: closed form for a Gaussian (`_hermite_wick`), a quadrature over
-    the masked FFT rows of `_branch_p_table` on a grid pointer's own grid."""
+    the masked FFT rows of `_branch_p_table` on a grid pointer's own grid.
+    Real rows (row a = p^a phi / i^a) take the phase i^(a-b) here."""
     memo = state._tables
     if size in memo:
         return memo[size]
+    b, j, a = np.indices((size + 1, 3, size + 1))
+    phase = np.array(_I_POWERS)[(a - b) % 4]
     if isinstance(state, GaussianPointer):
-        b, j, a = np.indices((size + 1, 3, size + 1))
-        phase = np.array(_I_POWERS)[(a - b) % 4]
         table = phase * _hermite_wick(size) * state.delta_q ** (j - a - b) / 2.0 ** (a + b)
     else:
         q, (tables, _, _) = state.grid.coords(), _branch_p_table(state.grid, state.branches, size)
         table = sum(
-            w * np.stack([(rows.conj() * (q**j * state.dq)) @ rows.T for j in range(3)], axis=1)
+            w
+            * (phase if np.isrealobj(rows) else 1.0)
+            * np.stack([(rows.conj() * (q**j * state.dq)) @ rows.T for j in range(3)], axis=1)
             for (w, _), rows in zip(state.branches, map(np.array, tables))
         )
     memo[size] = _frozen(table)

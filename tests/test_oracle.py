@@ -6,6 +6,8 @@ directions: closed-form special cases, symmetry arguments, convergence
 orders of the predictor formulas, and internal consistency of the series.
 """
 
+import dataclasses
+import itertools
 import json
 import math
 import re
@@ -27,6 +29,7 @@ from weakmeas import (
     new_observable,
     oracle,
     pointer,
+    predict,
     predict_aav,
     predict_general,
     projector,
@@ -42,6 +45,7 @@ from weakmeas.errors import (
     OrderTooLarge,
     SeriesDiverging,
     ValidityWarning,
+    WeakMeasurementError,
     ZeroPostSelectionProbability,
 )
 from weakmeas.oracle import (
@@ -911,6 +915,162 @@ def test_grid_branches_are_transformed_once(monkeypatch):
         assert getattr(loop, field) == getattr(rec, field), field
     for field in ("q_density", "p_density"):
         assert np.array_equal(getattr(loop, field).values, getattr(rec, field).values), field
+
+
+def _unreduced_oracle(sc):
+    """(N, <q>, <p>, q density, p density) of the grid oracle summed over
+    every row of the amplitude table, one per post-selection vector and
+    mixture component, with no reduction."""
+    shifts = sc.g * sc.observable.eigenvalues
+    grid, branches = pointer._frame(sc.pointer, sc.g, shifts, None)
+    qd, pd = np.zeros(grid.n), np.zeros(grid.n)
+    for w, phi in branches:
+        shifted = pointer._translated(sc.pointer, grid, phi, shifts)
+        for row in _selection_amplitudes(sc):
+            comp = row @ shifted
+            qd += w * np.abs(comp) ** 2
+            pd += w * grid.dq**2 / (2.0 * math.pi) * np.abs(np.fft.fft(comp)) ** 2
+    n_total = float(np.sum(qd) * grid.dq)
+    qd, pd = qd / n_total, np.fft.fftshift(pd) / n_total
+    p = np.fft.fftshift(grid.momenta())
+    return (n_total, float(np.sum(grid.coords() * qd) * grid.dq), float(np.sum(p * pd) * grid.dp),
+            qd, pd)
+
+
+def _orthogonal_mixed_d5():
+    """Post-selection on e_1..e_3, pre-selection 0.6 |e_0><e_0| + 0.4
+    |e_4><e_4|: six rows of amplitudes on d = 5, N about 5e-6 at g = 0.01."""
+    e = np.eye(5)
+    pre = density_state(np.diag([0.6, 0.0, 0.0, 0.0, 0.4]))
+    return make_scenario(random_observable(rng(1), 5), pre, projector_onto(*e[1:4]), 0.01,
+                         gaussian(1.0))
+
+
+def _mixed_rank_two_d8():
+    gen = rng(11)
+    obs = random_observable(gen, 8)
+    pre, post = random_selections(gen, 8, mixed=True, rank=2, min_overlap=0.1)
+    return make_scenario(obs, pre, post, 0.05, gaussian(1.0))
+
+
+@pytest.mark.parametrize(
+    "build, rows",
+    [(_mixed_rank_two_d8, 16), (_orthogonal_mixed_d5, 6)],
+    ids=["d8", "orthogonal-d5"],
+)
+def test_oracle_reduced_to_d_rows_matches_every_row(build, rows):
+    # The grid oracle reads the amplitudes only through c^H c, so it sums the
+    # d rows of their QR factor; summed over every row instead, the record is
+    # the same. On the orthogonal selection N is a roundoff-sized remainder
+    # of O(1) rows, which the reduction must not amplify.
+    sc = build()
+    assert _selection_amplitudes(sc).shape == (rows, sc.observable.dim)
+    n_total, mean_q, mean_p, qd, pd = _unreduced_oracle(sc)
+    rec = evolve_postselect(sc)  # a Gaussian pointer: the shifts are the means
+    assert abs(rec.success_prob / n_total - 1.0) <= 1e-13
+    assert abs(rec.delta_q - mean_q) <= 1e-12
+    assert abs(rec.delta_p - mean_p) <= 1e-12
+    assert np.max(np.abs(rec.q_density.values - qd)) <= 1e-13 * np.max(qd)
+    assert np.max(np.abs(rec.p_density.values - pd)) <= 1e-13 * np.max(pd)
+    if build is _orthogonal_mixed_d5:
+        assert 1e-6 < n_total < 1e-5
+
+
+def _phased(ptr, theta=0.7):
+    """The grid pointer times the global phase e^(i theta): the same state
+    with complex samples."""
+    grid, (_, phi) = ptr.grid, ptr.branches[0]
+    return grid_state(grid.q_min, grid.dq, grid.n, [(1.0, phi * np.exp(1j * theta))])
+
+
+@pytest.mark.parametrize("selection", ["generic", "orthogonal"])
+def test_real_and_complex_power_tables_agree(selection):
+    # A real grid branch gets real power-table rows p^a phi / i^a from rfft,
+    # a complex one complex rows p^a phi from fft; a global phase moves the
+    # same state from one path to the other and changes no record.
+    real = skewed_pointer(1.0, half_span=16.0)
+    complex_ = _phased(real)
+    grid, branches = pointer._frame(real, 0.05, np.zeros(1), None)
+    assert np.isrealobj(pointer._power_table(real, grid, branches, 2)[0][0][1])
+    grid, branches = pointer._frame(complex_, 0.05, np.zeros(1), None)
+    assert np.iscomplexobj(pointer._power_table(complex_, grid, branches, 2)[0][0][1])
+    tables = [_moment_table(ptr, 8) for ptr in (real, complex_)]
+    assert np.max(np.abs(tables[0] - tables[1])) <= 1e-13 * np.max(np.abs(tables[1]))
+
+    def build(ptr):
+        if selection == "generic":
+            return half_overlap_scenario(0.05, ptr)
+        return orthogonal_d3(3, ptr)(0.05)
+
+    scenarios = [build(ptr) for ptr in (real, complex_)]
+    fields = ("success_prob", "delta_q", "delta_p", "var_q_out", "var_p_out")
+    # Orders 0 and 1 of an orthogonal selection vanish on both paths.
+    first = 2 if selection == "orthogonal" else 0
+    runs = [evolve_postselect] + [lambda sc, k=k: _quiet_series(sc, k) for k in range(first, 9)]
+    for run in runs:
+        mine, ref = (run(sc) for sc in scenarios)
+        for field in fields:
+            assert abs(getattr(mine, field) - getattr(ref, field)) <= 1e-12, field
+        for field in ("q_density", "p_density"):
+            values = [getattr(rec, field).values for rec in (mine, ref)]
+            assert np.max(np.abs(values[0] - values[1])) <= 1e-12 * np.max(values[1]), field
+    for order, sc in itertools.product(range(first), scenarios):
+        with pytest.raises(ZeroPostSelectionProbability):
+            _quiet_series(sc, order)
+    probabilities = [success_probability(sc) for sc in scenarios]
+    assert abs(probabilities[0] - probabilities[1]) <= 1e-12
+    for regime in ("auto", "aav", "general", "orthogonal"):
+        outcomes = []
+        for sc in scenarios:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ValidityWarning)
+                    outcomes.append(dataclasses.astuple(predict(sc, regime)))
+            except WeakMeasurementError as err:
+                outcomes.append(type(err))
+        if isinstance(outcomes[0], type):
+            assert outcomes[0] is outcomes[1], regime
+            continue
+        for mine, ref in zip(*outcomes):
+            if isinstance(mine, str) or mine is None:
+                assert mine == ref, regime
+            else:
+                assert np.max(np.abs(np.subtract(mine, ref))) <= 1e-12, regime
+
+
+N_LARGE = 65536
+
+
+def _large_cells():
+    """Three scenarios shaped like the verify workload's 65536-point cells:
+    a skewed grid pointer of n/2 samples (d = 2, mixed), an orthogonal d = 4
+    and a mixed rank-2 d = 8 selection on Gaussians."""
+    gen = rng(11)
+    obs = random_observable(gen, 2)
+    pre, post = random_selections(gen, 2, mixed=True, rank=1, min_overlap=0.1)
+    skewed = make_scenario(obs, pre, post, 0.05,
+                           skewed_pointer(1.0, n=N_LARGE // 2, half_span=14.0))
+    orthogonal = make_scenario(random_observable(gen, 4), [1, 1j, 1, 0], [1, 0, -1, 2], 0.05,
+                               gaussian(1.0))
+    return [skewed, orthogonal, _mixed_rank_two_d8()]
+
+
+@pytest.mark.parametrize("engine, words", [("exact", 28), ("series", 33)])
+def test_large_grid_peak_allocation(engine, words):
+    # The peak traced allocation of one call stays within `words` float64
+    # arrays of the working grid's n points, plus 0.05 n for small tables.
+    run = {"exact": lambda sc: evolve_postselect(sc, N_LARGE),
+           "series": lambda sc: _quiet_series(sc, 8, grid_n=N_LARGE)}[engine]
+    for sc in _large_cells():
+        run(sc)  # the pointer's memoized tables are built outside the trace
+        tracemalloc.start()
+        try:
+            rec = run(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.q_density.values.size == N_LARGE
+        assert peak <= (words + 0.05) * 8 * N_LARGE, peak / (8 * N_LARGE)
 
 
 def test_grid_pointer_spread_is_computed_once(monkeypatch):
