@@ -15,17 +15,22 @@ included), each with its predicted success probability. The canonical
 family is the Stern-Gerlach arrangement `sg_family`, whose measured-value
 curve has the known analytic optimum `sg_optimum`.
 
-Points whose scenarios share the observable object, the pointer object and
-g are evaluated in one array pass: one stack of the selection kernel
-(`qops._selection_kernel`) feeds the engine's kernel
-(`oracle._exact_stacked`, `predictor._predict_stacked`). The pointer holds
-its own tables: the moment table, and the pair frame of the last coupling
-(`pointer._lag_tables`), so this module caches nothing. A family author
-should therefore build the observable and the pointer once, outside the
-closure, as `sg_family` does; a family that builds them per point still
-works, one point per kernel call. The optimum search evaluates one point
-at a time through the same kernels; at one coupling the pointer's pair
-frame is built once for the whole search.
+Points are evaluated as selection stacks: B points that share the
+observable, the pointer and g, with their post-selection bases and
+sqrt(w)-weighted pre-selection vectors as arrays (`scenario._SelectionStack`).
+One stack is one array pass: the selection kernel (`qops._selection_kernel`)
+feeds the engine's kernel (`oracle._exact_stacked`,
+`predictor._predict_stacked`). `sg_family` offers its own stack (the
+family's ``_stack``): the stack of a whole sweep grid is built in closed
+form, with no scenario per point. Any other family returns one `Scenario` per
+point; `sweep` stacks the scenarios that share the observable object, the
+pointer object and g (`_group_key`) through `qops._selection_stack`. Such a
+family should therefore build the observable and the pointer once, outside
+the closure; one that builds them per point still works, one point per
+kernel call. The optimum search evaluates a stack of one per step. The
+pointer holds its own tables: the moment table, and the pair frame of the
+last coupling (`pointer._lag_tables`), so this module caches nothing, and at
+one coupling the pair frame is built once for the whole search.
 
 Points where the objective is undefined (post-selection never succeeds,
 or the predictor does not apply) are recorded with a blank outcome instead
@@ -49,11 +54,12 @@ from .errors import (
     ValidityWarning,
     ZeroPostSelectionProbability,
 )
-from .oracle import _exact_stacked, _scenario_selections
+from .oracle import _exact_stacked
 from .pointer import gaussian
 from .predictor import _check_alpha, _check_lambda, _predict_stacked
-from .qops import SIGMA_Z, new_observable, projector_onto, pure_state
-from .scenario import Scenario, make_scenario
+from .qops import SIGMA_Z, SystemState, _frozen, _selection_kernel, _selection_stack
+from .qops import new_observable, projector_onto
+from .scenario import Scenario, _SelectionStack
 from .weak_values import _route, weak_interaction_margin
 
 __all__ = [
@@ -111,24 +117,47 @@ def _check_choices(objective: str, engine: str) -> None:
 
 def _group_key(sc: Scenario) -> tuple:
     """Scenarios with equal keys share the observable object, the pointer
-    object and g (sign of zero included), and so one kernel call. The key
-    groups only within one call, whose scenario list keeps the ids alive."""
+    object and g (sign of zero included), and so one selection stack. The
+    key groups only within one call, whose scenario list keeps the ids
+    alive."""
     return id(sc.observable), id(sc.pointer), sc.g, math.copysign(1.0, sc.g)
 
 
-def _evaluate(scenarios: list[Scenario], objective: str, engine: str) -> tuple[list, list]:
-    """(outcomes, success probabilities) for scenarios of one `_group_key`,
-    in one kernel call; an undefined outcome is NaN. The exact engine's pair
-    frame is the pointer's memoized `_lag_tables`, so a search at one
-    coupling builds it once."""
-    sc, g = scenarios[0], scenarios[0].g
+def _stacks(family: Callable[[float], Scenario], values: list[float]) -> list:
+    """(point indices, selection stack) pairs covering ``values``: the
+    family's own stack where it offers one (`sg_family`), else its scenarios
+    grouped by `_group_key`. Every point is checked before any kernel
+    runs."""
+    own = getattr(family, "_stack", None)
+    if own is not None:
+        return [(range(len(values)), own(values))]
+    scenarios = [family(param) for param in values]
+    groups: dict[tuple, list[int]] = {}
+    for i, sc in enumerate(scenarios):
+        groups.setdefault(_group_key(sc), []).append(i)
+    stacks = []
+    for members in groups.values():
+        sc = scenarios[members[0]]
+        posts, pres = [scenarios[i].post for i in members], [scenarios[i].pre for i in members]
+        stack = _SelectionStack(sc.observable, sc.pointer, sc.g, *_selection_stack(posts, pres))
+        stacks.append((members, stack))
+    return stacks
+
+
+def _evaluate(stack: _SelectionStack, objective: str, engine: str) -> tuple[list, list]:
+    """(outcomes, success probabilities) for the points of one selection
+    stack, in one kernel call; an undefined outcome is NaN. The exact
+    engine's pair frame is the pointer's memoized `_lag_tables`, so a search
+    at one coupling builds it once."""
+    g = stack.g
     if engine == "predicted":
-        _, b = _scenario_selections(scenarios, 3)
-        fields = _predict_stacked(sc.pointer, g, _route(b))
+        _, b = _selection_kernel(stack.fs, stack.psis, stack.observable, 3)
+        fields = _predict_stacked(stack.pointer, g, _route(b))
         success = np.where(np.isnan(fields.success), 0.0, fields.success)
         delta_q, delta_p = fields.delta_q, fields.delta_p
     else:
-        n_total, delta_q, delta_p = _exact_stacked(*_scenario_selections(scenarios, 1), sc)
+        c, b = _selection_kernel(stack.fs, stack.psis, stack.observable, 1)
+        n_total, delta_q, delta_p = _exact_stacked(stack.pointer, g, stack.observable, c, b)
         success = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
     if objective == "delta_p":
         outcomes = delta_p
@@ -137,7 +166,7 @@ def _evaluate(scenarios: list[Scenario], objective: str, engine: str) -> tuple[l
     elif g != 0.0:
         outcomes = delta_q / g
     else:
-        outcomes = np.full(len(scenarios), np.nan)
+        outcomes = np.full(len(delta_q), np.nan)
     return outcomes.tolist(), success.tolist()
 
 
@@ -152,14 +181,17 @@ def sweep(
     post-selection never succeeds) are recorded with a null outcome rather
     than dropped.
 
-    Points whose scenarios share the observable object, the pointer object
-    and g are evaluated together, in one array pass of the engine's kernel;
-    so a family should build its observable and pointer once, outside the
-    closure, as `sg_family` does. Points that share nothing are groups of
-    one through the same kernel. The exact engine is the pair kernel for
-    every pointer, on the pointer's memoized `_lag_tables`. The predicted
-    engine routes each point like `predict`, orthogonal selections
-    included, in the same array pass.
+    The points are evaluated as selection stacks, one array pass of the
+    engine's kernel per stack. `sg_family` hands over the stack of the
+    whole grid, built in closed form. Any other family gives one scenario
+    per point; the points whose scenarios share the observable object, the
+    pointer object and g are stacked together, so such a family should
+    build its observable and pointer once, outside the closure, as
+    `sg_family` does. Points that share nothing are stacks of one through
+    the same kernel. The exact engine is the pair kernel for every
+    pointer, on the pointer's memoized `_lag_tables`. The predicted engine
+    routes each point like `predict`, orthogonal selections included, in
+    the same array pass.
     """
     _check_choices(objective, engine)
     values = [float(p) for p in params]
@@ -173,14 +205,9 @@ def sweep(
     results: list = [None] * len(values)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        scenarios = [family(param) for param in values]
-        groups: dict[tuple, list[int]] = {}
-        for i, sc in enumerate(scenarios):
-            groups.setdefault(_group_key(sc), []).append(i)
-        for members in groups.values():
-            group = [scenarios[i] for i in members]
-            margin = weak_interaction_margin(group[0].g, group[0].pointer)
-            for i, out, prob in zip(members, *_evaluate(group, objective, engine)):
+        for members, stack in _stacks(family, values):
+            margin = weak_interaction_margin(stack.g, stack.pointer)
+            for i, out, prob in zip(members, *_evaluate(stack, objective, engine)):
                 results[i] = (None if math.isnan(out) else out, prob, margin)
     return [
         SweepRecord(parameter=param, outcome=outcome, success_prob=success, weak_margin=margin)
@@ -218,7 +245,8 @@ def find_optimum(
         warnings.simplefilter("ignore", ValidityWarning)
 
         def f(x: float) -> float:
-            outcome = _evaluate([family(x)], objective, engine)[0][0]
+            [(_, stack)] = _stacks(family, [x])
+            outcome = _evaluate(stack, objective, engine)[0][0]
             return -math.inf if math.isnan(outcome) else outcome
 
         f_lo, f_hi = f(lo), f(hi)
@@ -292,18 +320,37 @@ def sg_family(lmbda: float) -> Callable[[float], Scenario]:
     beam displacement in units of the pointer width. The measured spin
     value delta_q/g depends on lambda alone and follows the closed-form
     amplification curve of `stern_gerlach_outcome`.
+
+    The family offers `sweep` and `find_optimum` its selection stack,
+    built in closed form from the cosines and sines of the half-angles: one
+    stack for a whole sweep grid, a stack of one per search step. A call
+    for one angle returns the scenario of that angle's stack of one, so its
+    pre-selection vector has the same bits either way.
     """
     _check_lambda(lmbda)
+    g = float(lmbda)
     pointer = gaussian(1.0)
     obs = new_observable(SIGMA_Z)
     post = projector_onto(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    fs = post.basis[:, None, :]  # one post-selection, shared by every point
+
+    def stack(alphas: list[float]) -> _SelectionStack:
+        for alpha in alphas:
+            _check_alpha(alpha)
+        halves = [0.25 * math.pi - 0.5 * alpha for alpha in alphas]
+        vecs = np.array([(math.cos(half), math.sin(half)) for half in halves])
+        # `pure_state`'s normalization row by row: its squared norm is a dot
+        # product, which a batched matmul rounds alike, and its division is
+        # complex.
+        norms = np.sqrt(vecs[:, None, :] @ vecs[:, :, None])[:, 0]
+        psis = (vecs.astype(complex) / norms).T[:, :, None]
+        return _SelectionStack(obs, pointer, g, fs, psis)
 
     def family(alpha: float) -> Scenario:
-        _check_alpha(alpha)
-        half = 0.25 * math.pi - 0.5 * alpha
-        pre = pure_state(np.array([math.cos(half), math.sin(half)]))
-        return make_scenario(obs, pre, post, lmbda, pointer)
+        pre = SystemState(dim=2, eigenmixture=((1.0, _frozen(stack([alpha]).psis[:, 0, 0])),))
+        return Scenario(observable=obs, pre=pre, post=post, g=g, pointer=pointer)
 
+    family._stack = stack
     return family
 
 

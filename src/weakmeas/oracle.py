@@ -71,7 +71,8 @@ from .pointer import (
     q_power,
     validate_grid_n,
 )
-from .qops import _freeze, _frozen, _selection_kernel, _selection_traces
+from .qops import Observable, _freeze, _frozen, _selection_kernel, _selection_stack
+from .qops import _selection_traces
 from .scenario import Scenario, validate_series_order
 from .weak_values import weak_interaction_margin
 
@@ -115,16 +116,15 @@ class MeasurementRecord:
     tail_estimate: float | None = None
 
 
-def _scenario_selections(scenarios: list[Scenario], n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The selection kernel (c, b) for scenarios sharing the observable."""
-    posts, pres = [sc.post for sc in scenarios], [sc.pre for sc in scenarios]
-    return _selection_kernel(posts, pres, scenarios[0].observable, n_max)
+def _scenario_selections(sc: Scenario, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The selection kernel (c, b) of one scenario, a stack of one."""
+    return _selection_kernel(*_selection_stack([sc.post], [sc.pre]), sc.observable, n_max)
 
 
 def _selection_amplitudes(sc: Scenario) -> np.ndarray:
     """c[(m, k), i] = sqrt(w_k) <f_m|a_i><a_i|psi_k>, over post-selection
     vectors f_m, mixture components (w_k, psi_k) and eigenvectors a_i."""
-    return _scenario_selections([sc], 0)[0][0]
+    return _scenario_selections(sc, 0)[0][0]
 
 
 def _exact_components(
@@ -224,12 +224,12 @@ def _require_success(n_total: float, prob_floor: float) -> None:
 
 
 def _exact_stacked(
-    c: np.ndarray, b: np.ndarray, sc: Scenario
+    pointer: PointerState, g: float, obs: Observable, c: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(N, delta_q, delta_p) arrays for B points sharing the observable, g
-    and the pointer of ``sc``, from their selection kernel c, b and the
-    pointer's `_lag_tables` at u = g a. Branch i is the pointer translated by
-    u_i; with T = c^T c*, N = chi(0) |b_0|^2 + sum T dchi,
+    and the pointer, from their selection kernel c, b and the pointer's
+    `_lag_tables` at u = g a. Branch i is the pointer translated by u_i;
+    with T = c^T c*, N = chi(0) |b_0|^2 + sum T dchi,
     N <q> = chi_q(0) |b_0|^2 + chi(0) g Re(b_1 b_0^*) + sum T Q and
     N <p> = chi_p(0) |b_0|^2 + 2 slope g Im(b_1 b_0^*) + sum T P. Near
     orthogonality N is a small remainder of O(1) terms, so the lag-0 parts
@@ -237,8 +237,7 @@ def _exact_stacked(
     only lag differences are summed over pairs. The shifts (from chi_q(0),
     chi_p(0)) are NaN, silently, wherever N is not above PROB_FLOOR or NaN.
     """
-    g = sc.g
-    zero, slope, lags = _lag_tables(sc.pointer, g, g * sc.observable.eigenvalues)
+    zero, slope, lags = _lag_tables(pointer, g, g * obs.eigenvalues)
     t = _selection_traces(b[:2])  # |b_0|^2 and b_1 b_0^*, summed over rows
     b0 = t[0, 0].real
     b1_b0 = g * t[1, 0]
@@ -254,7 +253,8 @@ def _exact_scalars(sc: Scenario) -> tuple[float, float, float]:
     """Exact (success_prob, delta_q, delta_p) for any pointer, without a
     density: the batch of one of `_exact_stacked`. Raises
     ZeroPostSelectionProbability like `evolve_postselect`."""
-    n_total, delta_q, delta_p = _exact_stacked(*_scenario_selections([sc], 1), sc)
+    c, b = _scenario_selections(sc, 1)
+    n_total, delta_q, delta_p = _exact_stacked(sc.pointer, sc.g, sc.observable, c, b)
     _require_success(float(n_total[0]), PROB_FLOOR)
     return min(float(n_total[0]), 1.0), float(delta_q[0]), float(delta_p[0])
 
@@ -279,7 +279,8 @@ def success_probability(sc: Scenario, grid_n: int | None = None) -> float:
     ``grid_n``, and refuses what `evolve_postselect` would: a bad ``grid_n``
     or an unbuildable grid (`pointer._working_grid`'s, not allocated)."""
     _working_grid(sc.pointer, sc.g, sc.g * sc.observable.eigenvalues, grid_n)
-    n_total = float(_exact_stacked(*_scenario_selections([sc], 1), sc)[0][0])
+    c, b = _scenario_selections(sc, 1)
+    n_total = float(_exact_stacked(sc.pointer, sc.g, sc.observable, c, b)[0][0])
     return 0.0 if n_total < PROB_FLOOR else min(n_total, 1.0)
 
 
@@ -368,7 +369,7 @@ def series_device_state(sc: Scenario, order: int, grid_n: int | None = None) -> 
     order = validate_series_order(order)
     validate_grid_n(grid_n)
     # One trace table t[m, l] = tr(P A^m rho A^l) serves every order.
-    t = _selection_traces(_scenario_selections([sc], order)[1])[:, :, 0]
+    t = _selection_traces(_scenario_selections(sc, order)[1])[:, :, 0]
     g = sc.g
     margin = weak_interaction_margin(g, sc.pointer)
     if margin >= SERIES_MARGIN_WARN:

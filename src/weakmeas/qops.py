@@ -7,8 +7,10 @@ positivity and idempotency requirements. All wrapper types are immutable:
 their arrays are defensive copies with the writeable flag cleared.
 
 Every selection trace tr(P A^m rho A^l), weak value and overlap tr(P rho)
-of the package is read from one kernel, `_selection_kernel`; `overlap` is
-its batch of one.
+of the package is read from one kernel, `_selection_kernel`, which takes B
+points as one selection stack: arrays of post-selection bases and
+sqrt(w)-weighted pre-selection vectors. `_selection_stack` converts lists
+of selections to that stack; `overlap` is its batch of one.
 
 The wire section holds the matrix codecs and the two helpers every reader
 of outside input goes through: `_wire_object`, the one key check of a wire
@@ -309,8 +311,26 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _selection_kernel(posts: list, pres: list, obs: Observable | None = None, n_max: int = 0):
-    """The selection kernel for B points sharing the observable.
+def _selection_stack(posts: list, pres: list) -> tuple[np.ndarray, np.ndarray]:
+    """The selection kernel's input for B points, basis index first:
+    fs[:, p, m] = f_m over the post-selection basis and
+    psis[:, p, k] = sqrt(w_k) psi_k over the pre-selection mixture.
+    Narrower points get zero columns."""
+    n_pts, dim = len(posts), posts[0].dim
+    fs = np.zeros((dim, n_pts, max(post.basis.shape[1] for post in posts)), dtype=complex)
+    psis = np.zeros((dim, n_pts, max(len(pre.eigenmixture) for pre in pres)), dtype=complex)
+    for p, (post, pre) in enumerate(zip(posts, pres)):
+        fs[:, p, : post.basis.shape[1]] = post.basis
+        for k, (w, vec) in enumerate(pre.eigenmixture):
+            psis[:, p, k] = math.sqrt(w) * vec
+    return fs, psis
+
+
+def _selection_kernel(
+    fs: np.ndarray, psis: np.ndarray, obs: Observable | None = None, n_max: int = 0
+):
+    """The selection kernel for B points sharing the observable, read from
+    their stack ``fs``, ``psis`` (`_selection_stack`'s layout).
 
     Point p contributes one row r = (m, k) per post-selection vector f_m and
     mixture component (w_k, psi_k). Returns (c, b) with
@@ -318,20 +338,18 @@ def _selection_kernel(posts: list, pres: list, obs: Observable | None = None, n_
     ``obs`` (None without it) and the moment amplitudes
     b[n, p, r] = sqrt(w_k) <f_m|A^n|psi_k>, n <= n_max: b_0 straight from
     <f_m|psi_k>, b_n = sum_i c a_i^n. Then tr(P A^m rho A^l) = sum_r b_m b_l^*
-    and tr(P rho) = sum_r |b_0|^2. Narrower points get zero rows.
+    and tr(P rho) = sum_r |b_0|^2. Every sum runs in index order, so a point
+    reads the same bits in any stack. A point axis of length one in ``fs``
+    is one post-selection shared by every point.
     """
-    n_pts, dim = len(posts), posts[0].dim
-    n_post = max(post.basis.shape[1] for post in posts)
-    n_mix = max(len(pre.eigenmixture) for pre in pres)
-    frame = 0 if obs is None else dim
-    # Bras [f_m | a_i] and kets [sqrt(w_k) psi_k | a_i], basis index first.
-    bras = np.zeros((dim, n_pts, n_post + frame), dtype=complex)
-    kets = np.zeros((dim, n_pts, n_mix + frame), dtype=complex)
-    for p, (post, pre) in enumerate(zip(posts, pres)):
-        bras[:, p, : post.basis.shape[1]] = post.basis
-        for k, (w, vec) in enumerate(pre.eigenmixture):
-            kets[:, p, k] = math.sqrt(w) * vec
-    if frame:
+    dim, n_pts, n_mix = psis.shape
+    n_post = fs.shape[2]
+    # Bras [f_m | a_i] and kets [sqrt(w_k) psi_k | a_i].
+    bras, kets = fs, psis
+    if obs is not None:
+        bras = np.empty((dim, n_pts, n_post + dim), dtype=complex)
+        kets = np.empty((dim, n_pts, n_mix + dim), dtype=complex)
+        bras[:, :, :n_post], kets[:, :, :n_mix] = fs, psis
         bras[:, :, n_post:] = kets[:, :, n_mix:] = obs.eigenvectors[:, None, :]
     inner = _ordered_sum(bras.conj()[:, :, :, None] * kets[:, :, None, :])
     b0 = inner[None, :, :n_post, :n_mix].reshape(1, n_pts, -1)
@@ -369,7 +387,8 @@ def overlap(post: PostSelection, pre: SystemState) -> float:
     """Post-selection success probability at zero coupling, tr(P rho),
     clipped into [0, 1]: the selection kernel's batch of one."""
     _check_dims(post, pre)
-    return float(_selection_overlaps(_selection_kernel([post], [pre])[1])[0])
+    _, b0 = _selection_kernel(*_selection_stack([post], [pre]))
+    return float(_selection_overlaps(b0)[0])
 
 
 # --- wire format -----------------------------------------------------------

@@ -47,6 +47,7 @@ from weakmeas.errors import (
     LambdaOutOfRange,
     NotUnimodal,
     ValidityWarning,
+    WeakMeasurementError,
     ZeroPostSelectionProbability,
 )
 
@@ -363,7 +364,11 @@ def test_optimizer_reports_an_objective_undefined_everywhere():
         find_optimum(lambda x: commuting_orthogonal(0.02), (0.0, 1.0))
 
 
-def test_family_validation():
+def _no_kernel(*args, **kwargs):
+    raise AssertionError("a kernel ran before the grid was checked")
+
+
+def test_family_validation(monkeypatch):
     with pytest.raises(LambdaOutOfRange):
         sg_family(0.0)
     with pytest.raises(LambdaOutOfRange):
@@ -371,6 +376,21 @@ def test_family_validation():
     family = sg_family(0.2)
     with pytest.raises(ValueError, match="alpha"):
         family(-0.1)
+    # A grid with a bad angle is refused, naming the first one, before any
+    # kernel runs, whether the family's own stack or its scenarios are read.
+    monkeypatch.setattr(amplifier, "_selection_kernel", _no_kernel)
+    for grid, bad in (([-0.1, 0.5, 1.0], -0.1), ([1.0, 3.5, 4.0], 3.5), ([math.nan], math.nan)):
+        with pytest.raises(ValueError) as info:
+            family(bad)
+        for fam in (family, lambda a: family(a)):
+            for engine in ENGINES:
+                with pytest.raises(ValueError, match=f"got {bad}$") as refused:
+                    sweep(fam, grid, "measured", engine)
+                assert str(refused.value) == str(info.value)
+                if math.isfinite(bad):
+                    with pytest.raises(ValueError, match=f"got {bad}$"):
+                        find_optimum(fam, (bad, bad + 1.0), "measured", engine)
+    monkeypatch.undo()
     sc = family(math.pi / 2.0)
     assert sc.g == pytest.approx(0.2)
     assert np.vdot(sc.pre.vector, sc.pre.vector) == pytest.approx(1.0)
@@ -588,18 +608,40 @@ def _per_point_records(family, alphas, objective, engine):
     return records
 
 
+def _optimum_or_refusal(family, objective, engine):
+    try:
+        return repr(find_optimum(family, (math.pi / 2.0, math.pi), objective, engine))
+    except WeakMeasurementError as exc:
+        return repr(exc)
+
+
 def test_sweep_csv_matches_the_per_point_path():
     # The benchmark's sweep: 200 interior angles of sg_family. Both engines'
     # CSVs are byte-identical to the per-point path: the sweep and the
     # per-point routes read one selection kernel, whose sums do not depend
-    # on the stack a point sits in.
+    # on the stack a point sits in. The family wrapped in a plain function
+    # (as the benchmark's traced pass counts it) offers no stack of its own,
+    # so its scenarios take the generic conversion; its records and optima
+    # equal the bare family's by repr.
     alphas = np.linspace(0.0, math.pi, 202)[1:-1]
     fields = ("parameter", "outcome", "success_prob", "weak_margin")
+    # The family's closed-form stack normalizes as `pure_state` does, bit
+    # for bit.
+    family = sg_family(0.2)
+    for alpha in np.concatenate([alphas, rng(61).uniform(0.0, math.pi, 2000)]):
+        half = 0.25 * math.pi - 0.5 * alpha
+        vector = pure_state(np.array([math.cos(half), math.sin(half)])).vector
+        assert family(alpha).pre.vector.tobytes() == vector.tobytes(), alpha
     for lam in (0.05, 0.2, 0.4):
         family = sg_family(lam)
+        wrapped = lambda a, family=family: family(a)  # noqa: E731
         for engine in ENGINES:
             for objective in OBJECTIVES:
                 batched = sweep(family, alphas, objective, engine)
+                assert repr(sweep(wrapped, alphas, objective, engine)) == repr(batched)
+                assert _optimum_or_refusal(wrapped, objective, engine) == _optimum_or_refusal(
+                    family, objective, engine
+                )
                 single = _per_point_records(family, alphas, objective, engine)
                 texts = []
                 for records in (batched, single):

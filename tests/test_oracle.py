@@ -65,7 +65,7 @@ from weakmeas.pointer import (
     p_power,
     q_power,
 )
-from weakmeas.qops import SIGMA_X, SIGMA_Z, _selection_kernel, _selection_traces
+from weakmeas.qops import SIGMA_X, SIGMA_Z, _selection_kernel, _selection_stack, _selection_traces
 from weakmeas.scenario import MAX_SERIES_ORDER
 from weakmeas.weak_values import _moment_amplitudes
 
@@ -808,7 +808,7 @@ def test_selection_kernel_matches_the_standard_basis(
     sc = _drawn_scenario(seed, dim, spectrum, mixed, selection, g, delta_q)
     obs, pre, post = sc.observable, sc.pre, sc.post
     n_max = MAX_SERIES_ORDER + 1
-    _, b = _selection_kernel([post], [pre], obs, n_max)
+    _, b = _selection_kernel(*_selection_stack([post], [pre]), obs, n_max)
     t = _selection_traces(b)[:, :, 0]
     for n in range(n_max + 1):
         ref = standard_amplitudes(obs, pre, post, n)
