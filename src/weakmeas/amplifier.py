@@ -17,20 +17,30 @@ curve has the known analytic optimum `sg_optimum`.
 
 Points are evaluated as selection stacks: B points that share the
 observable, the pointer and g, with their post-selection bases and
-sqrt(w)-weighted pre-selection vectors as arrays (`scenario._SelectionStack`).
-One stack is one array pass: the selection kernel (`qops._selection_kernel`)
-feeds the engine's kernel (`oracle._exact_stacked`,
-`predictor._predict_stacked`). `sg_family` offers its own stack (the
-family's ``_stack``): the stack of a whole sweep grid is built in closed
-form, with no scenario per point. Any other family returns one `Scenario` per
-point; `sweep` stacks the scenarios that share the observable object, the
-pointer object and g (`_group_key`) through `qops._selection_stack`. Such a
-family should therefore build the observable and the pointer once, outside
-the closure; one that builds them per point still works, one point per
-kernel call. The optimum search evaluates a stack of one per step. The
-pointer holds its own tables: the moment table, and the pair frame of the
-last coupling (`pointer._lag_tables`), so this module caches nothing, and at
-one coupling the pair frame is built once for the whole search.
+sqrt(w)-weighted pre-selection vectors as arrays. Each engine is split in
+two. Its binding (`_bind`) is built once for what the stacks share -- the
+observable, the pointer, g and the post-selections: the selection kernel's
+eigenvector half (`qops._selection_binding`) and the engine's own
+(`oracle._exact_binding`, the pointer's pair frame;
+`predictor._prediction_binding`, the series coefficients and the pointer
+means). Its apply on a stack of pre-selections is one array pass: the
+selection kernel (`qops._selection_kernel`) feeds the engine's kernel
+(`oracle._exact_stacked`, `predictor._predict_stacked`), which computes only
+the fields the objective reads. `predict`, `_exact_scalars` and
+`success_probability` run the same apply as a batch of one. `sg_family`
+offers its own selections (the family's ``_head``, what its points share,
+and ``_pres``, the pre-selection stack of any angles, built in closed
+form), with no scenario per point: one binding serves a sweep, or a whole
+search. Any other family returns one `Scenario` per point; `_stacks`
+groups the scenarios that share the observable object, the pointer object
+and g (`_group_key`), converts each group through `qops._selection_stack`
+and binds it. Such a family should therefore build the observable and the
+pointer once, outside the closure; one that builds them per point still
+works, one point per kernel call. The optimum search evaluates its two
+endpoints and first interior point as one stack of three, then a stack of
+one per step; a point reads the same bits in any stack. The pointer holds
+its own tables: the moment table, and the pair frame of the last coupling
+(`pointer._lag_tables`), so this module caches nothing.
 
 Points where the objective is undefined (post-selection never succeeds,
 or the predictor does not apply) are recorded with a blank outcome instead
@@ -54,12 +64,12 @@ from .errors import (
     ValidityWarning,
     ZeroPostSelectionProbability,
 )
-from .oracle import _exact_stacked
+from .oracle import _exact_binding, _exact_stacked
 from .pointer import gaussian
-from .predictor import _check_alpha, _check_lambda, _predict_stacked
-from .qops import SIGMA_Z, SystemState, _frozen, _selection_kernel, _selection_stack
-from .qops import new_observable, projector_onto
-from .scenario import Scenario, _SelectionStack
+from .predictor import _check_alpha, _check_lambda, _prediction_binding, _predict_stacked
+from .qops import SIGMA_Z, SystemState, _frozen, _selection_binding, _selection_kernel
+from .qops import _selection_stack, new_observable, projector_onto
+from .scenario import Scenario
 from .weak_values import _route, weak_interaction_margin
 
 __all__ = [
@@ -123,14 +133,21 @@ def _group_key(sc: Scenario) -> tuple:
     return id(sc.observable), id(sc.pointer), sc.g, math.copysign(1.0, sc.g)
 
 
-def _stacks(family: Callable[[float], Scenario], values: list[float]) -> list:
-    """(point indices, selection stack) pairs covering ``values``: the
-    family's own stack where it offers one (`sg_family`), else its scenarios
-    grouped by `_group_key`. Every point is checked before any kernel
-    runs."""
-    own = getattr(family, "_stack", None)
+def _stacks(
+    family: Callable[[float], Scenario], values: list[float], engine: str, bound=None
+) -> list:
+    """(point indices, head, bound engine, pre-selection stack) quadruples
+    covering ``values``, where a head (observable, pointer, g, fs) is what
+    the points share. A family that offers its own selections (`sg_family`:
+    its ``_head`` and ``_pres``) gives one stack under ``bound``, or under
+    a binding made here; any other family's scenarios are grouped by
+    `_group_key` and converted, one binding per group. Every point is
+    checked before any kernel runs."""
+    own = getattr(family, "_pres", None)
     if own is not None:
-        return [(range(len(values)), own(values))]
+        head = family._head
+        bound = _bind(head, engine) if bound is None else bound
+        return [(range(len(values)), head, bound, own(values))]
     scenarios = [family(param) for param in values]
     groups: dict[tuple, list[int]] = {}
     for i, sc in enumerate(scenarios):
@@ -138,28 +155,44 @@ def _stacks(family: Callable[[float], Scenario], values: list[float]) -> list:
     stacks = []
     for members in groups.values():
         sc = scenarios[members[0]]
-        posts, pres = [scenarios[i].post for i in members], [scenarios[i].pre for i in members]
-        stack = _SelectionStack(sc.observable, sc.pointer, sc.g, *_selection_stack(posts, pres))
-        stacks.append((members, stack))
+        fs, psis = _selection_stack([scenarios[i].post for i in members],
+                                    [scenarios[i].pre for i in members])
+        head = sc.observable, sc.pointer, sc.g, fs
+        stacks.append((members, head, _bind(head, engine), psis))
     return stacks
 
 
-def _evaluate(stack: _SelectionStack, objective: str, engine: str) -> tuple[list, list]:
-    """(outcomes, success probabilities) for the points of one selection
-    stack, in one kernel call; an undefined outcome is NaN. The exact
-    engine's pair frame is the pointer's memoized `_lag_tables`, so a search
-    at one coupling builds it once."""
-    g = stack.g
+def _bind(head: tuple, engine: str) -> tuple:
+    """The engine bound to a head (observable, pointer, g, fs): g, the
+    selection kernel's binding to the observable and the post-selections,
+    and the engine kernel's own (`oracle._exact_binding`,
+    `predictor._prediction_binding`), built once for every stack of
+    pre-selections that shares the head."""
+    obs, pointer, g, fs = head
     if engine == "predicted":
-        _, b = _selection_kernel(stack.fs, stack.psis, stack.observable, 3)
-        fields = _predict_stacked(stack.pointer, g, _route(b))
-        success = np.where(np.isnan(fields.success), 0.0, fields.success)
+        return g, _selection_binding(fs, obs, 3), _prediction_binding(pointer, g)
+    return g, _selection_binding(fs, obs, 1), _exact_binding(pointer, g, obs)
+
+
+def _evaluate(bound: tuple, psis, objective: str, engine: str, success: bool = True):
+    """(outcomes, success probabilities) for one stack of pre-selections
+    under a bound engine, in one kernel call; an undefined outcome is NaN.
+    Only what is read is computed: the probabilities (else None) with
+    ``success``, delta_p for its own objective alone."""
+    g, selections, own = bound
+    c, b = _selection_kernel(selections, psis)
+    momenta = objective == "delta_p"
+    probs = None
+    if engine == "predicted":
+        fields = _predict_stacked(own, _route(b), momenta)
         delta_q, delta_p = fields.delta_q, fields.delta_p
+        if success:
+            probs = np.where(np.isnan(fields.success), 0.0, fields.success)
     else:
-        c, b = _selection_kernel(stack.fs, stack.psis, stack.observable, 1)
-        n_total, delta_q, delta_p = _exact_stacked(stack.pointer, g, stack.observable, c, b)
-        success = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
-    if objective == "delta_p":
+        n_total, delta_q, delta_p = _exact_stacked(own, c, b, 3 if momenta else 2)
+        if success:
+            probs = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
+    if momenta:
         outcomes = delta_p
     elif objective == "delta_q":
         outcomes = delta_q
@@ -167,7 +200,7 @@ def _evaluate(stack: _SelectionStack, objective: str, engine: str) -> tuple[list
         outcomes = delta_q / g
     else:
         outcomes = np.full(len(delta_q), np.nan)
-    return outcomes.tolist(), success.tolist()
+    return outcomes.tolist(), None if probs is None else probs.tolist()
 
 
 def sweep(
@@ -182,7 +215,8 @@ def sweep(
     than dropped.
 
     The points are evaluated as selection stacks, one array pass of the
-    engine's kernel per stack. `sg_family` hands over the stack of the
+    engine's kernel per stack, bound once to what the stack's points share
+    (`_bind`). `sg_family` hands over the stack of the
     whole grid, built in closed form. Any other family gives one scenario
     per point; the points whose scenarios share the observable object, the
     pointer object and g are stacked together, so such a family should
@@ -205,14 +239,11 @@ def sweep(
     results: list = [None] * len(values)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        for members, stack in _stacks(family, values):
-            margin = weak_interaction_margin(stack.g, stack.pointer)
-            for i, out, prob in zip(members, *_evaluate(stack, objective, engine)):
-                results[i] = (None if math.isnan(out) else out, prob, margin)
-    return [
-        SweepRecord(parameter=param, outcome=outcome, success_prob=success, weak_margin=margin)
-        for param, (outcome, success, margin) in zip(values, results)
-    ]
+        for members, (_, pointer, g, _), bound, psis in _stacks(family, values, engine):
+            margin = weak_interaction_margin(g, pointer)
+            for i, out, prob in zip(members, *_evaluate(bound, psis, objective, engine)):
+                results[i] = (values[i], None if math.isnan(out) else out, prob, margin)
+    return [SweepRecord(*fields) for fields in results]
 
 
 def find_optimum(
@@ -233,29 +264,37 @@ def find_optimum(
     step. The parameter is localized to SEARCH_TOL, an absolute tolerance
     with no term relative to the parameter's size, in at most
     MAX_SEARCH_ITER steps (floating-point curvature of the objective
-    permitting); every evaluated point lies in the bracket. As in `sweep`,
-    the exact engine is the pair kernel for every pointer.
+    permitting); every evaluated point lies in the bracket. The endpoints
+    and the first interior point are evaluated as one stack. As in
+    `sweep`, the exact engine is the pair kernel for every pointer; on
+    `sg_family` the engine is bound once for the whole search.
     """
     _check_choices(objective, engine)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or not (lo < hi):
         raise InvalidBracket(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
 
+    # A family that offers its own selections shares one binding across the
+    # search; any other binds each step's scenarios.
+    shared = _bind(family._head, engine) if hasattr(family, "_pres") else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
 
-        def f(x: float) -> float:
-            [(_, stack)] = _stacks(family, [x])
-            outcome = _evaluate(stack, objective, engine)[0][0]
-            return -math.inf if math.isnan(outcome) else outcome
+        def f(xs: list[float]) -> list[float]:
+            outcomes = [0.0] * len(xs)
+            for members, _, bound, psis in _stacks(family, xs, engine, shared):
+                for i, out in zip(members, _evaluate(bound, psis, objective, engine, False)[0]):
+                    outcomes[i] = -math.inf if math.isnan(out) else out
+            return outcomes
 
-        f_lo, f_hi = f(lo), f(hi)
         # Brent's method, maximizing: x is the best point so far, w the
         # second best and v the previous w; d is the last step and e the
-        # one before it.
+        # one before it. The endpoints and the first interior point are
+        # one stack of three.
         a, b = lo, hi
         x = w = v = a + _CGOLD * (b - a)
-        fx = fw = fv = f(x)
+        f_lo, f_hi, fx = f([lo, hi, x])
+        fw = fv = fx
         d = e = 0.0
         iterations = 0
         while iterations < MAX_SEARCH_ITER:
@@ -281,7 +320,7 @@ def find_optimum(
                 e = (a - x) if x >= m else (b - x)
                 d = _CGOLD * e
             u = x + (d if abs(d) >= SEARCH_TOL else math.copysign(SEARCH_TOL, d))
-            fu = f(u)
+            [fu] = f([u])
             iterations += 1
             if fu >= fx:
                 a, b = (x, b) if u >= x else (a, x)
@@ -303,12 +342,7 @@ def find_optimum(
             f"located value {fx!r} falls below an endpoint value "
             f"({f_lo!r}, {f_hi!r}); the objective is not unimodal here"
         )
-    return OptimumReport(
-        parameter_opt=x,
-        outcome_max=fx,
-        iterations=iterations,
-        bracket=(lo, hi),
-    )
+    return OptimumReport(x, fx, iterations, (lo, hi))
 
 
 def sg_family(lmbda: float) -> Callable[[float], Scenario]:
@@ -321,11 +355,14 @@ def sg_family(lmbda: float) -> Callable[[float], Scenario]:
     value delta_q/g depends on lambda alone and follows the closed-form
     amplification curve of `stern_gerlach_outcome`.
 
-    The family offers `sweep` and `find_optimum` its selection stack,
-    built in closed form from the cosines and sines of the half-angles: one
-    stack for a whole sweep grid, a stack of one per search step. A call
-    for one angle returns the scenario of that angle's stack of one, so its
-    pre-selection vector has the same bits either way.
+    The family offers `sweep` and `find_optimum` its selections: what its
+    points share (``_head``: the observable, the pointer, g and the +x
+    post-selection), bound once per sweep or search, and the pre-selection
+    stack of any angles (``_pres``), built in closed form from the cosines
+    and sines of the half-angles: one stack for a whole sweep grid, one of
+    three and then one per step for a search. A call for one angle returns
+    the scenario of that angle's stack of one, so its pre-selection vector
+    has the same bits either way.
     """
     _check_lambda(lmbda)
     g = float(lmbda)
@@ -334,7 +371,7 @@ def sg_family(lmbda: float) -> Callable[[float], Scenario]:
     post = projector_onto(np.array([1.0, 1.0]) / math.sqrt(2.0))
     fs = post.basis[:, None, :]  # one post-selection, shared by every point
 
-    def stack(alphas: list[float]) -> _SelectionStack:
+    def pres(alphas: list[float]) -> np.ndarray:
         for alpha in alphas:
             _check_alpha(alpha)
         halves = [0.25 * math.pi - 0.5 * alpha for alpha in alphas]
@@ -343,14 +380,13 @@ def sg_family(lmbda: float) -> Callable[[float], Scenario]:
         # product, which a batched matmul rounds alike, and its division is
         # complex.
         norms = np.sqrt(vecs[:, None, :] @ vecs[:, :, None])[:, 0]
-        psis = (vecs.astype(complex) / norms).T[:, :, None]
-        return _SelectionStack(obs, pointer, g, fs, psis)
+        return (vecs.astype(complex) / norms).T[:, :, None]
 
     def family(alpha: float) -> Scenario:
-        pre = SystemState(dim=2, eigenmixture=((1.0, _frozen(stack([alpha]).psis[:, 0, 0])),))
+        pre = SystemState(dim=2, eigenmixture=((1.0, _frozen(pres([alpha])[:, 0, 0])),))
         return Scenario(observable=obs, pre=pre, post=post, g=g, pointer=pointer)
 
-    family._stack = stack
+    family._head, family._pres = (obs, pointer, g, fs), pres
     return family
 
 

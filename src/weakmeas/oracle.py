@@ -13,7 +13,8 @@ table c over the translated branches, and the pair kernel
 `_exact_stacked` takes N, delta_q and delta_p without a density (Duck,
 Stevenson & Sudarshan, Phys. Rev. D 40, 2112 (1989)) from the pair table
 T = c^T c* and the pointer's lag functions (`pointer._lag_tables`), for a
-stack of points sharing the observable, g and the pointer.
+stack of points sharing the observable, g and the pointer; what the stacks
+share is bound once (`_exact_binding`).
 `success_probability` and the amplifier read the pair kernel; only
 `evolve_postselect` runs the grid. No engine here asks which kind of
 pointer it holds: `pointer` lays it on the grid.
@@ -71,8 +72,7 @@ from .pointer import (
     q_power,
     validate_grid_n,
 )
-from .qops import Observable, _freeze, _frozen, _selection_kernel, _selection_stack
-from .qops import _selection_traces
+from .qops import Observable, _freeze, _frozen, _point_selections, _selection_traces
 from .scenario import Scenario, validate_series_order
 from .weak_values import weak_interaction_margin
 
@@ -118,7 +118,7 @@ class MeasurementRecord:
 
 def _scenario_selections(sc: Scenario, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The selection kernel (c, b) of one scenario, a stack of one."""
-    return _selection_kernel(*_selection_stack([sc.post], [sc.pre]), sc.observable, n_max)
+    return _point_selections(sc.post, sc.pre, sc.observable, n_max)
 
 
 def _selection_amplitudes(sc: Scenario) -> np.ndarray:
@@ -223,12 +223,18 @@ def _require_success(n_total: float, prob_floor: float) -> None:
         )
 
 
-def _exact_stacked(
-    pointer: PointerState, g: float, obs: Observable, c: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _exact_binding(pointer: PointerState, g: float, obs: Observable) -> tuple:
+    """What `_exact_stacked` shares across the stacks of one pointer, g and
+    observable: g and the pointer's `_lag_tables` at u = g a."""
+    return g, _lag_tables(pointer, g, g * obs.eigenvalues)
+
+
+def _exact_stacked(bound: tuple, c: np.ndarray, b: np.ndarray, reads: int = 3) -> tuple:
     """(N, delta_q, delta_p) arrays for B points sharing the observable, g
-    and the pointer, from their selection kernel c, b and the pointer's
-    `_lag_tables` at u = g a. Branch i is the pointer translated by u_i;
+    and the pointer, the first ``reads`` of them computed and the rest None,
+    from their selection kernel c, b and the `_exact_binding` of the three:
+    the pointer's lag tables at u = g a. Branch i is the pointer translated
+    by u_i;
     with T = c^T c*, N = chi(0) |b_0|^2 + sum T dchi,
     N <q> = chi_q(0) |b_0|^2 + chi(0) g Re(b_1 b_0^*) + sum T Q and
     N <p> = chi_p(0) |b_0|^2 + 2 slope g Im(b_1 b_0^*) + sum T P. Near
@@ -237,15 +243,18 @@ def _exact_stacked(
     only lag differences are summed over pairs. The shifts (from chi_q(0),
     chi_p(0)) are NaN, silently, wherever N is not above PROB_FLOOR or NaN.
     """
-    zero, slope, lags = _lag_tables(pointer, g, g * obs.eigenvalues)
+    g, (zero, slope, lags) = bound
     t = _selection_traces(b[:2])  # |b_0|^2 and b_1 b_0^*, summed over rows
     b0 = t[0, 0].real
-    b1_b0 = g * t[1, 0]
-    sums = ((np.swapaxes(c, 1, 2) @ c.conj())[:, None] * lags).sum(axis=(2, 3)).real
+    sums = ((np.swapaxes(c, 1, 2) @ c.conj())[:, None] * lags[:reads]).sum(axis=(2, 3)).real
     n_total = zero[0] * b0 + sums[:, 0]
-    n_safe = np.where(n_total > PROB_FLOOR, n_total, np.nan)
-    delta_q = (zero[1] * b0 + zero[0] * b1_b0.real + sums[:, 1]) / n_safe - zero[1]
-    delta_p = (zero[2] * b0 + 2.0 * slope * b1_b0.imag + sums[:, 2]) / n_safe - zero[2]
+    delta_q = delta_p = None
+    if reads > 1:
+        b1_b0 = g * t[1, 0]
+        n_safe = np.where(n_total > PROB_FLOOR, n_total, np.nan)
+        delta_q = (zero[1] * b0 + zero[0] * b1_b0.real + sums[:, 1]) / n_safe - zero[1]
+    if reads > 2:
+        delta_p = (zero[2] * b0 + 2.0 * slope * b1_b0.imag + sums[:, 2]) / n_safe - zero[2]
     return n_total, delta_q, delta_p
 
 
@@ -253,8 +262,8 @@ def _exact_scalars(sc: Scenario) -> tuple[float, float, float]:
     """Exact (success_prob, delta_q, delta_p) for any pointer, without a
     density: the batch of one of `_exact_stacked`. Raises
     ZeroPostSelectionProbability like `evolve_postselect`."""
-    c, b = _scenario_selections(sc, 1)
-    n_total, delta_q, delta_p = _exact_stacked(sc.pointer, sc.g, sc.observable, c, b)
+    bound = _exact_binding(sc.pointer, sc.g, sc.observable)
+    n_total, delta_q, delta_p = _exact_stacked(bound, *_scenario_selections(sc, 1))
     _require_success(float(n_total[0]), PROB_FLOOR)
     return min(float(n_total[0]), 1.0), float(delta_q[0]), float(delta_p[0])
 
@@ -279,8 +288,8 @@ def success_probability(sc: Scenario, grid_n: int | None = None) -> float:
     ``grid_n``, and refuses what `evolve_postselect` would: a bad ``grid_n``
     or an unbuildable grid (`pointer._working_grid`'s, not allocated)."""
     _working_grid(sc.pointer, sc.g, sc.g * sc.observable.eigenvalues, grid_n)
-    c, b = _scenario_selections(sc, 1)
-    n_total = float(_exact_stacked(sc.pointer, sc.g, sc.observable, c, b)[0][0])
+    bound = _exact_binding(sc.pointer, sc.g, sc.observable)
+    n_total = float(_exact_stacked(bound, *_scenario_selections(sc, 1), 1)[0][0])
     return 0.0 if n_total < PROB_FLOOR else min(n_total, 1.0)
 
 
@@ -295,23 +304,39 @@ def _series_rows(order: int) -> tuple[np.ndarray, ...]:
     return tuple(_frozen(row) for row in rows)
 
 
-def _series_coefficients(t: np.ndarray, g: float, order: int) -> np.ndarray:
-    """Every order's coefficient list up to ``order`` from the raw traces
-    t[m, l] = tr(P A^m rho A^l) of one point, or of B on the last axis,
-    rows as `_series_rows`. Order n's terms are
-    a[k] = (-i g)^n/n! (-1)^k C(n, k) t[n-k, k]; as t[l, m] = t[m, l]^*,
-    a[n-k] = a[k]^*, so each conjugate pair (k, n-k) is one row, 2 a[k],
-    and the middle term k = n/2 another. An overflowing g gives inf or NaN."""
+def _series_factors(g: float, order: int) -> tuple:
+    """The factors of `_series_coefficients` up to ``order`` at the coupling
+    g, per row of `_series_rows`, as columns: (-i g)^n/n!, the pair weight
+    times (-1)^k C(n, k), and the trace index (n - k, k). An overflowing g
+    gives inf or NaN."""
     n, k, _, factorial, signed = _series_rows(order)
-    shape = (-1, *[1] * (np.ndim(t) - 2))
-    coeff = (np.complex128(-1j * g) ** n / factorial).reshape(shape)
-    return coeff * (signed.reshape(shape) * t[n - k, k])
+    return (np.complex128(-1j * g) ** n / factorial)[:, None], signed[:, None], (n - k, k)
 
 
-def _series_sums(pointer: PointerState, t: np.ndarray, g: float, order: int) -> np.ndarray:
+def _series_coefficients(t: np.ndarray, factors: tuple) -> np.ndarray:
+    """Every order's coefficient list from the raw traces
+    t[m, l, p] = tr(P A^m rho A^l) of B points and the `_series_factors`
+    of the coupling and order, rows as `_series_rows`.
+    Order n's terms are a[k] = (-i g)^n/n! (-1)^k C(n, k) t[n-k, k]; as
+    t[l, m] = t[m, l]^*, a[n-k] = a[k]^*, so each conjugate pair (k, n-k) is
+    one row, 2 a[k], and the middle term k = n/2 another."""
+    coeff, signed, index = factors
+    return coeff * (signed * t[index])
+
+
+def _series_binding(pointer: PointerState, g: float, order: int) -> tuple:
+    """What `_series_sums` shares across the stacks of one pointer, g and
+    order: the coefficient factors, the pointer's `_series_weights` and
+    each order's first row."""
+    weights = _series_weights(pointer, order)[:, :, None]
+    return _series_factors(g, order), weights, _series_rows(order)[2]
+
+
+def _series_sums(bound: tuple, t: np.ndarray) -> np.ndarray:
     """The series' scalars without a grid: per-order increments
     (Z, Q_1, Q_2, P_1, P_2), shape (order + 1, 5, B), for B points sharing
-    the pointer and g. Order n's densities integrate against q^j to
+    the pointer and g of ``bound`` (`_series_binding`), from their traces
+    t. Order n's densities integrate against q^j to
     Q_j = Re sum_k a[k] M[k, j, n-k] (Z = Q_0) and against p^j to
     P_j = Re(sum_k a[k]) <p^(n+j)>, over the rows a of
     `_series_coefficients` (a pair's row stands for both its terms, M being
@@ -319,9 +344,9 @@ def _series_sums(pointer: PointerState, t: np.ndarray, g: float, order: int) -> 
     <q> = Q_1/Z and var q = Q_2/Z - <q>^2 (Nakamura, Nishizawa & Fujimoto,
     PRA 85, 012113 (2012)). Each order sums its own rows, so a coefficient
     that overflows makes only its own order's sums NaN."""
-    a = _series_coefficients(t, g, order)
-    terms = (_series_weights(pointer, order)[:, :, None] * a.reshape(a.shape[0], 1, -1)).real
-    return np.add.reduceat(terms, _series_rows(order)[2], axis=0)
+    factors, weights, first = bound
+    terms = (weights * _series_coefficients(t, factors)[:, None]).real
+    return np.add.reduceat(terms, first, axis=0)
 
 
 def _series_weights(pointer: PointerState, order: int) -> np.ndarray:
@@ -387,7 +412,7 @@ def series_device_state(sc: Scenario, order: int, grid_n: int | None = None) -> 
     sups: list[float] = []
     # One row per conjugate pair of cross terms (k, n - k), and the middle
     # term k = n/2: each product is formed once.
-    coefficients = _series_coefficients(t, g / unit, order)
+    coefficients = _series_coefficients(t[:, :, None], _series_factors(g / unit, order))[:, 0]
     n_rows, k_rows, first = _series_rows(order)[:3]
     # The divergence guard measures growth from the first live order: one
     # whose traces are not negligible against their bound 1 (A has unit

@@ -23,21 +23,23 @@ series of `oracle.series_device_state` (Nakamura et al., PRA 85, 012113):
   amplification curve for a spin-1/2 Stern-Gerlach arrangement and its
   analytic optimum.
 
-Every closed-form prediction is one stacked kernel, `_predict_stacked`. It
-takes its route -- each point's side, overlap, traces and conditioning
-denominator -- from `weak_values._route` over the moment amplitudes of the
-selection kernel (`qops._selection_kernel`), makes one call of the
-grid-free series sums to order 3 (`oracle._series_sums`, over the
-pointer's moment table) and reads each regime's fields from its low
-orders, as arrays, NaN where a point is undefined. The series divides the
-traces by no denominator, so the orthogonal fields are its orders up to 3,
-whose first two vanish with <f|psi>; the route only picks the orders. The
-amplifier runs it over routed stacks; `predict` and the four forced
-predictors are its batch of one, `_predict_point`, which reads the
-selection kernel and routes once per call, takes the regime errors from
-`weak_values._point_route` and raises every other typed error. Every
-prediction names its regime with one vocabulary: ``aav``, ``general`` or
-``orthogonal``.
+Every closed-form prediction is one stacked kernel, `_predict_stacked`,
+applied under a binding built once per pointer and g
+(`_prediction_binding`: the series coefficients and weights and the
+pointer means). It takes its route -- each point's side, overlap, traces
+and conditioning denominator -- from `weak_values._route` over the moment
+amplitudes of the selection kernel (`qops._selection_kernel`), makes one
+call of the grid-free series sums to order 3 (`oracle._series_sums`, over
+the pointer's moment table) and reads each regime's fields from its low
+orders, as arrays, NaN where a point is undefined; it computes only the
+fields its caller reads. The series divides the traces by no denominator,
+so the orthogonal fields are its orders up to 3, whose first two vanish
+with <f|psi>; the route only picks the orders. The amplifier runs it over
+routed stacks; `predict` and the four forced predictors are its batch of
+one, `_predict_point`, which reads the selection kernel and routes once per
+call, takes the regime errors from `weak_values._point_route` and raises
+every other typed error. Every prediction names its regime with one
+vocabulary: ``aav``, ``general`` or ``orthogonal``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .errors import (
     NotApplicable,
     ValidityWarning,
 )
-from .oracle import _series_sums
+from .oracle import _series_binding, _series_sums
 from .pointer import PointerState, _moment_table, _orthogonal_peaks, gaussian
 from .qops import Observable, PostSelection, SystemState
 from .scenario import Scenario
@@ -132,70 +134,84 @@ def _warn_margin(margin: float) -> None:
 
 
 class _Fields(NamedTuple):
-    """Per-point fields of `_predict_stacked`.
+    """Per-point fields of `_predict_stacked`, each following its point's
+    own route; a field its caller did not ask for is None."""
 
-    ``bracket`` (1/C) is NaN on the points at or below the threshold;
-    ``success``, the shifts and the variances follow each point's own
-    route.
-    """
-
-    bracket: np.ndarray
     success: np.ndarray
     delta_q: np.ndarray
-    delta_p: np.ndarray
-    var_q: np.ndarray
-    var_p: np.ndarray
+    delta_p: np.ndarray | None
+    var_q: np.ndarray | None
+    var_p: np.ndarray | None
+
+
+def _prediction_binding(pointer: PointerState, g: float) -> tuple:
+    """What `_predict_stacked` shares across the stacks of one pointer and
+    g: the order-3 series bound at the coupling g 2^j >= 1/2
+    (`oracle._series_binding`), the shift -j n of order n's binary
+    exponent, and the pointer's means <q> and <p>."""
+    table = _moment_table(pointer)
+    j = max(0, -math.frexp(g)[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = _series_binding(pointer, math.ldexp(g, j), 3)
+    return series, -j * np.arange(4)[:, None], table[0, 1, 0].real, table[0, 0, 1].real
 
 
 def _predict_stacked(
-    pointer: PointerState, g: float, route: tuple, first_order: bool = False
+    bound: tuple,
+    route: tuple,
+    momenta: bool = True,
+    variances: bool = False,
+    first_order: bool = False,
 ) -> _Fields:
     """Every closed-form prediction for B selections sharing the pointer
-    and g, as low orders of one series (`oracle._series_sums` to order 3),
-    routed by ``route`` (`weak_values._route` of their b_0..b_3). Above the
-    threshold the series runs to order 2: bracket = 1/C = Z / ov,
-    success = Z and the shifts Q_1/Z - <q>, P_1/Z - <p>; with
-    ``first_order``, the order-1 increments less the mean times Z's, over
-    ov. At or below it, where orders 0 and 1 vanish with b_0 = <f|psi>,
-    orders up to 3 give the success and the shifts. The variances come
-    from orders up to 2 on both sides. Undefined points -- Z <= 0 or NaN, a
-    NaN denominator -- come out as NaN, without a floating-point warning.
+    and g of ``bound`` (`_prediction_binding`), as low orders of one series
+    (`oracle._series_sums` to order 3), routed by ``route``
+    (`weak_values._route` of their b_0..b_3). Above the threshold the
+    series runs to order 2: success = Z and the shifts Q_1/Z - <q>,
+    P_1/Z - <p>; with ``first_order``, the order-1 increments less the mean
+    times Z's, over ov. At or below it, where orders 0 and 1 vanish with
+    b_0 = <f|psi>, orders up to 3 give the success and the shifts. The
+    variances come from orders up to 2 on both sides. Only the fields asked
+    for are computed: delta_p with ``momenta``, the variances with
+    ``variances``. Undefined points -- Z <= 0 or NaN, a NaN denominator --
+    come out as NaN, without a floating-point warning.
     """
+    series, shift, q0, p0 = bound
     ov, t, orth, denom = route
-    table = _moment_table(pointer)
-    q0, p0 = table[0, 1, 0].real, table[0, 0, 1].real
     defined = ~np.isnan(denom)
-    # NaN in place of the overlap carries through to NaN results.
-    off = np.where(orth, np.nan, ov)
+    delta_p = var_q = var_p = None
     # The orders run at the coupling g 2^j >= 1/2, so no power of a weak g
     # underflows, and come back as each point's orders over 2^lead, its
     # largest Z increment's binary exponent: exact powers of two, one per
     # point, that leave every ratio as it was.
-    j = max(0, -math.frexp(g)[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _series_sums(pointer, t, math.ldexp(g, j), 3)
-        shift = -j * np.arange(4)[:, None]
+        sums = _series_sums(series, t)
         exponents = np.frexp(sums[:, 0])[1] + shift
         lead = np.max(np.where(sums[:, 0] != 0.0, exponents, -(2**20)), axis=0)
         sums = np.ldexp(sums, (shift - lead)[:, None])
         low = sums[:3].sum(axis=0)
-        z, mean_q, mean_p, _, _ = _statistics(np.where(orth, low + sums[3], low), defined)
-        delta_q, delta_p = mean_q - q0, mean_p - p0
+        z, q1, _, p1, _ = np.where(orth, low + sums[3], low)
+        z = np.where((z > 0.0) & defined, z, np.nan)
+        delta_q = q1 / z - q0
+        if momenta:
+            delta_p = p1 / z - p0
         if first_order:
+            # NaN in place of the overlap carries through to NaN results.
+            off = np.where(orth, np.nan, ov)
             z1, q1, _, p1, _ = sums[1]
             delta_q, delta_p = (np.ldexp(x, lead) / off for x in (q1 - q0 * z1, p1 - p0 * z1))
-        var_q, var_p = _statistics(low, defined)[3:]
-    success = np.ldexp(z, lead)
-    return _Fields(success / off, success, delta_q, delta_p, var_q, var_p)
+        if variances:
+            var_q, var_p = _variances(low, defined)
+    return _Fields(np.ldexp(z, lead), delta_q, delta_p, var_q, var_p)
 
 
-def _statistics(sums: np.ndarray, defined: np.ndarray) -> tuple:
-    """(Z, <q>, <p>, var q, var p) from summed `_series_sums` increments;
-    NaN wherever Z is not positive or the point is not ``defined``."""
+def _variances(sums: np.ndarray, defined: np.ndarray) -> tuple:
+    """(var q, var p) from summed `_series_sums` increments; NaN wherever Z
+    is not positive or the point is not ``defined``."""
     z, q1, q2, p1, p2 = sums
     z = np.where((z > 0.0) & defined, z, np.nan)
     mean_q, mean_p = q1 / z, p1 / z
-    return z, mean_q, mean_p, q2 / z - mean_q**2, p2 / z - mean_p**2
+    return q2 / z - mean_q**2, p2 / z - mean_p**2
 
 
 def _predict_point(
@@ -213,10 +229,15 @@ def _predict_point(
     b = _moment_amplitudes(obs, pre, post, MARGIN_ORDER)
     route = _route(b[:4])
     forced = None if regime == "auto" else regime == "orthogonal"
-    _, t, side, denom = _point_route(route, forced)
+    ov, t, side, denom = _point_route(route, forced)
     if regime == "auto":
         regime = "orthogonal" if side else "general"
-    f = _predict_stacked(pointer, g, route, regime == "aav")
+    f = _predict_stacked(
+        _prediction_binding(pointer, g),
+        route,
+        variances=regime == "orthogonal",
+        first_order=regime == "aav",
+    )
     fields = {"delta_q": float(f.delta_q[0]), "delta_p": float(f.delta_p[0])}
     if regime == "orthogonal":
         fields.update(
@@ -229,7 +250,7 @@ def _predict_point(
             fields["peaks_q"], fields["peaks_p"] = peaks
     else:
         if regime == "general":
-            bracket = float(f.bracket[0])
+            bracket = float(f.success[0]) / ov
             if not 0.0 < bracket < math.inf:
                 raise NonPositiveDenominator(
                     f"resummed denominator bracket {bracket:.3e} is not a positive "

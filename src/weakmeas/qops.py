@@ -9,8 +9,11 @@ their arrays are defensive copies with the writeable flag cleared.
 Every selection trace tr(P A^m rho A^l), weak value and overlap tr(P rho)
 of the package is read from one kernel, `_selection_kernel`, which takes B
 points as one selection stack: arrays of post-selection bases and
-sqrt(w)-weighted pre-selection vectors. `_selection_stack` converts lists
-of selections to that stack; `overlap` is its batch of one.
+sqrt(w)-weighted pre-selection vectors. `_selection_binding` computes once
+what the stacks of a search share (the post-selections and the
+observable), and the kernel applies it to each stack of pre-selections.
+`_selection_stack` converts lists of selections to that stack;
+`_point_selections`, behind `overlap`, is its batch of one.
 
 The wire section holds the matrix codecs and the two helpers every reader
 of outside input goes through: `_wire_object`, the one key check of a wire
@@ -326,40 +329,56 @@ def _selection_stack(posts: list, pres: list) -> tuple[np.ndarray, np.ndarray]:
     return fs, psis
 
 
-def _selection_kernel(
-    fs: np.ndarray, psis: np.ndarray, obs: Observable | None = None, n_max: int = 0
-):
+def _selection_binding(fs: np.ndarray, obs: Observable | None = None, n_max: int = 0) -> tuple:
+    """What every stack of the selection kernel at the post-selections
+    ``fs`` and the observable shares, computed once: the conjugate bras
+    [f_m | a_i], <f_m|a_i> over the eigenvectors a_i of ``obs`` and the
+    eigenvalue powers a_i^1..a_i^n_max; without ``obs``, the bras f_m
+    alone. A point axis of length one in ``fs`` is one post-selection
+    shared by every point."""
+    if obs is None:
+        return fs.conj()[:, :, :, None], None, None
+    vecs = obs.eigenvectors
+    bras = np.concatenate([fs, np.broadcast_to(vecs[:, None, :], (*fs.shape[:2], obs.dim))], 2)
+    fa = _ordered_sum(fs.conj()[:, :, :, None] * vecs[:, None, None, :])
+    powers = np.power.outer(obs.eigenvalues, np.arange(1.0, n_max + 1))
+    return bras.conj()[:, :, :, None], fa, powers[:, :, None, None]
+
+
+def _selection_kernel(bound: tuple, psis: np.ndarray):
     """The selection kernel for B points sharing the observable, read from
-    their stack ``fs``, ``psis`` (`_selection_stack`'s layout).
+    their pre-selections ``psis`` (`_selection_stack`'s layout) and the
+    `_selection_binding` of their post-selections.
 
     Point p contributes one row r = (m, k) per post-selection vector f_m and
     mixture component (w_k, psi_k). Returns (c, b) with
     c[p, r, i] = sqrt(w_k) <f_m|a_i><a_i|psi_k> over the eigenvectors a_i of
-    ``obs`` (None without it) and the moment amplitudes
+    the bound observable (None without it) and the moment amplitudes
     b[n, p, r] = sqrt(w_k) <f_m|A^n|psi_k>, n <= n_max: b_0 straight from
     <f_m|psi_k>, b_n = sum_i c a_i^n. Then tr(P A^m rho A^l) = sum_r b_m b_l^*
     and tr(P rho) = sum_r |b_0|^2. Every sum runs in index order, so a point
-    reads the same bits in any stack. A point axis of length one in ``fs``
-    is one post-selection shared by every point.
+    reads the same bits in any stack.
     """
-    dim, n_pts, n_mix = psis.shape
-    n_post = fs.shape[2]
-    # Bras [f_m | a_i] and kets [sqrt(w_k) psi_k | a_i].
-    bras, kets = fs, psis
-    if obs is not None:
-        bras = np.empty((dim, n_pts, n_post + dim), dtype=complex)
-        kets = np.empty((dim, n_pts, n_mix + dim), dtype=complex)
-        bras[:, :, :n_post], kets[:, :, :n_mix] = fs, psis
-        bras[:, :, n_post:] = kets[:, :, n_mix:] = obs.eigenvectors[:, None, :]
-    inner = _ordered_sum(bras.conj()[:, :, :, None] * kets[:, :, None, :])
-    b0 = inner[None, :, :n_post, :n_mix].reshape(1, n_pts, -1)
-    if obs is None:
-        return None, b0
-    fa, ap = inner[:, :n_post, n_mix:], inner[:, n_post:, :n_mix]  # <f_m|a_i>, <a_i|psi_k>
-    c = (fa[:, :, None, :] * ap.transpose(0, 2, 1)[:, None]).reshape(n_pts, -1, dim)
-    powers = np.power.outer(obs.eigenvalues, np.arange(1.0, n_max + 1))
-    bn = _ordered_sum(c.transpose(2, 0, 1)[:, None] * powers[:, :, None, None])
+    bras, fa, powers = bound
+    n_pts = psis.shape[1]
+    # <f_m|psi_k>, then <a_i|psi_k> with the observable.
+    inner = _ordered_sum(bras * psis[:, :, None, :])
+    if fa is None:
+        return None, inner.reshape(1, n_pts, -1)
+    n_post, dim = fa.shape[1:]
+    b0 = inner[None, :, :n_post].reshape(1, n_pts, -1)
+    ap = inner[:, n_post:].transpose(0, 2, 1)
+    c = (fa[:, :, None, :] * ap[:, None]).reshape(n_pts, -1, dim)
+    bn = _ordered_sum(c.transpose(2, 0, 1)[:, None] * powers)
     return c, np.concatenate([b0, bn])
+
+
+def _point_selections(
+    post: PostSelection, pre: SystemState, obs: Observable | None = None, n_max: int = 0
+):
+    """The selection kernel (c, b) of one selection pair: a stack of one."""
+    fs, psis = _selection_stack([post], [pre])
+    return _selection_kernel(_selection_binding(fs, obs, n_max), psis)
 
 
 def _selection_overlaps(b: np.ndarray) -> np.ndarray:
@@ -387,8 +406,7 @@ def overlap(post: PostSelection, pre: SystemState) -> float:
     """Post-selection success probability at zero coupling, tr(P rho),
     clipped into [0, 1]: the selection kernel's batch of one."""
     _check_dims(post, pre)
-    _, b0 = _selection_kernel(*_selection_stack([post], [pre]))
-    return float(_selection_overlaps(b0)[0])
+    return float(_selection_overlaps(_point_selections(post, pre)[1])[0])
 
 
 # --- wire format -----------------------------------------------------------

@@ -119,21 +119,6 @@ class Scenario:
             raise ValueError(f"coupling g must be finite, got {self.g!r}")
 
 
-@dataclass(frozen=True)
-class _SelectionStack:
-    """B points that share the observable, the pointer and g, with their
-    selections as one stack of the selection kernel: ``fs`` holds the
-    post-selection bases (a point axis of length one when every point has
-    the same) and ``psis`` the sqrt(w)-weighted pre-selection vectors, in
-    `qops._selection_stack`'s layout."""
-
-    observable: Observable
-    pointer: PointerState
-    g: float
-    fs: np.ndarray
-    psis: np.ndarray
-
-
 def make_scenario(observable, pre, post, g: float, pointer: PointerState) -> Scenario:
     """Assemble a scenario from raw ingredients.
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .pointer import MAX_WEAK_ORDER, PointerState, moment, p_power, variance_p
 from .qops import Observable, PostSelection, SystemState, _check_dims, _is_integer
-from .qops import _selection_kernel, _selection_overlaps, _selection_stack, _selection_traces
+from .qops import _point_selections, _selection_overlaps, _selection_traces
 
 __all__ = [
     "ORTH_THRESHOLD",
@@ -74,7 +74,7 @@ def _moment_amplitudes(
 ) -> np.ndarray:
     """The selection kernel's moment amplitudes b_0..b_n_max for one point."""
     _check_dims(post, pre, obs)
-    return _selection_kernel(*_selection_stack([post], [pre]), obs, n_max)[1]
+    return _point_selections(post, pre, obs, n_max)[1]
 
 
 def _route(b: np.ndarray) -> tuple:

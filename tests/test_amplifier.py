@@ -683,3 +683,123 @@ def test_predicted_sweep_routes_threshold_straddlers_like_predict():
             warnings.simplefilter("ignore", ValidityWarning)
             pred = predict(sc)
         assert (rec.outcome, rec.success_prob) == (pred.delta_q, pred.success_prob)
+
+
+# --- bound engines -------------------------------------------------------------
+#
+# A search binds each engine once to what its stacks share (the observable,
+# the pointer, g and a shared post-selection) and applies it to every stack
+# of pre-selections: the three points that start the search as one stack,
+# then one point per step. A point reads the same bits in any stack.
+
+
+def _orthogonal_turning_family():
+    """Selections orthogonal at every angle: the pre-selection e_0 and a
+    post-selection turning by theta in the span of e_1 and e_2, on one
+    observable, pointer and g, so the predicted engine routes every point
+    orthogonal and the generic path stacks post-selections point by point."""
+    obs = new_observable(random_hermitian(rng(83), 3))
+    pointer = gaussian(1.0)
+
+    def family(theta):
+        post = [0.0, math.cos(theta), math.sin(theta)]
+        return make_scenario(obs, [1.0, 0.0, 0.0], post, 0.1, pointer)
+
+    return family
+
+
+def _skewed_sg_family(g):
+    """sg_family's selections on a skewed grid pointer, the observable and
+    the pointer built once, so a sweep is one stack."""
+    obs, pointer = new_observable(SIGMA_Z), skewed_pointer(1.0, n=512)
+    post = projector_onto(np.array([1.0, 1.0]) / math.sqrt(2.0))
+
+    def family(alpha):
+        half = 0.25 * math.pi - 0.5 * alpha
+        return make_scenario(obs, [math.cos(half), math.sin(half)], post, g, pointer)
+
+    return family
+
+
+def test_optimum_reads_the_bits_of_a_sweep_at_it():
+    # The located maximum equals the outcome a sweep records at the located
+    # parameter, by repr, whether the sweep holds that point alone or among
+    # a grid's: the search's bound engine and its stacks of three and one
+    # read the bits of any stack. The bracket spans two grid steps on each
+    # side of the grid's best point.
+    thetas = np.linspace(0.0, math.pi, 41)
+    sg = sg_family(0.2)
+    families = {
+        "sg_family": sg,
+        "wrapped": lambda a: sg(a),
+        "skewed grid pointer": _skewed_sg_family(0.25),
+        "orthogonal": _orthogonal_turning_family(),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        assert predict(families["orthogonal"](0.7)).regime == "orthogonal"
+    for name, family in families.items():
+        for engine in ENGINES:
+            for objective in OBJECTIVES:
+                grid = sweep(family, thetas, objective, engine)
+                best = max(
+                    (i for i, rec in enumerate(grid) if rec.outcome is not None),
+                    key=lambda i: grid[i].outcome,
+                )
+                bracket = (thetas[max(best - 2, 0)], thetas[min(best + 2, len(thetas) - 1)])
+                report = find_optimum(family, bracket, objective, engine)
+                opt = report.parameter_opt
+                [alone] = sweep(family, [opt], objective, engine)
+                among = sweep(family, sorted({*thetas.tolist(), opt}), objective, engine)
+                [there] = [rec for rec in among if rec.parameter == opt]
+                for rec in (alone, there):
+                    assert repr(rec.outcome) == repr(report.outcome_max), (name, engine, objective)
+
+
+def test_a_search_binds_its_engine_once(monkeypatch):
+    # sg_family's selections are bound once per search and once per sweep,
+    # and a search applies the kernel once per step and once for the stack
+    # of three that starts it. A family of scenarios binds each group of
+    # points that share the observable, the pointer and g.
+    applies, binds = [], []
+    kernel = amplifier._selection_kernel
+
+    def counted_kernel(bound, psis):
+        applies.append(psis.shape[1])
+        return kernel(bound, psis)
+
+    monkeypatch.setattr(amplifier, "_selection_kernel", counted_kernel)
+    for name in ("_selection_binding", "_exact_binding", "_prediction_binding"):
+
+        def counted(*args, bind=getattr(amplifier, name), name=name):
+            binds.append(name)
+            return bind(*args)
+
+        monkeypatch.setattr(amplifier, name, counted)
+    sg = sg_family(0.2)
+    obs, post = new_observable(SIGMA_Z), np.array([1.0, 1.0]) / math.sqrt(2.0)
+    pointers = gaussian(1.0), gaussian(1.3)
+
+    def two_pointers(alpha):
+        half = 0.25 * math.pi - 0.5 * alpha
+        pointer = pointers[int(alpha > 2.0)]
+        return make_scenario(obs, [math.cos(half), math.sin(half)], post, 0.2, pointer)
+
+    grid = np.linspace(math.pi / 2.0, math.pi, 50)
+    own = {"exact": "_exact_binding", "predicted": "_prediction_binding"}
+    for engine in ENGINES:
+        once = ["_selection_binding", own[engine]]
+        for objective in OBJECTIVES:
+            for family in (sg, lambda a: sg(a)):
+                applies.clear(), binds.clear()
+                report = find_optimum(family, (math.pi / 2.0, math.pi), objective, engine)
+                assert applies == [3] + [1] * report.iterations
+                steps = 1 if family is sg else report.iterations + 1
+                assert sorted(binds) == sorted(once * steps)
+            applies.clear(), binds.clear()
+            sweep(sg, grid, objective, engine)
+            assert (applies, binds) == ([50], once)
+            applies.clear(), binds.clear()
+            sweep(two_pointers, grid, objective, engine)
+            assert sorted(applies) == sorted([int(np.sum(grid <= 2.0)), int(np.sum(grid > 2.0))])
+            assert sorted(binds) == sorted(once * 2)

@@ -53,6 +53,7 @@ from weakmeas.oracle import (
     _exact_scalars,
     _require_success,
     _selection_amplitudes,
+    _series_binding,
     _series_sums,
 )
 from weakmeas.pointer import (
@@ -65,7 +66,8 @@ from weakmeas.pointer import (
     p_power,
     q_power,
 )
-from weakmeas.qops import SIGMA_X, SIGMA_Z, _selection_kernel, _selection_stack, _selection_traces
+from weakmeas.qops import SIGMA_X, SIGMA_Z, _selection_binding, _selection_kernel, _selection_stack
+from weakmeas.qops import _selection_traces
 from weakmeas.scenario import MAX_SERIES_ORDER
 from weakmeas.weak_values import _moment_amplitudes
 
@@ -304,7 +306,7 @@ def test_grid_free_series_matches_the_series_records(pointer_kind, selection):
         sc = orthogonal_d3(3, pointer)(0.05)
     # Orthogonal selections start at order 2: orders 0 and 1 vanish.
     b = _moment_amplitudes(sc.observable, sc.pre, sc.post, MAX_SERIES_ORDER)
-    sums = _series_sums(sc.pointer, _selection_traces(b), sc.g, MAX_SERIES_ORDER)
+    sums = _series_sums(_series_binding(sc.pointer, sc.g, MAX_SERIES_ORDER), _selection_traces(b))
     q0, p0 = moment(sc.pointer, q_power(1)), moment(sc.pointer, p_power(1))
     for order in range(2 if selection == "orthogonal" else 0, MAX_SERIES_ORDER + 1):
         rec = _quiet_series(sc, order)
@@ -808,7 +810,8 @@ def test_selection_kernel_matches_the_standard_basis(
     sc = _drawn_scenario(seed, dim, spectrum, mixed, selection, g, delta_q)
     obs, pre, post = sc.observable, sc.pre, sc.post
     n_max = MAX_SERIES_ORDER + 1
-    _, b = _selection_kernel(*_selection_stack([post], [pre]), obs, n_max)
+    fs, psis = _selection_stack([post], [pre])
+    _, b = _selection_kernel(_selection_binding(fs, obs, n_max), psis)
     t = _selection_traces(b)[:, :, 0]
     for n in range(n_max + 1):
         ref = standard_amplitudes(obs, pre, post, n)

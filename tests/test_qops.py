@@ -20,6 +20,7 @@ from weakmeas.qops import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _selection_binding,
     _selection_kernel,
     _selection_overlaps,
     _selection_stack,
@@ -307,7 +308,8 @@ def test_stacked_overlaps_equal_overlap_bit_for_bit():
         for _ in range(int(gen.integers(1, 6))):
             pres.append(random_density(gen, dim) if gen.integers(2) else random_pure(gen, dim))
             posts.append(random_projector(gen, dim, int(gen.integers(1, dim))))
-        _, b = _selection_kernel(*_selection_stack(posts, pres), random_observable(gen, dim), 2)
+        fs, psis = _selection_stack(posts, pres)
+        _, b = _selection_kernel(_selection_binding(fs, random_observable(gen, dim), 2), psis)
         expected = [overlap(post, pre) for post, pre in zip(posts, pres)]
         assert _selection_overlaps(b).tolist() == expected
 
