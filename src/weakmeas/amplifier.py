@@ -26,21 +26,21 @@ eigenvector half (`qops._selection_binding`) and the engine's own
 means). Its apply on a stack of pre-selections is one array pass: the
 selection kernel (`qops._selection_kernel`) feeds the engine's kernel
 (`oracle._exact_stacked`, `predictor._predict_stacked`), which computes only
-the fields the objective reads. `predict`, `_exact_scalars` and
-`success_probability` run the same apply as a batch of one. `sg_family`
-offers its own selections (the family's ``_head``, what its points share,
-and ``_pres``, the pre-selection stack of any angles, built in closed
-form), with no scenario per point: one binding serves a sweep, or a whole
-search. Any other family returns one `Scenario` per point; `_stacks`
-groups the scenarios that share the observable object, the pointer object
-and g (`_group_key`), converts each group through `qops._selection_stack`
-and binds it. Such a family should therefore build the observable and the
-pointer once, outside the closure; one that builds them per point still
-works, one point per kernel call. The optimum search evaluates its two
-endpoints and first interior point as one stack of three, then a stack of
-one per step; a point reads the same bits in any stack. The pointer holds
-its own tables: the moment table, and the pair frame of the last coupling
-(`pointer._lag_tables`), so this module caches nothing.
+the fields the objective reads. `predict` and `oracle._exact_point` run
+the same apply as a batch of one. `_stacks` alone asks whether a family
+offers its own selections, as `sg_family` does (its ``_head``, what its
+points share, and ``_pres``, the pre-selection stack of any angles, built
+in closed form): one binding serves a sweep or a whole search, with no
+scenario per point. Any other family returns one `Scenario` per point;
+`_stacks` groups the scenarios that share the observable object, the
+pointer object and g (`_group_key`), converts each group through
+`qops._selection_stack` and binds it. Such a family should therefore build
+the observable and the pointer once, outside the closure; one that builds
+them per point still works, one point per kernel call. The optimum search
+evaluates its two endpoints and first interior point as one stack of three,
+then a stack of one per step; a point reads the same bits in any stack. The
+pointer holds its own tables: the moment table, and the pair frame of the
+last coupling (`pointer._lag_tables`), so this module caches nothing.
 
 Points where the objective is undefined (post-selection never succeeds,
 or the predictor does not apply) are recorded with a blank outcome instead
@@ -133,32 +133,35 @@ def _group_key(sc: Scenario) -> tuple:
     return id(sc.observable), id(sc.pointer), sc.g, math.copysign(1.0, sc.g)
 
 
-def _stacks(
-    family: Callable[[float], Scenario], values: list[float], engine: str, bound=None
-) -> list:
-    """(point indices, head, bound engine, pre-selection stack) quadruples
-    covering ``values``, where a head (observable, pointer, g, fs) is what
-    the points share. A family that offers its own selections (`sg_family`:
-    its ``_head`` and ``_pres``) gives one stack under ``bound``, or under
-    a binding made here; any other family's scenarios are grouped by
-    `_group_key` and converted, one binding per group. Every point is
-    checked before any kernel runs."""
+def _stacks(family: Callable[[float], Scenario], engine: str) -> Callable[[list[float]], list]:
+    """The function from parameter values to the (point indices, head,
+    bound engine, pre-selection stack) quadruples covering them, where a
+    head (observable, pointer, g, fs) is what the points share. A family
+    that offers its own selections (`sg_family`: its ``_head`` and
+    ``_pres``) is bound here, once for every call, and gives one stack per
+    call; any other family's scenarios are grouped by `_group_key` and
+    converted, one binding per group and call. Every point is checked
+    before any kernel runs."""
     own = getattr(family, "_pres", None)
     if own is not None:
         head = family._head
-        bound = _bind(head, engine) if bound is None else bound
-        return [(range(len(values)), head, bound, own(values))]
-    scenarios = [family(param) for param in values]
-    groups: dict[tuple, list[int]] = {}
-    for i, sc in enumerate(scenarios):
-        groups.setdefault(_group_key(sc), []).append(i)
-    stacks = []
-    for members in groups.values():
-        sc = scenarios[members[0]]
-        fs, psis = _selection_stack([scenarios[i].post for i in members],
-                                    [scenarios[i].pre for i in members])
-        head = sc.observable, sc.pointer, sc.g, fs
-        stacks.append((members, head, _bind(head, engine), psis))
+        bound = _bind(head, engine)
+        return lambda values: [(range(len(values)), head, bound, own(values))]
+
+    def stacks(values: list[float]) -> list:
+        scenarios = [family(param) for param in values]
+        groups: dict[tuple, list[int]] = {}
+        for i, sc in enumerate(scenarios):
+            groups.setdefault(_group_key(sc), []).append(i)
+        quadruples = []
+        for members in groups.values():
+            sc = scenarios[members[0]]
+            fs, psis = _selection_stack([scenarios[i].post for i in members],
+                                        [scenarios[i].pre for i in members])
+            head = sc.observable, sc.pointer, sc.g, fs
+            quadruples.append((members, head, _bind(head, engine), psis))
+        return quadruples
+
     return stacks
 
 
@@ -189,7 +192,7 @@ def _evaluate(bound: tuple, psis, objective: str, engine: str, success: bool = T
         if success:
             probs = np.where(np.isnan(fields.success), 0.0, fields.success)
     else:
-        n_total, delta_q, delta_p = _exact_stacked(own, c, b, 3 if momenta else 2)
+        n_total, delta_q, delta_p = _exact_stacked(own, c, b, momenta)
         if success:
             probs = np.where(np.isnan(delta_q), 0.0, np.minimum(n_total, 1.0))
     if momenta:
@@ -239,7 +242,7 @@ def sweep(
     results: list = [None] * len(values)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        for members, (_, pointer, g, _), bound, psis in _stacks(family, values, engine):
+        for members, (_, pointer, g, _), bound, psis in _stacks(family, engine)(values):
             margin = weak_interaction_margin(g, pointer)
             for i, out, prob in zip(members, *_evaluate(bound, psis, objective, engine)):
                 results[i] = (values[i], None if math.isnan(out) else out, prob, margin)
@@ -274,15 +277,13 @@ def find_optimum(
     if not (math.isfinite(lo) and math.isfinite(hi)) or not (lo < hi):
         raise InvalidBracket(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
 
-    # A family that offers its own selections shares one binding across the
-    # search; any other binds each step's scenarios.
-    shared = _bind(family._head, engine) if hasattr(family, "_pres") else None
+    stacks = _stacks(family, engine)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
 
         def f(xs: list[float]) -> list[float]:
             outcomes = [0.0] * len(xs)
-            for members, _, bound, psis in _stacks(family, xs, engine, shared):
+            for members, _, bound, psis in stacks(xs):
                 for i, out in zip(members, _evaluate(bound, psis, objective, engine, False)[0]):
                     outcomes[i] = -math.inf if math.isnan(out) else out
             return outcomes

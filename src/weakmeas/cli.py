@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ParseError, WeakMeasurementError
 from .oracle import evolve_postselect, series_device_state
 from .pointer import gaussian, gaussian_profile, validate_grid_n
-from .predictor import SGParams, predict, sg_optimum, stern_gerlach_outcome
+from .predictor import _REGIMES, SGParams, predict, sg_optimum, stern_gerlach_outcome
 from .qops import _parsed
 from .scenario import (
     load_scenario,
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("scenario", help="scenario JSON file")
     p_predict.add_argument(
         "--regime",
-        choices=("auto", "aav", "general", "orthogonal"),
+        choices=("auto", *_REGIMES),
         default="auto",
         help="which prediction formula to apply (auto routes on the overlap)",
     )

@@ -116,17 +116,6 @@ class MeasurementRecord:
     tail_estimate: float | None = None
 
 
-def _scenario_selections(sc: Scenario, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The selection kernel (c, b) of one scenario, a stack of one."""
-    return _point_selections(sc.post, sc.pre, sc.observable, n_max)
-
-
-def _selection_amplitudes(sc: Scenario) -> np.ndarray:
-    """c[(m, k), i] = sqrt(w_k) <f_m|a_i><a_i|psi_k>, over post-selection
-    vectors f_m, mixture components (w_k, psi_k) and eigenvectors a_i."""
-    return _scenario_selections(sc, 0)[0][0]
-
-
 def _exact_components(
     sc: Scenario, grid_n: int | None
 ) -> tuple[QGrid, float, np.ndarray, np.ndarray]:
@@ -140,7 +129,7 @@ def _exact_components(
     """
     shifts = sc.g * sc.observable.eigenvalues
     grid, branches = _frame(sc.pointer, sc.g, shifts, grid_n)
-    c = _selection_amplitudes(sc)
+    c = _point_selections(sc.post, sc.pre, sc.observable)[0][0]
     if c.shape[0] > c.shape[1]:
         c = np.linalg.qr(c, mode="r")
     p_scale = grid.dq**2 / (2.0 * math.pi)
@@ -229,13 +218,12 @@ def _exact_binding(pointer: PointerState, g: float, obs: Observable) -> tuple:
     return g, _lag_tables(pointer, g, g * obs.eigenvalues)
 
 
-def _exact_stacked(bound: tuple, c: np.ndarray, b: np.ndarray, reads: int = 3) -> tuple:
+def _exact_stacked(bound: tuple, c: np.ndarray, b: np.ndarray, momenta: bool = True) -> tuple:
     """(N, delta_q, delta_p) arrays for B points sharing the observable, g
-    and the pointer, the first ``reads`` of them computed and the rest None,
-    from their selection kernel c, b and the `_exact_binding` of the three:
-    the pointer's lag tables at u = g a. Branch i is the pointer translated
-    by u_i;
-    with T = c^T c*, N = chi(0) |b_0|^2 + sum T dchi,
+    and the pointer, delta_p only with ``momenta`` (else None), from their
+    selection kernel c, b and the `_exact_binding` of the three: the
+    pointer's lag tables at u = g a. Branch i is the pointer translated by
+    u_i; with T = c^T c*, N = chi(0) |b_0|^2 + sum T dchi,
     N <q> = chi_q(0) |b_0|^2 + chi(0) g Re(b_1 b_0^*) + sum T Q and
     N <p> = chi_p(0) |b_0|^2 + 2 slope g Im(b_1 b_0^*) + sum T P. Near
     orthogonality N is a small remainder of O(1) terms, so the lag-0 parts
@@ -246,26 +234,31 @@ def _exact_stacked(bound: tuple, c: np.ndarray, b: np.ndarray, reads: int = 3) -
     g, (zero, slope, lags) = bound
     t = _selection_traces(b[:2])  # |b_0|^2 and b_1 b_0^*, summed over rows
     b0 = t[0, 0].real
-    sums = ((np.swapaxes(c, 1, 2) @ c.conj())[:, None] * lags[:reads]).sum(axis=(2, 3)).real
+    sums = ((np.swapaxes(c, 1, 2) @ c.conj())[:, None] * lags[: 2 + momenta]).sum(axis=(2, 3)).real
     n_total = zero[0] * b0 + sums[:, 0]
-    delta_q = delta_p = None
-    if reads > 1:
-        b1_b0 = g * t[1, 0]
-        n_safe = np.where(n_total > PROB_FLOOR, n_total, np.nan)
-        delta_q = (zero[1] * b0 + zero[0] * b1_b0.real + sums[:, 1]) / n_safe - zero[1]
-    if reads > 2:
+    b1_b0 = g * t[1, 0]
+    n_safe = np.where(n_total > PROB_FLOOR, n_total, np.nan)
+    delta_q = (zero[1] * b0 + zero[0] * b1_b0.real + sums[:, 1]) / n_safe - zero[1]
+    delta_p = None
+    if momenta:
         delta_p = (zero[2] * b0 + 2.0 * slope * b1_b0.imag + sums[:, 2]) / n_safe - zero[2]
     return n_total, delta_q, delta_p
 
 
+def _exact_point(sc: Scenario, momenta: bool = True) -> tuple:
+    """`_exact_stacked`'s batch of one: one scenario's (N, delta_q, delta_p)
+    arrays of one point, delta_p only with ``momenta``."""
+    bound = _exact_binding(sc.pointer, sc.g, sc.observable)
+    return _exact_stacked(bound, *_point_selections(sc.post, sc.pre, sc.observable, 1), momenta)
+
+
 def _exact_scalars(sc: Scenario) -> tuple[float, float, float]:
     """Exact (success_prob, delta_q, delta_p) for any pointer, without a
-    density: the batch of one of `_exact_stacked`. Raises
-    ZeroPostSelectionProbability like `evolve_postselect`."""
-    bound = _exact_binding(sc.pointer, sc.g, sc.observable)
-    n_total, delta_q, delta_p = _exact_stacked(bound, *_scenario_selections(sc, 1))
-    _require_success(float(n_total[0]), PROB_FLOOR)
-    return min(float(n_total[0]), 1.0), float(delta_q[0]), float(delta_p[0])
+    density (`_exact_point`). Raises ZeroPostSelectionProbability like
+    `evolve_postselect`."""
+    n_total, delta_q, delta_p = (float(x[0]) for x in _exact_point(sc))
+    _require_success(n_total, PROB_FLOOR)
+    return min(n_total, 1.0), delta_q, delta_p
 
 
 def evolve_postselect(sc: Scenario, grid_n: int | None = None) -> MeasurementRecord:
@@ -284,12 +277,11 @@ def evolve_postselect(sc: Scenario, grid_n: int | None = None) -> MeasurementRec
 
 def success_probability(sc: Scenario, grid_n: int | None = None) -> float:
     """Exact post-selection probability; values below PROB_FLOOR snap to 0.
-    It is `_exact_stacked`'s N, independent of the grid oracle and of
+    It is `_exact_point`'s N, independent of the grid oracle and of
     ``grid_n``, and refuses what `evolve_postselect` would: a bad ``grid_n``
     or an unbuildable grid (`pointer._working_grid`'s, not allocated)."""
     _working_grid(sc.pointer, sc.g, sc.g * sc.observable.eigenvalues, grid_n)
-    bound = _exact_binding(sc.pointer, sc.g, sc.observable)
-    n_total = float(_exact_stacked(bound, *_scenario_selections(sc, 1), 1)[0][0])
+    n_total = float(_exact_point(sc, False)[0][0])
     return 0.0 if n_total < PROB_FLOOR else min(n_total, 1.0)
 
 
@@ -394,7 +386,7 @@ def series_device_state(sc: Scenario, order: int, grid_n: int | None = None) -> 
     order = validate_series_order(order)
     validate_grid_n(grid_n)
     # One trace table t[m, l] = tr(P A^m rho A^l) serves every order.
-    t = _selection_traces(_scenario_selections(sc, order)[1])[:, :, 0]
+    t = _selection_traces(_point_selections(sc.post, sc.pre, sc.observable, order)[1])[:, :, 0]
     g = sc.g
     margin = weak_interaction_margin(g, sc.pointer)
     if margin >= SERIES_MARGIN_WARN:

@@ -60,12 +60,11 @@ from .errors import (
 )
 from .oracle import _series_binding, _series_sums
 from .pointer import PointerState, _moment_table, _orthogonal_peaks, gaussian
-from .qops import Observable, PostSelection, SystemState
+from .qops import Observable, PostSelection, SystemState, _point_selections
 from .scenario import Scenario
 from .weak_values import (
     MARGIN_ORDER,
     _aav_margin,
-    _moment_amplitudes,
     _point_route,
     _route,
     _weak_ratio,
@@ -226,7 +225,7 @@ def _predict_point(
     before any moment is read. Every typed error is raised here before a
     prediction is returned.
     """
-    b = _moment_amplitudes(obs, pre, post, MARGIN_ORDER)
+    b = _point_selections(post, pre, obs, MARGIN_ORDER)[1]
     route = _route(b[:4])
     forced = None if regime == "auto" else regime == "orthogonal"
     ov, t, side, denom = _point_route(route, forced)
@@ -245,7 +244,7 @@ def _predict_point(
             var_q_out=float(f.var_q[0]),
             var_p_out=float(f.var_p[0]),
         )
-        peaks = _orthogonal_peaks(pointer, g * complex(_weak_ratio(t, 1, 0, 1, denom)))
+        peaks = _orthogonal_peaks(pointer, g * _weak_ratio(t, 1, 0, 1, denom))
         if peaks is not None:
             fields["peaks_q"], fields["peaks_p"] = peaks
     else:

@@ -13,7 +13,7 @@ sqrt(w)-weighted pre-selection vectors. `_selection_binding` computes once
 what the stacks of a search share (the post-selections and the
 observable), and the kernel applies it to each stack of pre-selections.
 `_selection_stack` converts lists of selections to that stack;
-`_point_selections`, behind `overlap`, is its batch of one.
+`_point_selections`, with the one dimension check, is its batch of one.
 
 The wire section holds the matrix codecs and the two helpers every reader
 of outside input goes through: `_wire_object`, the one key check of a wire
@@ -373,10 +373,19 @@ def _selection_kernel(bound: tuple, psis: np.ndarray):
     return c, np.concatenate([b0, bn])
 
 
+def _check_dims(post: PostSelection, pre: SystemState, obs: Observable | None = None) -> None:
+    """The one dimension check of a selection pair and the observable, if any."""
+    if pre.dim == post.dim and (obs is None or obs.dim == pre.dim):
+        return
+    observable = "" if obs is None else f"observable {obs.dim}, "
+    raise DimensionMismatch(f"dimensions differ: {observable}state {pre.dim}, projector {post.dim}")
+
+
 def _point_selections(
     post: PostSelection, pre: SystemState, obs: Observable | None = None, n_max: int = 0
 ):
-    """The selection kernel (c, b) of one selection pair: a stack of one."""
+    """The selection kernel (c, b to order n_max) of one checked pair."""
+    _check_dims(post, pre, obs)
     fs, psis = _selection_stack([post], [pre])
     return _selection_kernel(_selection_binding(fs, obs, n_max), psis)
 
@@ -394,18 +403,9 @@ def _selection_traces(b: np.ndarray) -> np.ndarray:
     return _ordered_sum(rows[:, :, None] * rows.conj()[:, None])
 
 
-def _check_dims(post: PostSelection, pre: SystemState, obs: Observable | None = None) -> None:
-    """The one dimension check of a selection pair and the observable, if any."""
-    if pre.dim == post.dim and (obs is None or obs.dim == pre.dim):
-        return
-    observable = "" if obs is None else f"observable {obs.dim}, "
-    raise DimensionMismatch(f"dimensions differ: {observable}state {pre.dim}, projector {post.dim}")
-
-
 def overlap(post: PostSelection, pre: SystemState) -> float:
     """Post-selection success probability at zero coupling, tr(P rho),
-    clipped into [0, 1]: the selection kernel's batch of one."""
-    _check_dims(post, pre)
+    clipped into [0, 1]."""
     return float(_selection_overlaps(_point_selections(post, pre)[1])[0])
 
 

@@ -31,7 +31,7 @@ from .errors import (
     OrthogonalPPS,
 )
 from .pointer import MAX_WEAK_ORDER, PointerState, moment, p_power, variance_p
-from .qops import Observable, PostSelection, SystemState, _check_dims, _is_integer
+from .qops import Observable, PostSelection, SystemState, _is_integer
 from .qops import _point_selections, _selection_overlaps, _selection_traces
 
 __all__ = [
@@ -67,14 +67,6 @@ class WeakValueReport:
     kind: str
     orders: tuple[int, int] | None
     denominator: complex
-
-
-def _moment_amplitudes(
-    obs: Observable, pre: SystemState, post: PostSelection, n_max: int
-) -> np.ndarray:
-    """The selection kernel's moment amplitudes b_0..b_n_max for one point."""
-    _check_dims(post, pre, obs)
-    return _point_selections(post, pre, obs, n_max)[1]
 
 
 def _route(b: np.ndarray) -> tuple:
@@ -119,12 +111,12 @@ def _point_route(
     return ov, t[:, :, 0], side, denom
 
 
-def _weak_ratio(t: np.ndarray, m, l, side: int, denom) -> np.ndarray:
-    """tr(P A^(m+s) rho A^(l+s)) / (((m+1)(l+1))^s denom), s = side, for
-    orders (m, l) (ints or arrays) and one point or B (last axis), the real
-    and imaginary parts divided separately."""
-    trace, scale = t[m + side, l + side], np.multiply.outer(((m + 1) * (l + 1)) ** side, denom)
-    return trace.real / scale + 1j * (trace.imag / scale)
+def _weak_ratio(t: np.ndarray, m: int, l: int, side: int, denom: float) -> complex:
+    """tr(P A^(m+s) rho A^(l+s)) / (((m+1)(l+1))^s denom), s = side, from
+    one point's traces t[m, l], the real and imaginary parts divided
+    separately."""
+    trace, scale = t[m + side, l + side], ((m + 1) * (l + 1)) ** side * denom
+    return complex(trace.real / scale + 1j * (trace.imag / scale))
 
 
 def _check_orders(m, l, cap: float = math.inf) -> tuple[int, int]:
@@ -145,9 +137,9 @@ def _weak_report(
     The orthogonal kind shifts both orders by one and conditions on
     tr(P A rho A) instead of tr(P rho)."""
     m, l = _check_orders(m, l, MAX_WEAK_ORDER)
-    b = _moment_amplitudes(obs, pre, post, max(m, l) + 1)
+    b = _point_selections(post, pre, obs, max(m, l) + 1)[1]
     _, t, side, denom = _point_route(_route(b), kind == "orthogonal")
-    value = complex(_weak_ratio(t, m, l, side, denom))
+    value = _weak_ratio(t, m, l, side, denom)
     orders = None if kind == "standard" else (m, l)
     return WeakValueReport(value=value, kind=kind, orders=orders, denominator=complex(denom))
 
@@ -157,7 +149,7 @@ def selection_trace(
 ) -> complex:
     """tr(P A^m rho A^l) from the selection kernel (no order cap)."""
     m, l = _check_orders(m, l)
-    b = _moment_amplitudes(obs, pre, post, max(m, l))
+    b = _point_selections(post, pre, obs, max(m, l))[1]
     return complex(_selection_traces(b[[m, l]])[0, 1, 0])
 
 
@@ -202,7 +194,7 @@ def aav_margin(
     formula is trustworthy only while this is far below one. Orthogonal
     selections give the +inf sentinel.
     """
-    b = _moment_amplitudes(obs, pre, post, MARGIN_ORDER)
+    b = _point_selections(post, pre, obs, MARGIN_ORDER)[1]
     if not pre.is_pure or not post.is_rank_one:
         raise ValueError("the linear-response margin is defined for rank-1 pure selections")
     return _aav_margin(b, g, pointer)

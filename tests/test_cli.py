@@ -368,6 +368,15 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert code == 1
     code, _, err = _run(capsys, ["sterngerlach", "--steps", "0"])
     assert code == 1
+    # A flag value that does not parse is refused by its flag.
+    for argv, message in (
+        (["exact", "F", "--grid-n", "abc"], "--grid-n: expected an integer, got 'abc'"),
+        (["figure2", "--wv", "0.2,0.1", "--g", "abc"], "--g: expected a number, got 'abc'"),
+        (["sterngerlach", "--lambdas", ","], "--lambdas: expected at least one lambda value"),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert f"argument {message}" in err
     # Only the subcommands that build a working grid take --grid-n.
     path = _write_scenario(tmp_path, half_overlap_scenario(0.01))
     assert _run(capsys, ["predict", path, "--grid-n", "4096"])[0] == 1

@@ -7,12 +7,14 @@ number of settable parameters; no function takes an ``orth_threshold``,
 which is a constant. The benchmark tracer rebinds
 functions by module and name, so a consolidation that renames or removes one
 would silently break a traced run; the second test catches that here. The
-last three tests pin boundaries in the source: no module but `pointer` asks
+last four tests pin boundaries in the source: no module but `pointer` asks
 which kind of pointer it holds, `oracle` imports no regime route, no module
 but `weak_values` names ORTH_THRESHOLD, no function but `qops._parsed`
-turns a refusal into a ParseError, and the pointer's ``_tables`` is the one
+turns a refusal into a ParseError, the pointer's ``_tables`` is the one
 cache of its tables (`amplifier` holds none: it defines no class but its
-two records).
+two records), only `qops._point_selections` (the kernel's one batch of
+one) and `amplifier._evaluate` call the selection kernel, and only
+`amplifier._stacks` reads a family's own selections (``_pres``, ``_head``).
 """
 
 import ast
@@ -205,3 +207,41 @@ def test_the_pointer_memo_is_the_one_table_cache():
     assert naming == {"pointer", "oracle"}
     classes = {node.name for node in ast.walk(trees["amplifier"]) if isinstance(node, ast.ClassDef)}
     assert classes == {"SweepRecord", "OptimumReport"}
+
+
+def _defining(trees, match):
+    """The (module, top-level name) pairs whose definition, or module-level
+    statement (name None), holds a node that ``match`` accepts."""
+    return {
+        (module, getattr(stmt, "name", None))
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if any(match(node) for node in ast.walk(stmt))
+    }
+
+
+def test_one_batch_of_one_and_one_family_probe():
+    # Two functions call the selection kernel: `qops._point_selections`,
+    # the batch of one behind every one-point reader, and
+    # `amplifier._evaluate`, which applies it to a sweep's or a search's
+    # stacks. Only `amplifier._stacks` asks whether a family offers its own
+    # selections (``_pres`` and ``_head``), and binds them.
+    package = Path(__file__).resolve().parents[1] / "src" / "weakmeas"
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    kernel = _defining(
+        trees,
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_selection_kernel",
+    )
+    assert kernel == {("qops", "_point_selections"), ("amplifier", "_evaluate")}
+    probe = {"_pres", "_head"}
+    readers = _defining(
+        trees,
+        lambda node: (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in probe
+        )
+        or (isinstance(node, ast.Constant) and node.value in probe),
+    )
+    assert readers == {("amplifier", "_stacks")}

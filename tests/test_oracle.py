@@ -52,7 +52,6 @@ from weakmeas.oracle import (
     PROB_FLOOR,
     _exact_scalars,
     _require_success,
-    _selection_amplitudes,
     _series_binding,
     _series_sums,
 )
@@ -67,9 +66,8 @@ from weakmeas.pointer import (
     q_power,
 )
 from weakmeas.qops import SIGMA_X, SIGMA_Z, _selection_binding, _selection_kernel, _selection_stack
-from weakmeas.qops import _selection_traces
+from weakmeas.qops import _point_selections, _selection_traces
 from weakmeas.scenario import MAX_SERIES_ORDER
-from weakmeas.weak_values import _moment_amplitudes
 
 from support import (
     commuting_orthogonal,
@@ -305,7 +303,7 @@ def test_grid_free_series_matches_the_series_records(pointer_kind, selection):
     else:
         sc = orthogonal_d3(3, pointer)(0.05)
     # Orthogonal selections start at order 2: orders 0 and 1 vanish.
-    b = _moment_amplitudes(sc.observable, sc.pre, sc.post, MAX_SERIES_ORDER)
+    b = _point_selections(sc.post, sc.pre, sc.observable, MAX_SERIES_ORDER)[1]
     sums = _series_sums(_series_binding(sc.pointer, sc.g, MAX_SERIES_ORDER), _selection_traces(b))
     q0, p0 = moment(sc.pointer, q_power(1)), moment(sc.pointer, p_power(1))
     for order in range(2 if selection == "orthogonal" else 0, MAX_SERIES_ORDER + 1):
@@ -790,7 +788,7 @@ def test_selection_amplitudes_rebuild_the_selection_matrix(pre_kind, rank, spect
     post = random_projector(gen, dim, rank)
     sc = make_scenario(obs, pre, post, 0.1, gaussian(1.0))
 
-    c = _selection_amplitudes(sc)
+    c = _point_selections(sc.post, sc.pre, sc.observable)[0][0]
     v = obs.eigenvectors
     t = (v.conj().T @ post.matrix @ v).T * (v.conj().T @ pre.matrix @ v)
     assert c.shape == (rank * len(pre.eigenmixture), dim)
@@ -929,7 +927,7 @@ def _unreduced_oracle(sc):
     qd, pd = np.zeros(grid.n), np.zeros(grid.n)
     for w, phi in branches:
         shifted = pointer._translated(sc.pointer, grid, phi, shifts)
-        for row in _selection_amplitudes(sc):
+        for row in _point_selections(sc.post, sc.pre, sc.observable)[0][0]:
             comp = row @ shifted
             qd += w * np.abs(comp) ** 2
             pd += w * grid.dq**2 / (2.0 * math.pi) * np.abs(np.fft.fft(comp)) ** 2
@@ -967,7 +965,8 @@ def test_oracle_reduced_to_d_rows_matches_every_row(build, rows):
     # the same. On the orthogonal selection N is a roundoff-sized remainder
     # of O(1) rows, which the reduction must not amplify.
     sc = build()
-    assert _selection_amplitudes(sc).shape == (rows, sc.observable.dim)
+    c = _point_selections(sc.post, sc.pre, sc.observable)[0][0]
+    assert c.shape == (rows, sc.observable.dim)
     n_total, mean_q, mean_p, qd, pd = _unreduced_oracle(sc)
     rec = evolve_postselect(sc)  # a Gaussian pointer: the shifts are the means
     assert abs(rec.success_prob / n_total - 1.0) <= 1e-13

@@ -367,6 +367,8 @@ def test_pointer_wire_parse_errors_name_the_key():
             pointer_from_wire({**grid, "branches": [{"weight": 1.0, "samples": samples}]})
     with pytest.raises(ParseError, match="pointer"):
         pointer_from_wire({**grid, "branches": [{"weight": [1.0], "samples": [[0.0, 0.0]] * 64}]})
+    with pytest.raises(ParseError, match=r"^pointer\.branches: expected a nonempty array$"):
+        pointer_from_wire({**grid, "branches": []})
     # Every pointer number goes through the strict wire validator: strings
     # and bools are not numbers, and n must be an integer (64.9 used to be
     # truncated to 64). Each input is valid except for the named key.

@@ -180,6 +180,8 @@ def test_density_state_eigenmixture_reconstructs():
     weights = [w for w, _ in st.eigenmixture]
     assert weights == sorted(weights, reverse=True)
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="state is mixed; no defining vector"):
+        st.vector
 
 
 def test_density_state_rejects_bad_input():
@@ -226,6 +228,8 @@ def test_projector_accepts_valid_and_reports_rank():
     assert p.rank == 2
     assert p.dim == 3
     np.testing.assert_allclose(p.basis.conj().T @ p.basis, np.eye(2), atol=1e-12)
+    with pytest.raises(ValueError, match="projector rank exceeds one; no defining vector"):
+        p.vector
     with pytest.raises(ValueError):
         projector(np.diag([0.5, 1.0]))  # not idempotent
     with pytest.raises(ZeroOperator):
@@ -244,6 +248,8 @@ def test_projector_onto_spans_and_orthonormalizes():
     assert projector_onto(v1, 2.0 * v1).rank == 1
     with pytest.raises(ZeroOperator):
         projector_onto(np.zeros(3))
+    with pytest.raises(ZeroOperator, match="projector needs at least one vector"):
+        projector_onto()
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1e-170, 1e150])

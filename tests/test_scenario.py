@@ -197,6 +197,9 @@ def test_parse_rejects_malformed_matrix_entry():
     wire["observable"][0][1] = [1.0]  # not a [re, im] pair
     with pytest.raises(ParseError, match=r"observable.*\[0\]\[1\]"):
         parse_scenario(wire)
+    wire["observable"] = []
+    with pytest.raises(ParseError, match=r"^scenario\.observable: expected a nonempty array"):
+        parse_scenario(wire)
 
 
 def test_parse_rejects_bad_pre_state():
